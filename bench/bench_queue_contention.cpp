@@ -388,10 +388,10 @@ int main(int argc, char** argv) {
             {workload.name, std::to_string(threads),
              scheduler_name(scheduler), std::to_string(stats.tasks_executed),
              std::to_string(stats.steals),
-             bench::format_double(cell.span_ms, 2),
-             bench::format_double(cell.tasks_per_sec, 0),
+             format_fixed(cell.span_ms, 2),
+             format_fixed(cell.tasks_per_sec, 0),
              cell.run.rounds > 0
-                 ? bench::format_double(cell.ns_per_round, 0)
+                 ? format_fixed(cell.ns_per_round, 0)
                  : "-"});
 
         json.begin_object();

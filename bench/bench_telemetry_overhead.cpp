@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
       table.add_row(
           {workload, mode_name(mode),
            std::to_string(m.stats.tasks_executed),
-           bench::format_double(
+           format_fixed(
                static_cast<double>(m.stats.parallel_ticks) / 1e6, 2),
            mode == Mode::kOff ? "-" : format_percent(over, 1)});
 

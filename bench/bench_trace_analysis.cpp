@@ -1,8 +1,9 @@
 // Paper §VII (future work), implemented: trace-based decomposition of
 // synchronization time into *management* and *waiting*, the
-// management-to-execution ratio, queue latencies, and the longest
-// dependency chain — checked against the §V-B claim that the chain
-// length estimates the concurrent-instance count of Table II.
+// management-to-execution ratio, queue latencies, and the creation depth
+// (the longest parent -> child creation chain) — checked against the
+// §V-B claim that it estimates the concurrent-instance count of
+// Table II.
 #include "common.hpp"
 #include "report/analysis.hpp"
 #include "trace/analysis.hpp"
@@ -18,7 +19,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"code", "threads", "task execution", "sync management",
                    "sync waiting", "mgmt/exec ratio", "mean queue latency",
-                   "chain len", "max conc (profile)"});
+                   "creation depth", "max conc (profile)"});
 
   for (const std::string& name : {std::string("fib"), std::string("nqueens"),
                                   std::string("sort"),
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
            format_ticks(analysis.sync_waiting),
            format_percent(analysis.management_to_execution_ratio()),
            format_ticks(static_cast<Ticks>(analysis.queue_latency.mean())),
-           std::to_string(analysis.critical_chain_length),
+           std::to_string(analysis.max_creation_depth),
            std::to_string(profile.max_concurrent_any_thread)});
     }
   }
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
   std::puts(
       "\nreadings: the management share of sync time grows with threads for "
       "the fine-grained codes (the profile alone cannot make this split, "
-      "paper SS VII); the dependency-chain length upper-bounds the measured "
-      "max concurrent instances (paper SS V-B's estimate).");
+      "paper SS VII); the creation depth upper-bounds the measured max "
+      "concurrent instances (paper SS V-B's estimate).");
   return 0;
 }

@@ -117,13 +117,6 @@ inline double overhead(Ticks plain, Ticks instrumented) {
                           static_cast<double>(plain);
 }
 
-/// Fixed-decimal double formatting for bench tables ("12.34").
-inline std::string format_double(double value, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
-  return buf;
-}
-
 /// Options for trajectory benches — the BENCH_<name>.json emitters that
 /// track performance across PRs.  Extends the basic size/seed flags with
 /// the shared --reps / --out flags, parsed identically in every bench.
@@ -274,9 +267,7 @@ class JsonWriter {
 
   void field(const char* key, const std::string& value) {
     pre(key);
-    out_ += '"';
-    append_escaped(value);
-    out_ += '"';
+    append_json_string(&out_, value);
   }
   void field(const char* key, const char* value) {
     field(key, std::string(value));
@@ -294,9 +285,7 @@ class JsonWriter {
   }
   void field(const char* key, double value) {
     pre(key);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    out_ += buf;
+    append_json_number(&out_, value);
   }
   void field(const char* key, bool value) {
     pre(key);
@@ -340,26 +329,13 @@ class JsonWriter {
     }
     first_ = false;
     if (key != nullptr) {
-      out_ += '"';
-      append_escaped(key);
-      out_ += "\": ";
+      append_json_string(&out_, key);
+      out_ += ": ";
     }
   }
   void indent() {
     out_.append(2 * stack_.size(), ' ');
   }
-  void append_escaped(const std::string& s) {
-    for (char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\t': out_ += "\\t"; break;
-        default: out_ += c;
-      }
-    }
-  }
-
   std::string out_;
   std::vector<char> stack_;
   bool first_ = true;

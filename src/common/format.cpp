@@ -8,15 +8,11 @@
 
 namespace taskprof {
 
-namespace {
-
-std::string format_double(double value, int decimals) {
+std::string format_fixed(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
   return buf;
 }
-
-}  // namespace
 
 std::string format_ticks(Ticks t) {
   const bool negative = t < 0;
@@ -41,17 +37,17 @@ std::string format_ticks(Ticks t) {
   } else if (value >= 10.0) {
     decimals = 1;
   }
-  std::string s = format_double(value, decimals);
+  std::string s = format_fixed(value, decimals);
   return (negative ? "-" : "") + s + " " + unit;
 }
 
 std::string format_seconds(Ticks t, int decimals) {
-  return format_double(static_cast<double>(t) / 1e9, decimals);
+  return format_fixed(static_cast<double>(t) / 1e9, decimals);
 }
 
 std::string format_percent(double ratio, int decimals) {
   const double pct = ratio * 100.0;
-  std::string s = format_double(pct, decimals);
+  std::string s = format_fixed(pct, decimals);
   if (pct >= 0.0 && s[0] != '-') s.insert(s.begin(), '+');
   return s + " %";
 }
@@ -68,6 +64,38 @@ std::string format_count(std::uint64_t n) {
     out.push_back(digits[i]);
   }
   return out;
+}
+
+void append_json_string(std::string* out, std::string_view text) {
+  out->push_back('"');
+  for (const char c : text) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+void append_json_number(std::string* out, double value) {
+  if (!std::isfinite(value)) {
+    *out += "null";
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", value);
+  *out += buf;
 }
 
 TextTable::TextTable(std::vector<std::string> header)

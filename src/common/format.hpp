@@ -1,4 +1,5 @@
-// Human-readable formatting of ticks and aligned text tables.
+// Human-readable formatting of ticks and aligned text tables, and the
+// two JSON primitives every JSON writer shares.
 //
 // The report writer and every bench binary print call trees and
 // paper-style tables; they share these helpers so all output formats
@@ -7,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -17,6 +19,9 @@ namespace taskprof {
 /// Three significant digits, like the numbers quoted in the paper.
 [[nodiscard]] std::string format_ticks(Ticks t);
 
+/// Format a double with fixed decimals, e.g. "12.34".
+[[nodiscard]] std::string format_fixed(double value, int decimals);
+
 /// Format ticks as seconds with fixed decimals, e.g. "12.345".
 [[nodiscard]] std::string format_seconds(Ticks t, int decimals = 3);
 
@@ -25,6 +30,15 @@ namespace taskprof {
 
 /// Format a count with thousands separators, e.g. "3,690,000,000".
 [[nodiscard]] std::string format_count(std::uint64_t n);
+
+/// Append `text` to `out` as a JSON string literal: quoted, with `"`,
+/// `\` and every control character escaped.
+void append_json_string(std::string* out, std::string_view text);
+
+/// Append `value` to `out` as a JSON number printed with `%.6g`, which
+/// keeps golden files byte-stable.  JSON has no inf or nan, so
+/// non-finite values become `null`.
+void append_json_number(std::string* out, double value);
 
 /// Minimal aligned-column table used by benches and the report writer.
 ///

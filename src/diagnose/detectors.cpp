@@ -26,9 +26,7 @@ void add_metric(Diagnosis* d, const char* name, double value,
 
 /// Unsigned percent ("54.7%") — format_percent is for signed deltas.
 std::string percent(double ratio) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.1f%%", ratio * 100.0);
-  return buf;
+  return format_fixed(ratio * 100.0, 1) + "%";
 }
 
 /// The construct contributing the most critical-path time (the
@@ -312,13 +310,12 @@ void detect_starved_workers(const DetectorContext& ctx,
   d.thread = worst_thread;
   d.sites.push_back(dominant_span_site(ctx));
 
-  char parallelism_buf[32];
-  std::snprintf(parallelism_buf, sizeof parallelism_buf, "%.2f", parallelism);
   std::ostringstream os;
   os << "starved workers: " << starved << " of " << ctx.threads
      << " threads wait at scheduling points for most of the region (worst "
      << percent(worst_fraction)
-     << " of span) - logical parallelism is only " << parallelism_buf << "x";
+     << " of span) - logical parallelism is only "
+     << format_fixed(parallelism, 2) << "x";
   d.summary = os.str();
   d.remediation =
       "expose more parallelism (split the dominant tasks, raise the "
@@ -376,14 +373,12 @@ void detect_granularity_collapse(const DetectorContext& ctx,
     d.score = ratio;
     d.sites.push_back(resolve_site(*ctx.input.registry, c.region));
 
-    char ratio_buf[32];
-    std::snprintf(ratio_buf, sizeof ratio_buf, "%.1f", ratio);
     std::ostringstream os;
     os << "granularity collapse: task '" << c.name << "' averages "
        << format_ticks(static_cast<Ticks>(body))
        << " of body work against "
        << format_ticks(static_cast<Ticks>(c.create_mean))
-       << " creation cost (" << ratio_buf << "x)";
+       << " creation cost (" << format_fixed(ratio, 1) << "x)";
     if (collapse_from != kNoParameter) {
       os << "; collapsed from parameter " << collapse_from << " on ("
          << format_count(collapsed_instances) << " instances)";
@@ -601,8 +596,8 @@ void detect_replay_fallback(const DetectorContext& ctx,
   out->push_back(std::move(d));
 }
 
-const std::vector<Detector>& detector_registry() {
-  static const std::vector<Detector> kRegistry = {
+std::span<const Detector> detector_registry() {
+  static constexpr Detector kRegistry[] = {
       {"creation_storm", detect_creation_storm},
       {"serialized_spawn_chain", detect_serialized_spawn_chain},
       {"starved_workers", detect_starved_workers},

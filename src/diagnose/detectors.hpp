@@ -5,6 +5,7 @@
 // corpus tests compare their JSON byte-for-byte.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "diagnose/diagnose.hpp"
@@ -34,7 +35,7 @@ struct Detector {
 };
 
 /// All registered detectors, in a stable order.
-[[nodiscard]] const std::vector<Detector>& detector_registry();
+[[nodiscard]] std::span<const Detector> detector_registry();
 
 // Individual detectors (exposed for focused tests).
 void detect_creation_storm(const DetectorContext& ctx,

@@ -55,7 +55,8 @@ DiagnosisReport run_diagnosis(const DiagnosisInput& input,
       input.trace != nullptr && !input.trace->merged().empty();
   if (have_trace) {
     trace_analysis = trace::analyze_trace(*input.trace);
-    report.workspan = compute_workspan(trace_analysis, *input.registry);
+    report.workspan =
+        compute_workspan(*input.trace, trace_analysis, *input.registry);
     report.has_workspan = true;
   }
 

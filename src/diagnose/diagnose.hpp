@@ -7,13 +7,13 @@
 // Nagarakatte) shows per-task work/span accounting yields logical
 // parallelism and critical-path attribution.  This subsystem combines
 // both: it consumes a finalized profile plus (optionally) a recorded
-// trace and a telemetry snapshot, computes work/span over reconstructed
-// task lifetimes, and runs a registry of detectors — creation storm,
-// serialized spawn chain, starved workers, granularity collapse, taskwait
-// serialization, replay fallback — each emitting a ranked Diagnosis with
-// the offending call path(s), the supporting numbers, and a remediation
-// hint.  Renderers (render.hpp) turn the report into text, stable JSON,
-// and Chrome-trace instant events.
+// trace and a telemetry snapshot, computes the sync-aware work/span of
+// the trace (trace/span.hpp), and runs a registry of detectors —
+// creation storm, serialized spawn chain, starved workers, granularity
+// collapse, taskwait serialization, replay fallback — each emitting a
+// ranked Diagnosis with the offending call path(s), the supporting
+// numbers, and a remediation hint.  Renderers (render.hpp) turn the
+// report into text, stable JSON, and Chrome-trace instant events.
 #pragma once
 
 #include <cstdint>

@@ -11,33 +11,6 @@ namespace {
 
 constexpr int kSchemaVersion = 1;
 
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void append_double(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  *out += buf;
-}
-
 }  // namespace
 
 void render_diagnosis_text(const DiagnosisReport& report, std::ostream& os) {
@@ -47,19 +20,17 @@ void render_diagnosis_text(const DiagnosisReport& report, std::ostream& os) {
 
   if (report.has_workspan) {
     const WorkSpanSummary& ws = report.workspan;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", ws.logical_parallelism());
     os << "  work " << format_ticks(ws.work) << ", span "
        << format_ticks(ws.span) << " (" << ws.span_length
-       << " tasks) -> logical parallelism " << buf << "x\n";
+       << " tasks) -> logical parallelism "
+       << format_fixed(ws.logical_parallelism(), 2) << "x\n";
     for (const ConstructSpanShare& share : ws.shares) {
-      char pct[32];
-      std::snprintf(pct, sizeof pct, "%.1f%%",
-                    ws.span > 0 ? 100.0 * static_cast<double>(share.on_span) /
-                                      static_cast<double>(ws.span)
-                                : 0.0);
-      os << "    span share: " << share.name << " " << pct << " ("
-         << share.instances << " on chain)\n";
+      const double pct = ws.span > 0
+                             ? 100.0 * static_cast<double>(share.on_span) /
+                                   static_cast<double>(ws.span)
+                             : 0.0;
+      os << "    span share: " << share.name << " " << format_fixed(pct, 1)
+         << "% (" << share.instances << " on chain)\n";
     }
   }
 
@@ -106,7 +77,7 @@ std::string render_diagnosis_json(const DiagnosisReport& report) {
     out += ",\n    \"span_length\": ";
     out += std::to_string(ws.span_length);
     out += ",\n    \"logical_parallelism\": ";
-    append_double(&out, ws.logical_parallelism());
+    append_json_number(&out, ws.logical_parallelism());
     out += ",\n    \"span_shares\": [";
     for (std::size_t i = 0; i < ws.shares.size(); ++i) {
       const ConstructSpanShare& share = ws.shares[i];
@@ -131,7 +102,7 @@ std::string render_diagnosis_json(const DiagnosisReport& report) {
     out += ",\n      \"severity\": ";
     append_json_string(&out, severity_name(d.severity));
     out += ",\n      \"score\": ";
-    append_double(&out, d.score);
+    append_json_number(&out, d.score);
     out += ",\n      \"summary\": ";
     append_json_string(&out, d.summary);
     out += ",\n      \"remediation\": ";
@@ -155,7 +126,7 @@ std::string render_diagnosis_json(const DiagnosisReport& report) {
       out += "{\"name\": ";
       append_json_string(&out, m.name);
       out += ", \"value\": ";
-      append_double(&out, m.value);
+      append_json_number(&out, m.value);
       out += ", \"unit\": ";
       append_json_string(&out, m.unit);
       out += "}";

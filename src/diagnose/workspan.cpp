@@ -1,6 +1,9 @@
 #include "diagnose/workspan.hpp"
 
 #include <algorithm>
+#include <map>
+
+#include "trace/span.hpp"
 
 namespace taskprof::diag {
 
@@ -12,137 +15,33 @@ std::string construct_display_name(RegionHandle region,
   return "(unattributed)";
 }
 
-CreationForest::CreationForest(const trace::TraceAnalysis& analysis) {
-  for (const trace::TaskLifetime& life : analysis.tasks) {
-    children_[life.parent].push_back(&life);
-    by_id_.emplace(life.id, &life);
-  }
-  // Children sorted by id so argmax walks are deterministic.
-  for (auto& [parent, kids] : children_) {
-    std::sort(kids.begin(), kids.end(),
-              [](const trace::TaskLifetime* a, const trace::TaskLifetime* b) {
-                return a->id < b->id;
-              });
-  }
-  // A chain root is a task whose parent is not itself a completed
-  // explicit task: created by an implicit task, or orphaned.
-  for (const trace::TaskLifetime& life : analysis.tasks) {
-    if (life.parent == kImplicitTaskId || by_id_.count(life.parent) == 0) {
-      roots_.push_back(&life);
-    }
-  }
-  std::sort(roots_.begin(), roots_.end(),
-            [](const trace::TaskLifetime* a, const trace::TaskLifetime* b) {
-              return a->id < b->id;
-            });
-}
-
-const trace::TaskLifetime* CreationForest::find(TaskInstanceId id) const {
-  const auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : it->second;
-}
-
-CreationForest::Chain CreationForest::heaviest_chain(
-    const std::function<Ticks(const trace::TaskLifetime&)>& duration) const {
-  struct Sub {
-    Ticks time = 0;
-    int length = 0;
-    TaskInstanceId best_child = kImplicitTaskId;  ///< 0 = leaf
-  };
-  std::unordered_map<TaskInstanceId, Sub> memo;
-  memo.reserve(by_id_.size());
-
-  // A subchain is better on strictly more time; on equal time the longer
-  // chain wins (so zero-duration subtrees are not silently dropped — the
-  // chain always extends to a leaf); remaining ties keep the
-  // first-visited child, which is the smallest id by construction.
-  const auto better = [](const Sub& a, const Sub& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.length > b.length;
-  };
-
-  auto chain_of = [&](const trace::TaskLifetime& life, auto&& self) -> Sub {
-    if (auto it = memo.find(life.id); it != memo.end()) return it->second;
-    Sub best;
-    if (auto it = children_.find(life.id); it != children_.end()) {
-      for (const trace::TaskLifetime* child : it->second) {
-        Sub sub = self(*child, self);
-        sub.best_child = child->id;
-        if (better(sub, best)) best = sub;
-      }
-    }
-    const Sub result{duration(life) + best.time, 1 + best.length,
-                     best.best_child};
-    memo.emplace(life.id, result);
-    return result;
-  };
-
-  Chain out;
-  const trace::TaskLifetime* span_root = nullptr;
-  Sub span_sub;
-  for (const trace::TaskLifetime* root : roots_) {
-    const Sub sub = chain_of(*root, chain_of);
-    // Roots are visited in id order, so strict `better` keeps the
-    // smallest root id on ties.
-    if (span_root == nullptr || better(sub, span_sub)) {
-      span_sub = sub;
-      span_root = root;
-    }
-  }
-  if (span_root == nullptr) return out;
-
-  out.time = span_sub.time;
-  out.length = span_sub.length;
-  out.tasks.reserve(static_cast<std::size_t>(span_sub.length));
-  const trace::TaskLifetime* node = span_root;
-  while (node != nullptr) {
-    out.tasks.push_back(node->id);
-    const Sub& sub = memo.at(node->id);
-    node = sub.best_child == kImplicitTaskId ? nullptr
-                                             : by_id_.at(sub.best_child);
-  }
-  return out;
-}
-
-WorkSpanSummary compute_workspan(const trace::TraceAnalysis& analysis,
+WorkSpanSummary compute_workspan(const trace::Trace& trace,
+                                 const trace::TraceAnalysis& analysis,
                                  const RegionRegistry& registry) {
-  return compute_workspan(analysis, CreationForest(analysis), registry);
-}
-
-WorkSpanSummary compute_workspan(const trace::TraceAnalysis& analysis,
-                                 const CreationForest& forest,
-                                 const RegionRegistry& registry) {
+  const trace::WorkSpan measured = trace::measure_work_span(
+      trace::SyncForest::build(trace), analysis);
   WorkSpanSummary out;
-  for (const trace::TaskLifetime& life : analysis.tasks) {
-    out.work += life.active;
-  }
+  out.work = measured.work;
+  out.span = measured.span;
+  out.span_length = measured.span_length;
 
-  const CreationForest::Chain chain = forest.heaviest_chain(
-      [](const trace::TaskLifetime& life) { return life.active; });
-  if (chain.tasks.empty()) return out;
-
-  out.span = chain.time;
-  out.span_length = chain.length;
-  out.span_tasks = chain.tasks;
-
-  // Attribute chain time per construct.
-  std::unordered_map<RegionHandle, ConstructSpanShare> shares;
-  for (const TaskInstanceId id : chain.tasks) {
-    const trace::TaskLifetime* node = forest.find(id);
-    ConstructSpanShare& share = shares[node->region];
-    share.region = node->region;
-    share.on_span += node->active;
-    share.instances += 1;
+  // Attribute chain time per construct, over all its parameters.
+  std::map<RegionHandle, ConstructSpanShare> shares;
+  for (const auto& [key, chain] : measured.on_chain) {
+    ConstructSpanShare& share = shares[key.first];
+    share.region = key.first;
+    share.on_span += chain.active;
+    share.instances += chain.tasks;
   }
   for (auto& [region, share] : shares) {
     share.name = construct_display_name(region, registry);
-    out.shares.push_back(share);
+    out.shares.push_back(std::move(share));
   }
-  std::sort(out.shares.begin(), out.shares.end(),
-            [](const ConstructSpanShare& a, const ConstructSpanShare& b) {
-              if (a.on_span != b.on_span) return a.on_span > b.on_span;
-              return a.region < b.region;
-            });
+  std::stable_sort(out.shares.begin(), out.shares.end(),
+                   [](const ConstructSpanShare& a,
+                      const ConstructSpanShare& b) {
+                     return a.on_span > b.on_span;
+                   });
   return out;
 }
 

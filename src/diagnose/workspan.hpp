@@ -1,28 +1,23 @@
-// Per-task work/span accounting over reconstructed task lifetimes
-// (TASKPROF-style).
+// Work/span accounting for the diagnosis report (TASKPROF-style).
 //
-//   work = sum of executed-fragment time over all completed tasks
-//   span = the heaviest root-to-leaf chain through the creation tree
-//          (each hop parent -> child it created), by active time
+//   work = executed task time plus implicit-task time (T1)
+//   span = the sync-aware critical path of trace/span.hpp (T∞), with the
+//          measured task-management time charged per chain task
 //
-// Logical parallelism = work / span bounds the speedup any scheduler can
-// extract from the task structure; the per-construct span shares say
-// *which* task construct owns the critical path — the what-to-optimize
-// answer the plain profile cannot give.
-//
-// The chain machinery is factored into CreationForest so the what-if
-// projector (src/whatif) can re-query the heaviest chain under
-// hypothetical per-task durations without rebuilding the tree.
+// These are the same numbers the what-if projector (src/whatif) starts
+// from.  Logical parallelism = work / span bounds the speedup any
+// scheduler can extract from the task structure; the per-construct span
+// shares say *which* task construct owns the critical path — the
+// what-to-optimize answer the plain profile cannot give.
 #pragma once
 
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
 #include "profile/region.hpp"
 #include "trace/analysis.hpp"
+#include "trace/trace.hpp"
 
 namespace taskprof::diag {
 
@@ -32,41 +27,6 @@ namespace taskprof::diag {
 /// event streams).
 [[nodiscard]] std::string construct_display_name(RegionHandle region,
                                                  const RegionRegistry& registry);
-
-/// The creation tree over a trace analysis's completed tasks, with
-/// memo-free repeatable heaviest-chain queries under caller-supplied
-/// duration models.  Holds pointers into the TraceAnalysis, which must
-/// outlive the forest.
-class CreationForest {
- public:
-  CreationForest() = default;  ///< empty forest (no tasks)
-  explicit CreationForest(const trace::TraceAnalysis& analysis);
-
-  struct Chain {
-    Ticks time = 0;
-    int length = 0;  ///< tasks on the chain
-    /// Chain instance ids, outermost first (empty when no tasks).
-    std::vector<TaskInstanceId> tasks;
-  };
-
-  /// Heaviest root-to-leaf chain where task t contributes duration(t).
-  /// Zero-duration tasks still ride the chain (a chain always extends to
-  /// a leaf).  Deterministic: ties on time prefer the longer chain, then
-  /// the smaller instance id.
-  [[nodiscard]] Chain heaviest_chain(
-      const std::function<Ticks(const trace::TaskLifetime&)>& duration) const;
-
-  [[nodiscard]] const trace::TaskLifetime* find(TaskInstanceId id) const;
-  [[nodiscard]] bool empty() const noexcept { return roots_.empty(); }
-
- private:
-  std::unordered_map<TaskInstanceId, std::vector<const trace::TaskLifetime*>>
-      children_;
-  std::unordered_map<TaskInstanceId, const trace::TaskLifetime*> by_id_;
-  /// Tasks created by implicit tasks, plus orphans whose parent never
-  /// completed; sorted by id.
-  std::vector<const trace::TaskLifetime*> roots_;
-};
 
 /// One construct's share of the critical path.
 struct ConstructSpanShare {
@@ -80,8 +40,6 @@ struct WorkSpanSummary {
   Ticks work = 0;
   Ticks span = 0;
   int span_length = 0;  ///< tasks on the critical chain
-  /// Chain instance ids, outermost first (empty when no tasks completed).
-  std::vector<TaskInstanceId> span_tasks;
   /// Per-construct critical-path attribution, largest share first.
   std::vector<ConstructSpanShare> shares;
 
@@ -91,14 +49,10 @@ struct WorkSpanSummary {
   }
 };
 
-/// Compute work/span from a finished trace analysis.  Deterministic: ties
-/// on chain weight break toward longer chains, then smaller instance ids.
+/// Compute work/span from a finished trace and its analysis.
+/// Deterministic: shares tie-break toward the smaller region handle.
 [[nodiscard]] WorkSpanSummary compute_workspan(
-    const trace::TraceAnalysis& analysis, const RegionRegistry& registry);
-
-/// Same, reusing an already-built forest over the same analysis.
-[[nodiscard]] WorkSpanSummary compute_workspan(
-    const trace::TraceAnalysis& analysis, const CreationForest& forest,
+    const trace::Trace& trace, const trace::TraceAnalysis& analysis,
     const RegionRegistry& registry);
 
 }  // namespace taskprof::diag

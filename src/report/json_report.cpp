@@ -1,39 +1,12 @@
 #include "report/json_report.hpp"
 
-#include <cstdio>
+#include "common/format.hpp"
 
 namespace taskprof {
 
 namespace {
 
 constexpr int kSchemaVersion = 1;
-
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void append_double(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  *out += buf;
-}
 
 const char* advisor_severity_name(Finding::Severity severity) {
   switch (severity) {
@@ -74,7 +47,7 @@ std::string render_report_json(const AggregateProfile& profile,
     out += ", \"inclusive_total_ns\": ";
     out += std::to_string(c.inclusive_total);
     out += ", \"inclusive_mean_ns\": ";
-    append_double(&out, c.inclusive_mean);
+    append_json_number(&out, c.inclusive_mean);
     out += ", \"inclusive_min_ns\": ";
     out += std::to_string(c.inclusive_min);
     out += ", \"inclusive_max_ns\": ";
@@ -86,7 +59,7 @@ std::string render_report_json(const AggregateProfile& profile,
     out += ", \"create_total_ns\": ";
     out += std::to_string(c.create_total);
     out += ", \"create_mean_ns\": ";
-    append_double(&out, c.create_mean);
+    append_json_number(&out, c.create_mean);
     out += ", \"taskwait_total_ns\": ";
     out += std::to_string(c.taskwait_total);
     out += ", \"taskwaits\": ";

@@ -1,7 +1,6 @@
 #include "report/text_report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <vector>
 
@@ -145,10 +144,8 @@ std::string render_telemetry(const telemetry::Snapshot& snapshot) {
 
   const std::uint64_t attempts = snapshot.counter(Counter::kStealAttempts);
   if (attempts > 0) {
-    char rate[32];
-    std::snprintf(rate, sizeof rate, "%.1f %%",
-                  snapshot.steal_success_rate() * 100.0);
-    os << "steal success rate: " << rate << " ("
+    os << "steal success rate: "
+       << format_fixed(snapshot.steal_success_rate() * 100.0, 1) << " % ("
        << format_count(snapshot.counter(Counter::kStealSuccesses)) << " of "
        << format_count(attempts) << " probes, "
        << format_count(snapshot.counter(Counter::kStealAborts))
@@ -199,7 +196,9 @@ std::string render_csv(const AggregateProfile& profile,
   for (const CallNode* root : profile.task_roots) {
     std::string tree = "task:" + registry.info(root->region).name;
     if (root->parameter != kNoParameter) {
-      tree += "[" + std::to_string(root->parameter) + "]";
+      tree += '[';
+      tree += std::to_string(root->parameter);
+      tree += ']';
     }
     render_csv_tree(out, *root, registry, tree);
   }

@@ -1,8 +1,7 @@
 #include "telemetry/telemetry.hpp"
 
-#include <cstdio>
-
 #include "common/assert.hpp"
+#include "common/format.hpp"
 
 namespace taskprof::telemetry {
 
@@ -74,7 +73,6 @@ double Snapshot::hook_mean_ticks() const noexcept {
 std::string snapshot_to_json(const Snapshot& snapshot) {
   std::string out;
   out.reserve(1024);
-  char buf[64];
   auto u64 = [&out](std::uint64_t v) { out += std::to_string(v); };
   out += "{\n  \"threads\": ";
   u64(static_cast<std::uint64_t>(snapshot.threads));
@@ -95,11 +93,9 @@ std::string snapshot_to_json(const Snapshot& snapshot) {
     u64(snapshot.gauges[i]);
   }
   out += "\n  },\n  \"derived\": {\n    \"steal_success_rate\": ";
-  std::snprintf(buf, sizeof buf, "%.6g", snapshot.steal_success_rate());
-  out += buf;
+  append_json_number(&out, snapshot.steal_success_rate());
   out += ",\n    \"hook_mean_ns\": ";
-  std::snprintf(buf, sizeof buf, "%.6g", snapshot.hook_mean_ticks());
-  out += buf;
+  append_json_number(&out, snapshot.hook_mean_ticks());
   out += "\n  },\n  \"per_thread\": [";
   for (std::size_t t = 0; t < snapshot.per_thread.size(); ++t) {
     out += t == 0 ? "\n" : ",\n";

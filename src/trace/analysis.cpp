@@ -168,6 +168,29 @@ TraceAnalysis analyze_trace(const Trace& trace,
     }
   }
 
+  // Creation depth, in creation-time order so every parent's depth is
+  // known before its children's.  It cannot be taken during the replay:
+  // thread 0's stream replays before thread 1's, so a parent created on
+  // thread 1 is not yet seen when thread 0 reaches its child's create.
+  {
+    std::vector<TaskLifetime*> by_creation;
+    for (auto& [id, life] : lifetimes) {
+      if (life.completed) by_creation.push_back(&life);
+    }
+    std::sort(by_creation.begin(), by_creation.end(),
+              [](const TaskLifetime* a, const TaskLifetime* b) {
+                if (a->created != b->created) return a->created < b->created;
+                return a->id < b->id;
+              });
+    for (TaskLifetime* life : by_creation) {
+      const auto parent = lifetimes.find(life->parent);
+      life->depth = 1 + (parent != lifetimes.end() && parent->second.completed
+                             ? parent->second.depth
+                             : 0);
+      out.max_creation_depth = std::max(out.max_creation_depth, life->depth);
+    }
+  }
+
   // Collect lifetimes and aggregates.
   for (auto& [id, life] : lifetimes) {
     if (!life.completed) continue;
@@ -182,39 +205,6 @@ TraceAnalysis analyze_trace(const Trace& trace,
             [](const TaskLifetime& a, const TaskLifetime& b) {
               return a.begin < b.begin;
             });
-
-  // Longest dependency chain over the creation tree.
-  std::unordered_map<TaskInstanceId, std::vector<const TaskLifetime*>>
-      children;
-  for (const TaskLifetime& life : out.tasks) {
-    children[life.parent].push_back(&life);
-  }
-  struct ChainResult {
-    Ticks time = 0;
-    int length = 0;
-  };
-  // Iterative post-order over the forest rooted at implicit creations.
-  std::unordered_map<TaskInstanceId, ChainResult> memo;
-  auto chain_of = [&](const TaskLifetime& life, auto&& self) -> ChainResult {
-    if (auto it = memo.find(life.id); it != memo.end()) return it->second;
-    ChainResult best;
-    if (auto it = children.find(life.id); it != children.end()) {
-      for (const TaskLifetime* child : it->second) {
-        const ChainResult sub = self(*child, self);
-        if (sub.time > best.time) best = sub;
-      }
-    }
-    const ChainResult result{life.active + best.time, 1 + best.length};
-    memo.emplace(life.id, result);
-    return result;
-  };
-  for (const TaskLifetime& life : out.tasks) {
-    const ChainResult chain = chain_of(life, chain_of);
-    if (chain.time > out.critical_chain_time) {
-      out.critical_chain_time = chain.time;
-      out.critical_chain_length = chain.length;
-    }
-  }
   return out;
 }
 
@@ -260,9 +250,8 @@ std::string render_analysis(const TraceAnalysis& analysis,
   os << "  management / task-execution ratio:             "
      << format_percent(analysis.management_to_execution_ratio()) << '\n';
 
-  os << "\nlongest dependency chain: " << analysis.critical_chain_length
-     << " tasks, " << format_ticks(analysis.critical_chain_time)
-     << " active time\n";
+  os << "\nlongest dependency chain: " << analysis.max_creation_depth
+     << " tasks (creation depth)\n";
 
   os << "\nthreads:\n";
   for (std::size_t t = 0; t < analysis.threads.size(); ++t) {

@@ -12,9 +12,12 @@
 //    overall management time to exclusive execution time for tasks";
 //  * per-instance queue latency (creation -> begin) and fragmentation;
 //  * per-thread utilization; and
-//  * the longest task dependency chain, which the paper proposes as "a
-//    good estimate for the number of concurrent tasks" (§V-B) — the
+//  * the deepest creation chain, which the paper proposes as "a good
+//    estimate for the number of concurrent tasks" (§V-B) — the
 //    estimate can be checked against the profiler's measured maximum.
+//
+// Work and span (the critical path) come from the sync-aware model in
+// trace/span.hpp, not from here.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +38,9 @@ struct TaskLifetime {
   /// Creating instance (kImplicitTaskId when created by an implicit task).
   TaskInstanceId parent = kImplicitTaskId;
   ThreadId creator = 0;
+  /// Creation depth: 1 + the parent's, or 1 when the parent is not a
+  /// completed explicit task.
+  int depth = 0;
   Ticks created = 0;  ///< create_end timestamp
   ThreadId first_thread = 0;
   Ticks begin = 0;    ///< first fragment start
@@ -92,9 +98,8 @@ struct TraceAnalysis {
                                    static_cast<double>(total_active);
   }
 
-  // Longest dependency chain (creation tree), by active time.
-  Ticks critical_chain_time = 0;
-  int critical_chain_length = 0;  ///< instances on the chain
+  /// Deepest parent -> child creation chain over the completed tasks.
+  int max_creation_depth = 0;
 };
 
 /// Run all analyses over a trace.

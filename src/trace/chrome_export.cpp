@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/format.hpp"
+
 namespace taskprof::trace {
 
 namespace {
@@ -46,7 +48,7 @@ class EventWriter {
     if (!first_) out_ += ",\n";
     first_ = false;
     out_ += "{\"name\": ";
-    append_json_string(name);
+    append_json_string(&out_, name);
     out_ += ", \"ph\": \"";
     out_ += phase;
     out_ += "\", \"pid\": ";
@@ -86,7 +88,7 @@ class EventWriter {
     out_ += '"';
     out_ += key;
     out_ += "\": ";
-    append_json_string(value);
+    append_json_string(&out_, value);
   }
 
   /// Raw key/value payload for metadata events ("args": { <raw> }).
@@ -95,7 +97,7 @@ class EventWriter {
     out_ += raw;
   }
 
-  void string_value(const std::string& s) { append_json_string(s); }
+  void string_value(const std::string& s) { append_json_string(&out_, s); }
 
   void end_event() {
     if (args_open_) out_ += '}';
@@ -117,28 +119,6 @@ class EventWriter {
     }
     out_ += ", \"args\": {";
     args_open_ = true;
-  }
-
-  void append_json_string(const std::string& s) {
-    out_ += '"';
-    for (char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\t': out_ += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(c));
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
-    out_ += '"';
   }
 
   std::string out_;

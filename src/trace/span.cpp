@@ -1,8 +1,9 @@
-#include "whatif/span.hpp"
+#include "trace/span.hpp"
 
-#include <algorithm>
+#include <cmath>
+#include <unordered_map>
 
-namespace taskprof::whatif {
+namespace taskprof::trace {
 
 namespace {
 
@@ -19,10 +20,10 @@ struct ThreadCursor {
 
 }  // namespace
 
-SyncForest SyncForest::build(const trace::Trace& trace) {
+SyncForest SyncForest::build(const Trace& trace) {
   SyncForest out;
   std::vector<ThreadCursor> cursors(trace.thread_count());
-  std::map<TaskInstanceId, std::uint32_t> node_of;
+  std::unordered_map<TaskInstanceId, std::uint32_t> node_of;
 
   auto ensure_node = [&](TaskInstanceId id, RegionHandle region,
                          std::int64_t parameter) -> std::uint32_t {
@@ -30,7 +31,6 @@ SyncForest SyncForest::build(const trace::Trace& trace) {
         id, static_cast<std::uint32_t>(out.nodes_.size()));
     if (inserted) {
       Node node;
-      node.id = id;
       node.key = {region, parameter};
       out.nodes_.push_back(std::move(node));
     } else if (region != kInvalidRegion &&
@@ -69,11 +69,11 @@ SyncForest SyncForest::build(const trace::Trace& trace) {
                                                         : kNoNode;
   };
 
-  for (const trace::TraceEvent& event : trace.merged()) {
+  for (const TraceEvent& event : trace.merged()) {
     ThreadCursor& cursor = cursors[event.thread];
     const Ticks now = event.time;
     switch (event.kind) {
-      case trace::EventKind::kImplicitBegin:
+      case EventKind::kImplicitBegin:
         if (cursor.implicit == kNoNode) {
           cursor.implicit =
               static_cast<std::uint32_t>(out.nodes_.size());
@@ -87,18 +87,20 @@ SyncForest SyncForest::build(const trace::Trace& trace) {
         cursor.current = cursor.implicit;
         cursor.fragment_start = now;
         break;
-      case trace::EventKind::kImplicitEnd:
+      case EventKind::kImplicitEnd:
         accrue(cursor, now);
         cursor.current = kNoNode;
         cursor.in_implicit = false;
         cursor.sync_depth = 0;
         break;
-      case trace::EventKind::kCreateEnd: {
+      case EventKind::kCreateEnd: {
         const std::uint32_t child =
             ensure_node(event.task, event.region, event.parameter);
         const std::uint32_t creator =
             cursor.current != kNoNode ? cursor.current : rest_node(cursor);
-        if (creator != kNoNode) {
+        // A task has one creator; a repeated create of the same instance
+        // (malformed input) is ignored so the structure stays a forest.
+        if (creator != kNoNode && !out.nodes_[child].has_parent) {
           if (creator == cursor.current) accrue(cursor, now);
           flush(creator);
           Item item;
@@ -109,19 +111,19 @@ SyncForest SyncForest::build(const trace::Trace& trace) {
         }
         break;
       }
-      case trace::EventKind::kTaskBegin:
+      case EventKind::kTaskBegin:
         accrue(cursor, now);
         cursor.current =
             ensure_node(event.task, event.region, event.parameter);
         cursor.fragment_start = now;
         break;
-      case trace::EventKind::kTaskEnd:
+      case EventKind::kTaskEnd:
         accrue(cursor, now);
         if (cursor.current != kNoNode) flush(cursor.current);
         cursor.current = rest_node(cursor);
         cursor.fragment_start = now;
         break;
-      case trace::EventKind::kTaskSwitch:
+      case EventKind::kTaskSwitch:
         accrue(cursor, now);
         cursor.current = event.task == kImplicitTaskId
                              ? rest_node(cursor)
@@ -129,14 +131,14 @@ SyncForest SyncForest::build(const trace::Trace& trace) {
                                            event.parameter);
         cursor.fragment_start = now;
         break;
-      case trace::EventKind::kWork:
+      case EventKind::kWork:
         if (cursor.current != kNoNode && event.parameter != kNoParameter &&
             !out.nodes_[cursor.current].implicit) {
           out.nodes_[cursor.current].pending_work += event.parameter;
         }
         break;
-      case trace::EventKind::kTaskwaitBegin:
-      case trace::EventKind::kBarrierBegin:
+      case EventKind::kTaskwaitBegin:
+      case EventKind::kBarrierBegin:
         // An implicit task stops executing at the scheduling point; an
         // explicit one keeps accruing until it is switched out (the
         // pre-switch sliver is genuine sync-entry cost).
@@ -147,8 +149,8 @@ SyncForest SyncForest::build(const trace::Trace& trace) {
         }
         cursor.sync_depth += 1;
         break;
-      case trace::EventKind::kTaskwaitEnd:
-      case trace::EventKind::kBarrierEnd: {
+      case EventKind::kTaskwaitEnd:
+      case EventKind::kBarrierEnd: {
         if (cursor.sync_depth > 0) cursor.sync_depth -= 1;
         std::uint32_t subject = cursor.current;
         if (subject != kNoNode) {
@@ -168,13 +170,13 @@ SyncForest SyncForest::build(const trace::Trace& trace) {
         }
         break;
       }
-      case trace::EventKind::kParallelBegin:
-      case trace::EventKind::kParallelEnd:
-      case trace::EventKind::kCreateBegin:
-      case trace::EventKind::kMigrate:
-      case trace::EventKind::kRegionEnter:
-      case trace::EventKind::kRegionExit:
-      case trace::EventKind::kSchedulerNote:
+      case EventKind::kParallelBegin:
+      case EventKind::kParallelEnd:
+      case EventKind::kCreateBegin:
+      case EventKind::kMigrate:
+      case EventKind::kRegionEnter:
+      case EventKind::kRegionExit:
+      case EventKind::kSchedulerNote:
         break;
     }
   }
@@ -182,8 +184,7 @@ SyncForest SyncForest::build(const trace::Trace& trace) {
   for (std::uint32_t index = 0; index < out.nodes_.size(); ++index) {
     flush(index);
     // Tasks with no recorded creator (foreign traces, dropped events)
-    // still bound the program end; treat them as roots at offset 0,
-    // matching the creation-tree convention.
+    // still bound the program end; treat them as roots at offset 0.
     if (!out.nodes_[index].has_parent && !out.nodes_[index].implicit) {
       out.roots_.push_back(index);
     }
@@ -193,56 +194,35 @@ SyncForest SyncForest::build(const trace::Trace& trace) {
 
 SyncForest::Evaluation SyncForest::evaluate(const CostFn& cost,
                                             double task_overhead) const {
-  // The chain through a node can enter a child at its creation point and
-  // resume the node after the join, so chain attribution is a running
-  // state snapshotted at every create.
-  struct ChainState {
-    int tasks = 0;
-    std::map<PathKey, double> scalable;
-  };
-  struct NodeResult {
-    double completion = 0.0;  ///< subtree span from node start
-    ChainState chain;
-    bool done = false;
-  };
-  std::vector<NodeResult> results(nodes_.size());
+  // completion[n] is n's subtree span measured from n's start.  A fold
+  // only needs its children's completions; the chain is rebuilt once at
+  // the end from the fold winners, so no per-node chain state is kept.
+  constexpr std::uint8_t kDone = 1;
+  constexpr std::uint8_t kWon = 2;  // won the fold that joined it
+  std::vector<double> completion(nodes_.size(), 0.0);
+  std::vector<std::uint8_t> flags(nodes_.size(), 0);
+  // Children created since the node's last join: (offset, child).
+  std::vector<std::pair<double, std::uint32_t>> pending;
 
   auto eval_node = [&](std::uint32_t index) {
     const Node& node = nodes_[index];
-    struct Pending {
-      double offset = 0.0;
-      std::uint32_t child = 0;
-      ChainState snapshot;
-    };
     double clock = 0.0;
-    ChainState chain;
-    if (!node.implicit) {
-      chain.tasks = 1;
-      clock += task_overhead;
-    }
-    std::vector<Pending> pending;
+    if (!node.implicit) clock += task_overhead;
 
     auto fold = [&]() {
       // max(clock, offset_i + completion_i); strict > keeps the node's
       // own continuation (then the earliest child) on ties.
-      std::size_t best = pending.size();
+      std::uint32_t best = kNoNode;
       double best_time = clock;
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        const double candidate =
-            pending[i].offset + results[pending[i].child].completion;
+      for (const auto& [offset, child] : pending) {
+        const double candidate = offset + completion[child];
         if (candidate > best_time) {
           best_time = candidate;
-          best = i;
+          best = child;
         }
       }
-      if (best != pending.size()) {
-        const NodeResult& sub = results[pending[best].child];
-        ChainState next = std::move(pending[best].snapshot);
-        next.tasks += sub.chain.tasks;
-        for (const auto& [key, ticks] : sub.chain.scalable) {
-          next.scalable[key] += ticks;
-        }
-        chain = std::move(next);
+      if (best != kNoNode) {
+        flags[best] |= kWon;
         clock = best_time;
       }
       pending.clear();
@@ -251,16 +231,11 @@ SyncForest::Evaluation SyncForest::evaluate(const CostFn& cost,
     for (const Item& item : node.items) {
       switch (item.kind) {
         case Item::Kind::kSegment:
-          if (node.implicit) {
-            clock += static_cast<double>(item.segment.active);
-          } else {
-            const SegmentCost sc = cost(node.key, item.segment);
-            clock += sc.duration;
-            chain.scalable[node.key] += sc.basis;
-          }
+          clock += node.implicit ? static_cast<double>(item.segment.active)
+                                 : cost(node.key, item.segment);
           break;
         case Item::Kind::kCreate:
-          pending.push_back(Pending{clock, item.child, chain});
+          pending.emplace_back(clock, item.child);
           break;
         case Item::Kind::kJoin:
           fold();
@@ -268,15 +243,14 @@ SyncForest::Evaluation SyncForest::evaluate(const CostFn& cost,
       }
     }
     fold();  // children never waited on gate the program end
-    results[index].completion = clock;
-    results[index].chain = std::move(chain);
-    results[index].done = true;
+    completion[index] = clock;
+    flags[index] |= kDone;
   };
 
   // Post-order over the forest (each node has at most one creator).
   std::vector<std::pair<std::uint32_t, std::size_t>> stack;
   for (const std::uint32_t root : roots_) {
-    if (results[root].done) continue;
+    if ((flags[root] & kDone) != 0) continue;
     stack.emplace_back(root, 0);
     while (!stack.empty()) {
       auto& [index, item_cursor] = stack.back();
@@ -285,7 +259,7 @@ SyncForest::Evaluation SyncForest::evaluate(const CostFn& cost,
       while (item_cursor < node.items.size()) {
         const Item& item = node.items[item_cursor++];
         if (item.kind == Item::Kind::kCreate &&
-            !results[item.child].done) {
+            (flags[item.child] & kDone) == 0) {
           stack.emplace_back(item.child, 0);
           descended = true;
           break;
@@ -300,17 +274,67 @@ SyncForest::Evaluation SyncForest::evaluate(const CostFn& cost,
   Evaluation out;
   std::uint32_t best_root = kNoNode;
   for (const std::uint32_t root : roots_) {
-    if (best_root == kNoNode ||
-        results[root].completion > out.span) {
+    if (best_root == kNoNode || completion[root] > out.span) {
       best_root = root;
-      out.span = results[root].completion;
+      out.span = completion[root];
     }
   }
-  if (best_root != kNoNode) {
-    out.tasks_on_chain = results[best_root].chain.tasks;
-    out.scalable_on_chain = std::move(results[best_root].chain.scalable);
+  if (best_root == kNoNode) return out;
+
+  // Rebuild the chain from the best root: a node contributes its
+  // segments except those between a winning create and the join that
+  // folded it (they ran beside the winning child, off the chain).
+  std::vector<std::uint32_t> chain{best_root};
+  while (!chain.empty()) {
+    const Node& node = nodes_[chain.back()];
+    chain.pop_back();
+    ChainShare* share = node.implicit ? nullptr : &out.on_chain[node.key];
+    if (share != nullptr) {
+      share->tasks += 1;
+      out.tasks_on_chain += 1;
+    }
+    bool beside_winner = false;
+    for (const Item& item : node.items) {
+      switch (item.kind) {
+        case Item::Kind::kSegment:
+          if (share != nullptr && !beside_winner) {
+            share->active += item.segment.active;
+            share->work += item.segment.work;
+          }
+          break;
+        case Item::Kind::kCreate:
+          if ((flags[item.child] & kWon) != 0) {
+            beside_winner = true;
+            chain.push_back(item.child);
+          }
+          break;
+        case Item::Kind::kJoin:
+          beside_winner = false;
+          break;
+      }
+    }
   }
   return out;
 }
 
-}  // namespace taskprof::whatif
+WorkSpan measure_work_span(const SyncForest& forest,
+                           const TraceAnalysis& analysis) {
+  WorkSpan out;
+  out.work = forest.implicit_active();
+  for (const TaskLifetime& life : analysis.tasks) out.work += life.active;
+  if (!analysis.tasks.empty()) {
+    out.task_overhead = static_cast<double>(analysis.sync_management) /
+                        static_cast<double>(analysis.tasks.size());
+  }
+  SyncForest::Evaluation chain = forest.evaluate(
+      [](const SyncForest::PathKey&, const SyncForest::Segment& segment) {
+        return static_cast<double>(segment.active);
+      },
+      out.task_overhead);
+  out.span = static_cast<Ticks>(std::llround(chain.span));
+  out.span_length = chain.tasks_on_chain;
+  out.on_chain = std::move(chain.on_chain);
+  return out;
+}
+
+}  // namespace taskprof::trace

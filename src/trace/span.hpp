@@ -1,20 +1,12 @@
-// Sync-aware span: a series-parallel reconstruction of the task
-// structure from a recorded trace.
+// Sync-aware work/span, the one span model behind trace analysis,
+// diagnosis and what-if projection.
 //
-// The creation-tree chain (diagnose/workspan.hpp) treats every child of
-// a task as concurrent with its siblings.  That misses two serial
-// constraints that dominate real programs once a hypothesis shrinks the
-// task bodies:
-//
-//  * taskwait phasing — in sort/fft-style kernels the "merge" children
-//    are created only after a taskwait on the "split" children, so the
-//    two batches are sequential, not parallel.  The creation tree sees
-//    siblings and lets the span collapse far below what any schedule
-//    can reach, so a 90% hypothesis projects absurd speedups;
-//  * creation serialization — a flat task farm is spawned one create at
-//    a time by the implicit task.  Once the bodies shrink, the spawning
-//    thread is the bottleneck, and that time lives on the implicit
-//    task, which the creation tree does not model at all.
+// A creation-tree chain (parent -> child, summed by active time) treats
+// every child as concurrent with its siblings and its creator.  It
+// misses taskwait phasing (sort/fft create their "merge" children only
+// after waiting on the "split" ones) and creation serialization (a farm
+// spawned one create at a time by the implicit task, whose time the
+// creation tree does not model at all).
 //
 // SyncForest replays the trace event stream into one node per task
 // (explicit tasks and the per-thread implicit tasks) holding an ordered
@@ -24,7 +16,7 @@
 //   Create{child}          a child task spawned here
 //   Join                   a taskwait/barrier completed here
 //
-// Span evaluation is then the classic max-plus recursion over that
+// Span evaluation is the classic max-plus recursion over that
 // structure: a node's clock advances through its segments; a Join
 // folds every child created since the previous Join as
 // max(clock, creation_offset + child_completion); the node's
@@ -34,10 +26,6 @@
 // the span?" and "what would the span be if path X were N% faster?" —
 // scaling is exact per segment because ctx.work() declarations (kWork
 // events) are attributed to the segment they occurred in.
-//
-// The evaluation also reports the realized critical chain: how many
-// distinct tasks lie on it and how much scalable (basis) time each call
-// path contributes to it, which feeds the Amdahl-style ceiling.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +35,10 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "trace/analysis.hpp"
 #include "trace/trace.hpp"
 
-namespace taskprof::whatif {
+namespace taskprof::trace {
 
 class SyncForest {
  public:
@@ -62,29 +51,29 @@ class SyncForest {
     Ticks work = 0;    ///< declared ctx.work() ticks within them
   };
 
-  /// Hypothetical cost of one segment.
-  struct SegmentCost {
-    double duration = 0.0;  ///< (possibly scaled) executed ticks
-    double basis = 0.0;     ///< scalable basis ticks, unscaled
+  /// Maps a segment of a task on `key` to its (possibly scaled)
+  /// duration.  Never consulted for implicit tasks (they are not call
+  /// paths and a hypothesis cannot scale them).
+  using CostFn = std::function<double(const PathKey&, const Segment&)>;
+
+  /// What one call path contributes to the critical chain.
+  struct ChainShare {
+    Ticks active = 0;  ///< executed ticks of its segments on the chain
+    Ticks work = 0;    ///< declared ctx.work() ticks among them
+    int tasks = 0;     ///< its tasks on the chain
   };
-  /// Maps a segment of a task on `key` to its cost under a hypothesis.
-  /// Never consulted for implicit tasks (they are not call paths and a
-  /// hypothesis cannot scale them).
-  using CostFn = std::function<SegmentCost(const PathKey&, const Segment&)>;
 
   struct Evaluation {
-    double span = 0.0;        ///< series-parallel critical path
-    int tasks_on_chain = 0;   ///< distinct explicit tasks on it
-    /// Scalable basis ticks each call path contributes to the chain.
-    std::map<PathKey, double> scalable_on_chain;
+    double span = 0.0;       ///< series-parallel critical path
+    int tasks_on_chain = 0;  ///< explicit tasks on it
+    std::map<PathKey, ChainShare> on_chain;
   };
 
   SyncForest() = default;
 
   /// Replay `trace` into the series-parallel structure.
-  [[nodiscard]] static SyncForest build(const trace::Trace& trace);
+  [[nodiscard]] static SyncForest build(const Trace& trace);
 
-  [[nodiscard]] bool empty() const noexcept { return nodes_.empty(); }
   /// Total executed time of the implicit tasks (creation serialization
   /// and other inline work); part of T1 but of no call path.
   [[nodiscard]] Ticks implicit_active() const noexcept {
@@ -96,8 +85,8 @@ class SyncForest {
   /// keeping it inside the max-plus evaluation (rather than bolted onto
   /// the result) means the chain choice accounts for it and the
   /// old-chain-feasibility argument behind the Amdahl ceiling survives
-  /// scaling.  Deterministic: ties keep the earliest candidate in
-  /// creation order.
+  /// scaling.  Deterministic: a fold keeps the node's own continuation
+  /// on ties, then the earliest child in creation order.
   [[nodiscard]] Evaluation evaluate(const CostFn& cost,
                                     double task_overhead = 0.0) const;
 
@@ -105,12 +94,11 @@ class SyncForest {
   struct Item {
     enum class Kind : std::uint8_t { kSegment, kCreate, kJoin };
     Kind kind = Kind::kSegment;
-    Segment segment;          ///< kSegment
     std::uint32_t child = 0;  ///< kCreate: index into nodes_
+    Segment segment;          ///< kSegment
   };
 
   struct Node {
-    TaskInstanceId id = kImplicitTaskId;
     PathKey key{kInvalidRegion, kNoParameter};
     bool implicit = false;
     bool has_parent = false;
@@ -125,4 +113,22 @@ class SyncForest {
   Ticks implicit_active_ = 0;
 };
 
-}  // namespace taskprof::whatif
+/// Work and span of one recorded trace.
+struct WorkSpan {
+  Ticks work = 0;  ///< T1: executed task time plus implicit-task time
+  /// T∞: the sync-aware span with `task_overhead` charged per chain task.
+  Ticks span = 0;
+  int span_length = 0;  ///< explicit tasks on the critical chain
+  /// Measured task-management time (the analysis' short
+  /// scheduling-point gaps) spread evenly over the completed tasks.
+  double task_overhead = 0.0;
+  std::map<SyncForest::PathKey, SyncForest::ChainShare> on_chain;
+};
+
+/// T1, T∞ and the critical chain of the trace `forest` was built from,
+/// measured as recorded (every segment at its executed time).
+/// `analysis` must come from the same trace.
+[[nodiscard]] WorkSpan measure_work_span(const SyncForest& forest,
+                                         const TraceAnalysis& analysis);
+
+}  // namespace taskprof::trace

@@ -1,8 +1,5 @@
 #include "whatif/render.hpp"
 
-#include <cmath>
-#include <cstdio>
-
 #include "common/format.hpp"
 
 namespace taskprof::whatif {
@@ -11,43 +8,6 @@ namespace {
 
 constexpr int kSchemaVersion = 1;
 
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void append_double(std::string* out, double value) {
-  if (!std::isfinite(value)) {
-    *out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  *out += buf;
-}
-
-std::string fixed(double value, int places) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", places, value);
-  return buf;
-}
-
 void append_projection_json(std::string* out, const Projection& p,
                             const char* indent) {
   const std::string in(indent);
@@ -55,31 +15,31 @@ void append_projection_json(std::string* out, const Projection& p,
   *out += in + "  \"target\": ";
   append_json_string(out, p.target);
   *out += ",\n" + in + "  \"speedup_percent\": ";
-  append_double(out, p.fraction * 100.0);
+  append_json_number(out, p.fraction * 100.0);
   *out += ",\n" + in + "  \"scalable_ns\": " + std::to_string(p.scalable);
   *out += ",\n" + in + "  \"scalable_on_span_ns\": " +
           std::to_string(p.scalable_on_span);
   *out += ",\n" + in + "  \"share\": ";
-  append_double(out, p.share);
+  append_json_number(out, p.share);
   *out += ",\n" + in + "  \"amdahl_bound\": ";
-  append_double(out, p.bound);
+  append_json_number(out, p.bound);
   *out += ",\n" + in + "  \"work_after_ns\": " + std::to_string(p.work_after);
   *out += ",\n" + in + "  \"span_after_ns\": " + std::to_string(p.span_after);
   *out += ",\n" + in + "  \"span_length_after\": " +
           std::to_string(p.span_length_after);
   *out += ",\n" + in + "  \"parallelism_after\": ";
-  append_double(out, p.parallelism_after);
+  append_json_number(out, p.parallelism_after);
   *out += ",\n" + in + "  \"at_threads\": [";
   for (std::size_t i = 0; i < p.at_threads.size(); ++i) {
     const ThreadProjection& tp = p.at_threads[i];
     *out += i == 0 ? "\n" : ",\n";
     *out += in + "    {\"threads\": " + std::to_string(tp.threads);
     *out += ", \"time_before_ns\": ";
-    append_double(out, tp.time_before);
+    append_json_number(out, tp.time_before);
     *out += ", \"time_after_ns\": ";
-    append_double(out, tp.time_after);
+    append_json_number(out, tp.time_after);
     *out += ", \"speedup\": ";
-    append_double(out, tp.speedup);
+    append_json_number(out, tp.speedup);
     *out += "}";
   }
   *out += p.at_threads.empty() ? "]" : "\n" + in + "  ]";
@@ -87,24 +47,24 @@ void append_projection_json(std::string* out, const Projection& p,
 }
 
 void render_projection_text(const Projection& p, std::ostream& os) {
-  os << "  " << p.target << " " << fixed(p.fraction * 100.0, 0)
+  os << "  " << p.target << " " << format_fixed(p.fraction * 100.0, 0)
      << "% faster:\n";
   os << "    scalable " << format_ticks(p.scalable) << " (share "
-     << fixed(p.share * 100.0, 1) << "%, Amdahl ceiling ";
+     << format_fixed(p.share * 100.0, 1) << "%, Amdahl ceiling ";
   if (p.bound > 0.0) {
-    os << fixed(p.bound, 2) << "x)";
+    os << format_fixed(p.bound, 2) << "x)";
   } else {
     os << "unbounded)";
   }
   os << "\n    new span " << format_ticks(p.span_after) << " ("
      << p.span_length_after << " tasks), new logical parallelism "
-     << fixed(p.parallelism_after, 2) << "x\n";
+     << format_fixed(p.parallelism_after, 2) << "x\n";
   for (const ThreadProjection& tp : p.at_threads) {
     os << "    at " << tp.threads << " thread"
        << (tp.threads == 1 ? " " : "s") << ": "
        << format_ticks(static_cast<Ticks>(tp.time_before)) << " -> "
        << format_ticks(static_cast<Ticks>(tp.time_after)) << "  ("
-       << fixed(tp.speedup, 3) << "x)\n";
+       << format_fixed(tp.speedup, 3) << "x)\n";
   }
 }
 
@@ -126,22 +86,22 @@ void render_whatif_text(const Report& report, std::ostream& os) {
   os << "  work " << format_ticks(report.work) << ", span "
      << format_ticks(report.span) << " (" << report.span_length
      << " tasks) -> logical parallelism "
-     << fixed(report.logical_parallelism, 2) << "x\n";
+     << format_fixed(report.logical_parallelism, 2) << "x\n";
   for (const Projection& p : report.projections) {
     render_projection_text(p, os);
   }
   if (!report.top_targets.empty()) {
     os << "  top optimization targets (each "
-       << fixed(report.rank_fraction * 100.0, 0) << "% faster):\n";
+       << format_fixed(report.rank_fraction * 100.0, 0) << "% faster):\n";
     for (const Projection& p : report.top_targets) {
       double speedup = 1.0;
       for (const ThreadProjection& tp : p.at_threads) {
         if (tp.threads == report.measured_threads) speedup = tp.speedup;
       }
-      os << "    " << fixed(speedup, 3) << "x  " << p.target << "  (share "
-         << fixed(p.share * 100.0, 1) << "%, ceiling ";
+      os << "    " << format_fixed(speedup, 3) << "x  " << p.target << "  (share "
+         << format_fixed(p.share * 100.0, 1) << "%, ceiling ";
       if (p.bound > 0.0) {
-        os << fixed(p.bound, 2) << "x)";
+        os << format_fixed(p.bound, 2) << "x)";
       } else {
         os << "unbounded)";
       }
@@ -159,7 +119,7 @@ std::string render_whatif_json(const Report& report) {
   out += ",\n  \"span_ns\": " + std::to_string(report.span);
   out += ",\n  \"span_length\": " + std::to_string(report.span_length);
   out += ",\n  \"logical_parallelism\": ";
-  append_double(&out, report.logical_parallelism);
+  append_json_number(&out, report.logical_parallelism);
   out += ",\n  \"measured_threads\": " +
          std::to_string(report.measured_threads);
   out += ",\n  \"scaling_basis\": ";
@@ -185,7 +145,7 @@ void render_top_targets_text(const Report& report, std::size_t limit,
                              std::ostream& os) {
   if (report.top_targets.empty()) return;
   os << "Top optimization targets (projected speedup if "
-     << fixed(report.rank_fraction * 100.0, 0) << "% faster, at "
+     << format_fixed(report.rank_fraction * 100.0, 0) << "% faster, at "
      << report.measured_threads << " threads):\n";
   const std::size_t n = std::min(limit, report.top_targets.size());
   for (std::size_t i = 0; i < n; ++i) {
@@ -194,8 +154,8 @@ void render_top_targets_text(const Report& report, std::size_t limit,
     for (const ThreadProjection& tp : p.at_threads) {
       if (tp.threads == report.measured_threads) speedup = tp.speedup;
     }
-    os << "  " << (i + 1) << ". " << p.target << "  " << fixed(speedup, 3)
-       << "x  (span share " << fixed(p.share * 100.0, 1) << "%)\n";
+    os << "  " << (i + 1) << ". " << p.target << "  " << format_fixed(speedup, 3)
+       << "x  (span share " << format_fixed(p.share * 100.0, 1) << "%)\n";
   }
 }
 

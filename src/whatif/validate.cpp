@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "check/differential.hpp"
+#include "common/format.hpp"
 #include "instrument/instrumentor.hpp"
 #include "rt/duration_scale.hpp"
 #include "rt/sim_runtime.hpp"
@@ -55,29 +56,6 @@ SimRun run_kernel_sim(bots::Kernel& kernel, RegionRegistry& registry,
   out.projection.self_check_ok = result.ok;
   out.ok = result.ok;
   return out;
-}
-
-void append_double(std::string* out, double value) {
-  if (!std::isfinite(value)) {
-    *out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  *out += buf;
-}
-
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default: out->push_back(c);
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -263,7 +241,7 @@ std::string render_validate_json(const ValidateReport& report) {
   out += "{\n  \"schema_version\": ";
   out += std::to_string(kSchemaVersion);
   out += ",\n  \"tolerance\": ";
-  append_double(&out, report.tolerance);
+  append_json_number(&out, report.tolerance);
   out += ",\n  \"pass\": ";
   out += report.all_within() ? "true" : "false";
   out += ",\n  \"cases\": [";
@@ -274,7 +252,7 @@ std::string render_validate_json(const ValidateReport& report) {
     append_json_string(&out, c.kernel);
     out += ",\n      \"threads\": " + std::to_string(c.threads);
     out += ",\n      \"speedup_percent\": ";
-    append_double(&out, c.fraction * 100.0);
+    append_json_number(&out, c.fraction * 100.0);
     out += ",\n      \"target\": ";
     append_json_string(&out, c.target);
     out += ",\n      \"measured_before_ns\": " +
@@ -282,19 +260,19 @@ std::string render_validate_json(const ValidateReport& report) {
     out += ",\n      \"measured_after_ns\": " +
            std::to_string(c.measured_after);
     out += ",\n      \"analytic_before_ns\": ";
-    append_double(&out, c.analytic_before);
+    append_json_number(&out, c.analytic_before);
     out += ",\n      \"analytic_after_ns\": ";
-    append_double(&out, c.analytic_after);
+    append_json_number(&out, c.analytic_after);
     out += ",\n      \"projected_time_ns\": ";
-    append_double(&out, c.projected_time);
+    append_json_number(&out, c.projected_time);
     out += ",\n      \"simulated_speedup\": ";
-    append_double(&out, c.simulated_speedup);
+    append_json_number(&out, c.simulated_speedup);
     out += ",\n      \"projected_speedup\": ";
-    append_double(&out, c.projected_speedup);
+    append_json_number(&out, c.projected_speedup);
     out += ",\n      \"relative_error\": ";
-    append_double(&out, c.relative_error);
+    append_json_number(&out, c.relative_error);
     out += ",\n      \"tolerance\": ";
-    append_double(&out, c.tolerance);
+    append_json_number(&out, c.tolerance);
     out += ",\n      \"structure_required\": ";
     out += c.structure_required ? "true" : "false";
     out += ",\n      \"within_tolerance\": ";

@@ -76,22 +76,18 @@ Error WhatIfProfile::build(const trace::Trace& trace,
             "trace contains no completed explicit tasks to project over"};
   }
   out->analysis_ = &analysis;
-  out->sync_ = SyncForest::build(trace);
+  out->sync_ = trace::SyncForest::build(trace);
   out->measured_threads_ =
       std::max<int>(1, static_cast<int>(analysis.threads.size()));
   out->work_basis_ = std::any_of(
       analysis.tasks.begin(), analysis.tasks.end(),
       [](const trace::TaskLifetime& life) { return life.work > 0; });
+  out->measured_ = trace::measure_work_span(out->sync_, analysis);
   out->overhead_ = analysis.sync_management;
-  out->overhead_per_task_ =
-      static_cast<double>(analysis.sync_management) /
-      static_cast<double>(analysis.tasks.size());
 
   // Aggregate per (region, parameter), deterministically ordered.
   std::map<std::pair<RegionHandle, std::int64_t>, CallPathStats> by_path;
-  out->work_ = out->sync_.implicit_active();
   for (const trace::TaskLifetime& life : analysis.tasks) {
-    out->work_ += life.active;
     CallPathStats& stats = by_path[{life.region, life.parameter}];
     stats.region = life.region;
     stats.parameter = life.parameter;
@@ -100,20 +96,9 @@ Error WhatIfProfile::build(const trace::Trace& trace,
     stats.work += life.work;
     stats.scalable += out->scalable_of(life);
   }
-
-  const SyncForest::Evaluation base = out->sync_.evaluate(
-      [&](const SyncForest::PathKey&, const SyncForest::Segment& segment) {
-        return SyncForest::SegmentCost{
-            static_cast<double>(segment.active),
-            static_cast<double>(out->work_basis_ ? segment.work
-                                                 : segment.active)};
-      },
-      out->overhead_per_task_);
-  out->span_ = static_cast<Ticks>(std::llround(base.span));
-  out->span_length_ = base.tasks_on_chain;
-  for (const auto& [key, ticks] : base.scalable_on_chain) {
+  for (const auto& [key, chain] : out->measured_.on_chain) {
     if (auto it = by_path.find(key); it != by_path.end()) {
-      it->second.on_span += static_cast<Ticks>(std::llround(ticks));
+      it->second.on_span += out->work_basis_ ? chain.work : chain.active;
     }
   }
 
@@ -202,18 +187,20 @@ Projection WhatIfProfile::project(
       saved_work += fraction * static_cast<double>(scalable_of(life));
     }
   }
-  out.work_after = work_ - static_cast<Ticks>(saved_work + 0.5);
+  out.work_after = measured_.work - static_cast<Ticks>(saved_work + 0.5);
 
-  const SyncForest::Evaluation scaled = sync_.evaluate(
-      [&](const SyncForest::PathKey& key,
-          const SyncForest::Segment& segment) {
-        const double basis = static_cast<double>(
-            work_basis_ ? segment.work : segment.active);
+  const trace::SyncForest::Evaluation scaled = sync_.evaluate(
+      [&](const trace::SyncForest::PathKey& key,
+          const trace::SyncForest::Segment& segment) {
         double duration = static_cast<double>(segment.active);
-        if (target_keys.count(key) != 0) duration -= fraction * basis;
-        return SyncForest::SegmentCost{duration, basis};
+        if (target_keys.count(key) != 0) {
+          duration -= fraction * static_cast<double>(work_basis_
+                                                         ? segment.work
+                                                         : segment.active);
+        }
+        return duration;
       },
-      overhead_per_task_);
+      measured_.task_overhead);
   out.span_after = static_cast<Ticks>(std::llround(scaled.span));
   out.span_length_after = scaled.tasks_on_chain;
   out.parallelism_after =
@@ -226,8 +213,8 @@ Projection WhatIfProfile::project(
   // so it enters T1 whole.  The spans already carry it per chain task
   // (evaluate()'s task_overhead).
   const double work_before =
-      static_cast<double>(work_) + static_cast<double>(overhead_);
-  const double span_before = static_cast<double>(span_);
+      static_cast<double>(measured_.work) + static_cast<double>(overhead_);
+  const double span_before = static_cast<double>(measured_.span);
   const double work_after =
       static_cast<double>(out.work_after) + static_cast<double>(overhead_);
   const double span_after = static_cast<double>(out.span_after);

@@ -4,7 +4,7 @@
 // TASKPROF (Yoga & Nagarakatte, PAPERS.md) popularized answering this
 // from work/span accounting instead of guesswork: per call path, subtract
 // the hypothesized saving from total work (T1) and re-evaluate the
-// sync-aware series-parallel span (span.hpp — taskwait phasing and
+// sync-aware series-parallel span (trace/span.hpp — taskwait phasing and
 // creation serialization included) with scaled per-segment durations to
 // get the new span (T∞'), then estimate wall-clock at P threads with the
 // Graham/Brent two-term bound
@@ -14,10 +14,11 @@
 // T1 and T∞ are overhead-augmented: measured task-management time (the
 // trace analysis' short scheduling-point gaps) is added to T1 whole and
 // enters T∞ as a per-task dispatch cost *inside* the max-plus span
-// evaluation (span.hpp), so the critical chain itself accounts for it —
-// a hypothesis shrinks task bodies, never the dispatch cost around them,
-// and that floor binds as bodies shrink.  The projected speedup at P is
-// T_est(P) / T_est'(P).  Four
+// evaluation, so the critical chain itself accounts for it — a
+// hypothesis shrinks task bodies, never the dispatch cost around them,
+// and that floor binds as bodies shrink.  T1 and T∞ before any
+// hypothesis are trace::measure_work_span's, the numbers diagnose
+// reports.  The projected speedup at P is T_est(P) / T_est'(P).  Four
 // invariants follow (tests/test_whatif_property.cpp fuzzes them):
 //
 //   1. speedup ∈ [1, 1/(1 - share·N)] where share = max(scalable
@@ -46,7 +47,7 @@
 #include "diagnose/workspan.hpp"
 #include "profile/region.hpp"
 #include "trace/analysis.hpp"
-#include "whatif/span.hpp"
+#include "trace/span.hpp"
 
 namespace taskprof::whatif {
 
@@ -135,13 +136,16 @@ class WhatIfProfile {
 
   /// T1: executed task time plus implicit-task time (creation
   /// serialization and inline work).
-  [[nodiscard]] Ticks work() const noexcept { return work_; }
+  [[nodiscard]] Ticks work() const noexcept { return measured_.work; }
   /// T∞ including the per-task dispatch overhead of the chain's tasks.
-  [[nodiscard]] Ticks span() const noexcept { return span_; }
-  [[nodiscard]] int span_length() const noexcept { return span_length_; }
+  [[nodiscard]] Ticks span() const noexcept { return measured_.span; }
+  [[nodiscard]] int span_length() const noexcept {
+    return measured_.span_length;
+  }
   [[nodiscard]] double logical_parallelism() const noexcept {
-    return span_ == 0 ? 0.0
-                      : static_cast<double>(work_) / static_cast<double>(span_);
+    return measured_.span == 0 ? 0.0
+                               : static_cast<double>(measured_.work) /
+                                     static_cast<double>(measured_.span);
   }
   /// Thread count of the recorded run.
   [[nodiscard]] int measured_threads() const noexcept {
@@ -180,15 +184,12 @@ class WhatIfProfile {
 
  private:
   const trace::TraceAnalysis* analysis_ = nullptr;
-  SyncForest sync_;
+  trace::SyncForest sync_;
   std::vector<CallPathStats> paths_;
-  Ticks work_ = 0;
-  Ticks span_ = 0;
-  int span_length_ = 0;
+  trace::WorkSpan measured_;
   int measured_threads_ = 1;
   bool work_basis_ = false;
   Ticks overhead_ = 0;
-  double overhead_per_task_ = 0.0;
 
   [[nodiscard]] Ticks scalable_of(const trace::TaskLifetime& life) const;
 };

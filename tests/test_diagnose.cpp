@@ -1,23 +1,23 @@
 // The diagnosis engine: every seeded anti-pattern shape must be flagged
 // by its detector (at problem severity, pointing at the offending
 // construct), the clean shape must stay finding-free, and the work/span
-// accounting must agree with the trace analyzer's independent
-// critical-chain computation.
+// it reports must be the one the what-if projector starts from.
 #include "diagnose/diagnose.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "bots/kernel.hpp"
 #include "check/shapes.hpp"
 #include "diagnose/detectors.hpp"
 #include "diagnose/render.hpp"
-#include "instrument/instrumentor.hpp"
 #include "rt/sim_runtime.hpp"
 #include "trace/analysis.hpp"
 #include "trace/recorder.hpp"
+#include "whatif/whatif.hpp"
 
 namespace taskprof {
 namespace {
@@ -81,49 +81,46 @@ TEST(Diagnose, FindingsAreRankedBySeverityThenScore) {
   }
 }
 
-// Work/span must agree with the trace analyzer's independently computed
-// critical chain — same definition, separate implementations.
-TEST(Diagnose, FibWorkSpanMatchesTraceCriticalChainWithin10Percent) {
-  RegionRegistry registry;
-  rt::SimRuntime runtime;
-  Instrumentor instrumentor(registry, MeasureOptions{});
-  trace::TraceRecorder recorder;
-  rt::FanoutHooks fanout;
-  fanout.add(&instrumentor);
-  fanout.add(&recorder);
-  runtime.set_hooks(&fanout);
-  auto kernel = bots::make_kernel("fib");
-  ASSERT_NE(kernel, nullptr);
-  bots::KernelConfig config;
-  config.threads = 4;
-  config.size = bots::SizeClass::kTest;
-  const bots::KernelResult result = kernel->run(runtime, registry, config);
-  ASSERT_TRUE(result.ok) << result.check;
-  runtime.set_hooks(nullptr);
-  instrumentor.finalize();
+// Diagnose and what-if share one span model, so on every BOTS kernel
+// they must report the same work, span and logical parallelism.
+TEST(Diagnose, WorkSpanEqualsWhatIfOnEveryBotsKernel) {
+  for (const std::unique_ptr<bots::Kernel>& kernel :
+       bots::make_all_kernels()) {
+    for (const int threads : {2, 4, 8}) {
+      SCOPED_TRACE(std::string(kernel->name()) + " threads=" +
+                   std::to_string(threads));
+      RegionRegistry registry;
+      rt::SimRuntime runtime;
+      trace::TraceRecorder recorder;
+      runtime.set_hooks(&recorder);
+      bots::KernelConfig config;
+      config.threads = threads;
+      config.size = bots::SizeClass::kTest;
+      const bots::KernelResult result =
+          kernel->run(runtime, registry, config);
+      runtime.set_hooks(nullptr);
+      ASSERT_TRUE(result.ok) << result.check;
+      const trace::Trace recorded = recorder.take();
 
-  const trace::Trace recorded = recorder.take();
-  const trace::TraceAnalysis analysis = trace::analyze_trace(recorded);
-  const diag::WorkSpanSummary ws =
-      diag::compute_workspan(analysis, registry);
+      diag::DiagnosisInput input;
+      input.registry = &registry;
+      input.trace = &recorded;
+      const diag::DiagnosisReport report = diag::run_diagnosis(input);
+      ASSERT_TRUE(report.has_workspan);
 
-  ASSERT_GT(ws.span, 0);
-  ASSERT_GT(analysis.critical_chain_time, 0);
-  const double span_ratio = static_cast<double>(ws.span) /
-                            static_cast<double>(analysis.critical_chain_time);
-  EXPECT_GT(span_ratio, 0.9);
-  EXPECT_LT(span_ratio, 1.1);
-  EXPECT_EQ(ws.span_length, analysis.critical_chain_length);
-
-  const double parallelism = ws.logical_parallelism();
-  const double trace_estimate =
-      static_cast<double>(analysis.total_active) /
-      static_cast<double>(analysis.critical_chain_time);
-  EXPECT_GT(parallelism / trace_estimate, 0.9);
-  EXPECT_LT(parallelism / trace_estimate, 1.1);
-
-  // The span is a real root-to-leaf creation chain.
-  EXPECT_EQ(static_cast<int>(ws.span_tasks.size()), ws.span_length);
+      const trace::TraceAnalysis analysis = trace::analyze_trace(recorded);
+      whatif::WhatIfProfile profile;
+      ASSERT_TRUE(
+          whatif::WhatIfProfile::build(recorded, analysis, registry, &profile)
+              .ok());
+      EXPECT_GT(profile.span(), 0);
+      EXPECT_EQ(report.workspan.work, profile.work());
+      EXPECT_EQ(report.workspan.span, profile.span());
+      EXPECT_EQ(report.workspan.span_length, profile.span_length());
+      EXPECT_EQ(report.workspan.logical_parallelism(),
+                profile.logical_parallelism());
+    }
+  }
 }
 
 TEST(Diagnose, ReplayFallbackDetectorReadsTelemetryReasons) {

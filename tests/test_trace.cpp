@@ -2,6 +2,7 @@
 #include "trace/file.hpp"
 #include "trace/recorder.hpp"
 #include "trace/sampling.hpp"
+#include "trace/span.hpp"
 
 #include <gtest/gtest.h>
 
@@ -151,8 +152,8 @@ TEST_F(TraceTest, SuspendedTasksHaveMultipleFragments) {
 }
 
 TEST_F(TraceTest, ParentChildChainReconstructed) {
-  // A chain of 5 nested tasks: critical chain length must be 5 and the
-  // chain time at least the summed work.
+  // A chain of 5 nested tasks, each waiting for its child: the creation
+  // depth must be 5 and the span at least the summed work.
   std::function<void(rt::TaskContext&, int)> chain =
       [&chain, this](rt::TaskContext& ctx, int depth) {
         ctx.create_task(
@@ -171,14 +172,17 @@ TEST_F(TraceTest, ParentChildChainReconstructed) {
   });
   const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
   EXPECT_EQ(analysis.tasks.size(), 5u);
-  EXPECT_EQ(analysis.critical_chain_length, 5);
-  EXPECT_GE(analysis.critical_chain_time, 50'000);
+  EXPECT_EQ(analysis.max_creation_depth, 5);
+  const trace::WorkSpan ws =
+      trace::measure_work_span(trace::SyncForest::build(trace), analysis);
+  EXPECT_GE(ws.span, 50'000);
+  EXPECT_EQ(ws.span_length, 5);
 }
 
 TEST_F(TraceTest, ChainLengthEstimatesConcurrentInstances) {
   // Paper §V-B: "the longest dependency chain (e.g. the recursion depth)
   // of an application may serve as a good estimate for the number of
-  // concurrent tasks".  Check the estimate against the profiler.
+  // concurrent tasks".  Check the creation depth against the profiler.
   std::function<void(rt::TaskContext&, int)> rec =
       [&rec, this](rt::TaskContext& ctx, int depth) {
         ctx.create_task(
@@ -210,11 +214,12 @@ TEST_F(TraceTest, ChainLengthEstimatesConcurrentInstances) {
   const trace::TraceAnalysis analysis =
       trace::analyze_trace(recorder.take());
   const AggregateProfile profile = instr.aggregate();
-  EXPECT_EQ(analysis.critical_chain_length, 8);  // depth 7 + root
-  // The measured max concurrent instances is bounded by the chain length
-  // (strict scheduling keeps the suspended stack on one root-leaf path).
+  EXPECT_EQ(analysis.max_creation_depth, 8);  // depth 7 + root
+  // The measured max concurrent instances is bounded by the creation
+  // depth (strict scheduling keeps the suspended stack on one root-leaf
+  // path).
   EXPECT_LE(profile.max_concurrent_any_thread,
-            static_cast<std::size_t>(analysis.critical_chain_length));
+            static_cast<std::size_t>(analysis.max_creation_depth));
   EXPECT_GE(profile.max_concurrent_any_thread, 4u);
 }
 

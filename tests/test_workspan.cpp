@@ -1,158 +1,279 @@
-// Work/span accounting regressions, focused on the degenerate traces
-// that used to mis-attribute: zero-duration tasks falling off the
-// critical chain, and region-less tasks rendered with a raw handle
-// number instead of a stable label.
+// The one span model (trace/span.hpp) on hand-built traces: degenerate
+// inputs (empty, orphaned, region-less), the tie rule for zero-duration
+// children, taskwait phasing that a creation-tree chain gets wrong, and
+// a 100,000-deep nested chain that every post-mortem entry point must
+// survive on a small stack.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
+#include "diagnose/diagnose.hpp"
 #include "diagnose/workspan.hpp"
 #include "profile/region.hpp"
 #include "trace/analysis.hpp"
+#include "whatif/whatif.hpp"
 
 namespace taskprof {
 namespace {
 
-trace::TaskLifetime make_task(TaskInstanceId id, TaskInstanceId parent,
-                              RegionHandle region, Ticks active) {
-  trace::TaskLifetime life;
-  life.id = id;
-  life.parent = parent;
-  life.region = region;
-  life.active = active;
-  life.started = true;
-  life.completed = true;
-  return life;
+using trace::EventKind;
+
+/// Hand-built per-thread event streams; each must stay time-ordered.
+class TraceBuilder {
+ public:
+  explicit TraceBuilder(std::size_t threads) : streams_(threads) {}
+
+  TraceBuilder& add(ThreadId thread, Ticks time, EventKind kind,
+                    TaskInstanceId task = kImplicitTaskId,
+                    RegionHandle region = kInvalidRegion) {
+    streams_[thread].push_back(
+        {time, thread, kind, task, region, kNoParameter, 0});
+    return *this;
+  }
+
+  /// Task `id` runs on `thread` from `begin` to `end`.
+  TraceBuilder& run(ThreadId thread, Ticks begin, Ticks end,
+                    TaskInstanceId id, RegionHandle region) {
+    return add(thread, begin, EventKind::kTaskBegin, id, region)
+        .add(thread, end, EventKind::kTaskEnd, id, region);
+  }
+
+  /// The thread's running task `creator` creates `id` at `time` and
+  /// waits for it while the child runs inline for `duration` ticks.
+  TraceBuilder& spawn_and_wait(ThreadId thread, Ticks time,
+                               TaskInstanceId id, RegionHandle region,
+                               Ticks duration,
+                               TaskInstanceId creator = kImplicitTaskId) {
+    add(thread, time, EventKind::kCreateEnd, id, region)
+        .add(thread, time, EventKind::kTaskwaitBegin)
+        .run(thread, time, time + duration, id, region);
+    if (creator != kImplicitTaskId) {
+      add(thread, time + duration, EventKind::kTaskSwitch, creator);
+    }
+    return add(thread, time + duration, EventKind::kTaskwaitEnd);
+  }
+
+  [[nodiscard]] trace::Trace build() {
+    return trace::Trace(std::move(streams_));
+  }
+
+ private:
+  std::vector<std::vector<trace::TraceEvent>> streams_;
+};
+
+diag::WorkSpanSummary workspan_of(const trace::Trace& trace,
+                                  const RegionRegistry& registry) {
+  return diag::compute_workspan(trace, trace::analyze_trace(trace),
+                                registry);
 }
 
-TEST(WorkSpan, EmptyAnalysisYieldsEmptySummary) {
-  trace::TraceAnalysis analysis;
+TEST(WorkSpan, EmptyTraceYieldsEmptySummary) {
   RegionRegistry registry;
-  const diag::WorkSpanSummary ws = diag::compute_workspan(analysis, registry);
+  const diag::WorkSpanSummary ws = workspan_of(trace::Trace(), registry);
   EXPECT_EQ(ws.work, 0);
   EXPECT_EQ(ws.span, 0);
   EXPECT_EQ(ws.span_length, 0);
-  EXPECT_TRUE(ws.span_tasks.empty());
   EXPECT_TRUE(ws.shares.empty());
   EXPECT_EQ(ws.logical_parallelism(), 0.0);
 }
 
-TEST(WorkSpan, ZeroDurationDescendantsStayOnTheChain) {
-  // 1(100) -> 2(0) -> 3(0): the heaviest chain must run to the leaf even
-  // though the subtree below 1 contributes no time.  The old
-  // implementation dropped ties (`sub.time > best.time`), cutting the
-  // chain at the first zero-duration child.
+TEST(WorkSpan, OrphanedTasksAreChainRoots) {
+  // Task 7's create was never recorded: it must still bound the span as
+  // a root of its own rather than vanish from it.
   RegionRegistry registry;
   const RegionHandle region =
-      registry.register_region("zero_chain", RegionType::kTask);
-  trace::TraceAnalysis analysis;
-  analysis.tasks.push_back(make_task(1, kImplicitTaskId, region, 100));
-  analysis.tasks.push_back(make_task(2, 1, region, 0));
-  analysis.tasks.push_back(make_task(3, 2, region, 0));
+      registry.register_region("orphan", RegionType::kTask);
+  TraceBuilder b(1);
+  b.add(0, 0, EventKind::kImplicitBegin)
+      .add(0, 0, EventKind::kCreateEnd, 8, region)
+      .add(0, 0, EventKind::kTaskwaitBegin)
+      .run(0, 0, 20, 8, region)
+      .run(0, 20, 100, 7, region)
+      .add(0, 100, EventKind::kTaskwaitEnd)
+      .add(0, 100, EventKind::kImplicitEnd);
 
-  const diag::WorkSpanSummary ws = diag::compute_workspan(analysis, registry);
+  const diag::WorkSpanSummary ws = workspan_of(b.build(), registry);
   EXPECT_EQ(ws.work, 100);
-  EXPECT_EQ(ws.span, 100);
-  EXPECT_EQ(ws.span_length, 3);
-  ASSERT_EQ(ws.span_tasks.size(), 3u);
-  EXPECT_EQ(ws.span_tasks[0], 1u);
-  EXPECT_EQ(ws.span_tasks[1], 2u);
-  EXPECT_EQ(ws.span_tasks[2], 3u);
+  EXPECT_EQ(ws.span, 80);
+  EXPECT_EQ(ws.span_length, 1);
   ASSERT_EQ(ws.shares.size(), 1u);
-  EXPECT_EQ(ws.shares[0].instances, 3);
-}
-
-TEST(WorkSpan, AllZeroDurationTasksStillFormAChain) {
-  RegionRegistry registry;
-  const RegionHandle region =
-      registry.register_region("all_zero", RegionType::kTask);
-  trace::TraceAnalysis analysis;
-  analysis.tasks.push_back(make_task(1, kImplicitTaskId, region, 0));
-  analysis.tasks.push_back(make_task(2, 1, region, 0));
-
-  const diag::WorkSpanSummary ws = diag::compute_workspan(analysis, registry);
-  EXPECT_EQ(ws.span, 0);
-  EXPECT_EQ(ws.span_length, 2);
-  ASSERT_EQ(ws.span_tasks.size(), 2u);
-  EXPECT_EQ(ws.span_tasks.front(), 1u);
-}
-
-TEST(WorkSpan, TieOnTimePrefersLongerChainThenSmallerId) {
-  // Root 1 has two subtrees of equal weight: child 2 (50, leaf) and
-  // child 3 (50) -> 4 (0).  Equal time, so the longer chain through 3
-  // wins; among equal-length equal-time chains the smaller id wins.
-  RegionRegistry registry;
-  const RegionHandle region =
-      registry.register_region("tie", RegionType::kTask);
-  trace::TraceAnalysis analysis;
-  analysis.tasks.push_back(make_task(1, kImplicitTaskId, region, 10));
-  analysis.tasks.push_back(make_task(2, 1, region, 50));
-  analysis.tasks.push_back(make_task(3, 1, region, 50));
-  analysis.tasks.push_back(make_task(4, 3, region, 0));
-
-  const diag::WorkSpanSummary ws = diag::compute_workspan(analysis, registry);
-  EXPECT_EQ(ws.span, 60);
-  EXPECT_EQ(ws.span_length, 3);
-  ASSERT_EQ(ws.span_tasks.size(), 3u);
-  EXPECT_EQ(ws.span_tasks[1], 3u);
-  EXPECT_EQ(ws.span_tasks[2], 4u);
+  EXPECT_EQ(ws.shares[0].on_span, 80);
 }
 
 TEST(WorkSpan, RegionlessTasksGetAStableLabel) {
   // Tasks recorded without a region (hand-built or truncated traces) must
   // not render as "region 4294967295".
   RegionRegistry registry;
-  trace::TraceAnalysis analysis;
-  analysis.tasks.push_back(make_task(1, kImplicitTaskId, kInvalidRegion, 30));
+  TraceBuilder b(1);
+  b.add(0, 0, EventKind::kImplicitBegin)
+      .spawn_and_wait(0, 0, 1, kInvalidRegion, 30)
+      .add(0, 30, EventKind::kImplicitEnd);
 
-  const diag::WorkSpanSummary ws = diag::compute_workspan(analysis, registry);
+  const diag::WorkSpanSummary ws = workspan_of(b.build(), registry);
+  EXPECT_EQ(ws.span, 30);
   ASSERT_EQ(ws.shares.size(), 1u);
   EXPECT_EQ(ws.shares[0].name, "(unattributed)");
   EXPECT_EQ(diag::construct_display_name(kInvalidRegion, registry),
             "(unattributed)");
 }
 
-TEST(WorkSpan, OrphanedTasksAreChainRoots) {
-  // Task 7's parent (99) never completed: it must still be considered a
-  // chain root rather than vanish from the span.
+TEST(WorkSpan, ZeroDurationChildrenLoseTiesToTheContinuation) {
+  // 1(100) -> 2(0) -> 3(0), each waiting for its child.  A child that
+  // finishes exactly when its creator's continuation would resume does
+  // not lengthen the span, so the fold keeps the continuation and the
+  // chain stops at task 1.
   RegionRegistry registry;
   const RegionHandle region =
-      registry.register_region("orphan", RegionType::kTask);
-  trace::TraceAnalysis analysis;
-  analysis.tasks.push_back(make_task(7, 99, region, 80));
-  analysis.tasks.push_back(make_task(8, kImplicitTaskId, region, 20));
+      registry.register_region("zero_chain", RegionType::kTask);
+  TraceBuilder b(1);
+  b.add(0, 0, EventKind::kImplicitBegin)
+      .add(0, 0, EventKind::kCreateEnd, 1, region)
+      .add(0, 0, EventKind::kTaskwaitBegin)
+      .add(0, 0, EventKind::kTaskBegin, 1, region)
+      .add(0, 100, EventKind::kCreateEnd, 2, region)
+      .add(0, 100, EventKind::kTaskwaitBegin)
+      .add(0, 100, EventKind::kTaskBegin, 2, region)
+      .spawn_and_wait(0, 100, 3, region, 0, /*creator=*/2)
+      .add(0, 100, EventKind::kTaskEnd, 2, region)
+      .add(0, 100, EventKind::kTaskSwitch, 1)
+      .add(0, 100, EventKind::kTaskwaitEnd)
+      .add(0, 100, EventKind::kTaskEnd, 1, region)
+      .add(0, 100, EventKind::kTaskwaitEnd)
+      .add(0, 100, EventKind::kImplicitEnd);
 
-  const diag::WorkSpanSummary ws = diag::compute_workspan(analysis, registry);
-  EXPECT_EQ(ws.span, 80);
-  ASSERT_EQ(ws.span_tasks.size(), 1u);
-  EXPECT_EQ(ws.span_tasks[0], 7u);
+  const trace::Trace trace = b.build();
+  const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
+  EXPECT_EQ(analysis.max_creation_depth, 3);
+  const diag::WorkSpanSummary ws =
+      diag::compute_workspan(trace, analysis, registry);
+  EXPECT_EQ(ws.work, 100);
+  EXPECT_EQ(ws.span, 100);
+  EXPECT_EQ(ws.span_length, 1);
+  ASSERT_EQ(ws.shares.size(), 1u);
+  EXPECT_EQ(ws.shares[0].instances, 1);
 }
 
-TEST(WorkSpan, ForestChainHonorsCustomDurations) {
-  // The what-if projector re-queries the chain under scaled durations:
-  // halving task 2's cost must move the span to the other subtree.
+TEST(WorkSpan, TaskwaitPhasesAreSequential) {
+  // The implicit task spawns two "split" tasks, waits, then two "merge"
+  // tasks, and waits again; thread 1 runs one task of each phase.  A
+  // creation-tree chain sees four concurrent siblings (span 100, 4x); the
+  // taskwait orders the phases, so the span is 200 and the parallelism 2x.
   RegionRegistry registry;
-  const RegionHandle hot =
-      registry.register_region("hot", RegionType::kTask);
-  const RegionHandle cold =
-      registry.register_region("cold", RegionType::kTask);
+  const RegionHandle split =
+      registry.register_region("split", RegionType::kTask);
+  const RegionHandle merge =
+      registry.register_region("merge", RegionType::kTask);
+  TraceBuilder b(2);
+  b.add(0, 0, EventKind::kImplicitBegin)
+      .add(0, 0, EventKind::kCreateEnd, 1, split)
+      .add(0, 0, EventKind::kCreateEnd, 2, split)
+      .add(0, 0, EventKind::kTaskwaitBegin)
+      .run(0, 0, 100, 1, split)
+      .add(0, 100, EventKind::kTaskwaitEnd)
+      .add(0, 100, EventKind::kCreateEnd, 3, merge)
+      .add(0, 100, EventKind::kCreateEnd, 4, merge)
+      .add(0, 100, EventKind::kTaskwaitBegin)
+      .run(0, 100, 200, 3, merge)
+      .add(0, 200, EventKind::kTaskwaitEnd)
+      .add(0, 200, EventKind::kImplicitEnd);
+  b.add(1, 0, EventKind::kImplicitBegin)
+      .add(1, 0, EventKind::kBarrierBegin)
+      .run(1, 0, 100, 2, split)
+      .run(1, 100, 200, 4, merge)
+      .add(1, 200, EventKind::kBarrierEnd)
+      .add(1, 200, EventKind::kImplicitEnd);
+
+  const diag::WorkSpanSummary ws = workspan_of(b.build(), registry);
+  EXPECT_EQ(ws.work, 400);
+  EXPECT_EQ(ws.span, 200);
+  EXPECT_EQ(ws.span_length, 2);
+  EXPECT_DOUBLE_EQ(ws.logical_parallelism(), 2.0);
+  ASSERT_EQ(ws.shares.size(), 2u);
+  EXPECT_EQ(ws.shares[0].name, "split");
+  EXPECT_EQ(ws.shares[0].on_span, 100);
+  EXPECT_EQ(ws.shares[1].name, "merge");
+  EXPECT_EQ(ws.shares[1].on_span, 100);
+}
+
+/// Run `body` on a thread with a 256 KiB stack, so any walk whose
+/// recursion depth grows with the task depth overflows it.
+void run_on_small_stack(const std::function<void()>& body) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  pthread_t thread;
+  const auto trampoline = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, trampoline,
+                           const_cast<std::function<void()>*>(&body)),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+TEST(WorkSpan, HundredThousandDeepChainRunsOnASmallStack) {
+  // Task i creates task i+1 and waits for it, 100,000 deep, on thread 0
+  // while thread 1 idles in the barrier.
+  constexpr int kDepth = 100'000;
+  constexpr Ticks kWork = 10;
+  RegionRegistry registry;
+  const RegionHandle region =
+      registry.register_region("link", RegionType::kTask);
+  TraceBuilder b(2);
+  Ticks now = 0;
+  b.add(0, now, EventKind::kImplicitBegin);
+  for (TaskInstanceId id = 1; id <= kDepth; ++id) {
+    b.add(0, now, EventKind::kCreateEnd, id, region)
+        .add(0, now, EventKind::kTaskwaitBegin)
+        .add(0, now, EventKind::kTaskBegin, id, region);
+    now += kWork;
+  }
+  for (TaskInstanceId id = kDepth; id >= 1; --id) {
+    b.add(0, now, EventKind::kTaskEnd, id, region);
+    if (id > 1) b.add(0, now, EventKind::kTaskSwitch, id - 1);
+    b.add(0, now, EventKind::kTaskwaitEnd);
+  }
+  b.add(0, now, EventKind::kImplicitEnd);
+  b.add(1, 0, EventKind::kImplicitBegin)
+      .add(1, 0, EventKind::kBarrierBegin)
+      .add(1, now, EventKind::kBarrierEnd)
+      .add(1, now, EventKind::kImplicitEnd);
+  const trace::Trace trace = b.build();
+
   trace::TraceAnalysis analysis;
-  analysis.tasks.push_back(make_task(1, kImplicitTaskId, cold, 10));
-  analysis.tasks.push_back(make_task(2, 1, hot, 100));
-  analysis.tasks.push_back(make_task(3, 1, cold, 70));
+  diag::DiagnosisReport report;
+  whatif::WhatIfProfile profile;
+  whatif::Error error;
+  run_on_small_stack([&] {
+    analysis = trace::analyze_trace(trace);
+    diag::DiagnosisInput input;
+    input.registry = &registry;
+    input.trace = &trace;
+    report = diag::run_diagnosis(input);
+    error = whatif::WhatIfProfile::build(trace, analysis, registry, &profile);
+  });
 
-  const diag::CreationForest forest(analysis);
-  const auto measured = forest.heaviest_chain(
-      [](const trace::TaskLifetime& t) { return t.active; });
-  EXPECT_EQ(measured.time, 110);
-  ASSERT_EQ(measured.tasks.size(), 2u);
-  EXPECT_EQ(measured.tasks[1], 2u);
-
-  const auto scaled = forest.heaviest_chain(
-      [hot](const trace::TaskLifetime& t) {
-        return t.region == hot ? t.active / 2 : t.active;
+  EXPECT_EQ(analysis.tasks.size(), static_cast<std::size_t>(kDepth));
+  EXPECT_EQ(analysis.max_creation_depth, kDepth);
+  ASSERT_TRUE(report.has_workspan);
+  EXPECT_EQ(report.workspan.span_length, kDepth);
+  EXPECT_EQ(report.workspan.span, kDepth * kWork);
+  EXPECT_EQ(report.workspan.work, kDepth * kWork);
+  const auto chain = std::find_if(
+      report.findings.begin(), report.findings.end(),
+      [](const diag::Diagnosis& d) {
+        return d.detector == "serialized_spawn_chain";
       });
-  EXPECT_EQ(scaled.time, 80);
-  ASSERT_EQ(scaled.tasks.size(), 2u);
-  EXPECT_EQ(scaled.tasks[1], 3u);
+  ASSERT_NE(chain, report.findings.end());
+  EXPECT_EQ(chain->severity, diag::Severity::kProblem);
+  ASSERT_TRUE(error.ok()) << error.message;
+  EXPECT_EQ(profile.span(), report.workspan.span);
+  EXPECT_EQ(profile.span_length(), kDepth);
 }
 
 }  // namespace

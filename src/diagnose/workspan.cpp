@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "trace/span.hpp"
-
 namespace taskprof::diag {
 
 std::string construct_display_name(RegionHandle region,
@@ -18,16 +16,13 @@ std::string construct_display_name(RegionHandle region,
 WorkSpanSummary compute_workspan(const trace::Trace& trace,
                                  const trace::TraceAnalysis& analysis,
                                  const RegionRegistry& registry) {
-  const trace::WorkSpan measured = trace::measure_work_span(
-      trace::SyncForest::build(trace), analysis);
-  WorkSpanSummary out;
-  out.work = measured.work;
-  out.span = measured.span;
-  out.span_length = measured.span_length;
+  WorkSpanSummary out{
+      trace::measure_work_span(trace::SyncForest::build(trace), analysis),
+      {}};
 
   // Attribute chain time per construct, over all its parameters.
   std::map<RegionHandle, ConstructSpanShare> shares;
-  for (const auto& [key, chain] : measured.on_chain) {
+  for (const auto& [key, chain] : out.on_chain) {
     ConstructSpanShare& share = shares[key.first];
     share.region = key.first;
     share.on_span += chain.active;

@@ -17,6 +17,7 @@
 #include "common/types.hpp"
 #include "profile/region.hpp"
 #include "trace/analysis.hpp"
+#include "trace/span.hpp"
 #include "trace/trace.hpp"
 
 namespace taskprof::diag {
@@ -36,17 +37,10 @@ struct ConstructSpanShare {
   int instances = 0;       ///< chain members from this construct
 };
 
-struct WorkSpanSummary {
-  Ticks work = 0;
-  Ticks span = 0;
-  int span_length = 0;  ///< tasks on the critical chain
+/// The trace's work and span plus the constructs on its critical path.
+struct WorkSpanSummary : trace::WorkSpan {
   /// Per-construct critical-path attribution, largest share first.
   std::vector<ConstructSpanShare> shares;
-
-  [[nodiscard]] double logical_parallelism() const noexcept {
-    return span == 0 ? 0.0
-                     : static_cast<double>(work) / static_cast<double>(span);
-  }
 };
 
 /// Compute work/span from a finished trace and its analysis.

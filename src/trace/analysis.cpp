@@ -27,6 +27,13 @@ struct ThreadReplay {
   std::vector<SyncFrame> sync_stack;
 };
 
+/// A replayed task with its memoized creation depth (0 = not yet known,
+/// -1 = on the walk in progress).
+struct Replayed {
+  TaskLifetime life;
+  int depth = 0;
+};
+
 }  // namespace
 
 TraceAnalysis analyze_trace(const Trace& trace,
@@ -34,7 +41,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
   TraceAnalysis out;
   out.threads.resize(trace.thread_count());
 
-  std::unordered_map<TaskInstanceId, TaskLifetime> lifetimes;
+  std::unordered_map<TaskInstanceId, Replayed> lifetimes;
   std::vector<ThreadReplay> replay(trace.thread_count());
 
   auto classify_gap = [&](ThreadId thread, Ticks gap) {
@@ -53,7 +60,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
                             Ticks now) {
     if (state.current == kImplicitTaskId) return;
     const Ticks duration = now - state.fragment_start;
-    TaskLifetime& life = lifetimes[state.current];
+    TaskLifetime& life = lifetimes[state.current].life;
     life.active += duration;
     out.threads[thread].busy += duration;
     out.threads[thread].fragments += 1;
@@ -71,7 +78,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
     }
     state.current = id;
     state.fragment_start = now;
-    TaskLifetime& life = lifetimes[id];
+    TaskLifetime& life = lifetimes[id].life;
     life.fragments += 1;
     if (!life.started) {
       life.started = true;
@@ -98,7 +105,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
           state.in_implicit = false;
           break;
         case EventKind::kCreateEnd: {
-          TaskLifetime& life = lifetimes[event.task];
+          TaskLifetime& life = lifetimes[event.task].life;
           life.id = event.task;
           life.region = event.region;
           life.parameter = event.parameter;
@@ -115,7 +122,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
           TASKPROF_ASSERT(state.current == event.task,
                           "trace replay: ending task is not current");
           close_fragment(state, thread, event.time);
-          TaskLifetime& life = lifetimes[event.task];
+          TaskLifetime& life = lifetimes[event.task].life;
           life.end = event.time;
           life.completed = true;
           break;
@@ -127,14 +134,14 @@ TraceAnalysis analyze_trace(const Trace& trace,
           }
           break;
         case EventKind::kMigrate:
-          lifetimes[event.task].migrations += 1;
+          lifetimes[event.task].life.migrations += 1;
           break;
         case EventKind::kWork:
           // Declared ctx.work() ticks; attribute to the task the thread
           // is running.  Implicit-task work has no lifetime to land on.
           if (state.current != kImplicitTaskId &&
               event.parameter != kNoParameter) {
-            lifetimes[state.current].work += event.parameter;
+            lifetimes[state.current].life.work += event.parameter;
           }
           break;
         case EventKind::kTaskwaitBegin:
@@ -168,31 +175,34 @@ TraceAnalysis analyze_trace(const Trace& trace,
     }
   }
 
-  // Creation depth, in creation-time order so every parent's depth is
-  // known before its children's.  It cannot be taken during the replay:
-  // thread 0's stream replays before thread 1's, so a parent created on
-  // thread 1 is not yet seen when thread 0 reaches its child's create.
-  {
-    std::vector<TaskLifetime*> by_creation;
-    for (auto& [id, life] : lifetimes) {
-      if (life.completed) by_creation.push_back(&life);
+  // Creation depth, walked up the parent links on an explicit stack (a
+  // chain can be 100,000 deep) and memoized.  Event order cannot supply
+  // it: an undeferred task's create ends only after its children ran,
+  // and a thief can run a task and create its children before the
+  // creator records the create.
+  std::vector<Replayed*> walk;
+  for (auto& [id, task] : lifetimes) {
+    if (!task.life.completed || task.depth != 0) continue;
+    int depth = 0;
+    for (Replayed* at = &task;;) {
+      at->depth = -1;
+      walk.push_back(at);
+      const auto parent = lifetimes.find(at->life.parent);
+      if (parent == lifetimes.end() || !parent->second.life.completed) break;
+      at = &parent->second;
+      // Known depth, or -1 where malformed input loops back on the walk.
+      if (at->depth != 0) {
+        depth = std::max(at->depth, 0);
+        break;
+      }
     }
-    std::sort(by_creation.begin(), by_creation.end(),
-              [](const TaskLifetime* a, const TaskLifetime* b) {
-                if (a->created != b->created) return a->created < b->created;
-                return a->id < b->id;
-              });
-    for (TaskLifetime* life : by_creation) {
-      const auto parent = lifetimes.find(life->parent);
-      life->depth = 1 + (parent != lifetimes.end() && parent->second.completed
-                             ? parent->second.depth
-                             : 0);
-      out.max_creation_depth = std::max(out.max_creation_depth, life->depth);
-    }
+    for (; !walk.empty(); walk.pop_back()) walk.back()->depth = ++depth;
+    out.max_creation_depth = std::max(out.max_creation_depth, depth);
   }
 
   // Collect lifetimes and aggregates.
-  for (auto& [id, life] : lifetimes) {
+  for (auto& [id, task] : lifetimes) {
+    const TaskLifetime& life = task.life;
     if (!life.completed) continue;
     out.total_active += life.active;
     if (life.created != 0 || life.begin >= life.created) {

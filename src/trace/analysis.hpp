@@ -31,24 +31,23 @@
 namespace taskprof::trace {
 
 /// Reconstructed lifetime of one explicit task instance.
+/// The 8-byte fields come first so the struct has no padding: the
+/// analysis holds one per task instance.
 struct TaskLifetime {
   TaskInstanceId id = 0;
-  RegionHandle region = kInvalidRegion;
   std::int64_t parameter = kNoParameter;
   /// Creating instance (kImplicitTaskId when created by an implicit task).
   TaskInstanceId parent = kImplicitTaskId;
-  ThreadId creator = 0;
-  /// Creation depth: 1 + the parent's, or 1 when the parent is not a
-  /// completed explicit task.
-  int depth = 0;
   Ticks created = 0;  ///< create_end timestamp
-  ThreadId first_thread = 0;
   Ticks begin = 0;    ///< first fragment start
   Ticks end = 0;      ///< completion
   Ticks active = 0;   ///< sum of executed-fragment durations
   /// Declared ctx.work() ticks executed by this task (kWork events;
   /// 0 for traces from engines that do not emit them).
   Ticks work = 0;
+  RegionHandle region = kInvalidRegion;
+  ThreadId creator = 0;
+  ThreadId first_thread = 0;
   int fragments = 0;
   int migrations = 0;
   bool started = false;
@@ -98,7 +97,9 @@ struct TraceAnalysis {
                                    static_cast<double>(total_active);
   }
 
-  /// Deepest parent -> child creation chain over the completed tasks.
+  /// Deepest parent -> child creation chain over the completed tasks: a
+  /// task's depth is 1 + its parent's, or 1 when the parent is not a
+  /// completed explicit task.
   int max_creation_depth = 0;
 };
 

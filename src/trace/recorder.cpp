@@ -1,5 +1,7 @@
 #include "trace/recorder.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace taskprof::trace {
@@ -8,6 +10,9 @@ void TraceRecorder::on_parallel_begin(int num_threads) {
   std::scoped_lock lock(resize_mutex_);
   while (streams_.size() < static_cast<std::size_t>(num_threads)) {
     streams_.push_back(std::make_unique<ThreadStream>());
+  }
+  for (const auto& s : streams_) {
+    id_offset_ = std::max(id_offset_, s->max_task);
   }
 }
 
@@ -33,26 +38,30 @@ void TraceRecorder::on_task_create_end(ThreadId thread,
                                        TaskInstanceId created,
                                        RegionHandle region,
                                        std::int64_t parameter) {
-  record(thread, EventKind::kCreateEnd, created, region, parameter);
+  const TaskInstanceId id = trace_id(created);
+  ThreadStream& s = stream(thread);
+  s.max_task = std::max(s.max_task, id);
+  record(thread, EventKind::kCreateEnd, id, region, parameter);
 }
 
 void TraceRecorder::on_task_begin(ThreadId thread, TaskInstanceId id,
                                   RegionHandle region,
                                   std::int64_t parameter) {
-  record(thread, EventKind::kTaskBegin, id, region, parameter);
+  record(thread, EventKind::kTaskBegin, trace_id(id), region, parameter);
 }
 
 void TraceRecorder::on_task_end(ThreadId thread, TaskInstanceId id) {
-  record(thread, EventKind::kTaskEnd, id);
+  record(thread, EventKind::kTaskEnd, trace_id(id));
 }
 
 void TraceRecorder::on_task_switch(ThreadId thread, TaskInstanceId id) {
-  record(thread, EventKind::kTaskSwitch, id);
+  record(thread, EventKind::kTaskSwitch, trace_id(id));
 }
 
 void TraceRecorder::on_task_migrate(ThreadId from, ThreadId to,
                                     TaskInstanceId id) {
-  record(from, EventKind::kMigrate, id, kInvalidRegion, kNoParameter, to);
+  record(from, EventKind::kMigrate, trace_id(id), kInvalidRegion,
+         kNoParameter, to);
 }
 
 void TraceRecorder::on_task_work(ThreadId thread, Ticks cost) {
@@ -111,7 +120,9 @@ Trace TraceRecorder::take() {
     per_thread.push_back(std::move(s->events));
     s->events.clear();
     s->clock = nullptr;
+    s->max_task = kImplicitTaskId;
   }
+  id_offset_ = 0;
   return Trace(std::move(per_thread));
 }
 

@@ -54,7 +54,13 @@ class TraceRecorder final : public rt::SchedulerHooks {
   struct ThreadStream {
     const Clock* clock = nullptr;
     std::vector<TraceEvent> events;
+    TaskInstanceId max_task = kImplicitTaskId;  ///< largest id it created
   };
+
+  /// The trace id of runtime instance `id` in the current region.
+  [[nodiscard]] TaskInstanceId trace_id(TaskInstanceId id) const noexcept {
+    return id == kImplicitTaskId ? id : id + id_offset_;
+  }
 
   void record(ThreadId thread, EventKind kind,
               TaskInstanceId task = kImplicitTaskId,
@@ -67,6 +73,10 @@ class TraceRecorder final : public rt::SchedulerHooks {
   // per-thread memory rule of the measurement system).
   std::vector<std::unique_ptr<ThreadStream>> streams_;
   std::mutex resize_mutex_;
+  // Both engines number task instances from 1 in every parallel region;
+  // each region's ids are shifted past the previous regions' so they stay
+  // unique within one trace.  Written only between regions.
+  TaskInstanceId id_offset_ = 0;
 };
 
 }  // namespace taskprof::trace

@@ -16,6 +16,12 @@ struct ThreadCursor {
   Ticks fragment_start = 0;
   int sync_depth = 0;
   bool in_implicit = false;
+  std::uint32_t regions = 0;  ///< implicit tasks begun so far
+
+  /// Ordinal of the parallel region the thread is in.
+  [[nodiscard]] std::uint32_t region() const noexcept {
+    return regions == 0 ? 0 : regions - 1;
+  }
 };
 
 }  // namespace
@@ -25,17 +31,18 @@ SyncForest SyncForest::build(const Trace& trace) {
   std::vector<ThreadCursor> cursors(trace.thread_count());
   std::unordered_map<TaskInstanceId, std::uint32_t> node_of;
 
-  auto ensure_node = [&](TaskInstanceId id, RegionHandle region,
-                         std::int64_t parameter) -> std::uint32_t {
+  auto ensure_node = [&](const TraceEvent& event,
+                         const ThreadCursor& cursor) -> std::uint32_t {
     auto [it, inserted] = node_of.emplace(
-        id, static_cast<std::uint32_t>(out.nodes_.size()));
+        event.task, static_cast<std::uint32_t>(out.nodes_.size()));
     if (inserted) {
       Node node;
-      node.key = {region, parameter};
+      node.key = {event.region, event.parameter};
+      node.region = cursor.region();
       out.nodes_.push_back(std::move(node));
-    } else if (region != kInvalidRegion &&
+    } else if (event.region != kInvalidRegion &&
                out.nodes_[it->second].key.first == kInvalidRegion) {
-      out.nodes_[it->second].key = {region, parameter};
+      out.nodes_[it->second].key = {event.region, event.parameter};
     }
     return it->second;
   };
@@ -73,20 +80,19 @@ SyncForest SyncForest::build(const Trace& trace) {
     ThreadCursor& cursor = cursors[event.thread];
     const Ticks now = event.time;
     switch (event.kind) {
-      case EventKind::kImplicitBegin:
-        if (cursor.implicit == kNoNode) {
-          cursor.implicit =
-              static_cast<std::uint32_t>(out.nodes_.size());
-          Node node;
-          node.implicit = true;
-          out.nodes_.push_back(std::move(node));
-          out.roots_.push_back(cursor.implicit);
-        }
+      case EventKind::kImplicitBegin: {
+        cursor.implicit = static_cast<std::uint32_t>(out.nodes_.size());
+        Node node;
+        node.implicit = true;
+        node.region = cursor.regions++;
+        out.nodes_.push_back(std::move(node));
+        out.roots_.push_back(cursor.implicit);
         cursor.in_implicit = true;
         cursor.sync_depth = 0;
         cursor.current = cursor.implicit;
         cursor.fragment_start = now;
         break;
+      }
       case EventKind::kImplicitEnd:
         accrue(cursor, now);
         cursor.current = kNoNode;
@@ -94,12 +100,13 @@ SyncForest SyncForest::build(const Trace& trace) {
         cursor.sync_depth = 0;
         break;
       case EventKind::kCreateEnd: {
-        const std::uint32_t child =
-            ensure_node(event.task, event.region, event.parameter);
+        const std::uint32_t child = ensure_node(event, cursor);
         const std::uint32_t creator =
             cursor.current != kNoNode ? cursor.current : rest_node(cursor);
-        // A task has one creator; a repeated create of the same instance
-        // (malformed input) is ignored so the structure stays a forest.
+        // Ids are unique within a recorded trace (TraceRecorder shifts
+        // each region's).  A repeated create in a hand-built or foreign
+        // trace keeps the first creator so the structure stays a forest;
+        // the later instance's time lands on the same node.
         if (creator != kNoNode && !out.nodes_[child].has_parent) {
           if (creator == cursor.current) accrue(cursor, now);
           flush(creator);
@@ -113,8 +120,7 @@ SyncForest SyncForest::build(const Trace& trace) {
       }
       case EventKind::kTaskBegin:
         accrue(cursor, now);
-        cursor.current =
-            ensure_node(event.task, event.region, event.parameter);
+        cursor.current = ensure_node(event, cursor);
         cursor.fragment_start = now;
         break;
       case EventKind::kTaskEnd:
@@ -127,8 +133,7 @@ SyncForest SyncForest::build(const Trace& trace) {
         accrue(cursor, now);
         cursor.current = event.task == kImplicitTaskId
                              ? rest_node(cursor)
-                             : ensure_node(event.task, event.region,
-                                           event.parameter);
+                             : ensure_node(event, cursor);
         cursor.fragment_start = now;
         break;
       case EventKind::kWork:
@@ -271,20 +276,28 @@ SyncForest::Evaluation SyncForest::evaluate(const CostFn& cost,
     }
   }
 
-  Evaluation out;
-  std::uint32_t best_root = kNoNode;
+  // Parallel regions run one after another: the span adds up each
+  // region's longest root (the first one on ties).
+  std::vector<std::uint32_t> best_root;
   for (const std::uint32_t root : roots_) {
-    if (best_root == kNoNode || completion[root] > out.span) {
-      best_root = root;
-      out.span = completion[root];
+    const std::uint32_t region = nodes_[root].region;
+    if (best_root.size() <= region) best_root.resize(region + 1, kNoNode);
+    if (best_root[region] == kNoNode ||
+        completion[root] > completion[best_root[region]]) {
+      best_root[region] = root;
     }
   }
-  if (best_root == kNoNode) return out;
+  Evaluation out;
+  std::vector<std::uint32_t> chain;
+  for (const std::uint32_t root : best_root) {
+    if (root == kNoNode) continue;
+    out.span += completion[root];
+    chain.push_back(root);
+  }
 
-  // Rebuild the chain from the best root: a node contributes its
+  // Rebuild the chain from the best roots: a node contributes its
   // segments except those between a winning create and the join that
   // folded it (they ran beside the winning child, off the chain).
-  std::vector<std::uint32_t> chain{best_root};
   while (!chain.empty()) {
     const Node& node = nodes_[chain.back()];
     chain.pop_back();

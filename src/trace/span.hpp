@@ -9,7 +9,7 @@
 // creation tree does not model at all).
 //
 // SyncForest replays the trace event stream into one node per task
-// (explicit tasks and the per-thread implicit tasks) holding an ordered
+// (explicit tasks and each thread's implicit task) holding an ordered
 // item list:
 //
 //   Segment{active, work}  executed time between structural points
@@ -21,7 +21,9 @@
 // folds every child created since the previous Join as
 // max(clock, creation_offset + child_completion); the node's
 // completion additionally folds children never waited on (they gate
-// the enclosing barrier, i.e. the program end).  Segment durations are
+// the enclosing barrier, i.e. the program end).  Parallel regions run one
+// after another: each thread has one implicit node per region, and the
+// span adds up every region's longest root.  Segment durations are
 // supplied by a callback, so the same structure answers both "what is
 // the span?" and "what would the span be if path X were N% faster?" —
 // scaling is exact per segment because ctx.work() declarations (kWork
@@ -102,6 +104,7 @@ class SyncForest {
     PathKey key{kInvalidRegion, kNoParameter};
     bool implicit = false;
     bool has_parent = false;
+    std::uint32_t region = 0;  ///< ordinal of the parallel region it ran in
     std::vector<Item> items;
     // Build-time accumulators for the open segment.
     Ticks pending_active = 0;
@@ -123,6 +126,13 @@ struct WorkSpan {
   /// scheduling-point gaps) spread evenly over the completed tasks.
   double task_overhead = 0.0;
   std::map<SyncForest::PathKey, SyncForest::ChainShare> on_chain;
+
+  /// T1 / T∞.  T∞ carries the per-task management time that T1 leaves
+  /// out, so on fine-grained chains this can fall below 1.
+  [[nodiscard]] double logical_parallelism() const noexcept {
+    return span == 0 ? 0.0
+                     : static_cast<double>(work) / static_cast<double>(span);
+  }
 };
 
 /// T1, T∞ and the critical chain of the trace `forest` was built from,

@@ -48,15 +48,10 @@ Error parse_target_spec(const std::string& text, TargetSpec* out) {
   return {};
 }
 
-double estimate_time(Ticks work, Ticks span, int threads) {
-  if (threads < 1) threads = 1;
-  return static_cast<double>(work - span) / static_cast<double>(threads) +
-         static_cast<double>(span);
-}
-
 namespace {
 
-double estimate_time_eff(double work, double span, int threads) {
+/// Graham estimator T_est(P) = (work - span)/P + span, in ns.
+double estimate_time(double work, double span, int threads) {
   if (threads < 1) threads = 1;
   return (work - span) / static_cast<double>(threads) + span;
 }
@@ -239,8 +234,8 @@ Projection WhatIfProfile::project(
     if (threads < 1) continue;
     ThreadProjection tp;
     tp.threads = threads;
-    tp.time_before = estimate_time_eff(work_before, span_before, threads);
-    tp.time_after = estimate_time_eff(work_after, span_after, threads);
+    tp.time_before = estimate_time(work_before, span_before, threads);
+    tp.time_after = estimate_time(work_after, span_after, threads);
     tp.speedup = tp.time_after > 0.0 ? tp.time_before / tp.time_after : 0.0;
     out.at_threads.push_back(tp);
   }

@@ -143,9 +143,7 @@ class WhatIfProfile {
     return measured_.span_length;
   }
   [[nodiscard]] double logical_parallelism() const noexcept {
-    return measured_.span == 0 ? 0.0
-                               : static_cast<double>(measured_.work) /
-                                     static_cast<double>(measured_.span);
+    return measured_.logical_parallelism();
   }
   /// Thread count of the recorded run.
   [[nodiscard]] int measured_threads() const noexcept {
@@ -193,8 +191,5 @@ class WhatIfProfile {
 
   [[nodiscard]] Ticks scalable_of(const trace::TaskLifetime& life) const;
 };
-
-/// Graham estimator T_est(P) = (work - span)/P + span, in ns.
-[[nodiscard]] double estimate_time(Ticks work, Ticks span, int threads);
 
 }  // namespace taskprof::whatif

@@ -18,6 +18,7 @@
 
 #include "profile/region.hpp"
 #include "rt/sim_runtime.hpp"
+#include "test_util.hpp"
 #include "trace/recorder.hpp"
 
 namespace taskprof {
@@ -26,39 +27,22 @@ namespace {
 using trace::ChromeExportOptions;
 using trace::EventKind;
 using trace::Trace;
-using trace::TraceEvent;
-
-TraceEvent make_event(Ticks time, ThreadId thread, EventKind kind,
-                      TaskInstanceId task = kImplicitTaskId,
-                      RegionHandle region = kInvalidRegion) {
-  TraceEvent event;
-  event.time = time;
-  event.thread = thread;
-  event.kind = kind;
-  event.task = task;
-  event.region = region;
-  return event;
-}
 
 /// Two threads: thread 0 creates task 7 and taskwaits; thread 1 steals
 /// and runs it.  Timestamps are hand-picked so the golden text is stable.
 Trace small_trace(RegionHandle fib) {
-  std::vector<std::vector<TraceEvent>> per_thread(2);
-  per_thread[0] = {
-      make_event(1000, 0, EventKind::kImplicitBegin),
-      make_event(2000, 0, EventKind::kCreateBegin, kImplicitTaskId, fib),
-      make_event(3000, 0, EventKind::kCreateEnd, 7, fib),
-      make_event(4000, 0, EventKind::kTaskwaitBegin),
-      make_event(6000, 0, EventKind::kTaskwaitEnd),
-      make_event(9000, 0, EventKind::kImplicitEnd),
-  };
-  per_thread[1] = {
-      make_event(1500, 1, EventKind::kImplicitBegin),
-      make_event(5000, 1, EventKind::kTaskBegin, 7, fib),
-      make_event(5500, 1, EventKind::kTaskEnd, 7),
-      make_event(9000, 1, EventKind::kImplicitEnd),
-  };
-  return Trace(std::move(per_thread));
+  return testutil::TraceBuilder(2)
+      .add(0, 1000, EventKind::kImplicitBegin)
+      .add(0, 2000, EventKind::kCreateBegin, kImplicitTaskId, fib)
+      .add(0, 3000, EventKind::kCreateEnd, 7, fib)
+      .add(0, 4000, EventKind::kTaskwaitBegin)
+      .add(0, 6000, EventKind::kTaskwaitEnd)
+      .add(0, 9000, EventKind::kImplicitEnd)
+      .add(1, 1500, EventKind::kImplicitBegin)
+      .add(1, 5000, EventKind::kTaskBegin, 7, fib)
+      .add(1, 5500, EventKind::kTaskEnd, 7)
+      .add(1, 9000, EventKind::kImplicitEnd)
+      .build();
 }
 
 // The full expected document: every line asserted, including the steal
@@ -189,15 +173,10 @@ TEST(ChromeExport, EscapesRegionNames) {
   RegionRegistry registry;
   const RegionHandle weird = registry.register_region(
       "qu\"ote\\back\nline", RegionType::kTask);
-  std::vector<std::vector<TraceEvent>> per_thread(1);
-  per_thread[0] = {
-      make_event(0, 0, EventKind::kTaskBegin, 1, weird),
-      make_event(10, 0, EventKind::kTaskEnd, 1),
-  };
   ChromeExportOptions options;
   options.registry = &registry;
-  const std::string doc =
-      render_chrome_trace(Trace(std::move(per_thread)), options);
+  const std::string doc = render_chrome_trace(
+      testutil::TraceBuilder(1).run(0, 0, 10, 1, weird).build(), options);
   EXPECT_NE(doc.find("qu\\\"ote\\\\back\\nline"), std::string::npos);
 }
 

@@ -1,23 +1,16 @@
 // The diagnosis engine: every seeded anti-pattern shape must be flagged
 // by its detector (at problem severity, pointing at the offending
-// construct), the clean shape must stay finding-free, and the work/span
-// it reports must be the one the what-if projector starts from.
+// construct) and the clean shape must stay finding-free.
 #include "diagnose/diagnose.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
 
-#include "bots/kernel.hpp"
 #include "check/shapes.hpp"
 #include "diagnose/detectors.hpp"
 #include "diagnose/render.hpp"
-#include "rt/sim_runtime.hpp"
-#include "trace/analysis.hpp"
-#include "trace/recorder.hpp"
-#include "whatif/whatif.hpp"
 
 namespace taskprof {
 namespace {
@@ -78,48 +71,6 @@ TEST(Diagnose, FindingsAreRankedBySeverityThenScore) {
     const diag::Diagnosis& cur = report.findings[i];
     EXPECT_TRUE(prev.severity > cur.severity ||
                 (prev.severity == cur.severity && prev.score >= cur.score));
-  }
-}
-
-// Diagnose and what-if share one span model, so on every BOTS kernel
-// they must report the same work, span and logical parallelism.
-TEST(Diagnose, WorkSpanEqualsWhatIfOnEveryBotsKernel) {
-  for (const std::unique_ptr<bots::Kernel>& kernel :
-       bots::make_all_kernels()) {
-    for (const int threads : {2, 4, 8}) {
-      SCOPED_TRACE(std::string(kernel->name()) + " threads=" +
-                   std::to_string(threads));
-      RegionRegistry registry;
-      rt::SimRuntime runtime;
-      trace::TraceRecorder recorder;
-      runtime.set_hooks(&recorder);
-      bots::KernelConfig config;
-      config.threads = threads;
-      config.size = bots::SizeClass::kTest;
-      const bots::KernelResult result =
-          kernel->run(runtime, registry, config);
-      runtime.set_hooks(nullptr);
-      ASSERT_TRUE(result.ok) << result.check;
-      const trace::Trace recorded = recorder.take();
-
-      diag::DiagnosisInput input;
-      input.registry = &registry;
-      input.trace = &recorded;
-      const diag::DiagnosisReport report = diag::run_diagnosis(input);
-      ASSERT_TRUE(report.has_workspan);
-
-      const trace::TraceAnalysis analysis = trace::analyze_trace(recorded);
-      whatif::WhatIfProfile profile;
-      ASSERT_TRUE(
-          whatif::WhatIfProfile::build(recorded, analysis, registry, &profile)
-              .ok());
-      EXPECT_GT(profile.span(), 0);
-      EXPECT_EQ(report.workspan.work, profile.work());
-      EXPECT_EQ(report.workspan.span, profile.span());
-      EXPECT_EQ(report.workspan.span_length, profile.span_length());
-      EXPECT_EQ(report.workspan.logical_parallelism(),
-                profile.logical_parallelism());
-    }
   }
 }
 

@@ -8,6 +8,9 @@
 // factorization (each step's tasks wait on the previous step) offers
 // about 2.6x logical parallelism, so 7 of the 8 threads are idle for
 // most of the region and starved_workers rightly fires.
+//
+// Diagnose and what-if share one span model, so on every run both must
+// report the same work, span and logical parallelism.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,7 +21,9 @@
 #include "diagnose/diagnose.hpp"
 #include "instrument/instrumentor.hpp"
 #include "rt/sim_runtime.hpp"
+#include "trace/analysis.hpp"
 #include "trace/recorder.hpp"
+#include "whatif/whatif.hpp"
 
 namespace taskprof {
 namespace {
@@ -75,8 +80,18 @@ TEST(DiagnoseBots, CleanKernelsHaveNoProblemFindings) {
           all += d.detector + ": " + d.summary + "\n";
         }
       }
-      EXPECT_TRUE(report.has_workspan);
+      ASSERT_TRUE(report.has_workspan);
       EXPECT_GT(report.workspan.logical_parallelism(), 1.0);
+      const trace::TraceAnalysis analysis = trace::analyze_trace(recorded);
+      whatif::WhatIfProfile whatif;
+      ASSERT_TRUE(
+          whatif::WhatIfProfile::build(recorded, analysis, registry, &whatif)
+              .ok());
+      EXPECT_EQ(report.workspan.work, whatif.work());
+      EXPECT_EQ(report.workspan.span, whatif.span());
+      EXPECT_EQ(report.workspan.span_length, whatif.span_length());
+      EXPECT_EQ(report.workspan.logical_parallelism(),
+                whatif.logical_parallelism());
       if (std::string(name) != "sparselu" || threads != 8) {
         EXPECT_TRUE(problems.empty()) << all;
         continue;

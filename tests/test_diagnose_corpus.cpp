@@ -6,15 +6,13 @@
 // and commit the updated .case files alongside the change.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "check/shapes.hpp"
 #include "diagnose/diagnose.hpp"
 #include "diagnose/render.hpp"
+#include "test_util.hpp"
 
 namespace taskprof {
 namespace {
@@ -39,26 +37,10 @@ std::filesystem::path case_path(check::AntiPattern pattern) {
 }
 
 TEST(DiagnoseCorpus, GoldenReportsAreStable) {
-  const bool regen = std::getenv("TASKPROF_REGEN_DIAGNOSE") != nullptr;
   for (const check::AntiPattern pattern : check::kAllAntiPatterns) {
     SCOPED_TRACE(check::anti_pattern_name(pattern));
-    const std::string json = diagnosis_json_for(pattern);
-    const std::filesystem::path path = case_path(pattern);
-    if (regen) {
-      std::ofstream out(path, std::ios::binary);
-      ASSERT_TRUE(out) << "cannot write " << path;
-      out << json;
-      continue;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden " << path
-                    << " (regenerate with TASKPROF_REGEN_DIAGNOSE=1)";
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(json, golden.str())
-        << "diagnosis JSON drifted from the committed golden; if the "
-           "change is intentional, regenerate with "
-           "TASKPROF_REGEN_DIAGNOSE=1";
+    testutil::check_golden(case_path(pattern), diagnosis_json_for(pattern),
+                           "TASKPROF_REGEN_DIAGNOSE");
   }
 }
 

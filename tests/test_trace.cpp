@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <optional>
+#include <set>
 
 #include "instrument/instrumentor.hpp"
 #include "rt/sim_runtime.hpp"
@@ -36,15 +38,25 @@ class TraceTest : public ::testing::Test {
   RegionRegistry registry_;
   RegionHandle task_ = registry_.register_region("t", RegionType::kTask);
 
+  /// Run `root` once on `threads` sim workers and return the trace.  With
+  /// `profile`, the profiler runs alongside and its aggregate lands there.
   Trace record(int threads, const std::function<void(rt::TaskContext&)>& root,
-               rt::SimConfig config = {}) {
+               rt::SimConfig config = {},
+               AggregateProfile* profile = nullptr) {
     rt::SimRuntime sim(config);
     TraceRecorder recorder;
-    sim.set_hooks(&recorder);
+    std::optional<Instrumentor> instr;
+    rt::FanoutHooks hooks{&recorder};
+    if (profile != nullptr) hooks.add(&instr.emplace(registry_));
+    sim.set_hooks(&hooks);
     sim.parallel(threads, [&root](rt::TaskContext& ctx) {
       if (ctx.single()) root(ctx);
     });
     sim.set_hooks(nullptr);
+    if (instr) {
+      instr->finalize();
+      *profile = instr->aggregate();
+    }
     return recorder.take();
   }
 };
@@ -196,24 +208,14 @@ TEST_F(TraceTest, ChainLengthEstimatesConcurrentInstances) {
             },
             attrs_for(task_));
       };
-  rt::SimRuntime sim;
-  RegionRegistry registry;
-  Instrumentor instr(registry);
-  TraceRecorder recorder;
-  rt::FanoutHooks fanout{&instr, &recorder};
-  sim.set_hooks(&fanout);
-  sim.parallel(4, [&](rt::TaskContext& ctx) {
-    if (ctx.single()) {
-      rec(ctx, 7);
-      ctx.taskwait();
-    }
-  });
-  sim.set_hooks(nullptr);
-  instr.finalize();
-
-  const trace::TraceAnalysis analysis =
-      trace::analyze_trace(recorder.take());
-  const AggregateProfile profile = instr.aggregate();
+  AggregateProfile profile;
+  const trace::TraceAnalysis analysis = trace::analyze_trace(record(
+      4,
+      [&rec](rt::TaskContext& ctx) {
+        rec(ctx, 7);
+        ctx.taskwait();
+      },
+      {}, &profile));
   EXPECT_EQ(analysis.max_creation_depth, 8);  // depth 7 + root
   // The measured max concurrent instances is bounded by the creation
   // depth (strict scheduling keeps the suspended stack on one root-leaf
@@ -223,36 +225,100 @@ TEST_F(TraceTest, ChainLengthEstimatesConcurrentInstances) {
   EXPECT_GE(profile.max_concurrent_any_thread, 4u);
 }
 
+TEST_F(TraceTest, NestedUndeferredTasksCountTowardCreationDepth) {
+  // A deferred task creates an undeferred one, which creates another
+  // undeferred one.  Each undeferred create ends only after the child ran
+  // inline, so the children's creates are recorded before their parent's;
+  // the depth must not depend on that order.  All three instances are live
+  // on one thread at once, which the depth has to bound.
+  rt::TaskAttrs undeferred = attrs_for(task_);
+  undeferred.undeferred = true;
+  const auto leaf = [](rt::TaskContext& c) { c.work(1'000); };
+  const auto middle = [&](rt::TaskContext& b) {
+    b.work(1'000);
+    b.create_task(leaf, undeferred);
+  };
+  AggregateProfile profile;
+  const Trace trace = record(
+      2,
+      [&](rt::TaskContext& ctx) {
+        ctx.create_task(
+            [&](rt::TaskContext& a) {
+              a.work(1'000);
+              a.create_task(middle, undeferred);
+            },
+            attrs_for(task_));
+        ctx.taskwait();
+      },
+      {}, &profile);
+
+  const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
+  EXPECT_EQ(analysis.tasks.size(), 3u);
+  EXPECT_EQ(analysis.max_creation_depth, 3);
+  EXPECT_EQ(profile.max_concurrent_any_thread, 3u);
+  EXPECT_LE(profile.max_concurrent_any_thread,
+            static_cast<std::size_t>(analysis.max_creation_depth));
+}
+
+TEST_F(TraceTest, RegionsKeepDistinctTaskIds) {
+  // Both engines number task instances from 1 in every parallel region;
+  // the recorder shifts each region's ids, so a trace over two regions
+  // holds every instance once and its work and chain add up both regions.
+  const auto body = [this](rt::TaskContext& ctx) {
+    if (!ctx.single()) return;
+    for (int i = 0; i < 4; ++i) {
+      ctx.create_task([](rt::TaskContext& c) { c.work(20'000); },
+                      attrs_for(task_));
+    }
+    ctx.taskwait();
+  };
+  rt::SimRuntime sim;
+  TraceRecorder recorder;
+  sim.set_hooks(&recorder);
+  sim.parallel(2, body);
+  const Trace once = recorder.take();
+  sim.parallel(2, body);
+  sim.parallel(2, body);
+  sim.set_hooks(nullptr);
+  const Trace twice = recorder.take();
+
+  std::set<TaskInstanceId> created;
+  for (const TraceEvent& event : twice.merged()) {
+    if (event.kind == EventKind::kCreateEnd) created.insert(event.task);
+  }
+  EXPECT_EQ(created.size(), 8u);
+  EXPECT_EQ(*created.begin(), 1u);  // take() restarts the numbering
+  const trace::TraceAnalysis analysis = trace::analyze_trace(twice);
+  EXPECT_EQ(analysis.tasks.size(), 8u);
+  const trace::WorkSpan one = trace::measure_work_span(
+      trace::SyncForest::build(once), trace::analyze_trace(once));
+  const trace::WorkSpan two =
+      trace::measure_work_span(trace::SyncForest::build(twice), analysis);
+  EXPECT_EQ(two.work, 2 * one.work);
+  EXPECT_EQ(two.span_length, 2 * one.span_length);
+}
+
 TEST_F(TraceTest, BusyTimeMatchesProfilerStubTime) {
   // Cross-validation of trace replay against the profiler: total task
   // fragment time in the trace equals the profiler's stub-node total.
-  rt::SimRuntime sim;
-  RegionRegistry registry;
-  const RegionHandle task = registry.register_region("t", RegionType::kTask);
-  Instrumentor instr(registry);
-  TraceRecorder recorder;
-  rt::FanoutHooks fanout{&instr, &recorder};
-  sim.set_hooks(&fanout);
-  sim.parallel(3, [&](rt::TaskContext& ctx) {
-    if (!ctx.single()) return;
-    for (int i = 0; i < 12; ++i) {
-      ctx.create_task(
-          [&](rt::TaskContext& outer) {
-            outer.work(3'000);
-            outer.create_task([](rt::TaskContext& c) { c.work(2'000); },
-                              attrs_for(task));
-            outer.taskwait();
-          },
-          attrs_for(task));
-    }
-  });
-  sim.set_hooks(nullptr);
-  instr.finalize();
-
-  const trace::TraceAnalysis analysis =
-      trace::analyze_trace(recorder.take());
+  AggregateProfile profile;
+  const trace::TraceAnalysis analysis = trace::analyze_trace(record(
+      3,
+      [this](rt::TaskContext& ctx) {
+        for (int i = 0; i < 12; ++i) {
+          ctx.create_task(
+              [this](rt::TaskContext& outer) {
+                outer.work(3'000);
+                outer.create_task(
+                    [](rt::TaskContext& c) { c.work(2'000); },
+                    attrs_for(task_));
+                outer.taskwait();
+              },
+              attrs_for(task_));
+        }
+      },
+      {}, &profile));
   Ticks stub_total = 0;
-  const AggregateProfile profile = instr.aggregate();
   for_each_node(profile.implicit_root, [&](const CallNode& node, int) {
     if (node.is_stub) stub_total += node.inclusive;
   });

@@ -1,11 +1,20 @@
-// Shared test helpers: an event-recording hook listener.
+// Shared test helpers: an event-recording hook listener, hand-built
+// traces and golden-file checks.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rt/hooks.hpp"
+#include "trace/trace.hpp"
 
 namespace taskprof::testutil {
 
@@ -98,5 +107,83 @@ class RecordingHooks final : public rt::SchedulerHooks {
   mutable std::mutex mutex_;
   std::vector<Event> events_;
 };
+
+/// Hand-built per-thread event streams; each must stay time-ordered.
+class TraceBuilder {
+ public:
+  explicit TraceBuilder(std::size_t threads) : streams_(threads) {}
+
+  TraceBuilder& add(ThreadId thread, Ticks time, trace::EventKind kind,
+                    TaskInstanceId task = kImplicitTaskId,
+                    RegionHandle region = kInvalidRegion) {
+    streams_[thread].push_back(
+        {time, thread, kind, task, region, kNoParameter, 0});
+    return *this;
+  }
+
+  /// Task `id` runs on `thread` from `begin` to `end`.
+  TraceBuilder& run(ThreadId thread, Ticks begin, Ticks end,
+                    TaskInstanceId id, RegionHandle region) {
+    return add(thread, begin, trace::EventKind::kTaskBegin, id, region)
+        .add(thread, end, trace::EventKind::kTaskEnd, id, region);
+  }
+
+  /// The thread's running task `creator` creates `id` at `time` and
+  /// waits for it while the child runs inline for `duration` ticks.
+  TraceBuilder& spawn_and_wait(ThreadId thread, Ticks time,
+                               TaskInstanceId id, RegionHandle region,
+                               Ticks duration,
+                               TaskInstanceId creator = kImplicitTaskId) {
+    add(thread, time, trace::EventKind::kCreateEnd, id, region)
+        .add(thread, time, trace::EventKind::kTaskwaitBegin)
+        .run(thread, time, time + duration, id, region);
+    if (creator != kImplicitTaskId) {
+      add(thread, time + duration, trace::EventKind::kTaskSwitch, creator);
+    }
+    return add(thread, time + duration, trace::EventKind::kTaskwaitEnd);
+  }
+
+  [[nodiscard]] trace::Trace build() {
+    return trace::Trace(std::move(streams_));
+  }
+
+ private:
+  std::vector<std::vector<trace::TraceEvent>> streams_;
+};
+
+/// A gapless serial chain on one thread: the implicit task creates task
+/// i, waits for it, and it runs `duration` ticks, `tasks` times over, so
+/// T1 == T∞ exactly.  Tasks alternate between regions `a` and `b`.
+inline trace::Trace serial_chain(int tasks, Ticks duration, RegionHandle a,
+                                 RegionHandle b) {
+  TraceBuilder builder(1);
+  builder.add(0, 0, trace::EventKind::kImplicitBegin);
+  Ticks now = 0;
+  for (int i = 0; i < tasks; ++i, now += duration) {
+    builder.spawn_and_wait(0, now, static_cast<TaskInstanceId>(i + 1),
+                           i % 2 == 0 ? a : b, duration);
+  }
+  return builder.add(0, now, trace::EventKind::kImplicitEnd).build();
+}
+
+/// Compare `actual` with the committed golden file at `path`, or rewrite
+/// the file when the environment variable `regen_env` is set.
+inline void check_golden(const std::filesystem::path& path,
+                         const std::string& actual, const char* regen_env) {
+  if (std::getenv(regen_env) != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << actual;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden " << path << " (regenerate with "
+                  << regen_env << "=1)";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(actual, golden.str())
+      << path << " drifted from the committed golden; if the change is "
+      << "intentional, regenerate with " << regen_env << "=1";
+}
 
 }  // namespace taskprof::testutil

@@ -9,6 +9,7 @@
 
 #include "check/random_tree.hpp"
 #include "rt/sim_runtime.hpp"
+#include "test_util.hpp"
 #include "trace/analysis.hpp"
 #include "trace/recorder.hpp"
 #include "whatif/whatif.hpp"
@@ -27,9 +28,11 @@ struct Built {
   rt::TeamStats stats;
 };
 
+/// Record `body` on `threads` sim workers into `out` and build its profile.
 template <typename Body>
-std::unique_ptr<Built> run_and_build(int threads, Body&& body) {
-  auto out = std::make_unique<Built>();
+std::unique_ptr<Built> run_and_build(
+    int threads, Body&& body,
+    std::unique_ptr<Built> out = std::make_unique<Built>()) {
   rt::SimRuntime sim;
   trace::TraceRecorder recorder;
   sim.set_hooks(&recorder);
@@ -46,18 +49,12 @@ std::unique_ptr<Built> run_uniform(int threads, int depth, int fanout,
                                    Ticks work = 400) {
   auto out = std::make_unique<Built>();
   const check::UniformTree tree(out->registry, work);
-  rt::SimRuntime sim;
-  trace::TraceRecorder recorder;
-  sim.set_hooks(&recorder);
-  out->stats = sim.parallel(threads, [&](rt::TaskContext& ctx) {
-    if (ctx.single()) tree.body(ctx, depth, fanout);
-  });
-  sim.set_hooks(nullptr);
-  out->trace = recorder.take();
-  out->analysis = trace::analyze_trace(out->trace);
-  out->error = whatif::WhatIfProfile::build(out->trace, out->analysis,
-                                            out->registry, &out->profile);
-  return out;
+  return run_and_build(
+      threads,
+      [&](rt::TaskContext& ctx) {
+        if (ctx.single()) tree.body(ctx, depth, fanout);
+      },
+      std::move(out));
 }
 
 // -- parse_target_spec ------------------------------------------------------
@@ -192,37 +189,6 @@ TEST(WhatIfProjection, ZeroFractionIsIdentity) {
   }
 }
 
-/// Hand-build a clean serial chain: the implicit task creates task i,
-/// taskwaits, task i runs for `duration` ticks, repeat — no scheduling
-/// gaps, no creator slivers, so T1 == T∞ exactly.  Tasks alternate
-/// between two regions so a single-region target has share < 1.
-trace::Trace make_serial_trace(int tasks, Ticks duration,
-                               RegionHandle region_a,
-                               RegionHandle region_b) {
-  std::vector<trace::TraceEvent> events;
-  Ticks now = 0;
-  events.push_back({now, 0, trace::EventKind::kImplicitBegin,
-                    kImplicitTaskId, kInvalidRegion, kNoParameter, 0});
-  for (int i = 0; i < tasks; ++i) {
-    const TaskInstanceId id = static_cast<TaskInstanceId>(i + 1);
-    const RegionHandle region = i % 2 == 0 ? region_a : region_b;
-    events.push_back({now, 0, trace::EventKind::kCreateEnd, id, region,
-                      kNoParameter, 0});
-    events.push_back({now, 0, trace::EventKind::kTaskwaitBegin,
-                      kImplicitTaskId, kInvalidRegion, kNoParameter, 0});
-    events.push_back({now, 0, trace::EventKind::kTaskBegin, id, region,
-                      kNoParameter, 0});
-    now += duration;
-    events.push_back({now, 0, trace::EventKind::kTaskEnd, id, region,
-                      kNoParameter, 0});
-    events.push_back({now, 0, trace::EventKind::kTaskwaitEnd,
-                      kImplicitTaskId, kInvalidRegion, kNoParameter, 0});
-  }
-  events.push_back({now, 0, trace::EventKind::kImplicitEnd,
-                    kImplicitTaskId, kInvalidRegion, kNoParameter, 0});
-  return trace::Trace({std::move(events)});
-}
-
 TEST(WhatIfProjection, SerialChainIsExact) {
   // On a gapless serial chain T1 == T∞, so T_est(P) is flat in P and the
   // projection collapses to Amdahl's law exactly: speedup == bound ==
@@ -232,7 +198,7 @@ TEST(WhatIfProjection, SerialChainIsExact) {
       built->registry.register_region("stage_a", RegionType::kTask);
   const RegionHandle stage_b =
       built->registry.register_region("stage_b", RegionType::kTask);
-  built->trace = make_serial_trace(24, 1'000, stage_a, stage_b);
+  built->trace = testutil::serial_chain(24, 1'000, stage_a, stage_b);
   built->analysis = trace::analyze_trace(built->trace);
   built->error = whatif::WhatIfProfile::build(
       built->trace, built->analysis, built->registry, &built->profile);

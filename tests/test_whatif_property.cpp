@@ -19,6 +19,7 @@
 
 #include "check/random_tree.hpp"
 #include "rt/sim_runtime.hpp"
+#include "test_util.hpp"
 #include "trace/analysis.hpp"
 #include "trace/recorder.hpp"
 #include "whatif/whatif.hpp"
@@ -171,30 +172,8 @@ TEST(WhatIfProperty, SerialChainsProjectExactly) {
           registry.register_region("stage_a", RegionType::kTask);
       const RegionHandle stage_b =
           registry.register_region("stage_b", RegionType::kTask);
-      std::vector<trace::TraceEvent> events;
-      Ticks now = 0;
-      events.push_back({now, 0, trace::EventKind::kImplicitBegin,
-                        kImplicitTaskId, kInvalidRegion, kNoParameter, 0});
-      for (int i = 0; i < tasks; ++i) {
-        const TaskInstanceId id = static_cast<TaskInstanceId>(i + 1);
-        const RegionHandle region = i % 2 == 0 ? stage_a : stage_b;
-        events.push_back({now, 0, trace::EventKind::kCreateEnd, id,
-                          region, kNoParameter, 0});
-        events.push_back({now, 0, trace::EventKind::kTaskwaitBegin,
-                          kImplicitTaskId, kInvalidRegion, kNoParameter,
-                          0});
-        events.push_back({now, 0, trace::EventKind::kTaskBegin, id,
-                          region, kNoParameter, 0});
-        now += duration;
-        events.push_back({now, 0, trace::EventKind::kTaskEnd, id, region,
-                          kNoParameter, 0});
-        events.push_back({now, 0, trace::EventKind::kTaskwaitEnd,
-                          kImplicitTaskId, kInvalidRegion, kNoParameter,
-                          0});
-      }
-      events.push_back({now, 0, trace::EventKind::kImplicitEnd,
-                        kImplicitTaskId, kInvalidRegion, kNoParameter, 0});
-      const trace::Trace trace({std::move(events)});
+      const trace::Trace trace =
+          testutil::serial_chain(tasks, duration, stage_a, stage_b);
       const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
       whatif::WhatIfProfile profile;
       ASSERT_TRUE(whatif::WhatIfProfile::build(trace, analysis, registry,

@@ -9,13 +9,12 @@
 // and commit the updated .case files alongside the change.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "bots/kernel.hpp"
+#include "test_util.hpp"
 #include "whatif/validate.hpp"
 
 namespace taskprof {
@@ -64,27 +63,13 @@ TEST(WhatIfValidate, EveryKernelWithinItsToleranceGate) {
 }
 
 TEST(WhatIfValidate, GoldenReportsAreStable) {
-  const bool regen = std::getenv("TASKPROF_REGEN_WHATIF") != nullptr;
   for (const auto& kernel : bots::make_all_kernels()) {
     SCOPED_TRACE(kernel->name());
-    const whatif::ValidateReport report =
-        whatif::run_validation(options_for(std::string(kernel->name())));
-    const std::string json = whatif::render_validate_json(report);
-    const std::filesystem::path path = case_path(std::string(kernel->name()));
-    if (regen) {
-      std::ofstream out(path, std::ios::binary);
-      ASSERT_TRUE(out) << "cannot write " << path;
-      out << json;
-      continue;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden " << path
-                    << " (regenerate with TASKPROF_REGEN_WHATIF=1)";
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(json, golden.str())
-        << "validation JSON drifted from the committed golden; if the "
-           "change is intentional, regenerate with TASKPROF_REGEN_WHATIF=1";
+    const std::string name(kernel->name());
+    testutil::check_golden(
+        case_path(name),
+        whatif::render_validate_json(whatif::run_validation(options_for(name))),
+        "TASKPROF_REGEN_WHATIF");
   }
 }
 

@@ -1,68 +1,27 @@
 // The one span model (trace/span.hpp) on hand-built traces: degenerate
 // inputs (empty, orphaned, region-less), the tie rule for zero-duration
-// children, taskwait phasing that a creation-tree chain gets wrong, and
-// a 100,000-deep nested chain that every post-mortem entry point must
-// survive on a small stack.
+// children, taskwait phasing that a creation-tree chain gets wrong,
+// parallel regions led by different threads, creates recorded after the
+// created task ran, and a 100,000-deep nested chain that every
+// post-mortem entry point must survive on a small stack.
 #include <gtest/gtest.h>
 #include <pthread.h>
 
 #include <algorithm>
 #include <functional>
-#include <vector>
 
 #include "diagnose/diagnose.hpp"
 #include "diagnose/workspan.hpp"
 #include "profile/region.hpp"
+#include "test_util.hpp"
 #include "trace/analysis.hpp"
 #include "whatif/whatif.hpp"
 
 namespace taskprof {
 namespace {
 
+using testutil::TraceBuilder;
 using trace::EventKind;
-
-/// Hand-built per-thread event streams; each must stay time-ordered.
-class TraceBuilder {
- public:
-  explicit TraceBuilder(std::size_t threads) : streams_(threads) {}
-
-  TraceBuilder& add(ThreadId thread, Ticks time, EventKind kind,
-                    TaskInstanceId task = kImplicitTaskId,
-                    RegionHandle region = kInvalidRegion) {
-    streams_[thread].push_back(
-        {time, thread, kind, task, region, kNoParameter, 0});
-    return *this;
-  }
-
-  /// Task `id` runs on `thread` from `begin` to `end`.
-  TraceBuilder& run(ThreadId thread, Ticks begin, Ticks end,
-                    TaskInstanceId id, RegionHandle region) {
-    return add(thread, begin, EventKind::kTaskBegin, id, region)
-        .add(thread, end, EventKind::kTaskEnd, id, region);
-  }
-
-  /// The thread's running task `creator` creates `id` at `time` and
-  /// waits for it while the child runs inline for `duration` ticks.
-  TraceBuilder& spawn_and_wait(ThreadId thread, Ticks time,
-                               TaskInstanceId id, RegionHandle region,
-                               Ticks duration,
-                               TaskInstanceId creator = kImplicitTaskId) {
-    add(thread, time, EventKind::kCreateEnd, id, region)
-        .add(thread, time, EventKind::kTaskwaitBegin)
-        .run(thread, time, time + duration, id, region);
-    if (creator != kImplicitTaskId) {
-      add(thread, time + duration, EventKind::kTaskSwitch, creator);
-    }
-    return add(thread, time + duration, EventKind::kTaskwaitEnd);
-  }
-
-  [[nodiscard]] trace::Trace build() {
-    return trace::Trace(std::move(streams_));
-  }
-
- private:
-  std::vector<std::vector<trace::TraceEvent>> streams_;
-};
 
 diag::WorkSpanSummary workspan_of(const trace::Trace& trace,
                                   const RegionRegistry& registry) {
@@ -196,6 +155,70 @@ TEST(WorkSpan, TaskwaitPhasesAreSequential) {
   EXPECT_EQ(ws.shares[0].on_span, 100);
   EXPECT_EQ(ws.shares[1].name, "merge");
   EXPECT_EQ(ws.shares[1].on_span, 100);
+}
+
+TEST(WorkSpan, ParallelRegionsAddUp) {
+  // Thread 0 leads the first region (task 1, 100 us), thread 1 the second
+  // (task 2, 60 us); the other thread idles in the barrier, long enough to
+  // count as waiting rather than management.  The regions run one after
+  // another, so the span is their sum, not the longer of the two threads.
+  constexpr Ticks kFirst = 100'000;
+  constexpr Ticks kEnd = 160'000;
+  RegionRegistry registry;
+  const RegionHandle region =
+      registry.register_region("phase", RegionType::kTask);
+  TraceBuilder b(2);
+  b.add(0, 0, EventKind::kImplicitBegin)
+      .spawn_and_wait(0, 0, 1, region, kFirst)
+      .add(0, kFirst, EventKind::kBarrierBegin)
+      .add(0, kFirst, EventKind::kBarrierEnd)
+      .add(0, kFirst, EventKind::kImplicitEnd)
+      .add(0, kFirst, EventKind::kImplicitBegin)
+      .add(0, kFirst, EventKind::kBarrierBegin)
+      .add(0, kEnd, EventKind::kBarrierEnd)
+      .add(0, kEnd, EventKind::kImplicitEnd);
+  b.add(1, 0, EventKind::kImplicitBegin)
+      .add(1, 0, EventKind::kBarrierBegin)
+      .add(1, kFirst, EventKind::kBarrierEnd)
+      .add(1, kFirst, EventKind::kImplicitEnd)
+      .add(1, kFirst, EventKind::kImplicitBegin)
+      .spawn_and_wait(1, kFirst, 2, region, kEnd - kFirst)
+      .add(1, kEnd, EventKind::kBarrierBegin)
+      .add(1, kEnd, EventKind::kBarrierEnd)
+      .add(1, kEnd, EventKind::kImplicitEnd);
+
+  const diag::WorkSpanSummary ws = workspan_of(b.build(), registry);
+  EXPECT_EQ(ws.work, kEnd);
+  EXPECT_EQ(ws.span, kEnd);
+  EXPECT_EQ(ws.span_length, 2);
+  ASSERT_EQ(ws.shares.size(), 1u);
+  EXPECT_EQ(ws.shares[0].instances, 2);
+}
+
+TEST(WorkSpan, CreationDepthDoesNotDependOnEventOrder) {
+  // The real engine records a deferred create only after the enqueue, so
+  // a thief (thread 1) can run task 1 and create task 2 before thread 0
+  // records task 1's create.  Task 2 is still two deep.
+  RegionRegistry registry;
+  const RegionHandle region =
+      registry.register_region("stolen", RegionType::kTask);
+  TraceBuilder b(2);
+  b.add(0, 0, EventKind::kImplicitBegin)
+      .add(0, 20, EventKind::kCreateEnd, 1, region)
+      .add(0, 20, EventKind::kTaskwaitBegin)
+      .add(0, 40, EventKind::kTaskwaitEnd)
+      .add(0, 40, EventKind::kImplicitEnd);
+  b.add(1, 0, EventKind::kImplicitBegin)
+      .add(1, 0, EventKind::kBarrierBegin)
+      .add(1, 5, EventKind::kTaskBegin, 1, region)
+      .spawn_and_wait(1, 10, 2, region, 10, /*creator=*/1)
+      .add(1, 30, EventKind::kTaskEnd, 1, region)
+      .add(1, 40, EventKind::kBarrierEnd)
+      .add(1, 40, EventKind::kImplicitEnd);
+
+  const trace::TraceAnalysis analysis = trace::analyze_trace(b.build());
+  EXPECT_EQ(analysis.tasks.size(), 2u);
+  EXPECT_EQ(analysis.max_creation_depth, 2);
 }
 
 /// Run `body` on a thread with a 256 KiB stack, so any walk whose

@@ -6,19 +6,41 @@ namespace taskprof::snapshot {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Container-level sanity limit: far above any format's section count,
+// tight enough that a corrupt count cannot drive the section scan.
+constexpr std::size_t kMaxSections = 64;
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slicing-by-8: kCrcTables[0] is the classic bytewise table and
+// kCrcTables[k][i] the CRC of byte i followed by k zero bytes, so eight
+// lookups advance the CRC over eight input bytes at once.
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
@@ -45,9 +67,19 @@ SnapshotError::SnapshotError(Errc code, const std::string& origin,
       code_(code) {}
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
+  const auto& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint8_t byte : bytes) {
-    crc = kCrcTable[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -87,6 +119,34 @@ void Encoder::str(std::string_view value) {
 void Encoder::bytes(const void* data, std::size_t size) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   buffer_.insert(buffer_.end(), p, p + size);
+}
+
+void Encoder::header(const ContainerFormat& format,
+                     std::uint32_t section_count) {
+  bytes(format.magic.data(), format.magic.size());
+  u32(format.version);
+  u32(section_count);
+}
+
+std::size_t Encoder::begin_section(std::uint32_t id) {
+  u32(id);
+  const std::size_t section = buffer_.size();
+  u64(0);  // payload size, patched by end_section
+  u32(0);  // payload CRC, patched by end_section
+  return section;
+}
+
+void Encoder::end_section(std::size_t section) {
+  const std::size_t payload = section + 12;
+  const std::uint64_t size = buffer_.size() - payload;
+  const std::uint32_t crc =
+      crc32(std::span<const std::uint8_t>(buffer_).subspan(payload));
+  for (int i = 0; i < 8; ++i) {
+    buffer_[section + i] = static_cast<std::uint8_t>(size >> (8 * i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    buffer_[section + 8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
 }
 
 Decoder::Decoder(std::span<const std::uint8_t> bytes, std::string origin,
@@ -157,6 +217,72 @@ std::span<const std::uint8_t> Decoder::bytes(std::size_t size) {
   if (remaining() < size) fail(overrun_, "unexpected end of data");
   const auto out = bytes_.subspan(offset_, size);
   offset_ += size;
+  return out;
+}
+
+const Section* Container::find(std::uint32_t id) const noexcept {
+  for (const Section& section : sections) {
+    if (section.id == id) return &section;
+  }
+  return nullptr;
+}
+
+std::span<const std::uint8_t> Container::require(std::uint32_t id) const {
+  const Section* section = find(id);
+  if (section == nullptr) {
+    throw SnapshotError(Errc::kMissingSection, origin,
+                        "no section " + std::to_string(id));
+  }
+  return section->payload;
+}
+
+Container parse_container(std::span<const std::uint8_t> bytes,
+                          const ContainerFormat& format,
+                          const std::string& origin) {
+  Decoder top(bytes, origin, Errc::kTruncated);
+  const auto magic = top.bytes(kMagicSize);
+  for (std::size_t i = 0; i < kMagicSize; ++i) {
+    if (magic[i] != static_cast<std::uint8_t>(format.magic[i])) {
+      top.fail(Errc::kBadMagic, "not a " + std::string(format.name) + " file");
+    }
+  }
+  Container out;
+  out.origin = origin;
+  out.version = top.u32();
+  if (out.version < format.min_version) {
+    top.fail(Errc::kMalformed,
+             "version " + std::to_string(out.version) + " was never issued");
+  }
+  if (out.version > format.version) {
+    top.fail(Errc::kFutureVersion,
+             "format version " + std::to_string(out.version) +
+                 " is newer than supported " +
+                 std::to_string(format.version));
+  }
+  const std::uint32_t section_count = top.u32();
+  if (section_count > kMaxSections) top.fail(Errc::kLimit, "section count");
+
+  for (std::uint32_t i = 0; i < section_count; ++i) {
+    const std::uint32_t id = top.u32();
+    const std::uint64_t size = top.u64();
+    const std::uint32_t stored_crc = top.u32();
+    if (size > top.remaining()) {
+      top.fail(Errc::kTruncated, "section payload cut short");
+    }
+    const auto payload = top.bytes(static_cast<std::size_t>(size));
+    if (crc32(payload) != stored_crc) {
+      top.fail(Errc::kBadCrc,
+               "section " + std::to_string(id) + " checksum mismatch");
+    }
+    if (out.find(id) != nullptr) {
+      top.fail(Errc::kDuplicateSection,
+               "section " + std::to_string(id) + " appears twice");
+    }
+    out.sections.push_back({id, payload});
+  }
+  if (top.remaining() != 0) {
+    top.fail(Errc::kTrailingData, "bytes after the last section");
+  }
   return out;
 }
 

@@ -1,11 +1,12 @@
-// Wire-format primitives for crash-safe profile snapshots (.tpsnap).
+// The binary container codec shared by taskprof's file formats: .tpsnap
+// profile snapshots (snapshot/snapshot.hpp) and .tptrc event traces
+// (trace/file.hpp).
 //
-// A snapshot file is the on-disk form of an AggregateProfile plus the
-// RegionRegistry it refers to (and, optionally, a telemetry snapshot):
+// A container is
 //
-//   magic[8] "TPSNAP\n\0"
-//   u32      format version (little-endian; readers reject newer files)
-//   u32      section count
+//   magic[8]  identifies the file kind; each format has its own
+//   u32       format version (little-endian)
+//   u32       section count
 //   repeated { u32 id, u64 payload size, u32 CRC-32 of payload, payload }
 //
 // Every byte after the 16-byte header is covered by a section CRC, so a
@@ -17,45 +18,28 @@
 //
 // All failures are typed: the reader never asserts, never reads out of
 // bounds, and never returns a half-built object — it throws
-// SnapshotError carrying an Errc that tests (and the fuzz corpus) match
+// SnapshotError carrying an Errc that tests (and the fuzz corpora) match
 // on.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace taskprof::snapshot {
 
-/// File magic ("TPSNAP\n\0"): the newline catches ASCII-mode mangling,
-/// the NUL catches C-string truncation.
 inline constexpr std::size_t kMagicSize = 8;
-inline constexpr char kMagic[kMagicSize] = {'T', 'P', 'S', 'N',
-                                            'A', 'P', '\n', '\0'};
 
-/// Current format version.  Readers accept any version <= this one;
-/// newer files are rejected with Errc::kFutureVersion (see DESIGN.md for
-/// the compatibility policy).
-inline constexpr std::uint32_t kFormatVersion = 1;
-
-/// Section identifiers.  Unknown ids are skipped (their CRC is still
-/// verified), so future versions can add sections without breaking old
-/// readers.
-enum class SectionId : std::uint32_t {
-  kMeta = 1,       ///< profile-wide scalars (thread count, flags, ...)
-  kRegions = 2,    ///< region registry (handle order preserved)
-  kTrees = 3,      ///< implicit tree + merged task trees, preorder
-  kTelemetry = 4,  ///< optional telemetry counters/gauges
-};
-
-/// Why a snapshot was rejected.
+/// Why a file was rejected.
 enum class Errc {
   kIo,               ///< open/read/write/rename failed
-  kBadMagic,         ///< first 8 bytes are not a snapshot header
+  kBadMagic,         ///< first 8 bytes are not this format's header
   kFutureVersion,    ///< written by a newer format revision
   kTruncated,        ///< file ends inside the header or a section
   kBadCrc,           ///< section payload does not match its checksum
@@ -84,6 +68,14 @@ class SnapshotError : public std::runtime_error {
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
 
+/// What tells one file kind apart inside the shared container.
+struct ContainerFormat {
+  std::string_view name;  ///< file kind in error messages, e.g. ".tpsnap"
+  std::array<char, kMagicSize> magic;
+  std::uint32_t min_version;  ///< lower versions were never issued
+  std::uint32_t version;  ///< written by this build; newer files are future
+};
+
 /// Append-only little-endian encoder.
 class Encoder {
  public:
@@ -97,11 +89,25 @@ class Encoder {
   /// varint length prefix + raw bytes.
   void str(std::string_view value);
   void bytes(const void* data, std::size_t size);
+  void reserve(std::size_t size) { buffer_.reserve(size); }
+
+  /// Container framing: `header` starts a file of `format.version`.
+  /// `begin_section` writes a section header with a placeholder size and
+  /// CRC and returns its offset; `end_section` patches both over the
+  /// bytes appended since, so a payload is encoded in place and never
+  /// copied.
+  void header(const ContainerFormat& format, std::uint32_t section_count);
+  [[nodiscard]] std::size_t begin_section(std::uint32_t id);
+  void end_section(std::size_t section);
 
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept {
     return buffer_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
+  /// Move the bytes out; the encoder is left empty.
+  [[nodiscard]] std::vector<std::uint8_t> take() noexcept {
+    return std::move(buffer_);
+  }
 
  private:
   std::vector<std::uint8_t> buffer_;
@@ -144,5 +150,33 @@ class Decoder {
   std::string origin_;
   Errc overrun_;
 };
+
+/// One section of a parsed container; the payload borrows from the
+/// parsed bytes.
+struct Section {
+  std::uint32_t id = 0;
+  std::span<const std::uint8_t> payload;
+};
+
+/// A container whose framing has been verified.
+struct Container {
+  std::string origin;
+  std::uint32_t version = 0;
+  std::vector<Section> sections;
+
+  /// The section with `id`, or nullptr.  Readers skip ids they do not
+  /// know (their CRC was still checked), so a later version can add
+  /// sections without breaking older readers.
+  [[nodiscard]] const Section* find(std::uint32_t id) const noexcept;
+  /// The payload of section `id`; kMissingSection when there is none.
+  [[nodiscard]] std::span<const std::uint8_t> require(std::uint32_t id) const;
+};
+
+/// Check the framing of `bytes` as a `format` container: the magic, the
+/// version, the section count, each section's size and CRC, duplicate
+/// ids and trailing data.  `origin` names the source in error messages.
+[[nodiscard]] Container parse_container(std::span<const std::uint8_t> bytes,
+                                        const ContainerFormat& format,
+                                        const std::string& origin);
 
 }  // namespace taskprof::snapshot

@@ -14,7 +14,6 @@ namespace {
 
 // Sanity limits: generous for real profiles, tight enough that a
 // malformed count cannot drive allocation before its payload runs out.
-constexpr std::size_t kMaxSections = 64;
 constexpr std::size_t kMaxStringSize = 1u << 20;
 constexpr std::size_t kMaxThreads = 1u << 20;
 constexpr std::size_t kMaxTelemetryEntries = 4096;
@@ -280,39 +279,26 @@ void decode_telemetry(Decoder& in, SnapshotData& data) {
   }
 }
 
-void append_section(Encoder& out, SectionId id, const Encoder& payload) {
-  out.u32(static_cast<std::uint32_t>(id));
-  out.u64(payload.size());
-  out.u32(crc32(payload.buffer()));
-  out.bytes(payload.buffer().data(), payload.size());
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_snapshot(const AggregateProfile& profile,
                                           const RegionRegistry& registry,
                                           const SnapshotMeta& meta,
                                           const telemetry::Snapshot* telemetry) {
-  Encoder meta_s;
-  encode_meta(meta_s, profile, meta);
-  Encoder regions_s;
-  encode_regions(regions_s, registry);
-  Encoder trees_s;
-  encode_trees(trees_s, profile);
-  Encoder telemetry_s;
-  if (telemetry != nullptr) encode_telemetry(telemetry_s, *telemetry);
-
   Encoder out;
-  out.bytes(kMagic, kMagicSize);
-  out.u32(kFormatVersion);
-  out.u32(telemetry != nullptr ? 4 : 3);
-  append_section(out, SectionId::kMeta, meta_s);
-  append_section(out, SectionId::kRegions, regions_s);
-  append_section(out, SectionId::kTrees, trees_s);
+  out.header(kSnapshotFormat, telemetry != nullptr ? 4 : 3);
+  const auto section = [&out](SectionId id, auto&& encode) {
+    const std::size_t mark = out.begin_section(static_cast<std::uint32_t>(id));
+    encode();
+    out.end_section(mark);
+  };
+  section(SectionId::kMeta, [&] { encode_meta(out, profile, meta); });
+  section(SectionId::kRegions, [&] { encode_regions(out, registry); });
+  section(SectionId::kTrees, [&] { encode_trees(out, profile); });
   if (telemetry != nullptr) {
-    append_section(out, SectionId::kTelemetry, telemetry_s);
+    section(SectionId::kTelemetry, [&] { encode_telemetry(out, *telemetry); });
   }
-  return out.buffer();
+  return out.take();
 }
 
 std::vector<std::uint8_t> encode_snapshot(const SnapshotData& data) {
@@ -323,87 +309,32 @@ std::vector<std::uint8_t> encode_snapshot(const SnapshotData& data) {
 
 SnapshotData decode_snapshot(std::span<const std::uint8_t> bytes,
                              const std::string& origin) {
-  Decoder top(bytes, origin, Errc::kTruncated);
-  const auto magic = top.bytes(kMagicSize);
-  for (std::size_t i = 0; i < kMagicSize; ++i) {
-    if (magic[i] != static_cast<std::uint8_t>(kMagic[i])) {
-      top.fail(Errc::kBadMagic, "not a .tpsnap file");
-    }
-  }
-  const std::uint32_t version = top.u32();
-  if (version == 0) top.fail(Errc::kMalformed, "version 0");
-  if (version > kFormatVersion) {
-    top.fail(Errc::kFutureVersion,
-             "format version " + std::to_string(version) +
-                 " is newer than supported " + std::to_string(kFormatVersion));
-  }
-  const std::uint32_t section_count = top.u32();
-  if (section_count > kMaxSections) top.fail(Errc::kLimit, "section count");
-
-  struct Section {
-    std::uint32_t id;
-    std::span<const std::uint8_t> payload;
-  };
-  std::vector<Section> sections;
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    const std::uint32_t id = top.u32();
-    const std::uint64_t size = top.u64();
-    const std::uint32_t stored_crc = top.u32();
-    if (size > top.remaining()) {
-      top.fail(Errc::kTruncated, "section payload cut short");
-    }
-    const auto payload = top.bytes(static_cast<std::size_t>(size));
-    if (crc32(payload) != stored_crc) {
-      top.fail(Errc::kBadCrc,
-               "section " + std::to_string(id) + " checksum mismatch");
-    }
-    for (const Section& seen : sections) {
-      if (seen.id == id) {
-        top.fail(Errc::kDuplicateSection,
-                 "section " + std::to_string(id) + " appears twice");
-      }
-    }
-    sections.push_back({id, payload});
-  }
-  if (top.remaining() != 0) {
-    top.fail(Errc::kTrailingData, "bytes after the last section");
-  }
-
-  const auto find = [&](SectionId id) -> const Section* {
-    for (const Section& s : sections) {
-      if (s.id == static_cast<std::uint32_t>(id)) return &s;
-    }
-    return nullptr;
-  };
-  const auto require = [&](SectionId id) -> const Section& {
-    const Section* s = find(id);
-    if (s == nullptr) {
-      top.fail(Errc::kMissingSection, "no section " + std::to_string(
-                                          static_cast<std::uint32_t>(id)));
-    }
-    return *s;
+  const Container container = parse_container(bytes, kSnapshotFormat, origin);
+  const auto payload = [&](SectionId id) {
+    return container.require(static_cast<std::uint32_t>(id));
   };
 
   SnapshotData data;
   {
-    Decoder in(require(SectionId::kMeta).payload, origin + " [meta]",
+    Decoder in(payload(SectionId::kMeta), origin + " [meta]",
                Errc::kMalformed);
     decode_meta(in, data);
     if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");
   }
   {
-    Decoder in(require(SectionId::kRegions).payload, origin + " [regions]",
+    Decoder in(payload(SectionId::kRegions), origin + " [regions]",
                Errc::kMalformed);
     decode_regions(in, data);
     if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");
   }
   {
-    Decoder in(require(SectionId::kTrees).payload, origin + " [trees]",
+    Decoder in(payload(SectionId::kTrees), origin + " [trees]",
                Errc::kMalformed);
     decode_trees(in, data);
     if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");
   }
-  if (const Section* s = find(SectionId::kTelemetry)) {
+  if (const Section* s = container.find(
+          static_cast<std::uint32_t>(SectionId::kTelemetry))) {
     Decoder in(s->payload, origin + " [telemetry]", Errc::kMalformed);
     decode_telemetry(in, data);
     if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");

@@ -29,6 +29,24 @@
 
 namespace taskprof::snapshot {
 
+/// The .tpsnap container: magic "TPSNAP\n\0" (the newline catches
+/// ASCII-mode mangling, the NUL catches C-string truncation).  Readers
+/// accept any version <= kFormatVersion; newer files are rejected with
+/// Errc::kFutureVersion (see DESIGN.md for the compatibility policy).
+inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr ContainerFormat kSnapshotFormat{
+    ".tpsnap", {'T', 'P', 'S', 'N', 'A', 'P', '\n', '\0'}, 1, kFormatVersion};
+
+/// Section identifiers.  Unknown ids are skipped (their CRC is still
+/// verified), so future versions can add sections without breaking old
+/// readers.
+enum class SectionId : std::uint32_t {
+  kMeta = 1,       ///< profile-wide scalars (thread count, flags, ...)
+  kRegions = 2,    ///< region registry (handle order preserved)
+  kTrees = 3,      ///< implicit tree + merged task trees, preorder
+  kTelemetry = 4,  ///< optional telemetry counters/gauges
+};
+
 /// Snapshot-wide scalars that are not part of the profile itself.
 struct SnapshotMeta {
   std::uint64_t flush_seq = 0;   ///< ordinal of the flush that wrote this

@@ -1,15 +1,39 @@
 #include "trace/file.hpp"
 
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <memory>
-#include <stdexcept>
+
+#include "common/assert.hpp"
 
 namespace taskprof::trace {
 
 namespace {
 
-constexpr char kMagic[8] = {'T', 'P', 'T', 'R', 'C', '1', '\n', '\0'};
+using snapshot::Decoder;
+using snapshot::Encoder;
+using snapshot::Errc;
+using snapshot::SnapshotError;
+
+constexpr std::uint8_t kKindMask = 0x1F;
+constexpr std::uint8_t kHasRegion = 0x20;
+constexpr std::uint8_t kHasParameter = 0x40;
+constexpr std::uint8_t kHasPeer = 0x80;
+static_assert(static_cast<std::uint8_t>(EventKind::kWork) <= kKindMask);
+
+// Sanity limits, as for .tpsnap thread counts: far above real traces,
+// low enough that the trace-only CLI paths, which register a generated
+// name for every region id up to the largest, stay quick.
+constexpr std::uint64_t kMaxThreads = 1u << 20;
+constexpr std::uint64_t kMaxRegion = 1u << 20;
+
+// The container header and the events section's header.
+constexpr std::size_t kHeaderBytes = 16 + 16;
+// Flags, time and task take at least one byte each.
+constexpr std::size_t kMinEventBytes = 3;
+// Flags 1, time and task 10 each, region 3 (below kMaxRegion), parameter
+// 10, peer 3 (below kMaxThreads).
+constexpr std::size_t kMaxEventBytes = 37;
 
 struct FileCloser {
   void operator()(std::FILE* file) const noexcept {
@@ -18,103 +42,165 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-[[noreturn]] void fail(const std::string& path, const char* what) {
-  throw std::runtime_error("trace file '" + path + "': " + what);
-}
-
-void write_bytes(std::FILE* file, const void* data, std::size_t size,
-                 const std::string& path) {
-  if (std::fwrite(data, 1, size, file) != size) fail(path, "write failed");
-}
-
-void read_bytes(std::FILE* file, void* data, std::size_t size,
-                const std::string& path) {
-  if (std::fread(data, 1, size, file) != size) {
-    fail(path, "truncated or unreadable");
+void encode_stream(Encoder& out, const std::vector<TraceEvent>& events,
+                   ThreadId thread, std::size_t thread_count) {
+  out.varint(events.size());
+  Ticks last = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& event = events[i];
+    TASKPROF_ASSERT(event.thread == thread,
+                    "trace event on another thread's stream");
+    std::uint8_t flags = static_cast<std::uint8_t>(event.kind);
+    if (event.region != kInvalidRegion) {
+      if (event.region >= kMaxRegion) {
+        throw SnapshotError(Errc::kLimit, "trace encoder",
+                            "region id " + std::to_string(event.region));
+      }
+      flags |= kHasRegion;
+    }
+    if (event.parameter != kNoParameter) flags |= kHasParameter;
+    if (event.peer != 0) {
+      TASKPROF_ASSERT(event.peer < thread_count,
+                      "migration to a thread the trace does not have");
+      flags |= kHasPeer;
+    }
+    out.u8(flags);
+    if (i == 0) {
+      out.svarint(event.time);
+    } else {
+      TASKPROF_ASSERT(event.time >= last, "trace stream goes back in time");
+      out.varint(static_cast<std::uint64_t>(event.time) -
+                 static_cast<std::uint64_t>(last));
+    }
+    last = event.time;
+    out.varint(event.task);
+    if ((flags & kHasRegion) != 0) out.varint(event.region);
+    if ((flags & kHasParameter) != 0) out.svarint(event.parameter);
+    if ((flags & kHasPeer) != 0) out.varint(event.peer);
   }
 }
 
-template <typename T>
-void write_value(std::FILE* file, T value, const std::string& path) {
-  write_bytes(file, &value, sizeof(T), path);
-}
-
-template <typename T>
-T read_value(std::FILE* file, const std::string& path) {
-  T value{};
-  read_bytes(file, &value, sizeof(T), path);
-  return value;
-}
-
-void write_event(std::FILE* file, const TraceEvent& event,
-                 const std::string& path) {
-  write_value<std::int64_t>(file, event.time, path);
-  write_value<std::uint32_t>(file, event.thread, path);
-  write_value<std::uint8_t>(file, static_cast<std::uint8_t>(event.kind),
-                            path);
-  write_value<std::uint64_t>(file, event.task, path);
-  write_value<std::uint32_t>(file, event.region, path);
-  write_value<std::int64_t>(file, event.parameter, path);
-  write_value<std::uint32_t>(file, event.peer, path);
-}
-
-TraceEvent read_event(std::FILE* file, const std::string& path) {
-  TraceEvent event;
-  event.time = read_value<std::int64_t>(file, path);
-  event.thread = read_value<std::uint32_t>(file, path);
-  const auto kind = read_value<std::uint8_t>(file, path);
-  if (kind > static_cast<std::uint8_t>(EventKind::kWork)) {
-    fail(path, "invalid event kind");
+void decode_stream(Decoder& in, std::vector<TraceEvent>& events,
+                   ThreadId thread, std::uint64_t thread_count) {
+  const std::uint64_t count = in.varint();
+  if (count > in.remaining() / kMinEventBytes) {
+    in.fail(Errc::kLimit, "event count exceeds the payload");
   }
-  event.kind = static_cast<EventKind>(kind);
-  event.task = read_value<std::uint64_t>(file, path);
-  event.region = read_value<std::uint32_t>(file, path);
-  event.parameter = read_value<std::int64_t>(file, path);
-  event.peer = read_value<std::uint32_t>(file, path);
-  return event;
+  events.reserve(static_cast<std::size_t>(count));
+  Ticks time = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    TraceEvent event;
+    event.thread = thread;
+    const std::uint8_t flags = in.u8();
+    const std::uint8_t kind = flags & kKindMask;
+    if (kind > static_cast<std::uint8_t>(EventKind::kWork)) {
+      in.fail(Errc::kMalformed, "unknown event kind");
+    }
+    event.kind = static_cast<EventKind>(kind);
+    if (i == 0) {
+      time = in.svarint();
+    } else {
+      const std::uint64_t delta = in.varint();
+      // Modular arithmetic gives the exact headroom for any int64 time.
+      const std::uint64_t headroom =
+          static_cast<std::uint64_t>(std::numeric_limits<Ticks>::max()) -
+          static_cast<std::uint64_t>(time);
+      if (delta > headroom) in.fail(Errc::kMalformed, "time overflows");
+      time = static_cast<Ticks>(static_cast<std::uint64_t>(time) + delta);
+    }
+    event.time = time;
+    event.task = in.varint();
+    if ((flags & kHasRegion) != 0) {
+      const std::uint64_t region = in.varint();
+      if (region == kInvalidRegion) {
+        in.fail(Errc::kMalformed, "non-canonical region");
+      }
+      if (region >= kMaxRegion) in.fail(Errc::kLimit, "region id");
+      event.region = static_cast<RegionHandle>(region);
+    }
+    if ((flags & kHasParameter) != 0) {
+      event.parameter = in.svarint();
+      if (event.parameter == kNoParameter) {
+        in.fail(Errc::kMalformed, "non-canonical parameter");
+      }
+    }
+    if ((flags & kHasPeer) != 0) {
+      const std::uint64_t peer = in.varint();
+      if (peer == 0) in.fail(Errc::kMalformed, "non-canonical peer");
+      if (peer >= thread_count) in.fail(Errc::kMalformed, "peer thread");
+      event.peer = static_cast<ThreadId>(peer);
+    }
+    events.push_back(event);
+  }
 }
 
 }  // namespace
 
-void write_trace_file(const std::string& path, const Trace& trace) {
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) fail(path, "cannot open for writing");
-  write_bytes(file.get(), kMagic, sizeof(kMagic), path);
-  write_value<std::uint64_t>(file.get(), trace.thread_count(), path);
-  for (ThreadId thread = 0; thread < trace.thread_count(); ++thread) {
-    const auto& events = trace.thread_events(thread);
-    write_value<std::uint64_t>(file.get(), events.size(), path);
-    for (const TraceEvent& event : events) {
-      write_event(file.get(), event, path);
-    }
+std::vector<std::uint8_t> encode_trace(const Trace& trace) {
+  const std::size_t threads = trace.thread_count();
+  Encoder out;
+  // Reserve the worst case: the bytes are written once, in place, and
+  // pages the encoding never reaches are never touched.
+  out.reserve(kHeaderBytes + 10 * (threads + 1) +
+              kMaxEventBytes * trace.event_count());
+  out.header(kTraceFormat, 1);
+  const std::size_t section = out.begin_section(kEventsSection);
+  out.varint(threads);
+  for (ThreadId thread = 0; thread < threads; ++thread) {
+    encode_stream(out, trace.thread_events(thread), thread, threads);
   }
-  if (std::fflush(file.get()) != 0) fail(path, "flush failed");
+  out.end_section(section);
+  return out.take();
+}
+
+Trace decode_trace(std::span<const std::uint8_t> bytes,
+                   const std::string& origin) {
+  const snapshot::Container container =
+      snapshot::parse_container(bytes, kTraceFormat, origin);
+  Decoder in(container.require(kEventsSection), origin + " [events]",
+             Errc::kMalformed);
+  const std::uint64_t threads = in.varint();
+  // Each thread takes at least its event count's byte.
+  if (threads > kMaxThreads || threads > in.remaining()) {
+    in.fail(Errc::kLimit, "thread count");
+  }
+  std::vector<std::vector<TraceEvent>> per_thread(
+      static_cast<std::size_t>(threads));
+  for (ThreadId thread = 0; thread < threads; ++thread) {
+    decode_stream(in, per_thread[thread], thread, threads);
+  }
+  if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");
+  return Trace(std::move(per_thread));
+}
+
+void write_trace_file(const std::string& path, const Trace& trace) {
+  const std::vector<std::uint8_t> bytes = encode_trace(trace);
+  FilePtr file(std::fopen(path.c_str(), "wb"));
+  if (file == nullptr) {
+    throw SnapshotError(Errc::kIo, path, "cannot open for writing");
+  }
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file.get()) !=
+          bytes.size() ||
+      std::fflush(file.get()) != 0) {
+    throw SnapshotError(Errc::kIo, path, "write failed");
+  }
 }
 
 Trace read_trace_file(const std::string& path) {
   FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) fail(path, "cannot open for reading");
-  char magic[sizeof(kMagic)];
-  read_bytes(file.get(), magic, sizeof(magic), path);
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    fail(path, "bad magic (not a taskprof trace, or wrong version)");
+  if (file == nullptr) {
+    throw SnapshotError(Errc::kIo, path, "cannot open for reading");
   }
-  const auto thread_count = read_value<std::uint64_t>(file.get(), path);
-  if (thread_count > 1'000'000) fail(path, "implausible thread count");
-  std::vector<std::vector<TraceEvent>> per_thread(thread_count);
-  for (auto& stream : per_thread) {
-    const auto count = read_value<std::uint64_t>(file.get(), path);
-    stream.reserve(count > (1u << 20) ? (1u << 20) : count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      stream.push_back(read_event(file.get(), path));
-    }
+  long size = -1;
+  if (std::fseek(file.get(), 0, SEEK_END) == 0) size = std::ftell(file.get());
+  if (size < 0 || std::fseek(file.get(), 0, SEEK_SET) != 0) {
+    throw SnapshotError(Errc::kIo, path, "cannot size the file");
   }
-  // Trailing garbage indicates corruption.
-  char extra;
-  if (std::fread(&extra, 1, 1, file.get()) != 0) {
-    fail(path, "trailing data after events");
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  if (std::fread(bytes.data(), 1, bytes.size(), file.get()) != bytes.size()) {
+    throw SnapshotError(Errc::kIo, path, "read failed");
   }
-  return Trace(std::move(per_thread));
+  return decode_trace(bytes, path);
 }
 
 }  // namespace taskprof::trace

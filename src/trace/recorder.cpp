@@ -107,10 +107,12 @@ void TraceRecorder::on_scheduler_note(ThreadId thread, rt::SchedulerNote note,
   } else if (!s.events.empty()) {
     now = s.events.back().time;
   }
-  s.events.push_back(TraceEvent{now, thread, EventKind::kSchedulerNote,
-                                static_cast<TaskInstanceId>(detail),
-                                kInvalidRegion,
-                                static_cast<std::int64_t>(note), 0});
+  s.events.push_back(
+      TraceEvent{.time = now,
+                 .task = static_cast<TaskInstanceId>(detail),
+                 .parameter = static_cast<std::int64_t>(note),
+                 .thread = thread,
+                 .kind = EventKind::kSchedulerNote});
 }
 
 Trace TraceRecorder::take() {
@@ -138,8 +140,13 @@ void TraceRecorder::record(ThreadId thread, EventKind kind,
   ThreadStream& s = stream(thread);
   TASKPROF_ASSERT(s.clock != nullptr,
                   "trace event before the thread's implicit task began");
-  s.events.push_back(
-      TraceEvent{s.clock->now(), thread, kind, task, region, parameter, peer});
+  s.events.push_back(TraceEvent{.time = s.clock->now(),
+                                .task = task,
+                                .parameter = parameter,
+                                .thread = thread,
+                                .region = region,
+                                .peer = peer,
+                                .kind = kind});
 }
 
 TraceRecorder::ThreadStream& TraceRecorder::stream(ThreadId thread) {

@@ -1,6 +1,9 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <functional>
+
+#include "common/assert.hpp"
 
 namespace taskprof::trace {
 
@@ -32,18 +35,53 @@ Trace::Trace(std::vector<std::vector<TraceEvent>> per_thread)
     : per_thread_(std::move(per_thread)) {}
 
 const std::vector<TraceEvent>& Trace::merged() const {
-  if (!merged_valid_) {
-    merged_.clear();
-    for (const auto& stream : per_thread_) {
-      merged_.insert(merged_.end(), stream.begin(), stream.end());
+  if (merged_valid_) return merged_;
+  // k-way merge of the per-thread streams, each already in time order.
+  // The heap holds each unfinished stream's next event as (time, thread):
+  // the smallest goes next, ties to the lower thread.  A stream's run is
+  // copied for as long as it stays ahead of the next head, so a trace
+  // with one busy thread costs one pass and no heap traffic.
+  struct Head {
+    Ticks time;
+    ThreadId thread;
+    std::size_t index;  ///< position of this event in its stream
+    bool operator>(const Head& other) const noexcept {
+      return time != other.time ? time > other.time : thread > other.thread;
     }
-    std::stable_sort(merged_.begin(), merged_.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.thread < b.thread;
-                     });
-    merged_valid_ = true;
+  };
+  std::vector<Head> heap;
+  for (ThreadId t = 0; t < per_thread_.size(); ++t) {
+    if (!per_thread_[t].empty()) heap.push_back({per_thread_[t][0].time, t, 0});
   }
+  std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+  merged_.clear();
+  merged_.reserve(event_count());
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [first_time, thread, begin] = heap.back();
+    heap.pop_back();
+    const std::vector<TraceEvent>& stream = per_thread_[thread];
+    std::size_t end = begin;
+    Ticks last = first_time;
+    for (; end < stream.size(); ++end) {
+      const TraceEvent& event = stream[end];
+      TASKPROF_ASSERT(event.thread == thread,
+                      "trace event on another thread's stream");
+      TASKPROF_ASSERT(event.time >= last, "trace stream goes back in time");
+      last = event.time;
+      if (!heap.empty() && !(heap.front() > Head{event.time, thread, end})) {
+        break;
+      }
+    }
+    merged_.insert(merged_.end(),
+                   stream.begin() + static_cast<std::ptrdiff_t>(begin),
+                   stream.begin() + static_cast<std::ptrdiff_t>(end));
+    if (end < stream.size()) {
+      heap.push_back({stream[end].time, thread, end});
+      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    }
+  }
+  merged_valid_ = true;
   return merged_;
 }
 

@@ -42,18 +42,24 @@ enum class EventKind : std::uint8_t {
 
 [[nodiscard]] std::string_view event_kind_name(EventKind kind) noexcept;
 
+// Fields run from widest to narrowest, so the struct has no padding
+// inside and 40 bytes in all.
 struct TraceEvent {
   Ticks time = 0;
-  ThreadId thread = 0;
-  EventKind kind = EventKind::kTaskBegin;
   TaskInstanceId task = kImplicitTaskId;  ///< subject instance
-  RegionHandle region = kInvalidRegion;
   std::int64_t parameter = kNoParameter;
+  ThreadId thread = 0;
+  RegionHandle region = kInvalidRegion;
   ThreadId peer = 0;  ///< migration destination
+  EventKind kind = EventKind::kTaskBegin;
 };
+static_assert(sizeof(TraceEvent) == 40);
 
-/// A finished trace: per-thread streams (each time-ordered by
-/// construction) plus a merged, globally time-ordered view.
+/// A finished trace: per-thread streams plus a merged, globally
+/// time-ordered view.  Every event sits on its own thread's stream
+/// (`event.thread` is the stream index) and each stream's times never
+/// decrease; the recorder and the file reader produce only such traces,
+/// and merged() and the file writer rely on it.
 class Trace {
  public:
   Trace() = default;
@@ -66,7 +72,8 @@ class Trace {
       ThreadId thread) const {
     return per_thread_[thread];
   }
-  /// All events, sorted by (time, thread); built lazily on first use.
+  /// All events, sorted by (time, thread) and stable within a thread;
+  /// built lazily on first use.
   [[nodiscard]] const std::vector<TraceEvent>& merged() const;
 
   [[nodiscard]] std::size_t event_count() const noexcept;

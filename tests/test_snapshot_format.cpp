@@ -10,6 +10,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace taskprof::snapshot {
@@ -82,6 +83,33 @@ TEST(SnapshotFormat, Crc32MatchesCheckVector) {
   const auto* data = reinterpret_cast<const std::uint8_t*>(vector);
   EXPECT_EQ(crc32(std::span<const std::uint8_t>(data, 9)), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(SnapshotFormat, Crc32MatchesABytewiseReferenceAtAnyLengthAndStart) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::vector<std::uint8_t> data(4096 + 8);
+  Xoshiro256 rng(0xC3C3'2020ull);
+  for (std::uint8_t& byte : data) {
+    byte = static_cast<std::uint8_t>(rng.next_below(256));
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    // The running bytewise CRC yields the reference for every prefix.
+    std::uint32_t reference = 0xFFFFFFFFu;
+    for (std::size_t length = 0; length <= 4096; ++length) {
+      const std::span<const std::uint8_t> bytes(data.data() + start, length);
+      ASSERT_EQ(crc32(bytes), reference ^ 0xFFFFFFFFu)
+          << "start " << start << " length " << length;
+      reference = table[(reference ^ data[start + length]) & 0xFFu] ^
+                  (reference >> 8);
+    }
+  }
 }
 
 TEST(SnapshotFormat, DecoderOverrunUsesConfiguredErrc) {

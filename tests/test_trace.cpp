@@ -8,14 +8,19 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 
+#include "bots/kernel.hpp"
 #include "instrument/instrumentor.hpp"
+#include "rt/real_runtime.hpp"
 #include "rt/sim_runtime.hpp"
+#include "test_util.hpp"
 
 namespace taskprof {
 namespace {
@@ -98,6 +103,81 @@ TEST_F(TraceTest, MergedEventsAreTimeOrdered) {
   const auto [begin, end] = trace.time_span();
   EXPECT_EQ(begin, merged.front().time);
   EXPECT_EQ(end, merged.back().time);
+}
+
+/// The order merged() promises, by definition: every event, stable-sorted
+/// by (time, thread).
+std::vector<TraceEvent> sorted_reference(const Trace& trace) {
+  std::vector<TraceEvent> all;
+  for (ThreadId t = 0; t < trace.thread_count(); ++t) {
+    all.insert(all.end(), trace.thread_events(t).begin(),
+               trace.thread_events(t).end());
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.time != b.time ? a.time < b.time
+                                             : a.thread < b.thread;
+                   });
+  return all;
+}
+
+void expect_same_events(const std::vector<TraceEvent>& actual,
+                        const std::vector<TraceEvent>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const TraceEvent& a = actual[i];
+    const TraceEvent& b = expected[i];
+    ASSERT_TRUE(a.time == b.time && a.thread == b.thread &&
+                a.kind == b.kind && a.task == b.task &&
+                a.region == b.region && a.parameter == b.parameter &&
+                a.peer == b.peer)
+        << "events differ at " << i;
+  }
+}
+
+TEST(TraceMerge, TiesGoToTheLowerThreadAndKeepStreamOrder) {
+  testutil::TraceBuilder builder(3);
+  builder.add(2, 5, EventKind::kTaskBegin, 1)
+      .add(2, 5, EventKind::kTaskEnd, 1)
+      .add(0, 5, EventKind::kTaskBegin, 2)
+      .add(1, 3, EventKind::kTaskBegin, 3)
+      .add(1, 5, EventKind::kTaskEnd, 3)
+      .add(0, 6, EventKind::kTaskEnd, 2);
+  const Trace trace = builder.build();
+  const std::vector<TaskInstanceId> order = {3, 2, 3, 1, 1, 2};
+  ASSERT_EQ(trace.merged().size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(trace.merged()[i].task, order[i]) << i;
+  }
+  expect_same_events(trace.merged(), sorted_reference(trace));
+}
+
+TEST(TraceMerge, MatchesAStableSortOnEveryBotsKernel) {
+  for (const bool real : {false, true}) {
+    for (const auto& kernel : bots::make_all_kernels()) {
+      for (int threads = 1; threads <= 4; ++threads) {
+        SCOPED_TRACE(std::string(kernel->name()) +
+                     (real ? " real x" : " sim x") + std::to_string(threads));
+        RegionRegistry registry;
+        std::unique_ptr<rt::Runtime> runtime;
+        if (real) {
+          runtime = std::make_unique<rt::RealRuntime>();
+        } else {
+          runtime = std::make_unique<rt::SimRuntime>();
+        }
+        TraceRecorder recorder;
+        rt::FanoutHooks hooks{&recorder};
+        runtime->set_hooks(&hooks);
+        bots::KernelConfig config;
+        config.threads = threads;
+        config.size = bots::SizeClass::kTest;
+        ASSERT_TRUE(kernel->run(*runtime, registry, config).ok);
+        runtime->set_hooks(nullptr);
+        const Trace trace = recorder.take();
+        expect_same_events(trace.merged(), sorted_reference(trace));
+      }
+    }
+  }
 }
 
 TEST_F(TraceTest, TakeResetsTheRecorder) {

@@ -116,8 +116,11 @@ class TraceBuilder {
   TraceBuilder& add(ThreadId thread, Ticks time, trace::EventKind kind,
                     TaskInstanceId task = kImplicitTaskId,
                     RegionHandle region = kInvalidRegion) {
-    streams_[thread].push_back(
-        {time, thread, kind, task, region, kNoParameter, 0});
+    streams_[thread].push_back({.time = time,
+                                .task = task,
+                                .thread = thread,
+                                .region = region,
+                                .kind = kind});
     return *this;
   }
 

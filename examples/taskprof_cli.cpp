@@ -95,7 +95,7 @@ void usage(const char* argv0) {
       "                        kernel runs\n"
       "  --telemetry           attach the scheduler-telemetry registry and\n"
       "                        print the telemetry section (steal rates,\n"
-      "                        high-water marks, measured hook overhead)\n"
+      "                        high-water marks, sampled hook overhead)\n"
       "  --telemetry-json=FILE write the telemetry snapshot as JSON\n"
       "  --chrome-trace=FILE   write a chrome://tracing / Perfetto timeline\n"
       "                        (implies --trace)\n"
@@ -493,6 +493,7 @@ int cmd_diagnose(int argc, char** argv) {
   trace::Trace recorded;
   telemetry::Snapshot telemetry_snapshot;
   diag::DiagnosisInput input;
+  diag::DiagnosisReport report;
 
   try {
     if (live) {
@@ -579,12 +580,13 @@ int cmd_diagnose(int argc, char** argv) {
       input.registry = &registry;
       input.trace = &recorded;
     }
+    // Replaying a loaded trace rejects impossible histories typed.
+    report = diag::run_diagnosis(input);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s\n", error.what());
     return 1;
   }
 
-  const diag::DiagnosisReport report = diag::run_diagnosis(input);
   {
     std::ostringstream os;
     diag::render_diagnosis_text(report, os);
@@ -756,6 +758,7 @@ int cmd_whatif(int argc, char** argv) {
   RegionRegistry registry;
   snapshot::SnapshotData snap;
   trace::Trace recorded;
+  trace::TraceAnalysis analysis;
   const RegionRegistry* names = &registry;
 
   try {
@@ -817,12 +820,13 @@ int cmd_whatif(int argc, char** argv) {
                                  RegionType::kTask);
       }
     }
+    // Replaying a loaded trace rejects impossible histories typed.
+    analysis = trace::analyze_trace(recorded);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s\n", error.what());
     return 1;
   }
 
-  const trace::TraceAnalysis analysis = trace::analyze_trace(recorded);
   whatif::WhatIfProfile profile;
   const whatif::Error build_error =
       whatif::WhatIfProfile::build(recorded, analysis, *names, &profile);

@@ -130,7 +130,9 @@ struct DiagnosisReport {
   [[nodiscard]] std::size_t count_at_least(Severity floor) const noexcept;
 };
 
-/// Run every registered detector over `input`.
+/// Run every registered detector over `input`.  A trace whose events
+/// tell an impossible history throws snapshot::SnapshotError (kMalformed)
+/// from trace::analyze_trace.
 [[nodiscard]] DiagnosisReport run_diagnosis(const DiagnosisInput& input,
                                             const DiagnoseOptions& options = {});
 

@@ -157,7 +157,7 @@ std::string render_telemetry(const telemetry::Snapshot& snapshot) {
        << format_ticks(snapshot.counter(Counter::kHookTicks)) << " over "
        << format_count(hook_events) << " events ("
        << format_ticks(static_cast<Ticks>(snapshot.hook_mean_ticks()))
-       << "/event)\n";
+       << "/event; total estimated from sampled callbacks)\n";
   }
 
   TextTable counters({"counter", "total", "per-thread max"});

@@ -2,6 +2,7 @@
 
 #include "common/assert.hpp"
 #include "common/format.hpp"
+#include "common/rng.hpp"
 
 namespace taskprof::telemetry {
 
@@ -159,6 +160,20 @@ void Registry::reset() {
   }
 }
 
+namespace {
+
+/// Next gap length, uniform in [1, 2 * TimedHooks::kSampleGap - 1]
+/// (xorshift64 step, then a multiply-shift range reduction).
+std::uint32_t next_gap(std::uint64_t& rng) noexcept {
+  rng ^= rng << 13;
+  rng ^= rng >> 7;
+  rng ^= rng << 17;
+  constexpr std::uint64_t kSpan = 2 * TimedHooks::kSampleGap - 1;
+  return 1 + static_cast<std::uint32_t>(((rng >> 32) * kSpan) >> 32);
+}
+
+}  // namespace
+
 TimedHooks::TimedHooks(rt::SchedulerHooks* inner, Registry* registry,
                        const Clock* clock)
     : inner_(inner),
@@ -168,102 +183,131 @@ TimedHooks::TimedHooks(rt::SchedulerHooks* inner, Registry* registry,
                   "TimedHooks needs an inner listener and a registry");
 }
 
+template <typename Forward>
+void TimedHooks::sampled(ThreadId thread, const Forward& forward) {
+  Sampler& sampler = samplers_[thread];
+  if (--sampler.countdown != 0) {
+    forward();
+    return;
+  }
+  timed(sampler, sampler.gap, forward);
+}
+
+template <typename Forward>
+void TimedHooks::flushed(ThreadId thread, const Forward& forward) {
+  Sampler& sampler = samplers_[thread];
+  timed(sampler, sampler.gap - sampler.countdown + 1, forward);
+}
+
+template <typename Forward>
+void TimedHooks::timed(Sampler& sampler, std::uint32_t weight,
+                       const Forward& forward) {
+  const Ticks start = clock_->now();
+  forward();
+  const auto ticks = static_cast<std::uint64_t>(clock_->now() - start);
+  sampler.slots.add(Counter::kHookEvents, weight);
+  sampler.slots.add(Counter::kHookTicks, ticks * weight);
+  sampler.gap = next_gap(sampler.rng);
+  sampler.countdown = sampler.gap;
+}
+
 void TimedHooks::on_parallel_begin(int num_threads) {
+  // Single-threaded point: no callback of this decorator is running.
   registry_->prepare(num_threads);
-  const Timed timed(*this, 0);  // encountering thread is the master
-  inner_->on_parallel_begin(num_threads);
+  while (samplers_.size() < static_cast<std::size_t>(num_threads)) {
+    const auto thread = static_cast<ThreadId>(samplers_.size());
+    Sampler& sampler = samplers_.emplace_back();
+    sampler.slots = registry_->slots(thread);
+    sampler.rng = SplitMix64(thread).next() | 1;
+    sampler.gap = next_gap(sampler.rng);
+    sampler.countdown = sampler.gap;
+  }
+  // The encountering thread is the master.
+  sampled(0, [&] { inner_->on_parallel_begin(num_threads); });
 }
 
 void TimedHooks::on_parallel_end() {
-  const Timed timed(*this, 0);
-  inner_->on_parallel_end();
+  flushed(0, [&] { inner_->on_parallel_end(); });
 }
 
 void TimedHooks::on_implicit_task_begin(ThreadId thread, const Clock& clock) {
-  const Timed timed(*this, thread);
-  inner_->on_implicit_task_begin(thread, clock);
+  sampled(thread, [&] { inner_->on_implicit_task_begin(thread, clock); });
 }
 
 void TimedHooks::on_implicit_task_end(ThreadId thread) {
-  const Timed timed(*this, thread);
-  inner_->on_implicit_task_end(thread);
+  flushed(thread, [&] { inner_->on_implicit_task_end(thread); });
 }
 
 void TimedHooks::on_task_create_begin(ThreadId thread, RegionHandle region,
                                       std::int64_t parameter) {
-  const Timed timed(*this, thread);
-  inner_->on_task_create_begin(thread, region, parameter);
+  sampled(thread, [&] {
+    inner_->on_task_create_begin(thread, region, parameter);
+  });
 }
 
 void TimedHooks::on_task_create_end(ThreadId thread, TaskInstanceId created,
                                     RegionHandle region,
                                     std::int64_t parameter) {
-  const Timed timed(*this, thread);
-  inner_->on_task_create_end(thread, created, region, parameter);
+  sampled(thread, [&] {
+    inner_->on_task_create_end(thread, created, region, parameter);
+  });
 }
 
 void TimedHooks::on_task_begin(ThreadId thread, TaskInstanceId id,
                                RegionHandle region, std::int64_t parameter) {
-  const Timed timed(*this, thread);
-  inner_->on_task_begin(thread, id, region, parameter);
+  sampled(thread,
+          [&] { inner_->on_task_begin(thread, id, region, parameter); });
 }
 
 void TimedHooks::on_task_end(ThreadId thread, TaskInstanceId id) {
-  const Timed timed(*this, thread);
-  inner_->on_task_end(thread, id);
+  sampled(thread, [&] { inner_->on_task_end(thread, id); });
 }
 
 void TimedHooks::on_task_switch(ThreadId thread, TaskInstanceId id) {
-  const Timed timed(*this, thread);
-  inner_->on_task_switch(thread, id);
+  sampled(thread, [&] { inner_->on_task_switch(thread, id); });
 }
 
 void TimedHooks::on_task_migrate(ThreadId from, ThreadId to,
                                  TaskInstanceId id) {
-  const Timed timed(*this, from);
-  inner_->on_task_migrate(from, to, id);
+  // Fired while the destination worker is current (hooks.hpp), so `to`
+  // is the thread that runs this callback.
+  sampled(to, [&] { inner_->on_task_migrate(from, to, id); });
 }
 
 void TimedHooks::on_task_work(ThreadId thread, Ticks cost) {
-  const Timed timed(*this, thread);
-  inner_->on_task_work(thread, cost);
+  sampled(thread, [&] { inner_->on_task_work(thread, cost); });
 }
 
 void TimedHooks::on_taskwait_begin(ThreadId thread) {
-  const Timed timed(*this, thread);
-  inner_->on_taskwait_begin(thread);
+  sampled(thread, [&] { inner_->on_taskwait_begin(thread); });
 }
 
 void TimedHooks::on_taskwait_end(ThreadId thread) {
-  const Timed timed(*this, thread);
-  inner_->on_taskwait_end(thread);
+  sampled(thread, [&] { inner_->on_taskwait_end(thread); });
 }
 
 void TimedHooks::on_barrier_begin(ThreadId thread, bool implicit) {
-  const Timed timed(*this, thread);
-  inner_->on_barrier_begin(thread, implicit);
+  sampled(thread, [&] { inner_->on_barrier_begin(thread, implicit); });
 }
 
 void TimedHooks::on_barrier_end(ThreadId thread, bool implicit) {
-  const Timed timed(*this, thread);
-  inner_->on_barrier_end(thread, implicit);
+  sampled(thread, [&] { inner_->on_barrier_end(thread, implicit); });
 }
 
 void TimedHooks::on_region_enter(ThreadId thread, RegionHandle region,
                                  std::int64_t parameter) {
-  const Timed timed(*this, thread);
-  inner_->on_region_enter(thread, region, parameter);
+  sampled(thread, [&] { inner_->on_region_enter(thread, region, parameter); });
 }
 
 void TimedHooks::on_region_exit(ThreadId thread, RegionHandle region) {
-  const Timed timed(*this, thread);
-  inner_->on_region_exit(thread, region);
+  sampled(thread, [&] { inner_->on_region_exit(thread, region); });
 }
 
 void TimedHooks::on_scheduler_note(ThreadId thread, rt::SchedulerNote note,
                                    std::int64_t detail) {
-  const Timed timed(*this, thread);
-  inner_->on_scheduler_note(thread, note, detail);
+  // Notes can follow on_parallel_end (the real engine's residue sweep),
+  // so they close their gap too.
+  flushed(thread, [&] { inner_->on_scheduler_note(thread, note, detail); });
 }
 
 }  // namespace taskprof::telemetry

@@ -3,9 +3,10 @@
 // The paper makes *application* task scheduling visible; this subsystem
 // makes the profiling engine itself visible — steal success rates, deque
 // high-water marks, slab occupancy, and what the measurement layer costs
-// (the §V overhead analysis, measured from inside the run instead of by
-// comparing two wall clocks).  The design follows the same per-thread
-// memory rule as the measurement layer:
+// (the §V overhead analysis, estimated from inside the run by timing a
+// random sample of the hook callbacks instead of by comparing two wall
+// clocks).  The design follows the same per-thread memory rule as the
+// measurement layer:
 //
 //  * every thread owns one cache-line-isolated block of counter slots and
 //    writes only to its own block; single-writer slots mean counters are
@@ -15,7 +16,9 @@
 //  * snapshot() may run concurrently with recording: it reads every slot
 //    relaxed and aggregates.  Values are exact once the region quiesces
 //    and at-most-one-event stale while it runs, which is the right trade
-//    for a dashboard/telemetry sink;
+//    for a dashboard/telemetry sink.  The exception is the hook pair
+//    (kHookEvents / kHookTicks): TimedHooks charges a sampled gap at a
+//    time, so mid-region they lag by less than one gap per thread;
 //  * no sink attached (Registry* == nullptr at the engine) means no slot
 //    is ever touched — the hot path pays one predictable branch.
 #pragma once
@@ -53,7 +56,8 @@ enum class Counter : std::uint32_t {
   kSlabRemoteRecycles,  ///< ... returned by a thread other than the owner
   kMigrations,          ///< untied resumptions on a new worker (sim)
   kHookEvents,          ///< measurement-hook invocations (self-timing)
-  kHookTicks,           ///< wall ticks spent inside measurement hooks
+  kHookTicks,           ///< wall ticks inside measurement hooks (sampled
+                        ///< estimate, see TimedHooks)
   kTaskgraphRecords,    ///< parallel regions that recorded a task graph
   kTaskgraphReplays,    ///< parallel regions replayed from a task graph
   kTaskgraphFallbacks,  ///< regions run dynamically on a stale graph
@@ -232,15 +236,33 @@ inline Registry::ThreadSlots Registry::slots(ThreadId thread) noexcept {
   return ThreadSlots(blocks_[thread].get());
 }
 
-/// Self-timing decorator: forwards every scheduler event to `inner` and
-/// charges the wall time spent inside the callback to the registry
-/// (Counter::kHookEvents / kHookTicks on the event's thread).  This is how
-/// the profiler's own overhead lands *next to* the profile it produced —
-/// the paper's §V overhead numbers, measured in-band.
+/// Self-timing decorator: forwards every scheduler event to `inner`,
+/// counts each one exactly and times about one in kSampleGap, charging
+/// Counter::kHookEvents / kHookTicks on the thread the callback runs on.
+/// This is how the profiler's own overhead lands *next to* the profile it
+/// produced — the paper's §V overhead numbers, measured in-band — without
+/// two clock reads per event doubling the cost it measures.
+///
+/// Sampling is per thread.  A countdown picks the timed callback; the gap
+/// before the next one is drawn uniformly from [1, 2 * kSampleGap - 1] by
+/// a xorshift generator seeded from the thread id (random gaps, because a
+/// fixed stride aliases with periodic callback sequences such as fib's
+/// per-task pattern).  A timed callback stands for its whole gap:
+/// kHookEvents += gap and kHookTicks += ticks x gap, so kHookTicks is an
+/// unbiased estimate and a callback of constant cost gives it exactly.
+/// on_implicit_task_end, on_parallel_end and on_scheduler_note are always
+/// timed and close the open gap with the callbacks it holds, so
+/// kHookEvents is exact once a region ends; mid-region it lags by less
+/// than one gap per thread.
 class TimedHooks final : public rt::SchedulerHooks {
  public:
+  /// Mean number of callbacks one timed callback stands for.
+  static constexpr std::uint32_t kSampleGap = 64;
+
   /// `inner` and `registry` must outlive the decorator.  `clock` defaults
-  /// to a steady wall clock; tests inject a ManualClock.
+  /// to a steady wall clock; tests inject a ManualClock.  Callbacks may
+  /// only arrive after on_parallel_begin sized the per-thread samplers,
+  /// which every engine guarantees.
   TimedHooks(rt::SchedulerHooks* inner, Registry* registry,
              const Clock* clock = nullptr);
 
@@ -270,30 +292,30 @@ class TimedHooks final : public rt::SchedulerHooks {
                          std::int64_t detail) override;
 
  private:
-  /// Times one callback; charges to `thread`'s block on destruction.
-  class Timed {
-   public:
-    Timed(const TimedHooks& owner, ThreadId thread) noexcept
-        : owner_(owner), thread_(thread), start_(owner.clock_->now()) {}
-    ~Timed() {
-      owner_.registry_->add(thread_, Counter::kHookEvents);
-      owner_.registry_->add(
-          thread_, Counter::kHookTicks,
-          static_cast<std::uint64_t>(owner_.clock_->now() - start_));
-    }
-    Timed(const Timed&) = delete;
-    Timed& operator=(const Timed&) = delete;
-
-   private:
-    const TimedHooks& owner_;
-    ThreadId thread_;
-    Ticks start_;
+  /// One thread's sampling state on its own cache line; only callbacks
+  /// running on that thread touch it.
+  struct alignas(64) Sampler {
+    Registry::ThreadSlots slots;
+    std::uint32_t countdown = 0;  ///< callbacks left in the open gap
+    std::uint32_t gap = 0;        ///< callbacks the open gap stands for
+    std::uint64_t rng = 0;        ///< xorshift64 state, never zero
   };
+
+  /// Forward through `forward`, timing it only when the countdown ends.
+  template <typename Forward>
+  void sampled(ThreadId thread, const Forward& forward);
+  /// Forward and time unconditionally, closing the open gap.
+  template <typename Forward>
+  void flushed(ThreadId thread, const Forward& forward);
+  /// Time `forward`, charge it `weight` times and open the next gap.
+  template <typename Forward>
+  void timed(Sampler& sampler, std::uint32_t weight, const Forward& forward);
 
   rt::SchedulerHooks* inner_;
   Registry* registry_;
   SteadyClock default_clock_;
   const Clock* clock_;
+  std::vector<Sampler> samplers_;  ///< grown only in on_parallel_begin
 };
 
 }  // namespace taskprof::telemetry

@@ -5,8 +5,8 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "common/assert.hpp"
 #include "common/format.hpp"
+#include "snapshot/format.hpp"
 
 namespace taskprof::trace {
 
@@ -119,8 +119,14 @@ TraceAnalysis analyze_trace(const Trace& trace,
           open_fragment(state, thread, event.task, event.time);
           break;
         case EventKind::kTaskEnd: {
-          TASKPROF_ASSERT(state.current == event.task,
-                          "trace replay: ending task is not current");
+          // Well-formed bytes can still tell an impossible history; a
+          // loaded file is input, so reject it typed instead of asserting.
+          if (state.current != event.task) {
+            throw snapshot::SnapshotError(
+                snapshot::Errc::kMalformed, "trace replay",
+                "task " + std::to_string(event.task) + " ends on thread " +
+                    std::to_string(thread) + " but is not running there");
+          }
           close_fragment(state, thread, event.time);
           TaskLifetime& life = lifetimes[event.task].life;
           life.end = event.time;

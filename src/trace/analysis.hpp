@@ -103,7 +103,9 @@ struct TraceAnalysis {
   int max_creation_depth = 0;
 };
 
-/// Run all analyses over a trace.
+/// Run all analyses over a trace.  Throws snapshot::SnapshotError
+/// (kMalformed) when the events tell an impossible history, such as a
+/// task that ends on a thread it is not running on.
 [[nodiscard]] TraceAnalysis analyze_trace(const Trace& trace,
                                           const AnalysisOptions& options = {});
 

@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Corrupt trace files must fail the trace-reading CLI commands cleanly.
 
+Corrupt means bytes the reader rejects (tests/corpus/trace) or bytes that
+decode into an impossible history the replay rejects
+(tests/corpus/trace_replay); both exit 1 with a typed error.
+
     cli_trace_errors.py TASKPROF_CLI TRACE_FILE CORPUS_DIR
 
 Flips one payload bit of TRACE_FILE, a valid .tptrc, in a copy, then runs

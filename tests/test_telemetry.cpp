@@ -1,7 +1,9 @@
 // Tests for the scheduler-telemetry registry (src/telemetry): concurrent
 // counter recording, monotonic gauges, snapshot aggregation, the JSON
-// export, the TimedHooks self-timing decorator, and end-to-end agreement
-// with the always-on TeamStats when attached to the real engine.
+// export, the sampled TimedHooks self-timing decorator (exact counts,
+// exact constant-cost totals, no aliasing with periodic costs), and
+// end-to-end agreement with the always-on TeamStats when attached to the
+// real engine.
 #include "telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 
 #include "common/clock.hpp"
 #include "rt/real_runtime.hpp"
+#include "rt/sim_runtime.hpp"
 #include "rt/task_context.hpp"
 
 namespace taskprof {
@@ -163,40 +166,249 @@ TEST(TelemetryNames, AllEnumeratorsNamed) {
   }
 }
 
-// Inner hooks that advance a ManualClock by a fixed cost per event, so
-// TimedHooks' measured hook time is exactly predictable.
-class SlowHooks final : public rt::SchedulerHooks {
+// Inner hooks that count every callback forwarded to them and, given a
+// ManualClock, advance it by cost(n) on the n-th one, so TimedHooks'
+// estimate can be checked against the true total.  With a clock they
+// must stay on one OS thread (the simulator, or direct calls); without
+// one they only count, from any number of threads.
+class CostHooks final : public rt::SchedulerHooks {
  public:
-  SlowHooks(ManualClock* clock, Ticks cost) : clock_(clock), cost_(cost) {}
+  using CostFn = Ticks (*)(std::uint64_t n);
 
+  explicit CostHooks(ManualClock* clock = nullptr, CostFn cost = nullptr)
+      : clock_(clock), cost_(cost) {}
+
+  [[nodiscard]] std::uint64_t forwarded() const noexcept {
+    return forwarded_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t true_ticks() const noexcept { return ticks_; }
+
+  void on_parallel_begin(int) override { charge(); }
+  void on_parallel_end() override { charge(); }
+  void on_implicit_task_begin(ThreadId, const Clock&) override { charge(); }
+  void on_implicit_task_end(ThreadId) override { charge(); }
+  void on_task_create_begin(ThreadId, RegionHandle, std::int64_t) override {
+    charge();
+  }
+  void on_task_create_end(ThreadId, TaskInstanceId, RegionHandle,
+                          std::int64_t) override {
+    charge();
+  }
   void on_task_begin(ThreadId, TaskInstanceId, RegionHandle,
                      std::int64_t) override {
-    clock_->advance(cost_);
+    charge();
   }
-  void on_task_end(ThreadId, TaskInstanceId) override {
-    clock_->advance(cost_);
+  void on_task_end(ThreadId, TaskInstanceId) override { charge(); }
+  void on_task_switch(ThreadId, TaskInstanceId) override { charge(); }
+  void on_task_migrate(ThreadId, ThreadId, TaskInstanceId) override {
+    charge();
+  }
+  void on_task_work(ThreadId, Ticks) override { charge(); }
+  void on_taskwait_begin(ThreadId) override { charge(); }
+  void on_taskwait_end(ThreadId) override { charge(); }
+  void on_barrier_begin(ThreadId, bool) override { charge(); }
+  void on_barrier_end(ThreadId, bool) override { charge(); }
+  void on_region_enter(ThreadId, RegionHandle, std::int64_t) override {
+    charge();
+  }
+  void on_region_exit(ThreadId, RegionHandle) override { charge(); }
+  void on_scheduler_note(ThreadId, rt::SchedulerNote,
+                         std::int64_t) override {
+    charge();
   }
 
  private:
+  void charge() noexcept {
+    const std::uint64_t n =
+        forwarded_.fetch_add(1, std::memory_order_relaxed);
+    if (clock_ == nullptr) return;
+    const Ticks cost = cost_(n);
+    clock_->advance(cost);
+    ticks_ += static_cast<std::uint64_t>(cost);
+  }
+
   ManualClock* clock_;
-  Ticks cost_;
+  CostFn cost_;
+  std::atomic<std::uint64_t> forwarded_{0};
+  std::uint64_t ticks_ = 0;
 };
 
+/// Binary task tree of the given depth with a taskwait at every level.
+void spawn_tree(rt::TaskContext& ctx, int depth, rt::TaskAttrs attrs) {
+  ctx.work(30);
+  if (depth == 0) return;
+  for (int child = 0; child < 2; ++child) {
+    ctx.create_task(
+        [depth, attrs](rt::TaskContext& c) { spawn_tree(c, depth - 1, attrs); },
+        attrs);
+  }
+  ctx.taskwait();
+}
+
+std::uint64_t hook_events(const Registry& registry) {
+  return registry.snapshot().counter(Counter::kHookEvents);
+}
+
+// The engine contract: on_parallel_begin sizes the samplers, the region's
+// boundary callbacks close every open gap, and a note fired after
+// on_parallel_end (the real engine's residue sweep) closes its own.
 TEST(TimedHooks, ChargesInnerCallbackTimeToRegistry) {
   Registry registry;
-  registry.prepare(1);
   ManualClock clock;
-  SlowHooks inner(&clock, 10);
+  CostHooks inner(&clock, [](std::uint64_t) -> Ticks { return 10; });
   telemetry::TimedHooks timed(&inner, &registry, &clock);
 
+  timed.on_parallel_begin(2);
+  timed.on_implicit_task_begin(0, clock);
+  timed.on_implicit_task_begin(1, clock);
   timed.on_task_begin(0, 1, 0, kNoParameter);
   timed.on_task_end(0, 1);
-  timed.on_task_switch(0, kImplicitTaskId);  // no-op inner: zero ticks
+  timed.on_task_migrate(0, 1, 2);  // runs on the destination, thread 1
+  timed.on_task_switch(1, 2);
+  timed.on_implicit_task_end(1);
+  timed.on_implicit_task_end(0);
+  timed.on_parallel_end();
+  timed.on_scheduler_note(0, rt::SchedulerNote::kTaskgraphDivergeResidue, 3);
 
   const Snapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counter(Counter::kHookEvents), 3u);
-  EXPECT_EQ(snap.counter(Counter::kHookTicks), 20u);
-  EXPECT_DOUBLE_EQ(snap.hook_mean_ticks(), 20.0 / 3.0);
+  EXPECT_EQ(snap.counter(Counter::kHookEvents), 11u);
+  EXPECT_EQ(snap.counter(Counter::kHookTicks), 110u);
+  EXPECT_DOUBLE_EQ(snap.hook_mean_ticks(), 10.0);
+  ASSERT_EQ(snap.per_thread.size(), 2u);
+  const auto events = static_cast<std::size_t>(Counter::kHookEvents);
+  EXPECT_EQ(snap.per_thread[0][events], 7u);  // begin/end, 3 task, note
+  EXPECT_EQ(snap.per_thread[1][events], 4u);  // migrate charged to `to`
+}
+
+// A callback of constant cost makes every gap's estimate exact, so on the
+// simulator the sampled total equals the true one, and the count equals
+// the callbacks forwarded, after every region at every team size.
+TEST(TimedHooks, ConstantCostIsEstimatedExactly) {
+  constexpr Ticks kCost = 7;
+  rt::TaskAttrs untied;
+  untied.binding = rt::TaskBinding::kUntied;
+  std::uint64_t migrations = 0;
+  for (int threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE(threads);
+    ManualClock clock;
+    CostHooks inner(&clock, [](std::uint64_t) -> Ticks { return kCost; });
+    Registry registry;
+    telemetry::TimedHooks timed(&inner, &registry, &clock);
+    rt::SimRuntime runtime;
+    runtime.set_hooks(&timed);
+    runtime.set_telemetry(&registry);
+    for (int region = 0; region < 3; ++region) {
+      (void)runtime.parallel(threads, [region, untied](rt::TaskContext& ctx) {
+        if (ctx.single()) spawn_tree(ctx, 6 + region, untied);
+      });
+      const Snapshot snap = registry.snapshot();
+      EXPECT_EQ(snap.counter(Counter::kHookEvents), inner.forwarded());
+      EXPECT_EQ(snap.counter(Counter::kHookTicks),
+                kCost * snap.counter(Counter::kHookEvents));
+      EXPECT_EQ(snap.counter(Counter::kHookTicks), inner.true_ticks());
+    }
+    runtime.set_hooks(nullptr);
+    runtime.set_telemetry(nullptr);
+    migrations += registry.snapshot().counter(Counter::kMigrations);
+  }
+  // Untied resumptions moved tasks, so on_task_migrate was exercised.
+  EXPECT_GT(migrations, 0u);
+}
+
+// Costs that cycle with the callback index: random gaps land on every
+// phase, so the estimated mean tracks the true one.  A fixed stride of 64
+// would sample a single phase of each cycle, reading 10 or 30 instead of
+// 20 for periods 2 and 64 -- the aliasing the random gaps exist to avoid.
+template <std::uint64_t kPeriod>
+Ticks cyclic_cost(std::uint64_t n) {
+  return 10 + static_cast<Ticks>(20 * (n % kPeriod) / (kPeriod - 1));
+}
+
+void expect_unaliased(CostHooks::CostFn cost) {
+  constexpr int kCallbacks = 1 << 19;
+  ManualClock clock;
+  CostHooks inner(&clock, cost);
+  Registry registry;
+  telemetry::TimedHooks timed(&inner, &registry, &clock);
+  timed.on_parallel_begin(1);
+  timed.on_implicit_task_begin(0, clock);
+  for (int i = 0; i < kCallbacks; ++i) {
+    timed.on_task_switch(0, static_cast<TaskInstanceId>(i));
+  }
+  timed.on_implicit_task_end(0);
+  timed.on_parallel_end();
+
+  const Snapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.counter(Counter::kHookEvents), inner.forwarded());
+  const double truth = static_cast<double>(inner.true_ticks()) /
+                       static_cast<double>(inner.forwarded());
+  EXPECT_NEAR(snap.hook_mean_ticks(), truth, 0.03 * truth);
+}
+
+TEST(TimedHooks, RandomGapsDoNotAliasWithPeriodicCosts) {
+  {
+    SCOPED_TRACE("period 2");
+    expect_unaliased(&cyclic_cost<2>);
+  }
+  {
+    SCOPED_TRACE("period 6");
+    expect_unaliased(&cyclic_cost<6>);
+  }
+  {
+    SCOPED_TRACE("period 64");
+    expect_unaliased(&cyclic_cost<64>);
+  }
+}
+
+// kHookEvents counts every forwarded callback exactly once a region ends,
+// on the real engine too, and through taskgraph record, replay and
+// divergence.
+TEST(TimedHooks, CountsEveryCallbackOnTheRealEngine) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    CostHooks inner;
+    Registry registry;
+    telemetry::TimedHooks timed(&inner, &registry);
+    rt::RealRuntime runtime;
+    runtime.set_hooks(&timed);
+    runtime.set_telemetry(&registry);
+    for (int region = 0; region < 3; ++region) {
+      (void)runtime.parallel(threads, [region](rt::TaskContext& ctx) {
+        if (ctx.single()) spawn_tree(ctx, 5 + region, {});
+      });
+      EXPECT_EQ(hook_events(registry), inner.forwarded());
+    }
+    runtime.set_hooks(nullptr);
+    runtime.set_telemetry(nullptr);
+    EXPECT_GT(registry.snapshot().counter(Counter::kHookTicks), 0u);
+  }
+}
+
+TEST(TimedHooks, CountsEveryCallbackThroughTaskgraphDivergence) {
+  rt::RealConfig config;
+  config.scheduler = rt::SchedulerKind::kTaskGraph;
+  rt::RealRuntime runtime(config);
+  CostHooks inner;
+  Registry registry;
+  telemetry::TimedHooks timed(&inner, &registry);
+  runtime.set_hooks(&timed);
+  runtime.set_telemetry(&registry);
+  // Record, replay, diverge (the deeper tree fires structure notes on the
+  // workers), then run twice on the stale graph (a fallback note each).
+  // The residue note, fired after on_parallel_end, needs graph slots that
+  // no detectable divergence cancelled; no program here reaches that
+  // sweep, so ChargesInnerCallbackTimeToRegistry drives its order.
+  for (const int depth : {5, 5, 6, 4, 5}) {
+    (void)runtime.parallel(4, [depth](rt::TaskContext& ctx) {
+      if (ctx.single()) spawn_tree(ctx, depth, {});
+    });
+    EXPECT_EQ(hook_events(registry), inner.forwarded()) << depth;
+  }
+  runtime.set_hooks(nullptr);
+  runtime.set_telemetry(nullptr);
+  const Snapshot snap = registry.snapshot();
+  EXPECT_GE(snap.counter(Counter::kTaskgraphDivergences), 1u);
+  EXPECT_GE(snap.counter(Counter::kTaskgraphFallbacks), 1u);
 }
 
 TEST(TimedHooks, ParallelBeginPreparesRegistry) {

@@ -4,7 +4,11 @@
 // is byte-identical for every BOTS kernel, and the committed corpus
 // under tests/corpus/trace/ replays: "ok_" files decode and re-encode
 // byte-identically, "bad_<errc>_..." files are rejected with that errc.
-// Run with TASKPROF_REGEN_TRACE=1 to rewrite the corpus from the
+// Files that decode but tell an impossible history (an event dropped,
+// duplicated, re-kinded or re-targeted) must make the trace replay in
+// analyze_trace, run_diagnosis and WhatIfProfile::build succeed or throw
+// SnapshotError; tests/corpus/trace_replay/ holds such files.
+// Run with TASKPROF_REGEN_TRACE=1 to rewrite both corpora from the
 // generators below.
 #include <gtest/gtest.h>
 
@@ -19,10 +23,13 @@
 
 #include "bots/kernel.hpp"
 #include "common/rng.hpp"
+#include "diagnose/diagnose.hpp"
 #include "rt/sim_runtime.hpp"
 #include "snapshot/format.hpp"
+#include "trace/analysis.hpp"
 #include "trace/file.hpp"
 #include "trace/recorder.hpp"
+#include "whatif/whatif.hpp"
 
 namespace taskprof {
 namespace {
@@ -141,6 +148,36 @@ std::vector<std::pair<std::string, Bytes>> seed_corpus() {
       "bad_limit_region.tptrc",
       one_event(1, trace::EventKind::kTaskBegin, 0x20, 0xFFFFFFF0u));
   return corpus;
+}
+
+/// Files whose bytes decode but whose events cannot have happened.
+std::vector<std::pair<std::string, Bytes>> replay_corpus() {
+  using trace::EventKind;
+  std::vector<std::vector<trace::TraceEvent>> streams(1);
+  streams[0] = {{.time = 0, .kind = EventKind::kImplicitBegin},
+                {.time = 1, .task = 5, .kind = EventKind::kTaskEnd},
+                {.time = 2, .kind = EventKind::kImplicitEnd}};
+  std::vector<std::pair<std::string, Bytes>> corpus;
+  corpus.emplace_back("bad_malformed_task_end.tptrc",
+                      trace::encode_trace(trace::Trace(std::move(streams))));
+  return corpus;
+}
+
+void write_corpus(const std::filesystem::path& dir,
+                  const std::vector<std::pair<std::string, Bytes>>& files) {
+  std::filesystem::create_directories(dir);
+  for (const auto& [name, bytes] : files) {
+    std::ofstream out(dir / name, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+}
+
+Bytes read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  return Bytes((std::istreambuf_iterator<char>(in)),
+               std::istreambuf_iterator<char>());
 }
 
 /// "bad_trailing-data_byte.tptrc" -> "trailing-data".
@@ -335,12 +372,7 @@ TEST(TraceFuzz, EncoderRefusesWhatTheReaderRejects) {
 TEST(TraceFuzz, CommittedCorpusReplays) {
   const std::filesystem::path dir = TASKPROF_TRACE_CORPUS_DIR;
   if (std::getenv("TASKPROF_REGEN_TRACE") != nullptr) {
-    std::filesystem::create_directories(dir);
-    for (const auto& [name, bytes] : seed_corpus()) {
-      std::ofstream out(dir / name, std::ios::binary);
-      out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-    }
+    write_corpus(dir, seed_corpus());
   }
   ASSERT_TRUE(std::filesystem::exists(dir)) << dir;
   std::size_t ok_files = 0;
@@ -349,10 +381,7 @@ TEST(TraceFuzz, CommittedCorpusReplays) {
     if (entry.path().extension() != ".tptrc") continue;
     const std::string name = entry.path().filename().string();
     SCOPED_TRACE(name);
-    std::ifstream in(entry.path(), std::ios::binary);
-    ASSERT_TRUE(in) << name;
-    const Bytes bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+    const Bytes bytes = read_file(entry.path());
     if (name.rfind("ok_", 0) == 0) {
       ++ok_files;
       // Format-stability golden: today's encoder must reproduce the
@@ -368,6 +397,119 @@ TEST(TraceFuzz, CommittedCorpusReplays) {
   }
   EXPECT_GE(ok_files, 2u);
   EXPECT_GE(bad_files, 8u);
+}
+
+/// Region names are not in a trace file; like the CLI, name every region
+/// the trace mentions.
+void name_regions(const trace::Trace& loaded, RegionRegistry* names) {
+  RegionHandle max_region = 0;
+  for (const trace::TraceEvent& event : loaded.merged()) {
+    if (event.region != kInvalidRegion) {
+      max_region = std::max(max_region, event.region);
+    }
+  }
+  for (RegionHandle r = 0; r <= max_region; ++r) {
+    names->register_region("region " + std::to_string(r), RegionType::kTask);
+  }
+}
+
+/// Every consumer of a loaded trace, in the order the CLI runs them.
+/// Returns false when one rejected the history with a SnapshotError;
+/// any other exception, an assert or a crash fails the test.
+bool replays(const trace::Trace& loaded) {
+  RegionRegistry names;
+  name_regions(loaded, &names);
+  try {
+    const trace::TraceAnalysis analysis = trace::analyze_trace(loaded);
+    diag::DiagnosisInput input;
+    input.registry = &names;
+    input.trace = &loaded;
+    (void)diag::run_diagnosis(input);
+    whatif::WhatIfProfile profile;
+    if (whatif::WhatIfProfile::build(loaded, analysis, names, &profile)
+            .ok()) {
+      (void)profile.rank_targets(0.5, {});
+    }
+    return true;
+  } catch (const snapshot::SnapshotError& error) {
+    EXPECT_EQ(error.code(), snapshot::Errc::kMalformed) << error.what();
+    return false;
+  }
+}
+
+TEST(TraceFuzz, CommittedReplayCorpusIsRejectedTyped) {
+  const std::filesystem::path dir = TASKPROF_TRACE_REPLAY_CORPUS_DIR;
+  if (std::getenv("TASKPROF_REGEN_TRACE") != nullptr) {
+    write_corpus(dir, replay_corpus());
+  }
+  std::size_t checked = 0;
+  for (const auto& [name, bytes] : replay_corpus()) {
+    SCOPED_TRACE(name);
+    const Bytes committed = read_file(dir / name);
+    EXPECT_EQ(committed, bytes);  // still what the generator writes
+    // The bytes decode; the history they tell does not replay.
+    EXPECT_FALSE(replays(trace::decode_trace(committed, name)));
+    ++checked;
+  }
+  EXPECT_GE(checked, 1u);
+}
+
+// Semantic mutations of the sim fib trace: each stays valid bytes (the
+// stream times never decrease), so every one reaches the replay.
+TEST(TraceFuzz, SemanticMutationsNeverAbortTheReplay) {
+  const trace::Trace base = trace::decode_trace(valid_trace_bytes());
+  std::vector<TaskInstanceId> tasks;
+  for (const trace::TraceEvent& event : base.merged()) {
+    if (event.task != kImplicitTaskId) tasks.push_back(event.task);
+  }
+  ASSERT_FALSE(tasks.empty());
+  Xoshiro256 rng(0x5E3A'471C'F022ull);
+  constexpr int kMutations = 200;
+  constexpr std::uint64_t kKinds =
+      static_cast<std::uint64_t>(trace::EventKind::kWork) + 1;
+  std::size_t rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::vector<std::vector<trace::TraceEvent>> streams;
+    for (ThreadId t = 0; t < base.thread_count(); ++t) {
+      streams.push_back(base.thread_events(t));
+    }
+    const std::size_t edits = 1 + rng.next_below(3);
+    for (std::size_t e = 0; e < edits; ++e) {
+      auto& stream = streams[rng.next_below(streams.size())];
+      if (stream.empty()) continue;
+      const std::size_t at = rng.next_below(stream.size());
+      const auto pos = stream.begin() + static_cast<long>(at);
+      const trace::TraceEvent event = stream[at];
+      switch (rng.next_below(4)) {
+        case 0:
+          stream.erase(pos);
+          break;
+        case 1:
+          stream.insert(pos, event);
+          break;
+        case 2:
+          stream[at].kind =
+              static_cast<trace::EventKind>(rng.next_below(kKinds));
+          break;
+        default:
+          stream[at].task = tasks[rng.next_below(tasks.size())];
+          break;
+      }
+    }
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    Bytes bytes;
+    try {
+      bytes = trace::encode_trace(trace::Trace(std::move(streams)));
+    } catch (const snapshot::SnapshotError&) {
+      continue;  // a field the format cannot carry: not a replay case
+    }
+    if (!replays(trace::decode_trace(bytes, "<mutation>"))) ++rejected;
+  }
+  // The replay tolerates some impossible histories (a dropped region
+  // exit) and rejects the ones it cannot place (a task ending where it
+  // is not running); both kinds must occur.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, static_cast<std::size_t>(kMutations));
 }
 
 }  // namespace

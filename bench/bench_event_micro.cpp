@@ -207,6 +207,30 @@ void BM_ClockRead(benchmark::State& state) {
 }
 BENCHMARK(BM_ClockRead);
 
+void BM_TscClockRead(benchmark::State& state) {
+  const TscClock clock;
+  state.SetLabel(clock.uses_tsc() ? "tsc" : "steady_clock fallback");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(clock.now());
+  }
+}
+BENCHMARK(BM_TscClockRead);
+
+/// One event as the real engine stamps it: mark a new event, then the
+/// first listener's virtual now() reads the source and a second listener
+/// gets the same stamp.
+void BM_EventStamp(benchmark::State& state) {
+  EventClock<TscClock> events;
+  const Clock* clock = &events;
+  benchmark::DoNotOptimize(clock);  // keep the calls virtual
+  for (auto _ : state) {
+    events.next_event();
+    benchmark::DoNotOptimize(clock->now());
+    benchmark::DoNotOptimize(clock->now());
+  }
+}
+BENCHMARK(BM_EventStamp);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -3,10 +3,10 @@
 //
 // This bench runs on the actual host (the paper-style experiment), so the
 // numbers are wall-clock and noisy — especially on an oversubscribed
-// machine.  The host this repository targets has a single core, so only
-// 1 and 2 threads are measured and the median of several repetitions is
-// reported.  The virtual-time counterpart (bench_fig13/14) is the primary
-// reproduction.
+// machine.  It measures 1 and 2 threads and reports the median of three
+// repetitions; committed numbers (EXPERIMENTS.md §V-A) name the host they
+// came from.  The virtual-time counterpart (bench_fig13/14) is the
+// primary reproduction.
 #include <algorithm>
 #include <vector>
 
@@ -81,6 +81,6 @@ int main(int argc, char** argv) {
   std::puts(
       "\nexpected shape: fine-grained codes (fib) pay the most; coarse "
       "codes (alignment, strassen, sparselu) pay the least.  Wall-clock "
-      "noise on a shared 1-core host can exceed small overheads.");
+      "noise on a shared host can exceed small overheads.");
   return 0;
 }

@@ -1,10 +1,11 @@
 // Fundamental value types shared by every taskprof subsystem.
 //
 // All time in taskprof is integer ticks; one tick is one nanosecond.  The
-// real-thread engine measures ticks with std::chrono::steady_clock, the
-// discrete-event simulator advances a virtual tick counter.  Using the same
-// integer domain for both lets the measurement layer (src/measure) run
-// unchanged on either engine.
+// real-thread engine measures ticks on std::chrono::steady_clock's epoch
+// (from a calibrated invariant TSC where the CPU has one, see
+// common/clock.hpp), the discrete-event simulator advances a virtual tick
+// counter.  Using the same integer domain for both lets the measurement
+// layer (src/measure) run unchanged on either engine.
 #pragma once
 
 #include <cstdint>

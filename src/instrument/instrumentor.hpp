@@ -75,8 +75,12 @@ class Instrumentor final : public rt::SchedulerHooks {
 
   // --- Results --------------------------------------------------------------
 
-  /// Close the implicit roots of all thread profilers.  Call after the
-  /// last parallel region, while the engine's clocks are still valid.
+  /// Close the implicit roots of all thread profilers.  Each root closes
+  /// at its clock's current reading without starting a new event, so on
+  /// the real engine that is the thread's last event stamp (its implicit
+  /// task's end), not the time of this call.  Call after the last
+  /// parallel region and before the runtime is destroyed: the profilers
+  /// read the engine's clocks.
   void finalize();
 
   /// Per-thread profile views (valid while the instrumentor lives).

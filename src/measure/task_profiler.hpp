@@ -244,7 +244,8 @@ class ThreadTaskProfiler {
   // --- Results ------------------------------------------------------------
 
   /// Close the remaining open implicit frames (normally just the implicit
-  /// root) with the current time.  Call once, after all parallel work is
+  /// root) at the clock's current reading (an event clock returns the
+  /// thread's last event stamp).  Call once, after all parallel work is
   /// done; required before the implicit root's inclusive time is valid.
   void finalize();
 

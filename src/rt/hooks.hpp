@@ -73,8 +73,13 @@ class SchedulerHooks {
   /// The parallel region completed (after the final implicit barrier).
   virtual void on_parallel_end() {}
 
-  /// Thread `thread` starts its implicit task.  `clock` reads this
-  /// thread's time source and stays valid until on_implicit_task_end.
+  /// Thread `thread` starts its implicit task.  `clock` is this thread's
+  /// event clock: every now() during one event (one callback, and the
+  /// same callback on every listener of a FanoutHooks) returns the same
+  /// stamp.  The real engine reads a calibrated TSC lazily, once per
+  /// event, and its clocks stay valid until the runtime is destroyed;
+  /// the simulator returns the worker's virtual time, valid until its
+  /// next parallel region starts.
   virtual void on_implicit_task_begin(ThreadId thread, const Clock& clock) {
     (void)thread;
     (void)clock;

@@ -215,7 +215,13 @@ struct RealRuntime::Impl {
   RealConfig config;
   SchedulerHooks* hooks = nullptr;
   telemetry::Registry* telemetry = nullptr;
-  SteadyClock clock;
+  /// Region spans, RealRuntime::now() and taskgraph body durations.
+  TscClock clock;
+  /// One event clock per thread slot: grown to the largest team, never
+  /// shrunk, so a listener's clock pointer stays valid until the runtime
+  /// dies, even for a slot that sat out later regions.  (Not in
+  /// ThreadState, which parallel() recreates every region.)
+  std::vector<std::unique_ptr<EventClock<TscClock>>> event_clocks;
 
   // --- team state (valid during one parallel region) --------------------
   int nthreads = 0;
@@ -312,6 +318,15 @@ struct RealRuntime::Impl {
   };
   std::vector<std::unique_ptr<ThreadState>> threads;
 
+  /// The listener for one event on thread `tid`, or nullptr.  Every
+  /// thread-bound dispatch goes through here: it starts a new event on
+  /// the thread's clock, so the event's first now() reads the time and
+  /// every later listener of the same event gets the same stamp.
+  SchedulerHooks* event_hooks(ThreadId tid) noexcept {
+    if (hooks != nullptr) event_clocks[tid]->next_event();
+    return hooks;
+  }
+
   // --- scheduling --------------------------------------------------------
 
   /// Fuzzing-only yield injection: widens the race window at a scheduling
@@ -355,7 +370,9 @@ struct RealRuntime::Impl {
     st.telem.add(telemetry::Counter::kTaskgraphDivergences);
     st.telem.add(divergence_counter(note));
     remember_fallback_reason(note);
-    if (hooks != nullptr) hooks->on_scheduler_note(st.tid, note, detail);
+    if (SchedulerHooks* h = event_hooks(st.tid)) {
+      h->on_scheduler_note(st.tid, note, detail);
+    }
   }
 
   void enqueue(ThreadState& st, TaskRecord* rec) {
@@ -674,9 +691,9 @@ struct RealRuntime::Impl {
   }
 
   void execute(ThreadState& st, TaskContext& ctx, TaskRecord* rec) {
-    if (hooks != nullptr) {
-      hooks->on_task_begin(st.tid, rec->id, rec->attrs.region,
-                           rec->attrs.parameter);
+    if (SchedulerHooks* h = event_hooks(st.tid)) {
+      h->on_task_begin(st.tid, rec->id, rec->attrs.region,
+                       rec->attrs.parameter);
     }
     st.telem.add(telemetry::Counter::kTasksExecuted);
     if (st.telem.attached()) {
@@ -693,7 +710,9 @@ struct RealRuntime::Impl {
       // Duration estimate for the partitioner.  Nested tasks executed at
       // this task's scheduling points inflate it; that is acceptable for
       // a load-balancing weight and costs nothing to the replay path.
-      recorder->record_duration(rec->graph_node, clock.now() - body_t0);
+      // Clamped: two unfenced TSC reads may step backwards.
+      recorder->record_duration(rec->graph_node,
+                                std::max<Ticks>(clock.now() - body_t0, 0));
     }
     st.task_stack.pop_back();
     if (graph_mode == GraphMode::kReplay && rec->graph_node != kGraphNone &&
@@ -707,7 +726,9 @@ struct RealRuntime::Impl {
               rec->graph_node);
       replay.cancel_children_from(rec->graph_node, rec->replay_ordinal);
     }
-    if (hooks != nullptr) hooks->on_task_end(st.tid, rec->id);
+    if (SchedulerHooks* h = event_hooks(st.tid)) {
+      h->on_task_end(st.tid, rec->id);
+    }
     // parent == nullptr only for detached root replay spawns (see
     // replay_spawn): no child accounting to settle.
     TaskRecord* parent = rec->parent;
@@ -737,8 +758,10 @@ struct RealRuntime::Impl {
     // Resuming an enclosing *explicit* task is a task switch (Fig. 12);
     // returning to the implicit task is implied by on_task_end.
     TaskRecord* enclosing = st.task_stack.back();
-    if (hooks != nullptr && enclosing != &st.implicit_record) {
-      hooks->on_task_switch(st.tid, enclosing->id);
+    if (enclosing != &st.implicit_record) {
+      if (SchedulerHooks* h = event_hooks(st.tid)) {
+        h->on_task_switch(st.tid, enclosing->id);
+      }
     }
   }
 };
@@ -752,9 +775,8 @@ class RealContext final : public TaskContext {
       : rt_(rt), st_(st) {}
 
   void create_task(TaskFn fn, TaskAttrs attrs) override {
-    SchedulerHooks* hooks = rt_.hooks;
-    if (hooks != nullptr) {
-      hooks->on_task_create_begin(st_.tid, attrs.region, attrs.parameter);
+    if (SchedulerHooks* h = rt_.event_hooks(st_.tid)) {
+      h->on_task_create_begin(st_.tid, attrs.region, attrs.parameter);
     }
     const TaskInstanceId id = rt_.next_instance_id(st_);
     ++st_.created;
@@ -768,9 +790,7 @@ class RealContext final : public TaskContext {
     if (!attrs.undeferred &&
         rt_.graph_mode == RealRuntime::Impl::GraphMode::kReplay &&
         replay_spawn(fn, attrs, id)) {
-      if (hooks != nullptr) {
-        hooks->on_task_create_end(st_.tid, id, attrs.region, attrs.parameter);
-      }
+      create_end(id, attrs);
       return;
     }
     st_.telem.add(telemetry::Counter::kSlabAllocs);
@@ -796,9 +816,7 @@ class RealContext final : public TaskContext {
       // so its deferred descendants stay dynamic in both phases.
       rec->deferred = false;
       rt_.execute(st_, *this, rec);
-      if (hooks != nullptr) {
-        hooks->on_task_create_end(st_.tid, id, attrs.region, attrs.parameter);
-      }
+      create_end(id, attrs);
       return;
     }
     rec->deferred = true;
@@ -816,14 +834,13 @@ class RealContext final : public TaskContext {
     rec->parent->pending_children.fetch_add(1, std::memory_order_relaxed);
     rt_.outstanding.fetch_add(1, std::memory_order_relaxed);
     rt_.enqueue(st_, rec);
-    if (hooks != nullptr) {
-      hooks->on_task_create_end(st_.tid, id, attrs.region, attrs.parameter);
-    }
+    create_end(id, attrs);
   }
 
   void taskwait() override {
-    SchedulerHooks* hooks = rt_.hooks;
-    if (hooks != nullptr) hooks->on_taskwait_begin(st_.tid);
+    if (SchedulerHooks* h = rt_.event_hooks(st_.tid)) {
+      h->on_taskwait_begin(st_.tid);
+    }
     st_.telem.add(telemetry::Counter::kTaskwaitEntries);
     rt_.perturb(st_, SchedulePoint::kTaskwait);
     TaskRecord* current = st_.task_stack.back();
@@ -844,7 +861,9 @@ class RealContext final : public TaskContext {
         std::this_thread::yield();
       }
     }
-    if (hooks != nullptr) hooks->on_taskwait_end(st_.tid);
+    if (SchedulerHooks* h = rt_.event_hooks(st_.tid)) {
+      h->on_taskwait_end(st_.tid);
+    }
   }
 
   void barrier() override { barrier_impl(/*implicit=*/false); }
@@ -852,8 +871,9 @@ class RealContext final : public TaskContext {
   void barrier_impl(bool implicit) {
     TASKPROF_ASSERT(st_.task_stack.back() == &st_.implicit_record,
                     "barrier must be called from the implicit task");
-    SchedulerHooks* hooks = rt_.hooks;
-    if (hooks != nullptr) hooks->on_barrier_begin(st_.tid, implicit);
+    if (SchedulerHooks* h = rt_.event_hooks(st_.tid)) {
+      h->on_barrier_begin(st_.tid, implicit);
+    }
     st_.telem.add(telemetry::Counter::kBarrierEntries);
     rt_.perturb(st_, SchedulePoint::kBarrier);
     const std::uint64_t generation = ++st_.barrier_counter;
@@ -909,7 +929,9 @@ class RealContext final : public TaskContext {
         }
       }
     }
-    if (hooks != nullptr) hooks->on_barrier_end(st_.tid, implicit);
+    if (SchedulerHooks* h = rt_.event_hooks(st_.tid)) {
+      h->on_barrier_end(st_.tid, implicit);
+    }
   }
 
   bool single() override {
@@ -941,14 +963,14 @@ class RealContext final : public TaskContext {
   }
 
   void region_enter(RegionHandle region, std::int64_t parameter) override {
-    if (SchedulerHooks* hooks = rt_.hooks) {
-      hooks->on_region_enter(st_.tid, region, parameter);
+    if (SchedulerHooks* h = rt_.event_hooks(st_.tid)) {
+      h->on_region_enter(st_.tid, region, parameter);
     }
   }
 
   void region_exit(RegionHandle region) override {
-    if (SchedulerHooks* hooks = rt_.hooks) {
-      hooks->on_region_exit(st_.tid, region);
+    if (SchedulerHooks* h = rt_.event_hooks(st_.tid)) {
+      h->on_region_exit(st_.tid, region);
     }
   }
 
@@ -1043,6 +1065,12 @@ class RealContext final : public TaskContext {
     return true;
   }
 
+  void create_end(TaskInstanceId id, const TaskAttrs& attrs) {
+    if (SchedulerHooks* h = rt_.event_hooks(st_.tid)) {
+      h->on_task_create_end(st_.tid, id, attrs.region, attrs.parameter);
+    }
+  }
+
   void count_yield() noexcept {
     st_.telem.add(telemetry::Counter::kSchedYields);
   }
@@ -1072,6 +1100,9 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
   }
   Impl& rt = *impl_;
   rt.nthreads = num_threads;
+  while (rt.event_clocks.size() < static_cast<std::size_t>(num_threads)) {
+    rt.event_clocks.push_back(std::make_unique<EventClock<TscClock>>());
+  }
   rt.queues.clear();
   rt.threads.clear();
   rt.single_shards = std::make_unique<SingleShard[]>(kSingleShards);
@@ -1195,14 +1226,17 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
     Impl::ThreadState& st = *rt.threads[tid];
     st.task_stack.push_back(&st.implicit_record);
     RealContext ctx(rt, st);
-    if (rt.hooks != nullptr) rt.hooks->on_implicit_task_begin(tid, rt.clock);
-    if (tid == 0 && rt.graph_mode == Impl::GraphMode::kFallback &&
-        rt.hooks != nullptr) {
+    if (SchedulerHooks* h = rt.event_hooks(tid)) {
+      h->on_implicit_task_begin(tid, *rt.event_clocks[tid]);
+    }
+    if (tid == 0 && rt.graph_mode == Impl::GraphMode::kFallback) {
       // Announce *why* this region runs dynamically on a recorded graph:
       // detail carries the original divergence cause.
-      rt.hooks->on_scheduler_note(
-          0, SchedulerNote::kTaskgraphFallbackStale,
-          rt.fallback_reason.load(std::memory_order_relaxed));
+      if (SchedulerHooks* h = rt.event_hooks(0)) {
+        h->on_scheduler_note(
+            0, SchedulerNote::kTaskgraphFallbackStale,
+            rt.fallback_reason.load(std::memory_order_relaxed));
+      }
     }
     body(ctx);
     if (rt.graph_mode == Impl::GraphMode::kReplay &&
@@ -1239,7 +1273,7 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
       }
     }
     ctx.barrier_impl(/*implicit=*/true);
-    if (rt.hooks != nullptr) rt.hooks->on_implicit_task_end(tid);
+    if (SchedulerHooks* h = rt.event_hooks(tid)) h->on_implicit_task_end(tid);
   };
 
   std::vector<std::thread> extra;
@@ -1284,10 +1318,10 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
         rt.telemetry->add(0, telemetry::Counter::kTaskgraphDivergeResidue);
       }
       rt.remember_fallback_reason(SchedulerNote::kTaskgraphDivergeResidue);
-      if (rt.hooks != nullptr) {
-        // Post-join, so this fires on the master's track; worker 0's
-        // recorder clock is still bound.
-        rt.hooks->on_scheduler_note(
+      // Post-join, so this fires on the master thread, which is worker
+      // 0: its event clock is the one to stamp.
+      if (SchedulerHooks* h = rt.event_hooks(0)) {
+        h->on_scheduler_note(
             0, SchedulerNote::kTaskgraphDivergeResidue,
             static_cast<std::int64_t>(rt.replay.unspawned_count()));
       }

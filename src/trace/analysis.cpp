@@ -34,6 +34,15 @@ struct Replayed {
   int depth = 0;
 };
 
+/// Time the instance waited between its creation and its first fragment,
+/// clamped at 0.  An undeferred task never waits in a queue: it runs
+/// inside its creation construct, whose end is stamped after it ran.  A
+/// thief may also stamp its begin before the creator stamps create_end,
+/// which the engine records after the enqueue.
+Ticks queue_latency(const TaskLifetime& life) {
+  return std::max<Ticks>(life.begin - life.created, 0);
+}
+
 }  // namespace
 
 TraceAnalysis analyze_trace(const Trace& trace,
@@ -211,9 +220,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
     const TaskLifetime& life = task.life;
     if (!life.completed) continue;
     out.total_active += life.active;
-    if (life.created != 0 || life.begin >= life.created) {
-      out.queue_latency.add(life.begin - life.created);
-    }
+    out.queue_latency.add(queue_latency(life));
     out.instance_fragments.add(life.fragments);
     out.tasks.push_back(life);
   }
@@ -241,7 +248,7 @@ std::string render_analysis(const TraceAnalysis& analysis,
     ConstructAgg& agg = constructs[life.region];
     agg.instances += 1;
     agg.active += life.active;
-    agg.latency.add(life.begin - life.created);
+    agg.latency.add(queue_latency(life));
     agg.fragments += static_cast<std::uint64_t>(life.fragments);
     agg.migrations += static_cast<std::uint64_t>(life.migrations);
   }

@@ -83,7 +83,7 @@ struct TraceAnalysis {
   std::vector<ThreadUsage> threads;
 
   Ticks total_active = 0;            ///< sum of task fragment time
-  DurationStats queue_latency;       ///< per instance: begin - created
+  DurationStats queue_latency;       ///< per instance: begin - created, >= 0
   DurationStats instance_fragments;  ///< fragments per instance
 
   // Synchronization decomposition (§VII).

@@ -16,6 +16,7 @@
 #include "rt/real_runtime.hpp"
 #include "rt/sim_runtime.hpp"
 #include "rt/task_context.hpp"
+#include "test_util.hpp"
 
 namespace taskprof {
 namespace {
@@ -233,17 +234,7 @@ class CostHooks final : public rt::SchedulerHooks {
   std::uint64_t ticks_ = 0;
 };
 
-/// Binary task tree of the given depth with a taskwait at every level.
-void spawn_tree(rt::TaskContext& ctx, int depth, rt::TaskAttrs attrs) {
-  ctx.work(30);
-  if (depth == 0) return;
-  for (int child = 0; child < 2; ++child) {
-    ctx.create_task(
-        [depth, attrs](rt::TaskContext& c) { spawn_tree(c, depth - 1, attrs); },
-        attrs);
-  }
-  ctx.taskwait();
-}
+using testutil::spawn_tree;
 
 std::uint64_t hook_events(const Registry& registry) {
   return registry.snapshot().counter(Counter::kHookEvents);
@@ -393,12 +384,10 @@ TEST(TimedHooks, CountsEveryCallbackThroughTaskgraphDivergence) {
   telemetry::TimedHooks timed(&inner, &registry);
   runtime.set_hooks(&timed);
   runtime.set_telemetry(&registry);
-  // Record, replay, diverge (the deeper tree fires structure notes on the
-  // workers), then run twice on the stale graph (a fallback note each).
   // The residue note, fired after on_parallel_end, needs graph slots that
   // no detectable divergence cancelled; no program here reaches that
   // sweep, so ChargesInnerCallbackTimeToRegistry drives its order.
-  for (const int depth : {5, 5, 6, 4, 5}) {
+  for (const int depth : testutil::kTaskgraphDivergenceDepths) {
     (void)runtime.parallel(4, [depth](rt::TaskContext& ctx) {
       if (ctx.single()) spawn_tree(ctx, depth, {});
     });

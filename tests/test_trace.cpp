@@ -9,12 +9,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "bots/kernel.hpp"
 #include "instrument/instrumentor.hpp"
@@ -218,6 +221,51 @@ TEST_F(TraceTest, AnalysisReconstructsTaskLifetimes) {
   EXPECT_GE(analysis.total_active, 60'000);
   EXPECT_EQ(analysis.queue_latency.count, 6u);
   EXPECT_GT(analysis.queue_latency.mean(), 0.0);
+}
+
+// An undeferred (if-clause) task runs inside its creation construct, so
+// its create_end is stamped after its begin.  It never waited in a queue,
+// so its latency counts as 0: neither the aggregate minimum nor any
+// per-construct mean may go negative.
+TEST(TraceAnalysis, IfClauseTasksNeverReportNegativeQueueLatency) {
+  for (const char* name : {"nqueens", "health"}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(name) + " x" + std::to_string(threads));
+      RegionRegistry registry;
+      rt::SimRuntime sim;
+      TraceRecorder recorder;
+      sim.set_hooks(&recorder);
+      bots::KernelConfig config;
+      config.threads = threads;
+      config.size = bots::SizeClass::kTest;
+      config.cutoff = true;
+      config.if_clause = true;
+      ASSERT_TRUE(bots::make_kernel(name)->run(sim, registry, config).ok);
+      sim.set_hooks(nullptr);
+      const trace::TraceAnalysis analysis =
+          trace::analyze_trace(recorder.take());
+      ASSERT_FALSE(analysis.tasks.empty());
+      EXPECT_EQ(analysis.queue_latency.count, analysis.tasks.size());
+      EXPECT_GE(analysis.queue_latency.min, 0);
+      // The per-construct table comes first; no cell in it is negative.
+      const std::string report = trace::render_analysis(analysis, registry);
+      std::istringstream table(report.substr(0, report.find("\n\n")));
+      std::string line;
+      std::getline(table, line);  // header
+      std::getline(table, line);  // rule
+      int rows = 0;
+      while (std::getline(table, line)) {
+        ++rows;
+        std::istringstream cells(line);
+        for (std::string cell; cells >> cell;) {
+          EXPECT_FALSE(cell.size() > 1 && cell[0] == '-' &&
+                       std::isdigit(static_cast<unsigned char>(cell[1])))
+              << line;
+        }
+      }
+      EXPECT_GT(rows, 0);
+    }
+  }
 }
 
 TEST_F(TraceTest, SuspendedTasksHaveMultipleFragments) {

@@ -14,9 +14,28 @@
 #include <vector>
 
 #include "rt/hooks.hpp"
+#include "rt/task_context.hpp"
 #include "trace/trace.hpp"
 
 namespace taskprof::testutil {
+
+/// Binary task tree of the given depth with a taskwait at every level.
+inline void spawn_tree(rt::TaskContext& ctx, int depth, rt::TaskAttrs attrs) {
+  ctx.work(30);
+  if (depth == 0) return;
+  for (int child = 0; child < 2; ++child) {
+    ctx.create_task(
+        [depth, attrs](rt::TaskContext& c) { spawn_tree(c, depth - 1, attrs); },
+        attrs);
+  }
+  ctx.taskwait();
+}
+
+/// spawn_tree depths, one region each, that drive a kTaskGraph real
+/// runtime through record, replay, divergence (the deeper tree fires
+/// structure notes on the workers) and two regions on the stale graph (a
+/// fallback note each).  Replay regions take the static create path.
+inline constexpr int kTaskgraphDivergenceDepths[] = {5, 5, 6, 4, 5};
 
 /// Records every scheduler event (thread-safe; the real engine emits from
 /// many threads).

@@ -1059,7 +1059,13 @@ int main(int argc, char** argv) {
       measure.snapshot_every = static_cast<Ticks>(
           cli.snapshot_every_ms > 0 ? cli.snapshot_every_ms * 1'000'000 : 1);
     }
-    instrumentor = std::make_unique<Instrumentor>(registry, measure);
+    try {
+      instrumentor = std::make_unique<Instrumentor>(registry, measure);
+    } catch (const std::exception& error) {
+      // Armed snapshots need membarrier(2), which a kernel may refuse.
+      std::fprintf(stderr, "%s\n", error.what());
+      return 1;
+    }
     fanout.add(instrumentor.get());
   }
   if (cli.trace) {

@@ -1,7 +1,10 @@
 #include "common/format.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <memory>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -9,9 +12,23 @@
 namespace taskprof {
 
 std::string format_fixed(double value, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
+  // printf's "%.*f" output: a negative precision means the default, 6.
+  const int precision = decimals < 0 ? 6 : decimals;
+  // The longest result is a sign, the 309 integer digits of DBL_MAX, the
+  // point and the decimals; the buffer always holds it.
+  const std::size_t longest =
+      2 + std::numeric_limits<double>::max_exponent10 + 1 +
+      static_cast<std::size_t>(precision);
+  char stack[512];
+  std::unique_ptr<char[]> heap;
+  char* buf = stack;
+  if (longest > sizeof stack) {
+    heap = std::make_unique<char[]>(longest);
+    buf = heap.get();
+  }
+  const std::to_chars_result result = std::to_chars(
+      buf, buf + longest, value, std::chars_format::fixed, precision);
+  return std::string(buf, result.ptr);
 }
 
 std::string format_ticks(Ticks t) {

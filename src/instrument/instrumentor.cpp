@@ -13,14 +13,17 @@ Instrumentor::Instrumentor(RegionRegistry& registry, MeasureOptions options)
       "implicit barrier", RegionType::kImplicitBarrier);
   barrier_ = registry.register_region("barrier", RegionType::kBarrier);
   taskwait_ = registry.register_region("taskwait", RegionType::kTaskwait);
+  if (options_.snapshot_every > 0) {
+    ThreadTaskProfiler::register_capture_barrier();
+  }
 }
 
 Instrumentor::~Instrumentor() = default;
 
 void Instrumentor::on_parallel_begin(int num_threads) {
-  if (profilers_.size() < static_cast<std::size_t>(num_threads)) {
-    std::scoped_lock lock(profilers_mutex_);
-    profilers_.resize(static_cast<std::size_t>(num_threads));
+  if (threads_.size() < static_cast<std::size_t>(num_threads)) {
+    std::scoped_lock lock(threads_mutex_);
+    threads_.resize(static_cast<std::size_t>(num_threads));
   }
 }
 
@@ -42,7 +45,7 @@ void Instrumentor::on_task_create_begin(ThreadId thread, RegionHandle region,
                                         std::int64_t parameter) {
   ThreadTaskProfiler* prof = profiler(thread);
   TASKPROF_ASSERT(prof != nullptr, "event on unknown thread");
-  prof->enter(create_region_for(region), parameter);
+  prof->enter(thread_create_region(thread, region), parameter);
 }
 
 void Instrumentor::on_task_create_end(ThreadId thread, TaskInstanceId created,
@@ -51,8 +54,8 @@ void Instrumentor::on_task_create_end(ThreadId thread, TaskInstanceId created,
   (void)parameter;
   ThreadTaskProfiler* prof = profiler(thread);
   TASKPROF_ASSERT(prof != nullptr, "event on unknown thread");
-  prof->note_task_created(created);
-  prof->exit(create_region_for(region));
+  if (options_.creation_site_attribution) prof->note_task_created(created);
+  prof->exit(thread_create_region(thread, region));
 }
 
 void Instrumentor::on_task_begin(ThreadId thread, TaskInstanceId id,
@@ -131,15 +134,15 @@ void Instrumentor::filter_region(RegionHandle region) {
 }
 
 void Instrumentor::finalize() {
-  for (auto& prof : profilers_) {
-    if (prof != nullptr) prof->finalize();
+  for (ThreadSlot& slot : threads_) {
+    if (slot.profiler != nullptr) slot.profiler->finalize();
   }
 }
 
 std::vector<ThreadProfileView> Instrumentor::views() const {
   std::vector<ThreadProfileView> out;
-  for (const auto& prof : profilers_) {
-    if (prof != nullptr) out.push_back(prof->view());
+  for (const ThreadSlot& slot : threads_) {
+    if (slot.profiler != nullptr) out.push_back(slot.profiler->view());
   }
   return out;
 }
@@ -150,15 +153,17 @@ AggregateProfile Instrumentor::aggregate() const {
 }
 
 Instrumentor::CaptureResult Instrumentor::capture_snapshot() const {
-  std::scoped_lock lock(profilers_mutex_);
+  std::scoped_lock lock(threads_mutex_);
   CaptureResult result;
   NodePool scratch;
   std::vector<ThreadTaskProfiler::CaptureView> captured;
-  for (const auto& prof : profilers_) {
-    if (prof == nullptr) continue;
+  for (const ThreadSlot& slot : threads_) {
+    if (slot.profiler == nullptr) continue;
     ++result.profilers_live;
     ThreadTaskProfiler::CaptureView view;
-    if (prof->capture(scratch, view)) captured.push_back(std::move(view));
+    if (slot.profiler->capture(scratch, view)) {
+      captured.push_back(std::move(view));
+    }
   }
   result.profilers_captured = captured.size();
   std::vector<ThreadProfileView> views;
@@ -180,24 +185,24 @@ Instrumentor::CaptureResult Instrumentor::capture_snapshot() const {
 
 Instrumentor::MemoryStats Instrumentor::memory_stats() const {
   MemoryStats stats;
-  for (const auto& prof : profilers_) {
-    if (prof == nullptr) continue;
-    stats.nodes += prof->pool().allocated();
-    stats.free_nodes += prof->pool().free_count();
+  for (const ThreadSlot& slot : threads_) {
+    if (slot.profiler == nullptr) continue;
+    stats.nodes += slot.profiler->pool().allocated();
+    stats.free_nodes += slot.profiler->pool().free_count();
   }
   stats.bytes = stats.nodes * sizeof(CallNode);
   return stats;
 }
 
 void Instrumentor::reset_concurrency_marks() {
-  for (auto& prof : profilers_) {
-    if (prof != nullptr) prof->reset_max_concurrent();
+  for (ThreadSlot& slot : threads_) {
+    if (slot.profiler != nullptr) slot.profiler->reset_max_concurrent();
   }
 }
 
 ThreadTaskProfiler* Instrumentor::profiler(ThreadId thread) noexcept {
-  if (thread >= profilers_.size()) return nullptr;
-  return profilers_[thread].get();
+  if (thread >= threads_.size()) return nullptr;
+  return threads_[thread].profiler.get();
 }
 
 RegionHandle Instrumentor::create_region_for(RegionHandle task_region) {
@@ -213,15 +218,26 @@ RegionHandle Instrumentor::create_region_for(RegionHandle task_region) {
   return handle;
 }
 
+RegionHandle Instrumentor::thread_create_region(ThreadId thread,
+                                                RegionHandle region) {
+  std::vector<RegionHandle>& table = threads_[thread].create_regions;
+  if (region < table.size() && table[region] != kInvalidRegion) {
+    return table[region];
+  }
+  if (table.size() <= region) table.resize(region + 1, kInvalidRegion);
+  table[region] = create_region_for(region);
+  return table[region];
+}
+
 ThreadTaskProfiler& Instrumentor::profiler_for(ThreadId thread,
                                                const Clock& clock) {
-  TASKPROF_ASSERT(thread < profilers_.size(),
+  TASKPROF_ASSERT(thread < threads_.size(),
                   "thread id outside the announced team size");
-  auto& slot = profilers_[thread];
+  std::unique_ptr<ThreadTaskProfiler>& slot = threads_[thread].profiler;
   if (slot == nullptr) {
     // Lock held across construction so capture_snapshot never observes
     // a half-built profiler; only the owning thread creates its slot.
-    std::scoped_lock lock(profilers_mutex_);
+    std::scoped_lock lock(threads_mutex_);
     slot = std::make_unique<ThreadTaskProfiler>(thread, clock, implicit_task_,
                                                 options_);
   } else {

@@ -33,7 +33,9 @@ class Instrumentor final : public rt::SchedulerHooks {
  public:
   /// `registry` must outlive the instrumentor; construct regions
   /// ("parallel", "implicit barrier", "taskwait", ...) are registered in
-  /// it here.
+  /// it here.  With options.snapshot_every > 0 this also registers the
+  /// process for the capture barrier and throws std::system_error when
+  /// the kernel refuses (ThreadTaskProfiler::register_capture_barrier).
   explicit Instrumentor(RegionRegistry& registry, MeasureOptions options = {});
   ~Instrumentor() override;
 
@@ -138,11 +140,26 @@ class Instrumentor final : public rt::SchedulerHooks {
   }
 
   /// The "create task" region paired with a task-construct region
-  /// (registered on demand: one creation region per construct).
+  /// (registered on demand: one creation region per construct).  Takes
+  /// a mutex; the create events resolve through the calling thread's
+  /// table instead and come here only on a thread's first creation of
+  /// a construct.
   [[nodiscard]] RegionHandle create_region_for(RegionHandle task_region);
 
  private:
+  /// Per-thread state; only the owning thread writes it after
+  /// on_parallel_begin sized the table.
+  struct ThreadSlot {
+    std::unique_ptr<ThreadTaskProfiler> profiler;
+    /// Create region per task-region handle, kInvalidRegion until this
+    /// thread first creates a task of that construct.
+    std::vector<RegionHandle> create_regions;
+  };
+
   ThreadTaskProfiler& profiler_for(ThreadId thread, const Clock& clock);
+  /// create_region_for through `thread`'s table: no lock once the
+  /// thread has seen the construct.
+  RegionHandle thread_create_region(ThreadId thread, RegionHandle region);
 
   RegionRegistry* registry_;
   MeasureOptions options_;
@@ -155,13 +172,15 @@ class Instrumentor final : public rt::SchedulerHooks {
 
   // Indexed by ThreadId; slots are pre-sized single-threadedly in
   // on_parallel_begin, then each worker touches only its own slot.
-  // profilers_mutex_ serializes the points where the table itself
-  // changes (resize, slot creation) against capture_snapshot()'s
-  // iteration from the flusher thread; per-event accesses read an
-  // already-created slot and take no lock.
-  std::vector<std::unique_ptr<ThreadTaskProfiler>> profilers_;
-  mutable std::mutex profilers_mutex_;
+  // threads_mutex_ serializes the points where the table itself changes
+  // (resize, profiler creation) against capture_snapshot()'s iteration
+  // from the flusher thread; per-event accesses read an already-created
+  // slot and take no lock.
+  std::vector<ThreadSlot> threads_;
+  mutable std::mutex threads_mutex_;
 
+  // The one registration point of create regions, behind the per-thread
+  // tables.
   mutable std::mutex create_map_mutex_;
   std::unordered_map<RegionHandle, RegionHandle> create_regions_;
 

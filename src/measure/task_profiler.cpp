@@ -1,7 +1,13 @@
 #include "measure/task_profiler.hpp"
 
+#include <linux/membarrier.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -10,23 +16,30 @@
 namespace taskprof {
 
 // Worker side of the crash-safe capture handshake.  Guards the body of
-// every mutating event method.  The event-open declaration (odd
-// sequence number) happens *before* the pause-flag check: the flusher
-// stores the flag and then waits for an even sequence, both seq_cst, so
-// in the single total order either the flusher's even-read precedes our
-// increment — then our flag-load must observe the flag and we retract
-// and spin — or our increment precedes it and the flusher keeps
-// waiting.  Either way no event body overlaps the flusher's copy, with
-// no lock on the worker side and nothing at all when disarmed.
+// every mutating event method with no lock and no locked instruction.
+// Only the owning thread writes event_seq_, so opening an event is a
+// plain store of the next odd value; the signal fence keeps the compiler
+// from sinking that store below the pause-flag load, and the hardware
+// may still let the load overtake it.  The capturer closes that window:
+// it stores the flag and then runs a process-wide barrier (capture()),
+// which puts a full fence into this thread's instruction stream at some
+// point P.  If P precedes our flag load, the load sees the flag and we
+// retract and park; otherwise P follows our odd store, which the
+// capturer therefore sees, and it waits for the release store that ends
+// the event.  Either way no event body overlaps the copy.  The flag load
+// is acquire so that an event admitted after a capture cleared the flag
+// (release) is ordered after that capture's copy.
 class ThreadTaskProfiler::EventScope {
  public:
   explicit EventScope(const ThreadTaskProfiler& profiler) noexcept
       : profiler_(profiler) {
     if (!profiler_.capture_enabled_) return;
+    seq_ = profiler_.event_seq_.load(std::memory_order_relaxed);
     for (;;) {
-      profiler_.event_seq_.fetch_add(1, std::memory_order_seq_cst);
-      if (!profiler_.capture_pause_.load(std::memory_order_seq_cst)) return;
-      profiler_.event_seq_.fetch_add(1, std::memory_order_seq_cst);
+      profiler_.event_seq_.store(++seq_, std::memory_order_relaxed);
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+      if (!profiler_.capture_pause_.load(std::memory_order_acquire)) return;
+      profiler_.event_seq_.store(++seq_, std::memory_order_release);
       while (profiler_.capture_pause_.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
@@ -34,16 +47,21 @@ class ThreadTaskProfiler::EventScope {
   }
   ~EventScope() {
     if (!profiler_.capture_enabled_) return;
-    profiler_.event_seq_.fetch_add(1, std::memory_order_release);
+    profiler_.event_seq_.store(seq_ + 1, std::memory_order_release);
   }
   EventScope(const EventScope&) = delete;
   EventScope& operator=(const EventScope&) = delete;
 
  private:
   const ThreadTaskProfiler& profiler_;
+  std::uint64_t seq_ = 0;  ///< odd value published while the body runs
 };
 
 namespace {
+
+long membarrier(int command) {
+  return syscall(__NR_membarrier, command, 0U, 0);
+}
 
 /// Deep copy of a subtree into `pool` (metrics included, accelerator
 /// state not).  Same iterative parallel-preorder walk as merge_subtree.
@@ -84,6 +102,7 @@ ThreadTaskProfiler::ThreadTaskProfiler(ThreadId thread, const Clock& clock,
     : thread_(thread), clock_(&clock), options_(options) {
   pool_.set_lookup_acceleration(options_.child_lookup_acceleration);
   capture_enabled_ = options_.snapshot_every > 0;
+  if (capture_enabled_) register_capture_barrier();
   implicit_root_ =
       pool_.allocate(implicit_region, kNoParameter, false, nullptr);
   implicit_root_->visits = 1;
@@ -332,19 +351,35 @@ TaskInstanceId ThreadTaskProfiler::current_task() const noexcept {
   return current_ == nullptr ? kImplicitTaskId : current_->id;
 }
 
+void ThreadTaskProfiler::register_capture_barrier() {
+  if (membarrier(MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED) != 0) {
+    const int error = errno;
+    throw std::system_error(
+        error, std::generic_category(),
+        "snapshot capture needs membarrier(2) private expedited "
+        "(Linux >= 4.14)");
+  }
+}
+
 bool ThreadTaskProfiler::capture(NodePool& into, CaptureView& out) const {
   if (!capture_enabled_) return false;
-  capture_pause_.store(true, std::memory_order_seq_cst);
+  // The barrier orders this store before everything the worker does
+  // after its fence point, so the store itself can be relaxed.
+  capture_pause_.store(true, std::memory_order_relaxed);
+  if (membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED) != 0) {
+    capture_pause_.store(false, std::memory_order_release);
+    return false;
+  }
   // Wait for the worker to leave its current event body (even sequence
-  // number).  Once we observe an even value, any event that starts
-  // afterwards must see the pause flag (its seq_cst increment follows
-  // our seq_cst read in the total order, so its flag load follows our
-  // flag store) and spins — the copy below runs in mutual exclusion.
+  // number).  After the barrier, an event the worker opened before its
+  // fence point shows here as odd, and any event it opens after that
+  // point sees the pause flag and parks (EventScope): once we observe an
+  // even value, the copy below runs in mutual exclusion.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
   bool quiesced = false;
   for (;;) {
-    if ((event_seq_.load(std::memory_order_seq_cst) & 1) == 0) {
+    if ((event_seq_.load(std::memory_order_acquire) & 1) == 0) {
       quiesced = true;
       break;
     }

@@ -93,11 +93,15 @@ struct MeasureOptions {
 
   /// Period (ns) between crash-safe snapshot flushes (src/snapshot).
   /// Non-zero arms the capture handshake on every profiler: event
-  /// methods then pay two sequentially-consistent counter bumps so a
-  /// background flusher can pause the profiler at an event boundary and
-  /// copy its trees (ThreadTaskProfiler::capture).  0 (the default)
-  /// disarms it completely — events pay one predictable branch, which
-  /// keeps the bench_event_hotpath speedup gate honest.
+  /// methods then publish an odd/even sequence number with plain stores
+  /// and read a pause flag with one acquire load — no lock and no locked
+  /// instruction — so a background flusher can pause the profiler at an
+  /// event boundary and copy its trees (ThreadTaskProfiler::capture).
+  /// Arming needs the kernel's membarrier(2) private expedited command;
+  /// the profiler and the instrumentor constructors throw
+  /// std::system_error when it is refused.  0 (the default) disarms it
+  /// completely — events pay one predictable branch, which keeps the
+  /// bench_event_hotpath speedup gate honest.
   Ticks snapshot_every = 0;
 };
 
@@ -228,18 +232,26 @@ class ThreadTaskProfiler {
 
   /// Copy the implicit tree and the merged per-construct trees into
   /// `into` without stopping the run for longer than one event boundary.
-  /// Protocol (DESIGN.md "crash-safe snapshots"): set the pause flag,
-  /// wait for the event sequence number to be even (no event body open),
-  /// copy, clear the flag; an event that starts meanwhile observes the
-  /// flag and spins at its boundary.  Open implicit frames are closed in
-  /// the *copy* at the profiler's last event timestamp, so the copy
-  /// satisfies the per-node fragment invariants; in-flight task
-  /// instances are not merged (the caller marks the aggregate
-  /// partial_capture).  Returns false — capturing nothing — when the
-  /// handshake is disarmed (options.snapshot_every == 0) or the worker
+  /// Protocol (DESIGN.md §11, "Capture handshake"): set the pause flag,
+  /// run one process-wide memory barrier (membarrier(2)), which stands
+  /// in for the fence the worker side leaves out, wait for the event
+  /// sequence number to be even (no event body open), copy, clear the
+  /// flag; an event that starts meanwhile observes the flag and parks at
+  /// its boundary.  Open implicit frames are closed in the *copy* at the
+  /// profiler's last event timestamp, so the copy satisfies the per-node
+  /// fragment invariants; in-flight task instances are not merged (the
+  /// caller marks the aggregate partial_capture).  Returns false —
+  /// capturing nothing — when the handshake is disarmed
+  /// (options.snapshot_every == 0), the barrier fails, or the worker
   /// failed to quiesce within the timeout.  Must be called from a thread
   /// that does not drive this profiler's events.
   [[nodiscard]] bool capture(NodePool& into, CaptureView& out) const;
+
+  /// Register the process for the capture barrier
+  /// (MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED).  Armed profilers and
+  /// instrumentors call it on construction; the kernel treats repeats as
+  /// no-ops.  Throws std::system_error when the kernel refuses.
+  static void register_capture_barrier();
 
   // --- Results ------------------------------------------------------------
 
@@ -337,8 +349,9 @@ class ThreadTaskProfiler {
   // --- Crash-safe capture coordination (see capture()) --------------------
   // Armed only when options_.snapshot_every > 0; disarmed, every event
   // pays a single predictable branch and never touches the atomics.
-  // event_seq_ is odd while an event body runs (EventScope, .cpp);
-  // capture_pause_ asks workers to hold at their next event boundary.
+  // event_seq_ is odd while an event body runs (EventScope, .cpp); only
+  // the owning thread writes it.  capture_pause_ asks workers to hold at
+  // their next event boundary.
   class EventScope;
   bool capture_enabled_ = false;
   mutable std::atomic<bool> capture_pause_{false};

@@ -80,7 +80,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
   };
 
   auto open_fragment = [&](ThreadReplay& state, ThreadId thread,
-                           TaskInstanceId id, Ticks now) {
+                           TaskInstanceId id, Ticks now) -> TaskLifetime& {
     if (!state.sync_stack.empty()) {
       classify_gap(thread, now - state.sync_stack.back().last_activity);
       state.sync_stack.back().last_activity = now;
@@ -89,12 +89,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
     state.fragment_start = now;
     TaskLifetime& life = lifetimes[id].life;
     life.fragments += 1;
-    if (!life.started) {
-      life.started = true;
-      life.begin = now;
-      life.first_thread = thread;
-    }
-    (void)thread;
+    return life;
   };
 
   // Replay per-thread streams (each is time-ordered by construction).
@@ -123,10 +118,18 @@ TraceAnalysis analyze_trace(const Trace& trace,
           life.parent = state.current;
           break;
         }
-        case EventKind::kTaskBegin:
+        case EventKind::kTaskBegin: {
           close_fragment(state, thread, event.time);
-          open_fragment(state, thread, event.task, event.time);
+          // The begin is the TaskBegin event itself, not the first
+          // fragment replayed: streams replay one thread after another,
+          // so a migrated untied task's resume on a lower-numbered
+          // thread replays before its begin.
+          TaskLifetime& life =
+              open_fragment(state, thread, event.task, event.time);
+          life.begin = event.time;
+          life.first_thread = thread;
           break;
+        }
         case EventKind::kTaskEnd: {
           // Well-formed bytes can still tell an impossible history; a
           // loaded file is input, so reject it typed instead of asserting.

@@ -39,7 +39,7 @@ struct TaskLifetime {
   /// Creating instance (kImplicitTaskId when created by an implicit task).
   TaskInstanceId parent = kImplicitTaskId;
   Ticks created = 0;  ///< create_end timestamp
-  Ticks begin = 0;    ///< first fragment start
+  Ticks begin = 0;    ///< TaskBegin timestamp (first fragment start)
   Ticks end = 0;      ///< completion
   Ticks active = 0;   ///< sum of executed-fragment durations
   /// Declared ctx.work() ticks executed by this task (kWork events;
@@ -47,10 +47,9 @@ struct TaskLifetime {
   Ticks work = 0;
   RegionHandle region = kInvalidRegion;
   ThreadId creator = 0;
-  ThreadId first_thread = 0;
+  ThreadId first_thread = 0;  ///< thread of the TaskBegin event
   int fragments = 0;
   int migrations = 0;
-  bool started = false;
   bool completed = false;
 };
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <limits>
 #include <string>
 
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace taskprof {
@@ -48,6 +52,56 @@ TEST(FormatPercent, SignsAndDecimals) {
   EXPECT_EQ(format_percent(-0.47), "-47.0 %");
   EXPECT_EQ(format_percent(3.10), "+310.0 %");
   EXPECT_EQ(format_percent(0.0), "+0.0 %");
+}
+
+/// printf's "%.*f" rendering of `value`, untruncated.
+std::string printf_fixed(double value, int decimals) {
+  const int length = std::snprintf(nullptr, 0, "%.*f", decimals, value);
+  std::string out(static_cast<std::size_t>(length) + 1, '\0');
+  std::snprintf(out.data(), out.size(), "%.*f", decimals, value);
+  out.pop_back();
+  return out;
+}
+
+TEST(FormatFixed, MatchesPrintfOverASeededSweep) {
+  Xoshiro256 rng(20261017);
+  std::size_t cases = 0;
+  auto check = [&](double value) {
+    for (int decimals = -1; decimals <= 6; ++decimals) {
+      ASSERT_EQ(format_fixed(value, decimals), printf_fixed(value, decimals))
+          << "value " << std::hexfloat << value << " decimals " << decimals;
+      ++cases;
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double special :
+       {0.0, -0.0, inf, -inf, nan, -nan, 0.5, 1.5, 2.5, 0.125, 0.005,
+        std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::denorm_min(), 1e60, -1e300}) {
+    check(special);
+  }
+  for (int i = 0; i < 10'000; ++i) {
+    // Tick counts scaled the way format_ticks scales them.
+    const auto ticks = static_cast<double>(rng.next() >> (rng.next() % 64));
+    for (const double scale : {1.0, 1e3, 1e6, 1e9}) check(ticks / scale);
+    // Arbitrary finite doubles, any exponent.
+    double value = 0.0;
+    do {
+      value = std::bit_cast<double>(rng.next());
+    } while (!std::isfinite(value));
+    check(value);
+    // Short decimals, where rounding ties sit.
+    check(static_cast<double>(rng.next_below(2'000'000)) / 1'000.0 - 1'000.0);
+  }
+  EXPECT_GT(cases, 450'000u);
+}
+
+TEST(FormatFixed, NeverTruncates) {
+  EXPECT_EQ(format_fixed(1e300, 2).size(), 301u + 3u);
+  EXPECT_EQ(format_fixed(-std::numeric_limits<double>::max(), 0).size(),
+            1u + 309u);
+  EXPECT_EQ(format_fixed(0.1, 600), printf_fixed(0.1, 600));
 }
 
 TEST(FormatCount, ThousandsSeparators) {

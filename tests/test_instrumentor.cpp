@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <functional>
 
+#include "check/invariants.hpp"
 #include "rt/real_runtime.hpp"
 #include "rt/sim_runtime.hpp"
 
@@ -208,6 +211,84 @@ TEST_F(InstrumentorTest, CreateRegionsAreRegisteredPerConstruct) {
   EXPECT_EQ(instr.create_region_for(task_), create_a);  // cached
   EXPECT_EQ(registry_.info(create_a).name, "create work_task");
   EXPECT_EQ(registry_.info(create_a).type, RegionType::kTaskCreate);
+}
+
+// Every thread resolves create regions through its own table; the table
+// must stay a cache of the one registration point.  Each thread of the
+// team creates tasks of three constructs, interleaved, some nested.
+void expect_one_create_region_per_construct(rt::Runtime& runtime,
+                                            int threads) {
+  RegionRegistry registry;
+  const std::array<RegionHandle, 3> constructs = {
+      registry.register_region("alpha", RegionType::kTask),
+      registry.register_region("beta", RegionType::kTask),
+      registry.register_region("gamma", RegionType::kTask)};
+  Instrumentor instr(registry);
+  runtime.set_hooks(&instr);
+  const rt::TeamStats stats =
+      runtime.parallel(threads, [&](rt::TaskContext& ctx) {
+        for (int i = 0; i < 30; ++i) {
+          const std::size_t k = (ctx.thread_id() + i) % constructs.size();
+          const RegionHandle nested = constructs[(k + 1) % constructs.size()];
+          ctx.create_task(
+              [nested](rt::TaskContext& c) {
+                c.work(200);
+                c.create_task([](rt::TaskContext& leaf) { leaf.work(100); },
+                              attrs_for(nested));
+                c.taskwait();
+              },
+              attrs_for(constructs[k]));
+        }
+        ctx.taskwait();
+      });
+  runtime.set_hooks(nullptr);
+  instr.finalize();
+  const AggregateProfile agg = instr.aggregate();
+
+  std::array<RegionHandle, 3> creates{};
+  for (std::size_t k = 0; k < constructs.size(); ++k) {
+    creates[k] = instr.create_region_for(constructs[k]);
+    EXPECT_EQ(instr.create_region_for(constructs[k]), creates[k]);
+    EXPECT_EQ(registry.info(creates[k]).name,
+              "create " + registry.info(constructs[k]).name);
+  }
+  std::size_t create_regions = 0;
+  for (RegionHandle h = 0; h < registry.size(); ++h) {
+    const RegionInfo& info = registry.info(h);
+    if (info.type != RegionType::kTaskCreate) continue;
+    ++create_regions;
+    EXPECT_NE(std::find(creates.begin(), creates.end(), h), creates.end())
+        << info.name;
+  }
+  EXPECT_EQ(create_regions, constructs.size());
+
+  std::uint64_t create_visits = 0;
+  const auto count_creates = [&](const CallNode& node, int) {
+    if (registry.info(node.region).type != RegionType::kTaskCreate) return;
+    EXPECT_NE(std::find(creates.begin(), creates.end(), node.region),
+              creates.end());
+    create_visits += node.visits;
+  };
+  for_each_node(agg.implicit_root, count_creates);
+  for (const CallNode* root : agg.task_roots) {
+    for_each_node(root, count_creates);
+  }
+  // 30 outer and 30 nested creations per thread.
+  EXPECT_EQ(create_visits, static_cast<std::uint64_t>(threads) * 60u);
+
+  const check::InvariantReport verdict =
+      check::check_profile(agg, registry, &stats);
+  EXPECT_TRUE(verdict.ok()) << verdict.to_string();
+}
+
+TEST(InstrumentorCreateRegions, RealEngineFourThreadsThreeConstructs) {
+  rt::RealRuntime real;
+  expect_one_create_region_per_construct(real, 4);
+}
+
+TEST(InstrumentorCreateRegions, SimEightWorkersThreeConstructs) {
+  rt::SimRuntime sim;
+  expect_one_create_region_per_construct(sim, 8);
 }
 
 TEST_F(InstrumentorTest, DepthLimitBoundsTheProfileSize) {

@@ -18,10 +18,12 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 
 #include "bots/kernel.hpp"
 #include "instrument/instrumentor.hpp"
 #include "rt/real_runtime.hpp"
+#include "rt/schedule_policy.hpp"
 #include "rt/sim_runtime.hpp"
 #include "test_util.hpp"
 
@@ -500,6 +502,55 @@ TEST_F(TraceTest, MigrationsAppearInLifetimes) {
   int migrations = 0;
   for (const auto& life : analysis.tasks) migrations += life.migrations;
   EXPECT_GT(migrations, 0);
+}
+
+TEST_F(TraceTest, MigratedTasksBeginAtTheirTaskBeginEvent) {
+  // The analysis replays one thread's stream after another, so a
+  // migrated untied task resumed on a lower-numbered thread replays its
+  // resume before its begin.  Begin and first thread must still be those
+  // of the TaskBegin event, whatever the interleaving.
+  const RegionHandle child =
+      registry_.register_region("child", RegionType::kTask);
+  int migrated = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const rt::SchedulePolicy policy(seed);
+    rt::SimConfig config;
+    config.policy = &policy;
+    const Trace trace = record(
+        4,
+        [&](rt::TaskContext& ctx) {
+          for (int i = 0; i < 24; ++i) {
+            ctx.create_task(
+                [&](rt::TaskContext& outer) {
+                  outer.work(3'000);
+                  outer.create_task(
+                      [](rt::TaskContext& c) { c.work(30'000); },
+                      attrs_for(child));
+                  outer.taskwait();
+                  outer.work(2'000);
+                },
+                attrs_for(task_, rt::TaskBinding::kUntied));
+          }
+        },
+        config);
+    std::unordered_map<TaskInstanceId, const TraceEvent*> begins;
+    for (ThreadId thread = 0; thread < trace.thread_count(); ++thread) {
+      for (const TraceEvent& event : trace.thread_events(thread)) {
+        if (event.kind == EventKind::kTaskBegin) begins[event.task] = &event;
+      }
+    }
+    const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
+    ASSERT_EQ(analysis.tasks.size(), begins.size());
+    for (const trace::TaskLifetime& life : analysis.tasks) {
+      const TraceEvent& begin = *begins.at(life.id);
+      EXPECT_EQ(life.begin, begin.time) << "seed " << seed << " task "
+                                        << life.id;
+      EXPECT_EQ(life.first_thread, begin.thread)
+          << "seed " << seed << " task " << life.id;
+      if (life.migrations > 0) ++migrated;
+    }
+  }
+  EXPECT_GT(migrated, 0) << "the program must migrate tasks";
 }
 
 TEST_F(TraceTest, RenderAnalysisAndTimelineProduceText) {

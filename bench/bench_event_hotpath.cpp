@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   bench::JsonWriter json;
   json.begin_object();
   json.field("bench", "event_hotpath");
-  json.field("size", bench::size_name(options.size));
+  json.field("size", bots::size_name(options.size));
   json.field("reps", options.reps);
   json.begin_array("results");
 

@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
   JsonWriter json;
   json.begin_object();
   json.field("bench", "ingest");
-  json.field("size", size_name(options.size));
+  json.field("size", bots::size_name(options.size));
   json.field("seed", options.seed);
   json.field("reps", options.reps);
   json.field("flushes_per_producer", flushes);

@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   std::printf(
       "engine: virtual-time simulator (deterministic; reps are redundant\n"
       "and skipped) | size class: %s | seed: %llu\n\n",
-      bench::size_name(options.size),
+      bots::size_name(options.size),
       static_cast<unsigned long long>(options.seed));
 
   const rt::Topology defaults;
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   json.begin_object();
   json.field("bench", "numa_scaling");
   json.field("engine", "sim");
-  json.field("size", bench::size_name(options.size));
+  json.field("size", bots::size_name(options.size));
   json.field("seed", options.seed);
   json.field("wide_fanout_kernel", kWideFanoutKernel);
   json.begin_object("machine_model");

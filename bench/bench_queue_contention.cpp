@@ -301,7 +301,7 @@ int main(int argc, char** argv) {
   std::printf(
       "engine: real threads | size class: %s | host threads: %u | "
       "median of %d reps\n\n",
-      bench::size_name(size), taskprof::hardware_threads(), reps);
+      bots::size_name(size), taskprof::hardware_threads(), reps);
 
   RegionRegistry registry;
   const RegionHandle task = registry.register_region("t", RegionType::kTask);
@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
   bench::JsonWriter json;
   json.begin_object();
   json.field("bench", "queue_contention");
-  json.field("size", bench::size_name(size));
+  json.field("size", bots::size_name(size));
   json.field("seed", seed);
   json.field("host_threads",
              static_cast<std::uint64_t>(taskprof::hardware_threads()));

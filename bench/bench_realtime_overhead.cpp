@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   std::puts("=== Section V-A: wall-clock profiling overhead (real engine) ===");
   std::puts("reproduces: Lorenz et al. 2012, Figure 13 methodology");
   std::printf("engine: real threads (host wall clock) | size class: %s\n\n",
-              bench::size_name(options.size));
+              bots::size_name(options.size));
 
   constexpr int kReps = 3;
   TextTable table({"code", "version", "plain (1t)", "instr (1t)",

@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   std::printf(
       "engine: real threads x%d | size class: %s | host threads: %u | "
       "median of %d reps\n\n",
-      kThreads, bench::size_name(options.size),
+      kThreads, bots::size_name(options.size),
       taskprof::hardware_threads(), options.reps);
 
   RegionRegistry registry;
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   bench::JsonWriter json;
   json.begin_object();
   json.field("bench", "telemetry_overhead");
-  json.field("size", bench::size_name(options.size));
+  json.field("size", bots::size_name(options.size));
   json.field("seed", options.seed);
   json.field("threads", kThreads);
   json.field("reps", options.reps);

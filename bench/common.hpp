@@ -1,10 +1,11 @@
 // Shared helpers for the benchmark harness (one binary per paper
 // table/figure).
 //
-// Every bench accepts:
-//   --size=test|small|medium   problem size class (default small)
-//   --seed=N                   workload seed (default 42)
-//   --quick                    alias for --size=test
+// Every bench parses its command line with one of the two option tables
+// below (common/cli_options.hpp): --size, --quick (alias for --size=test)
+// and --seed, plus --max-workers for the paper benches or --reps and
+// --out for the trajectory benches.  `BENCH --help` lists them with
+// their ranges and defaults; a bad value exits 2.
 //
 // The figures/tables are reproduced on the simulator engine: deterministic
 // virtual time with the contention model that the host (one core,
@@ -14,7 +15,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -22,7 +22,9 @@
 #include <vector>
 
 #include "bots/kernel.hpp"
+#include "common/cli_options.hpp"
 #include "common/format.hpp"
+#include "common/write_file.hpp"
 #include "instrument/instrumentor.hpp"
 #include "rt/sim_runtime.hpp"
 
@@ -37,40 +39,31 @@ struct Options {
   int max_workers = 8;
 };
 
+/// A bench takes no subcommand and no files.
+inline constexpr cli::Command kBenchCommand[] = {{}};
+inline constexpr cli::Option kSizeOption{
+    .name = "--size", .kind = cli::Kind::kChoice,
+    .help = "problem size class", .fallback = "small",
+    .values = "test|small|medium"};
+inline constexpr cli::Option kQuickOption{
+    .name = "--quick", .help = "alias for --size=test (wins over --size)"};
+inline constexpr cli::Option kSeedOption{
+    .name = "--seed", .kind = cli::Kind::kU64, .help = "workload seed",
+    .fallback = "42"};
+
 inline Options parse_options(int argc, char** argv) {
+  static constexpr cli::Option kRows[] = {
+      kSizeOption, kQuickOption, kSeedOption,
+      {.name = "--max-workers", .kind = cli::Kind::kInt,
+       .help = "upper end of the worker sweep", .fallback = "8", .min = 1,
+       .max = 1024}};
+  static constexpr cli::Table kTable{kBenchCommand, kRows};
+  const cli::Args args = cli::parse_or_exit(kTable, argc, argv);
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick" || arg == "--size=test") {
-      options.size = bots::SizeClass::kTest;
-    } else if (arg == "--size=small") {
-      options.size = bots::SizeClass::kSmall;
-    } else if (arg == "--size=medium") {
-      options.size = bots::SizeClass::kMedium;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--max-workers=", 0) == 0) {
-      try {
-        options.max_workers = std::stoi(arg.substr(14));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "bad --max-workers value: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      if (options.max_workers < 1 || options.max_workers > 1024) {
-        std::fprintf(stderr, "--max-workers must be in [1, 1024]\n");
-        std::exit(2);
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--size=test|small|medium] [--quick] [--seed=N] "
-          "[--max-workers=N]\n",
-          argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      std::exit(2);
-    }
-  }
+  options.size = args.flag("--quick") ? bots::SizeClass::kTest
+                                      : *bots::parse_size(args.text("--size"));
+  options.seed = args.u64("--seed");
+  options.max_workers = args.integer("--max-workers");
   return options;
 }
 
@@ -119,7 +112,7 @@ inline double overhead(Ticks plain, Ticks instrumented) {
 
 /// Options for trajectory benches — the BENCH_<name>.json emitters that
 /// track performance across PRs.  Extends the basic size/seed flags with
-/// the shared --reps / --out flags, parsed identically in every bench.
+/// the shared --reps / --out flags.
 struct TrajectoryOptions {
   bots::SizeClass size = bots::SizeClass::kSmall;
   std::uint64_t seed = 42;
@@ -128,48 +121,24 @@ struct TrajectoryOptions {
 };
 
 /// Parse the trajectory-bench command line.  `default_out` names the
-/// BENCH_<name>.json written when --out is absent.  Exits with a usage
-/// message on bad input (malformed numbers included).
+/// BENCH_<name>.json written when --out is absent.
 inline TrajectoryOptions parse_trajectory_options(int argc, char** argv,
                                                   const char* default_out) {
+  const cli::Option rows[] = {
+      kSizeOption, kQuickOption, kSeedOption,
+      {.name = "--reps", .kind = cli::Kind::kInt,
+       .help = "repetitions per measurement", .fallback = "3", .min = 1},
+      {.name = "--out", .kind = cli::Kind::kString,
+       .help = "write the JSON document here", .fallback = default_out,
+       .values = "FILE"}};
+  const cli::Table table{kBenchCommand, rows};
+  const cli::Args args = cli::parse_or_exit(table, argc, argv);
   TrajectoryOptions options;
-  options.out_path = default_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick" || arg == "--size=test") {
-      options.size = bots::SizeClass::kTest;
-    } else if (arg == "--size=small") {
-      options.size = bots::SizeClass::kSmall;
-    } else if (arg == "--size=medium") {
-      options.size = bots::SizeClass::kMedium;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      try {
-        options.seed = std::stoull(arg.substr(7));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "bad --seed value: %s\n", arg.c_str());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      try {
-        options.reps = std::stoi(arg.substr(7));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "bad --reps value: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      if (options.reps < 1) options.reps = 1;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      options.out_path = arg.substr(6);
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--size=test|small|medium] [--quick] [--seed=N] "
-          "[--reps=N] [--out=FILE.json]\n",
-          argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      std::exit(2);
-    }
-  }
+  options.size = args.flag("--quick") ? bots::SizeClass::kTest
+                                      : *bots::parse_size(args.text("--size"));
+  options.seed = args.u64("--seed");
+  options.reps = args.integer("--reps");
+  options.out_path = args.text("--out");
   return options;
 }
 
@@ -228,21 +197,12 @@ inline void nqueens_workload(rt::TaskContext& ctx, RegionHandle task, int n,
   ctx.taskwait();
 }
 
-inline const char* size_name(bots::SizeClass size) {
-  switch (size) {
-    case bots::SizeClass::kTest: return "test";
-    case bots::SizeClass::kSmall: return "small";
-    case bots::SizeClass::kMedium: return "medium";
-  }
-  return "?";
-}
-
 inline void print_header(const char* title, const char* paper_ref,
                          const Options& options) {
   std::printf("%s\n", title);
   std::printf("reproduces: %s\n", paper_ref);
   std::printf("engine: virtual-time simulator | size class: %s | seed: %llu\n\n",
-              size_name(options.size),
+              bots::size_name(options.size),
               static_cast<unsigned long long>(options.seed));
 }
 
@@ -297,15 +257,13 @@ class JsonWriter {
   /// Write the document to `path`; returns false (with a message on
   /// stderr) when the file cannot be written.
   bool write_file(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    try {
+      ::taskprof::write_file(path, out_ + '\n');
+      return true;
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "%s\n", error.what());
       return false;
     }
-    std::fwrite(out_.data(), 1, out_.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
   }
 
  private:

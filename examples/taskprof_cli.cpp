@@ -9,9 +9,14 @@
 //   taskprof_cli --kernel=fib --snapshot-every=50       # crash-safe flushes
 //   taskprof_cli load fib.tpsnap --report=tree --check
 //   taskprof_cli merge --out=all.tpsnap a.tpsnap b.tpsnap
+//
+// The command line is one option table (kOptions below; see
+// common/cli_options.hpp).  `taskprof_cli [COMMAND] --help` prints a
+// command's options with their ranges and defaults, and a bad value exits
+// 2 before any work starts.  The run, diagnose and whatif commands share
+// the live-run options and one make_runtime.
 #include <cstdio>
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,7 +24,9 @@
 
 #include "bots/kernel.hpp"
 #include "check/invariants.hpp"
+#include "common/cli_options.hpp"
 #include "common/format.hpp"
+#include "common/write_file.hpp"
 #include "diagnose/diagnose.hpp"
 #include "diagnose/render.hpp"
 #include "instrument/instrumentor.hpp"
@@ -46,220 +53,266 @@ using namespace taskprof;
 
 namespace {
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s --kernel=NAME [options]\n"
-      "       %s load FILE.tpsnap [--report=tree|cube|csv] [--check]\n"
-      "       %s merge --out=OUT.tpsnap FILE.tpsnap [FILE.tpsnap ...]\n"
-      "       taskprof_cli diagnose --kernel=NAME [run options]\n"
-      "                             [--fail-on=SEV] [--json=FILE]\n"
-      "       taskprof_cli diagnose FILE.tpsnap [--trace-file=FILE.tptrc]\n"
-      "       taskprof_cli diagnose --trace-file=FILE.tptrc\n"
-      "       taskprof_cli whatif --kernel=NAME [run options]\n"
-      "                           [--whatif PATH=N ...] [--threads-list=...]\n"
-      "                           [--json=FILE]\n"
-      "       taskprof_cli whatif FILE.tpsnap --trace-file=FILE.tptrc\n"
-      "       taskprof_cli whatif --trace-file=FILE.tptrc\n"
-      "       taskprof_cli whatif-validate [--kernels=a,b] [--threads=2,4,8]\n"
-      "                           [--optimize=25,50,90] [--size=test]\n"
-      "                           [--tolerance=0.15] [--json=FILE]\n"
-      "\n"
-      "kernels: alignment fft fib floorplan health nqueens sort sparselu\n"
-      "         strassen\n"
-      "options:\n",
-      argv0, argv0, argv0);
-  std::printf(
-      "  --engine=sim|real     virtual-time simulator (default) or real\n"
-      "                        threads\n"
-      "  --threads=N           team size (default 4)\n"
-      "  --scheduler=chase_lev|mutex_deque|taskgraph   real-engine task\n"
-      "                        scheduler (default chase_lev); taskgraph\n"
-      "                        records the first run's task graph and\n"
-      "                        replays later runs through a static\n"
-      "                        schedule (use with --repeat)\n"
-      "  --repeat=N            run the kernel N times on one runtime\n"
-      "                        (default 1); with --scheduler=taskgraph\n"
-      "                        run 1 records and runs 2..N replay\n"
-      "  --size=test|small|medium   problem size (default small)\n"
-      "  --cutoff              run the cut-off version (where available)\n"
-      "  --untied              create tasks untied (simulator migrates them)\n"
-      "  --depth-params        per-recursion-depth sub-trees (Table IV)\n"
-      "  --seed=N              workload seed (default 42)\n"
-      "  --report=summary|tree|csv|cube|findings|all   output format (default\n"
-      "                        summary)\n"
-      "  --trace               also record a trace; print the Section VII\n"
-      "                        analyses and a timeline\n"
-      "  --trace-out=FILE      record a trace and write it to FILE\n"
-      "  --analyze-trace=FILE  post-mortem mode: load FILE (written by\n"
-      "                        --trace-out) and print the analyses; no\n"
-      "                        kernel runs\n"
-      "  --telemetry           attach the scheduler-telemetry registry and\n"
-      "                        print the telemetry section (steal rates,\n"
-      "                        high-water marks, sampled hook overhead)\n"
-      "  --telemetry-json=FILE write the telemetry snapshot as JSON\n"
-      "  --chrome-trace=FILE   write a chrome://tracing / Perfetto timeline\n"
-      "                        (implies --trace)\n"
-      "  --snapshot-out=FILE   write a crash-safe .tpsnap profile snapshot\n"
-      "                        (default <kernel>.tpsnap with\n"
-      "                        --snapshot-every)\n"
-      "  --topology=DxW[:flat] machine topology: D locality domains of W\n"
-      "                        workers each (e.g. 2x4).  Steals prefer the\n"
-      "                        thief's own domain and escalate to batched\n"
-      "                        cross-domain steals; on the sim engine\n"
-      "                        cross-domain work additionally pays the\n"
-      "                        interconnect latency.  \":flat\" keeps the\n"
-      "                        simulated machine but disables the\n"
-      "                        hierarchical victim policy (A/B baseline)\n"
-      "  --snapshot-every=MS   flush a partial snapshot every MS\n"
-      "                        milliseconds during the run; the final flush\n"
-      "                        replaces it with the complete profile\n"
-      "  --ingest=SOCKET       stream every flush to a running taskprofd\n"
-      "                        as a delta snapshot over the Unix socket\n"
-      "                        (combine with --snapshot-every; without\n"
-      "                        --snapshot-out no local file is written)\n"
-      "  --report-json=FILE    write the profile analysis (construct stats,\n"
-      "                        scheduling points, advisor findings) as JSON\n"
-      "  --uninstrumented      run without measurement (timing baseline)\n"
-      "\n"
-      "diagnose runs the detrimental-pattern detectors (creation storm,\n"
-      "serialized spawn chain, starved workers, granularity collapse,\n"
-      "taskwait serialization, replay fallback) over a live run, a .tpsnap\n"
-      "snapshot, and/or a recorded trace.  --fail-on=info|warning|problem\n"
-      "exits 3 when a finding at or above that severity is present.\n"
-      "\n"
-      "whatif computes causal projections over a recorded trace: for each\n"
-      "--whatif PATH=N hypothesis (\"call path PATH runs N%% faster\",\n"
-      "N in (0,100]) it reports the new critical path, logical parallelism,\n"
-      "and anticipated wall-clock speedup at each --threads-list count.\n"
-      "Without targets it prints the ranked top-optimization-targets table\n"
-      "(every path at N=50).  whatif needs a trace: a live --kernel run\n"
-      "records one, or pass --trace-file; a .tpsnap alone is rejected with\n"
-      "a no_trace error.  whatif-validate replays BOTS kernels on the sim\n"
-      "engine with each hypothesis applied to the virtual task durations\n"
-      "and gates |projected - simulated| / simulated per case (exit 3 on\n"
-      "gate failure).\n");
-}
+using cli::Kind;
 
-struct CliOptions {
-  std::string kernel;
-  std::string engine = "sim";
-  std::string scheduler = "chase_lev";
-  std::string report = "summary";
-  int repeat = 1;
-  bots::KernelConfig config;
-  bool instrumented = true;
-  bool trace = false;
-  bool telemetry = false;
-  std::string trace_out;
-  std::string analyze_trace;
-  std::string telemetry_json;
-  std::string chrome_trace;
-  std::string report_json;
-  std::string snapshot_out;
-  std::string ingest_socket;
-  std::uint64_t snapshot_every_ms = 0;
-  std::string topology_spec;
+enum Command : unsigned { kRun, kLoad, kMerge, kDiagnose, kWhatif, kValidate };
+
+constexpr std::uint32_t bit(Command command) { return 1u << command; }
+constexpr std::uint32_t kRunOnly = bit(kRun);
+/// The commands that can run a kernel live ...
+constexpr std::uint32_t kLive = bit(kRun) | bit(kDiagnose) | bit(kWhatif);
+/// ... and those that also run it repeatedly, on any scheduler.
+constexpr std::uint32_t kRepeated = bit(kRun) | bit(kDiagnose);
+/// Team sizes: the bound the benches' --max-workers has.
+constexpr double kMaxThreads = 1024;
+
+constexpr cli::Command kCommands[] = {
+    {.about = "Run a BOTS kernel and print its profile, or analyze a recorded "
+              "trace."},
+    {.name = "load", .about = "Render a .tpsnap snapshot like a live profile.",
+     .files = "FILE.tpsnap", .min_files = 1, .max_files = 1},
+    {.name = "merge", .about = "Collate per-process snapshots into one.",
+     .files = "FILE.tpsnap", .min_files = 1, .max_files = cli::kAnyCount},
+    {.name = "diagnose",
+     .about = "Run the detrimental-pattern detectors over a live run, a "
+              ".tpsnap\nsnapshot and/or a recorded trace.",
+     .files = "FILE.tpsnap", .max_files = 1},
+    {.name = "whatif",
+     .about = "Project what-if speedups over a recorded trace (live, or "
+              "--trace-file;\na .tpsnap only names its regions).",
+     .files = "FILE.tpsnap", .max_files = 1},
+    {.name = "whatif-validate",
+     .about = "Check the projections against sim replays of the BOTS "
+              "kernels\n(exit 3 when a case misses its tolerance)."},
 };
 
-/// Parses "--topology=DxW[:flat]" into a Topology.  The optional ":flat"
-/// suffix keeps the simulated machine (domains, latencies) but selects
-/// the flat victim policy — the A/B knob of bench_numa_scaling.
-bool parse_topology_spec(const std::string& spec, rt::Topology& out) {
-  std::string machine = spec;
-  bool hierarchical = true;
-  if (const auto colon = machine.rfind(":flat");
-      colon != std::string::npos && colon == machine.size() - 5) {
-    machine.resize(colon);
-    hierarchical = false;
+constexpr cli::Option kOptions[] = {
+    {.name = "--kernel", .kind = Kind::kChoice, .help = "BOTS kernel to run",
+     .values = bots::kKernelChoices, .commands = kLive},
+    {.name = "--engine", .kind = Kind::kChoice,
+     .help = "virtual-time simulator or real threads", .fallback = "sim",
+     .values = "sim|real", .commands = kLive},
+    {.name = "--scheduler", .kind = Kind::kChoice,
+     .help = "real-engine task scheduler; taskgraph records run 1 and "
+             "replays\nruns 2..N through a static schedule",
+     .fallback = "chase_lev", .values = "chase_lev|mutex_deque|taskgraph",
+     .commands = kRepeated},
+    {.name = "--repeat", .kind = Kind::kInt,
+     .help = "run the kernel this many times on one runtime", .fallback = "1",
+     .min = 1, .commands = kRepeated},
+    {.name = "--threads", .kind = Kind::kInt, .help = "team size",
+     .fallback = "4", .min = 1, .max = kMaxThreads, .commands = kLive},
+    {.name = "--size", .kind = Kind::kChoice, .help = "problem size",
+     .fallback = "small", .values = "test|small|medium", .commands = kLive},
+    {.name = "--cutoff", .help = "run the cut-off version, where there is one",
+     .commands = kLive},
+    {.name = "--untied",
+     .help = "create tasks untied (the simulator migrates them)",
+     .commands = kLive},
+    {.name = "--depth-params",
+     .help = "per-recursion-depth sub-trees (Table IV)", .commands = kLive},
+    {.name = "--seed", .kind = Kind::kU64, .help = "workload seed",
+     .fallback = "42", .commands = kLive},
+    {.name = "--topology", .kind = Kind::kString,
+     .help = "D locality domains of W workers (e.g. 2x4); :flat keeps the "
+             "flat\nvictim policy on that machine",
+     .values = "DxW[:flat]", .commands = kRunOnly},
+    {.name = "--report", .kind = Kind::kChoice, .help = "output format",
+     .fallback = "summary", .values = "summary|tree|csv|cube|findings|all",
+     .commands = kRunOnly},
+    {.name = "--uninstrumented", .help = "run without measurement",
+     .commands = kRunOnly},
+    {.name = "--trace", .help = "record a trace; print its analyses and a "
+                                "timeline",
+     .commands = kRunOnly},
+    {.name = "--trace-out", .kind = Kind::kString,
+     .help = "record a trace into FILE", .values = "FILE",
+     .commands = kRunOnly},
+    {.name = "--analyze-trace", .kind = Kind::kString,
+     .help = "analyze a trace from --trace-out; no kernel runs",
+     .values = "FILE", .commands = kRunOnly},
+    {.name = "--telemetry", .help = "attach and print scheduler telemetry",
+     .commands = kRunOnly},
+    {.name = "--telemetry-json", .kind = Kind::kString,
+     .help = "write the telemetry as JSON", .values = "FILE",
+     .commands = kRunOnly},
+    {.name = "--chrome-trace", .kind = Kind::kString,
+     .help = "write a chrome://tracing / Perfetto timeline", .values = "FILE",
+     .commands = bit(kRun) | bit(kDiagnose)},
+    {.name = "--snapshot-out", .kind = Kind::kString,
+     .help = "write a crash-safe .tpsnap snapshot", .values = "FILE",
+     .commands = kRunOnly},
+    {.name = "--snapshot-every", .kind = Kind::kU64,
+     .help = "flush a partial snapshot every U64 ms (to --snapshot-out, "
+             "else\n<kernel>.tpsnap); the final flush completes it",
+     .fallback = "0", .min = 0,
+     .max = 9223372036854.0,  // ms * 10^6 fits in Ticks (int64)
+     .commands = kRunOnly},
+    {.name = "--ingest", .kind = Kind::kString,
+     .help = "stream every flush to the taskprofd on SOCKET",
+     .values = "SOCKET",
+     .commands = kRunOnly},
+    {.name = "--report-json", .kind = Kind::kString,
+     .help = "write the profile analysis as JSON", .values = "FILE",
+     .commands = kRunOnly},
+    {.name = "--report", .kind = Kind::kChoice, .help = "output format",
+     .fallback = "tree", .values = "tree|cube|csv", .commands = bit(kLoad)},
+    {.name = "--check", .help = "check the profile's invariants first",
+     .commands = bit(kLoad)},
+    {.name = "--out", .kind = Kind::kString, .help = "write the merge to FILE",
+     .values = "FILE", .required = true, .commands = bit(kMerge)},
+    {.name = "--trace-file", .kind = Kind::kString,
+     .help = "a trace written by --trace-out", .values = "FILE",
+     .commands = bit(kDiagnose) | bit(kWhatif)},
+    {.name = "--json", .kind = Kind::kString,
+     .help = "also write the report as JSON", .values = "FILE",
+     .commands = bit(kDiagnose) | bit(kWhatif) | bit(kValidate)},
+    {.name = "--fail-on", .kind = Kind::kChoice,
+     .help = "exit 3 on a finding of this severity or worse",
+     .values = "info|warning|problem", .commands = bit(kDiagnose)},
+    {.name = "--whatif", .kind = Kind::kString,
+     .help = "hypothesis: call path PATH runs N% faster, N in (0, 100]",
+     .values = "PATH=N", .repeatable = true, .commands = bit(kWhatif)},
+    {.name = "--threads-list", .kind = Kind::kInt,
+     .help = "team sizes to project to",
+     .min = 1, .max = kMaxThreads, .list = true, .commands = bit(kWhatif)},
+    {.name = "--rank-percent", .kind = Kind::kReal,
+     .help = "speedup assumed to rank the targets", .fallback = "50", .min = 0,
+     .max = 100, .min_open = true, .commands = bit(kWhatif)},
+    {.name = "--kernels", .kind = Kind::kChoice,
+     .help = "kernels to validate (all nine when absent)",
+     .values = bots::kKernelChoices, .list = true, .commands = bit(kValidate)},
+    {.name = "--threads", .kind = Kind::kInt, .help = "team sizes",
+     .fallback = "2,4,8", .min = 1, .max = kMaxThreads, .list = true,
+     .commands = bit(kValidate)},
+    {.name = "--optimize", .kind = Kind::kReal,
+     .help = "hypothetical speedups, in percent",
+     .fallback = "25,50,90", .min = 0, .max = 100, .min_open = true,
+     .list = true, .commands = bit(kValidate)},
+    {.name = "--size", .kind = Kind::kChoice, .help = "problem size",
+     .fallback = "test", .values = "test|small|medium",
+     .commands = bit(kValidate)},
+    {.name = "--tolerance", .kind = Kind::kReal,
+     .help = "gate on |projected - simulated| / simulated", .fallback = "0.15",
+     .min = 0, .min_open = true, .commands = bit(kValidate)},
+};
+
+constexpr cli::Table kTable{kCommands, kOptions};
+
+/// The engine --engine, --scheduler and --topology ask for; `real` gets
+/// the real engine, if that is the one.  Exits 2 on a combination the
+/// table cannot rule out.
+std::unique_ptr<rt::Runtime> make_runtime(const cli::Args& args,
+                                          rt::RealRuntime** real = nullptr) {
+  rt::Topology topology;
+  if (const std::string& spec = args.text("--topology"); !spec.empty()) {
+    // The ":flat" suffix keeps the simulated machine (domains, latencies)
+    // but selects the flat victim policy: bench_numa_scaling's A/B knob.
+    const bool flat = spec.ends_with(":flat");
+    const auto parsed = rt::Topology::parse(
+        std::string_view(spec).substr(0, spec.size() - (flat ? 5 : 0)));
+    if (!parsed.has_value()) {
+      cli::usage_error("--topology",
+                       "'" + spec + "' is not DxW[:flat] (e.g. 4x16)");
+    }
+    topology = *parsed;
+    topology.hierarchical = !flat;
   }
-  const auto parsed = rt::Topology::parse(machine);
-  if (!parsed.has_value()) return false;
-  out = *parsed;
-  out.hierarchical = hierarchical;
-  return true;
+  const std::string& scheduler = args.text("--scheduler");
+  if (args.text("--engine") == "sim") {
+    if (scheduler != "chase_lev") {
+      cli::usage_error("--scheduler", "applies to --engine=real only");
+    }
+    rt::SimConfig config;
+    config.topology = topology;
+    return std::make_unique<rt::SimRuntime>(config);
+  }
+  rt::RealConfig config;
+  config.topology = topology;
+  config.scheduler = scheduler == "mutex_deque" ? rt::SchedulerKind::kMutexDeque
+                     : scheduler == "taskgraph" ? rt::SchedulerKind::kTaskGraph
+                                                : rt::SchedulerKind::kChaseLev;
+  auto runtime = std::make_unique<rt::RealRuntime>(config);
+  if (real != nullptr) *real = runtime.get();
+  return runtime;
 }
 
-bool parse(int argc, char** argv, CliOptions& cli) {
-  cli.config.threads = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--kernel=", 0) == 0) {
-      cli.kernel = value_of("--kernel=");
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      cli.engine = value_of("--engine=");
-    } else if (arg.rfind("--scheduler=", 0) == 0) {
-      cli.scheduler = value_of("--scheduler=");
-    } else if (arg.rfind("--repeat=", 0) == 0) {
-      cli.repeat = std::stoi(value_of("--repeat="));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.config.threads = std::stoi(value_of("--threads="));
-    } else if (arg == "--size=test") {
-      cli.config.size = bots::SizeClass::kTest;
-    } else if (arg == "--size=small") {
-      cli.config.size = bots::SizeClass::kSmall;
-    } else if (arg == "--size=medium") {
-      cli.config.size = bots::SizeClass::kMedium;
-    } else if (arg == "--cutoff") {
-      cli.config.cutoff = true;
-    } else if (arg == "--untied") {
-      cli.config.untied = true;
-    } else if (arg == "--depth-params") {
-      cli.config.depth_parameter = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      cli.config.seed = std::stoull(value_of("--seed="));
-    } else if (arg.rfind("--report=", 0) == 0) {
-      cli.report = value_of("--report=");
-    } else if (arg == "--uninstrumented") {
-      cli.instrumented = false;
-    } else if (arg == "--trace") {
-      cli.trace = true;
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      cli.trace = true;
-      cli.trace_out = value_of("--trace-out=");
-    } else if (arg.rfind("--analyze-trace=", 0) == 0) {
-      cli.analyze_trace = value_of("--analyze-trace=");
-    } else if (arg == "--telemetry") {
-      cli.telemetry = true;
-    } else if (arg.rfind("--telemetry-json=", 0) == 0) {
-      cli.telemetry = true;
-      cli.telemetry_json = value_of("--telemetry-json=");
-    } else if (arg.rfind("--chrome-trace=", 0) == 0) {
-      cli.trace = true;
-      cli.chrome_trace = value_of("--chrome-trace=");
-    } else if (arg.rfind("--report-json=", 0) == 0) {
-      cli.report_json = value_of("--report-json=");
-    } else if (arg.rfind("--snapshot-out=", 0) == 0) {
-      cli.snapshot_out = value_of("--snapshot-out=");
-    } else if (arg.rfind("--snapshot-every=", 0) == 0) {
-      cli.snapshot_every_ms = std::stoull(value_of("--snapshot-every="));
-    } else if (arg.rfind("--ingest=", 0) == 0) {
-      cli.ingest_socket = value_of("--ingest=");
-    } else if (arg.rfind("--topology=", 0) == 0) {
-      cli.topology_spec = value_of("--topology=");
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return false;
+/// Runs --kernel --repeat times on one runtime and registry, stopping at
+/// the first failed self-check.  The profile aggregates across runs
+/// (RegionRegistry dedupes identical re-registrations), and with
+/// --scheduler=taskgraph run 1 records the task graph while runs 2..N
+/// replay it through the static schedule.
+bots::KernelResult run_kernel(const cli::Args& args, rt::Runtime& runtime,
+                              RegionRegistry& registry) {
+  const auto kernel = bots::make_kernel(args.text("--kernel"));
+  bots::KernelConfig config;
+  config.threads = args.integer("--threads");
+  config.size = *bots::parse_size(args.text("--size"));
+  config.cutoff = args.flag("--cutoff");
+  config.untied = args.flag("--untied");
+  config.depth_parameter = args.flag("--depth-params");
+  config.seed = args.u64("--seed");
+  bots::KernelResult result;
+  for (int run = 0; run < args.integer("--repeat"); ++run) {
+    result = kernel->run(runtime, registry, config);
+    if (!result.ok) break;
+  }
+  return result;
+}
+
+/// Trace files carry no region names: register "region N" for every
+/// region `trace` mentions, for the analyses that print names.
+void register_generated_names(const trace::Trace& trace,
+                              RegionRegistry* registry) {
+  RegionHandle max_region = 0;
+  for (const auto& event : trace.merged()) {
+    if (event.region != kInvalidRegion) {
+      max_region = std::max(max_region, event.region);
     }
   }
-  if (cli.kernel.empty() && cli.analyze_trace.empty()) {
-    std::fprintf(stderr, "--kernel (or --analyze-trace) is required\n");
-    return false;
+  for (RegionHandle r = 0; r <= max_region; ++r) {
+    registry->register_region("region " + std::to_string(r),
+                              RegionType::kTask);
   }
-  if (cli.snapshot_every_ms > 0 && cli.snapshot_out.empty() &&
-      cli.ingest_socket.empty()) {
-    cli.snapshot_out = cli.kernel + ".tpsnap";
+}
+
+/// The listeners of a live run, each optional: the profiler, a trace
+/// recorder and the scheduler telemetry.  The runtime holds their
+/// addresses, so they do not move.
+struct Listeners {
+  Listeners() = default;
+  Listeners(const Listeners&) = delete;
+  Listeners& operator=(const Listeners&) = delete;
+
+  std::unique_ptr<Instrumentor> instrumentor;
+  std::unique_ptr<trace::TraceRecorder> recorder;
+  std::unique_ptr<telemetry::Registry> telemetry;
+  std::unique_ptr<telemetry::TimedHooks> timed;
+  rt::FanoutHooks fanout;
+
+  /// With telemetry on, the timing decorator sits between the engine and
+  /// the measurement hooks so their cost lands in the telemetry too.
+  void attach(rt::Runtime& runtime) {
+    if (instrumentor != nullptr) fanout.add(instrumentor.get());
+    if (recorder != nullptr) fanout.add(recorder.get());
+    if (instrumentor != nullptr || recorder != nullptr) {
+      rt::SchedulerHooks* hooks = &fanout;
+      if (telemetry != nullptr) {
+        timed = std::make_unique<telemetry::TimedHooks>(&fanout,
+                                                        telemetry.get());
+        hooks = timed.get();
+      }
+      runtime.set_hooks(hooks);
+    }
+    if (telemetry != nullptr) runtime.set_telemetry(telemetry.get());
   }
-  if (cli.repeat < 1) {
-    std::fprintf(stderr, "--repeat must be >= 1\n");
-    return false;
-  }
-  return true;
+};
+
+/// Writes `bytes` to `path` (throwing when it cannot) and says so.
+void write_output(const std::string& path, const std::string& bytes,
+                  const char* what) {
+  write_file(path, bytes);
+  std::printf("%s written to %s\n", what, path.c_str());
 }
 
 void print_summary(const bots::KernelResult& result,
@@ -300,109 +353,127 @@ void print_summary(const bots::KernelResult& result,
 
 /// `taskprof_cli load FILE [--report=tree|cube|csv] [--check]`:
 /// deserialize a .tpsnap and render it exactly like a live profile.
-int cmd_load(int argc, char** argv) {
-  std::string path;
-  std::string report = "tree";
-  bool check = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--report=", 0) == 0) {
-      report = arg.substr(std::strlen("--report="));
-    } else if (arg == "--check") {
-      check = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return 2;
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      std::fprintf(stderr, "load takes exactly one file\n");
-      return 2;
+int cmd_load(const cli::Args& args) {
+  const std::string& path = args.files.front();
+  const std::string& report = args.text("--report");
+  const snapshot::SnapshotData data = snapshot::read_snapshot_file(path);
+  std::fprintf(stderr,
+               "loaded %s: flush %llu of process %llu, %zu regions, "
+               "%zu threads%s%s\n",
+               path.c_str(),
+               static_cast<unsigned long long>(data.meta.flush_seq),
+               static_cast<unsigned long long>(data.meta.process_id),
+               data.registry->size(), data.profile.thread_count,
+               data.profile.partial_capture ? ", partial capture" : "",
+               data.has_telemetry ? ", telemetry" : "");
+  if (args.flag("--check")) {
+    const check::InvariantReport verdict = check::check_profile(
+        data.profile, *data.registry, nullptr,
+        data.has_telemetry ? &data.telemetry : nullptr);
+    if (!verdict.ok()) {
+      std::fprintf(stderr, "check_profile FAILED:\n%s\n",
+                   verdict.to_string().c_str());
+      return 1;
     }
+    std::fprintf(stderr, "check_profile passed (%zu nodes)\n",
+                 verdict.nodes_checked);
   }
-  if (path.empty()) {
-    std::fprintf(stderr, "usage: taskprof_cli load FILE.tpsnap "
-                 "[--report=tree|cube|csv] [--check]\n");
-    return 2;
+  const std::string rendered =
+      report == "tree"   ? render_profile(data.profile, *data.registry)
+      : report == "cube" ? render_cube_xml(data.profile, *data.registry)
+                         : render_csv(data.profile, *data.registry);
+  std::fputs(rendered.c_str(), stdout);
+  if (data.has_telemetry) {
+    std::fputs(render_telemetry(data.telemetry).c_str(), stdout);
   }
-  try {
-    const snapshot::SnapshotData data = snapshot::read_snapshot_file(path);
-    std::fprintf(stderr,
-                 "loaded %s: flush %llu of process %llu, %zu regions, "
-                 "%zu threads%s%s\n",
-                 path.c_str(),
-                 static_cast<unsigned long long>(data.meta.flush_seq),
-                 static_cast<unsigned long long>(data.meta.process_id),
-                 data.registry->size(), data.profile.thread_count,
-                 data.profile.partial_capture ? ", partial capture" : "",
-                 data.has_telemetry ? ", telemetry" : "");
-    if (check) {
-      const check::InvariantReport verdict = check::check_profile(
-          data.profile, *data.registry, nullptr,
-          data.has_telemetry ? &data.telemetry : nullptr);
-      if (!verdict.ok()) {
-        std::fprintf(stderr, "check_profile FAILED:\n%s\n",
-                     verdict.to_string().c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "check_profile passed (%zu nodes)\n",
-                   verdict.nodes_checked);
-    }
-    if (report == "tree") {
-      std::fputs(render_profile(data.profile, *data.registry).c_str(),
-                 stdout);
-    } else if (report == "cube") {
-      std::fputs(render_cube_xml(data.profile, *data.registry).c_str(),
-                 stdout);
-    } else if (report == "csv") {
-      std::fputs(render_csv(data.profile, *data.registry).c_str(), stdout);
-    } else {
-      std::fprintf(stderr, "unknown report: %s\n", report.c_str());
-      return 2;
-    }
-    if (data.has_telemetry) {
-      std::fputs(render_telemetry(data.telemetry).c_str(), stdout);
-    }
-    return 0;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    return 1;
-  }
+  return 0;
 }
 
 /// `taskprof_cli merge --out=OUT a.tpsnap b.tpsnap ...`: collate
 /// per-process snapshots into one (registries unified, trees merged).
-int cmd_merge(int argc, char** argv) {
-  std::string out;
-  std::vector<std::string> paths;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return 2;
-    } else {
-      paths.push_back(arg);
+int cmd_merge(const cli::Args& args) {
+  const std::string& out = args.text("--out");
+  const snapshot::SnapshotData merged =
+      snapshot::merge_snapshot_files(args.files);
+  snapshot::write_snapshot_file(out, merged);
+  std::printf("merged %zu snapshots into %s (%zu regions, %zu threads%s)\n",
+              args.files.size(), out.c_str(), merged.registry->size(),
+              merged.profile.thread_count,
+              merged.profile.partial_capture ? ", partial capture" : "");
+  return 0;
+}
+
+/// The input of diagnose and whatif: a live run (--kernel), a .tpsnap
+/// file and/or a recorded trace (--trace-file).  `view` points into the
+/// storage that the mode filled.
+struct Inputs {
+  RegionRegistry registry;  ///< live run, or names generated for a trace
+  snapshot::SnapshotData snap;
+  AggregateProfile profile;
+  trace::Trace trace;
+  telemetry::Snapshot telemetry;
+  diag::DiagnosisInput view;
+};
+
+/// Exits 2 unless the options name an input, and at most one of --kernel
+/// and a .tpsnap file.
+void check_inputs(const cli::Args& args, const char* command,
+                  const char* needs) {
+  if (!args.given("--kernel") && args.files.empty() &&
+      !args.given("--trace-file")) {
+    cli::usage_error(args.program + " " + command, needs);
+  }
+  if (args.given("--kernel") && !args.files.empty()) {
+    cli::usage_error("--kernel", "and a .tpsnap file are mutually exclusive");
+  }
+}
+
+/// Fills `in` from the inputs the options name.  A live run records the
+/// profile and a trace, plus, with `with_telemetry`, the scheduler
+/// telemetry behind TimedHooks.  Returns false after reporting a failed
+/// kernel self-check; throws when a file cannot be read.
+bool load_inputs(const cli::Args& args, bool with_telemetry, Inputs* in) {
+  if (args.given("--kernel")) {
+    const std::unique_ptr<rt::Runtime> runtime = make_runtime(args);
+    Listeners on;
+    on.instrumentor =
+        std::make_unique<Instrumentor>(in->registry, MeasureOptions{});
+    on.recorder = std::make_unique<trace::TraceRecorder>();
+    if (with_telemetry) on.telemetry = std::make_unique<telemetry::Registry>();
+    on.attach(*runtime);
+    const bots::KernelResult result = run_kernel(args, *runtime, in->registry);
+    runtime->set_hooks(nullptr);
+    runtime->set_telemetry(nullptr);
+    if (!result.ok) {
+      std::fprintf(stderr, "kernel self-check FAILED: %s\n",
+                   result.check.c_str());
+      return false;
     }
+    on.instrumentor->finalize();
+    in->profile = on.instrumentor->aggregate();
+    in->trace = on.recorder->take();
+    in->view = {&in->profile, &in->registry, &in->trace, nullptr};
+    if (with_telemetry) {
+      in->telemetry = on.telemetry->snapshot();
+      in->view.telemetry = &in->telemetry;
+    }
+    return true;
   }
-  if (out.empty() || paths.empty()) {
-    std::fprintf(stderr, "usage: taskprof_cli merge --out=OUT.tpsnap "
-                 "FILE.tpsnap [FILE.tpsnap ...]\n");
-    return 2;
+  if (!args.files.empty()) {
+    in->snap = snapshot::read_snapshot_file(args.files.front());
+    in->view.profile = &in->snap.profile;
+    in->view.registry = in->snap.registry.get();
+    if (in->snap.has_telemetry) in->view.telemetry = &in->snap.telemetry;
   }
-  try {
-    const snapshot::SnapshotData merged = snapshot::merge_snapshot_files(paths);
-    snapshot::write_snapshot_file(out, merged);
-    std::printf("merged %zu snapshots into %s (%zu regions, %zu threads%s)\n",
-                paths.size(), out.c_str(), merged.registry->size(),
-                merged.profile.thread_count,
-                merged.profile.partial_capture ? ", partial capture" : "");
-    return 0;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    return 1;
+  if (args.given("--trace-file")) {
+    in->trace = trace::read_trace_file(args.text("--trace-file"));
+    in->view.trace = &in->trace;
   }
+  if (in->view.registry == nullptr) {
+    register_generated_names(in->trace, &in->registry);
+    in->view.registry = &in->registry;
+  }
+  return true;
 }
 
 /// `taskprof_cli diagnose ...`: run the detrimental-pattern detectors.
@@ -410,249 +481,44 @@ int cmd_merge(int argc, char** argv) {
 ///   --kernel=NAME        live run (trace + telemetry recorded implicitly)
 ///   FILE.tpsnap          post-mortem profile (+ telemetry if present)
 ///   --trace-file=FILE    recorded trace (alone, or alongside a .tpsnap)
-int cmd_diagnose(int argc, char** argv) {
-  std::string kernel_name;
-  std::string engine = "sim";
-  std::string scheduler = "chase_lev";
-  std::string snapshot_path;
-  std::string trace_path;
-  std::string json_out;
-  std::string chrome_out;
-  std::string fail_on;
-  int repeat = 1;
-  bots::KernelConfig config;
-  config.threads = 4;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_name = value_of("--kernel=");
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      engine = value_of("--engine=");
-    } else if (arg.rfind("--scheduler=", 0) == 0) {
-      scheduler = value_of("--scheduler=");
-    } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::stoi(value_of("--repeat="));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      config.threads = std::stoi(value_of("--threads="));
-    } else if (arg == "--size=test") {
-      config.size = bots::SizeClass::kTest;
-    } else if (arg == "--size=small") {
-      config.size = bots::SizeClass::kSmall;
-    } else if (arg == "--size=medium") {
-      config.size = bots::SizeClass::kMedium;
-    } else if (arg == "--cutoff") {
-      config.cutoff = true;
-    } else if (arg == "--untied") {
-      config.untied = true;
-    } else if (arg == "--depth-params") {
-      config.depth_parameter = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      config.seed = std::stoull(value_of("--seed="));
-    } else if (arg.rfind("--trace-file=", 0) == 0) {
-      trace_path = value_of("--trace-file=");
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_out = value_of("--json=");
-    } else if (arg.rfind("--chrome-trace=", 0) == 0) {
-      chrome_out = value_of("--chrome-trace=");
-    } else if (arg.rfind("--fail-on=", 0) == 0) {
-      fail_on = value_of("--fail-on=");
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return 2;
-    } else if (snapshot_path.empty()) {
-      snapshot_path = arg;
-    } else {
-      std::fprintf(stderr, "diagnose takes at most one .tpsnap file\n");
-      return 2;
-    }
-  }
+int cmd_diagnose(const cli::Args& args) {
+  check_inputs(args, "diagnose",
+               "needs --kernel=NAME, a .tpsnap file, or --trace-file=FILE");
   diag::Severity gate = diag::Severity::kProblem;
-  if (!fail_on.empty() && !diag::parse_severity(fail_on, &gate)) {
-    std::fprintf(stderr, "--fail-on must be info|warning|problem\n");
-    return 2;
-  }
-  const bool live = !kernel_name.empty();
-  if (!live && snapshot_path.empty() && trace_path.empty()) {
-    std::fprintf(stderr, "diagnose needs --kernel=NAME, a .tpsnap file, "
-                 "or --trace-file=FILE\n");
-    return 2;
-  }
-  if (live && !snapshot_path.empty()) {
-    std::fprintf(stderr, "diagnose: --kernel and a .tpsnap file are "
-                 "mutually exclusive\n");
-    return 2;
-  }
+  const bool gated = args.given("--fail-on");
+  if (gated) (void)diag::parse_severity(args.text("--fail-on"), &gate);
 
-  // Inputs must outlive run_diagnosis; declare all storage up front.
-  RegionRegistry registry;
-  AggregateProfile profile;
-  snapshot::SnapshotData snap;
-  trace::Trace recorded;
-  telemetry::Snapshot telemetry_snapshot;
-  diag::DiagnosisInput input;
-  diag::DiagnosisReport report;
-
-  try {
-    if (live) {
-      auto kernel = bots::make_kernel(kernel_name);
-      if (kernel == nullptr) {
-        std::fprintf(stderr, "unknown kernel: %s\n", kernel_name.c_str());
-        return 2;
-      }
-      std::unique_ptr<rt::Runtime> runtime;
-      if (engine == "sim") {
-        runtime = std::make_unique<rt::SimRuntime>();
-      } else if (engine == "real") {
-        rt::RealConfig real_config;
-        if (scheduler == "chase_lev") {
-          real_config.scheduler = rt::SchedulerKind::kChaseLev;
-        } else if (scheduler == "mutex_deque") {
-          real_config.scheduler = rt::SchedulerKind::kMutexDeque;
-        } else if (scheduler == "taskgraph") {
-          real_config.scheduler = rt::SchedulerKind::kTaskGraph;
-        } else {
-          std::fprintf(stderr, "unknown scheduler: %s\n", scheduler.c_str());
-          return 2;
-        }
-        runtime = std::make_unique<rt::RealRuntime>(real_config);
-      } else {
-        std::fprintf(stderr, "unknown engine: %s\n", engine.c_str());
-        return 2;
-      }
-      // A diagnose run always records everything the detectors can use:
-      // profile, trace, and telemetry.
-      Instrumentor instrumentor(registry, MeasureOptions{});
-      trace::TraceRecorder recorder;
-      telemetry::Registry telem;
-      rt::FanoutHooks fanout;
-      fanout.add(&instrumentor);
-      fanout.add(&recorder);
-      telemetry::TimedHooks timed(&fanout, &telem);
-      runtime->set_hooks(&timed);
-      runtime->set_telemetry(&telem);
-      bots::KernelResult result;
-      for (int run = 0; run < repeat; ++run) {
-        result = kernel->run(*runtime, registry, config);
-        if (!result.ok) break;
-      }
-      runtime->set_hooks(nullptr);
-      runtime->set_telemetry(nullptr);
-      if (!result.ok) {
-        std::fprintf(stderr, "kernel self-check FAILED: %s\n",
-                     result.check.c_str());
-        return 1;
-      }
-      instrumentor.finalize();
-      profile = instrumentor.aggregate();
-      recorded = recorder.take();
-      telemetry_snapshot = telem.snapshot();
-      input.profile = &profile;
-      input.registry = &registry;
-      input.trace = &recorded;
-      input.telemetry = &telemetry_snapshot;
-    } else if (!snapshot_path.empty()) {
-      snap = snapshot::read_snapshot_file(snapshot_path);
-      input.profile = &snap.profile;
-      input.registry = snap.registry.get();
-      if (snap.has_telemetry) input.telemetry = &snap.telemetry;
-      if (!trace_path.empty()) {
-        recorded = trace::read_trace_file(trace_path);
-        input.trace = &recorded;
-      }
-    } else {
-      // Trace only: region names are not stored in the trace file, so
-      // run against a registry of generated names (same as
-      // --analyze-trace).
-      recorded = trace::read_trace_file(trace_path);
-      RegionHandle max_region = 0;
-      for (const auto& event : recorded.merged()) {
-        if (event.region != kInvalidRegion) {
-          max_region = std::max(max_region, event.region);
-        }
-      }
-      for (RegionHandle r = 0; r <= max_region; ++r) {
-        registry.register_region("region " + std::to_string(r),
-                                 RegionType::kTask);
-      }
-      input.registry = &registry;
-      input.trace = &recorded;
-    }
-    // Replaying a loaded trace rejects impossible histories typed.
-    report = diag::run_diagnosis(input);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    return 1;
-  }
-
+  Inputs in;
+  if (!load_inputs(args, /*with_telemetry=*/true, &in)) return 1;
+  // Replaying a loaded trace rejects impossible histories typed.
+  const diag::DiagnosisReport report = diag::run_diagnosis(in.view);
   {
     std::ostringstream os;
     diag::render_diagnosis_text(report, os);
     std::fputs(os.str().c_str(), stdout);
   }
-  if (!json_out.empty()) {
-    const std::string json = diag::render_diagnosis_json(report);
-    std::FILE* f = std::fopen(json_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("diagnosis JSON written to %s\n", json_out.c_str());
+  if (const std::string& json_out = args.text("--json"); !json_out.empty()) {
+    write_output(json_out, diag::render_diagnosis_json(report),
+                 "diagnosis JSON");
   }
-  if (!chrome_out.empty() && input.trace != nullptr) {
-    try {
-      const std::vector<trace::TraceAnnotation> annotations =
-          diag::diagnosis_annotations(report);
-      trace::ChromeExportOptions chrome;
-      chrome.registry = input.registry;
-      chrome.telemetry = input.telemetry;
-      chrome.annotations = &annotations;
-      trace::write_chrome_trace(chrome_out, *input.trace, chrome);
-      std::printf("chrome trace written to %s (diagnoses as instant "
-                  "events)\n",
-                  chrome_out.c_str());
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "%s\n", error.what());
-      return 1;
-    }
+  const std::string& chrome_out = args.text("--chrome-trace");
+  if (!chrome_out.empty() && in.view.trace != nullptr) {
+    const std::vector<trace::TraceAnnotation> annotations =
+        diag::diagnosis_annotations(report);
+    trace::ChromeExportOptions chrome;
+    chrome.registry = in.view.registry;
+    chrome.telemetry = in.view.telemetry;
+    chrome.annotations = &annotations;
+    trace::write_chrome_trace(chrome_out, *in.view.trace, chrome);
+    std::printf("chrome trace written to %s (diagnoses as instant events)\n",
+                chrome_out.c_str());
   }
-  if (!fail_on.empty() && report.count_at_least(gate) > 0) {
+  if (gated && report.count_at_least(gate) > 0) {
     std::fprintf(stderr, "diagnose: %zu finding(s) at or above %s\n",
                  report.count_at_least(gate), diag::severity_name(gate));
     return 3;
   }
   return 0;
-}
-
-/// Parse "2,4,8" into integers; returns false on any bad element.
-bool parse_int_list(const std::string& text, std::vector<int>* out) {
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    try {
-      out->push_back(std::stoi(item));
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-  return !out->empty();
-}
-
-bool parse_double_list(const std::string& text, std::vector<double>* out) {
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    try {
-      out->push_back(std::stod(item));
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-  return !out->empty();
 }
 
 int report_whatif_error(const whatif::Error& error) {
@@ -667,174 +533,44 @@ int report_whatif_error(const whatif::Error& error) {
 ///   --kernel=NAME        live run, trace recorded implicitly
 ///   FILE.tpsnap --trace-file=FILE   snapshot registry + recorded trace
 ///   --trace-file=FILE    recorded trace with generated region names
-int cmd_whatif(int argc, char** argv) {
-  std::string kernel_name;
-  std::string engine = "sim";
-  std::string snapshot_path;
-  std::string trace_path;
-  std::string json_out;
-  std::vector<std::string> specs;
-  std::vector<int> thread_counts;
-  double rank_percent = 50.0;
-  bots::KernelConfig config;
-  config.threads = 4;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_name = value_of("--kernel=");
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      engine = value_of("--engine=");
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      config.threads = std::stoi(value_of("--threads="));
-    } else if (arg.rfind("--threads-list=", 0) == 0) {
-      if (!parse_int_list(value_of("--threads-list="), &thread_counts)) {
-        std::fprintf(stderr, "--threads-list wants e.g. 2,4,8\n");
-        return 2;
-      }
-    } else if (arg == "--size=test") {
-      config.size = bots::SizeClass::kTest;
-    } else if (arg == "--size=small") {
-      config.size = bots::SizeClass::kSmall;
-    } else if (arg == "--size=medium") {
-      config.size = bots::SizeClass::kMedium;
-    } else if (arg == "--cutoff") {
-      config.cutoff = true;
-    } else if (arg == "--untied") {
-      config.untied = true;
-    } else if (arg == "--depth-params") {
-      config.depth_parameter = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      config.seed = std::stoull(value_of("--seed="));
-    } else if (arg.rfind("--trace-file=", 0) == 0) {
-      trace_path = value_of("--trace-file=");
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_out = value_of("--json=");
-    } else if (arg.rfind("--rank-percent=", 0) == 0) {
-      rank_percent = std::stod(value_of("--rank-percent="));
-    } else if (arg.rfind("--whatif=", 0) == 0) {
-      specs.push_back(value_of("--whatif="));
-    } else if (arg == "--whatif" && i + 1 < argc) {
-      specs.emplace_back(argv[++i]);
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return 2;
-    } else if (snapshot_path.empty()) {
-      snapshot_path = arg;
-    } else {
-      std::fprintf(stderr, "whatif takes at most one .tpsnap file\n");
-      return 2;
-    }
-  }
-  const bool live = !kernel_name.empty();
-  if (!live && snapshot_path.empty() && trace_path.empty()) {
-    std::fprintf(stderr, "whatif needs --kernel=NAME, a .tpsnap file with "
-                 "--trace-file, or --trace-file=FILE\n");
-    return 2;
-  }
-  if (live && !snapshot_path.empty()) {
-    std::fprintf(stderr, "whatif: --kernel and a .tpsnap file are "
-                 "mutually exclusive\n");
-    return 2;
-  }
+int cmd_whatif(const cli::Args& args) {
+  check_inputs(args, "whatif",
+               "needs --kernel=NAME, a .tpsnap file with --trace-file, or "
+               "--trace-file=FILE");
   // Parse hypotheses before any (possibly slow) run so bad specs fail
   // fast with their typed error.
   std::vector<whatif::TargetSpec> targets;
-  for (const std::string& spec : specs) {
+  for (const std::string& spec : args.texts("--whatif")) {
     whatif::TargetSpec target;
     const whatif::Error parse_error = whatif::parse_target_spec(spec, &target);
     if (!parse_error.ok()) return report_whatif_error(parse_error);
     targets.push_back(std::move(target));
   }
-  if (!(rank_percent > 0.0) || rank_percent > 100.0) {
+  const std::vector<int> thread_counts = args.integers("--threads-list");
+
+  Inputs in;
+  if (!load_inputs(args, /*with_telemetry=*/false, &in)) return 1;
+  if (in.view.trace == nullptr) {
+    // The projection needs task lifetimes; a profile snapshot alone
+    // cannot provide them.
     return report_whatif_error(
-        {whatif::ErrorCode::kBadFraction,
-         "--rank-percent must be in (0,100]"});
+        {whatif::ErrorCode::kNoTrace,
+         "snapshot input '" + args.files.front() +
+             "' carries no trace; record one with --trace-out and pass "
+             "--trace-file=FILE.tptrc"});
   }
-
-  // Inputs must outlive the profile; declare all storage up front.
-  RegionRegistry registry;
-  snapshot::SnapshotData snap;
-  trace::Trace recorded;
-  trace::TraceAnalysis analysis;
-  const RegionRegistry* names = &registry;
-
-  try {
-    if (live) {
-      auto kernel = bots::make_kernel(kernel_name);
-      if (kernel == nullptr) {
-        std::fprintf(stderr, "unknown kernel: %s\n", kernel_name.c_str());
-        return 2;
-      }
-      std::unique_ptr<rt::Runtime> runtime;
-      if (engine == "sim") {
-        runtime = std::make_unique<rt::SimRuntime>();
-      } else if (engine == "real") {
-        runtime = std::make_unique<rt::RealRuntime>();
-      } else {
-        std::fprintf(stderr, "unknown engine: %s\n", engine.c_str());
-        return 2;
-      }
-      Instrumentor instrumentor(registry, MeasureOptions{});
-      trace::TraceRecorder recorder;
-      rt::FanoutHooks fanout;
-      fanout.add(&instrumentor);
-      fanout.add(&recorder);
-      runtime->set_hooks(&fanout);
-      const bots::KernelResult result =
-          kernel->run(*runtime, registry, config);
-      runtime->set_hooks(nullptr);
-      if (!result.ok) {
-        std::fprintf(stderr, "kernel self-check FAILED: %s\n",
-                     result.check.c_str());
-        return 1;
-      }
-      instrumentor.finalize();
-      recorded = recorder.take();
-    } else if (!snapshot_path.empty()) {
-      snap = snapshot::read_snapshot_file(snapshot_path);
-      names = snap.registry.get();
-      if (trace_path.empty()) {
-        // The projection needs task lifetimes; a profile snapshot alone
-        // cannot provide them.
-        return report_whatif_error(
-            {whatif::ErrorCode::kNoTrace,
-             "snapshot input '" + snapshot_path +
-                 "' carries no trace; record one with --trace-out and pass "
-                 "--trace-file=FILE.tptrc"});
-      }
-      recorded = trace::read_trace_file(trace_path);
-    } else {
-      // Trace only: generated region names (names are not in the file).
-      recorded = trace::read_trace_file(trace_path);
-      RegionHandle max_region = 0;
-      for (const auto& event : recorded.merged()) {
-        if (event.region != kInvalidRegion) {
-          max_region = std::max(max_region, event.region);
-        }
-      }
-      for (RegionHandle r = 0; r <= max_region; ++r) {
-        registry.register_region("region " + std::to_string(r),
-                                 RegionType::kTask);
-      }
-    }
-    // Replaying a loaded trace rejects impossible histories typed.
-    analysis = trace::analyze_trace(recorded);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    return 1;
-  }
+  // Replaying a loaded trace rejects impossible histories typed.
+  const trace::TraceAnalysis analysis = trace::analyze_trace(in.trace);
 
   whatif::WhatIfProfile profile;
   const whatif::Error build_error =
-      whatif::WhatIfProfile::build(recorded, analysis, *names, &profile);
+      whatif::WhatIfProfile::build(in.trace, analysis, *in.view.registry,
+                                   &profile);
   if (!build_error.ok()) return report_whatif_error(build_error);
 
   whatif::Report report;
   report.summarize(profile);
-  report.rank_fraction = rank_percent / 100.0;
+  report.rank_fraction = args.real("--rank-percent") / 100.0;
   for (const whatif::TargetSpec& target : targets) {
     std::vector<std::size_t> indices;
     const whatif::Error resolve_error =
@@ -853,16 +589,8 @@ int cmd_whatif(int argc, char** argv) {
     whatif::render_whatif_text(report, os);
     std::fputs(os.str().c_str(), stdout);
   }
-  if (!json_out.empty()) {
-    const std::string json = whatif::render_whatif_json(report);
-    std::FILE* f = std::fopen(json_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("whatif JSON written to %s\n", json_out.c_str());
+  if (const std::string& json_out = args.text("--json"); !json_out.empty()) {
+    write_output(json_out, whatif::render_whatif_json(report), "whatif JSON");
   }
   return 0;
 }
@@ -870,58 +598,16 @@ int cmd_whatif(int argc, char** argv) {
 /// `taskprof_cli whatif-validate ...`: run the analytical-vs-sim-replay
 /// tolerance gate over the BOTS matrix.  Exit 3 when any case misses the
 /// tolerance (or changes program structure).
-int cmd_whatif_validate(int argc, char** argv) {
+int cmd_whatif_validate(const cli::Args& args) {
   whatif::ValidateOptions options;
-  std::string json_out;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--kernels=", 0) == 0) {
-      std::stringstream ss(value_of("--kernels="));
-      std::string item;
-      options.kernels.clear();
-      while (std::getline(ss, item, ',')) options.kernels.push_back(item);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads.clear();
-      if (!parse_int_list(value_of("--threads="), &options.threads)) {
-        std::fprintf(stderr, "--threads wants e.g. 2,4,8\n");
-        return 2;
-      }
-    } else if (arg.rfind("--optimize=", 0) == 0) {
-      std::vector<double> percents;
-      if (!parse_double_list(value_of("--optimize="), &percents)) {
-        std::fprintf(stderr, "--optimize wants percents, e.g. 25,50,90\n");
-        return 2;
-      }
-      options.fractions.clear();
-      for (const double percent : percents) {
-        if (!(percent > 0.0) || percent > 100.0) {
-          return report_whatif_error(
-              {whatif::ErrorCode::kBadFraction,
-               "--optimize percents must be in (0,100]"});
-        }
-        options.fractions.push_back(percent / 100.0);
-      }
-    } else if (arg == "--size=test") {
-      options.size = bots::SizeClass::kTest;
-    } else if (arg == "--size=small") {
-      options.size = bots::SizeClass::kSmall;
-    } else if (arg == "--size=medium") {
-      options.size = bots::SizeClass::kMedium;
-    } else if (arg.rfind("--tolerance=", 0) == 0) {
-      options.tolerance = std::stod(value_of("--tolerance="));
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_out = value_of("--json=");
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return 2;
-    } else {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      return 2;
-    }
+  options.kernels = args.texts("--kernels");
+  options.threads = args.integers("--threads");
+  options.fractions.clear();
+  for (const double percent : args.reals("--optimize")) {
+    options.fractions.push_back(percent / 100.0);
   }
+  options.size = *bots::parse_size(args.text("--size"));
+  options.tolerance = args.real("--tolerance");
 
   whatif::Error error;
   const whatif::ValidateReport report =
@@ -933,170 +619,88 @@ int cmd_whatif_validate(int argc, char** argv) {
     whatif::render_validate_text(report, os);
     std::fputs(os.str().c_str(), stdout);
   }
-  if (!json_out.empty()) {
-    const std::string json = whatif::render_validate_json(report);
-    std::FILE* f = std::fopen(json_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("validation JSON written to %s\n", json_out.c_str());
+  if (const std::string& json_out = args.text("--json"); !json_out.empty()) {
+    write_output(json_out, whatif::render_validate_json(report),
+                 "validation JSON");
   }
   return report.all_within() ? 0 : 3;
 }
 
-}  // namespace
+/// `taskprof_cli --analyze-trace=FILE`: the analyses of a recorded trace.
+int analyze_trace_file(const std::string& path) {
+  const trace::Trace loaded = trace::read_trace_file(path);
+  std::printf("loaded %zu events from %zu threads\n", loaded.event_count(),
+              loaded.thread_count());
+  RegionRegistry names;
+  register_generated_names(loaded, &names);
+  const trace::TraceAnalysis analysis = trace::analyze_trace(loaded);
+  std::fputs(trace::render_analysis(analysis, names).c_str(), stdout);
+  std::fputs(trace::render_timeline(loaded).c_str(), stdout);
+  return 0;
+}
 
-int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "load") == 0) {
-    return cmd_load(argc, argv);
+/// `taskprof_cli --kernel=NAME ...`: one profiled (or plain) run.
+int cmd_run(const cli::Args& args) {
+  if (args.given("--analyze-trace")) {
+    return analyze_trace_file(args.text("--analyze-trace"));
   }
-  if (argc >= 2 && std::strcmp(argv[1], "merge") == 0) {
-    return cmd_merge(argc, argv);
+  if (!args.given("--kernel")) {
+    cli::usage_error("--kernel", "is required (or --analyze-trace=FILE)");
   }
-  if (argc >= 2 && std::strcmp(argv[1], "diagnose") == 0) {
-    return cmd_diagnose(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "whatif") == 0) {
-    return cmd_whatif(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "whatif-validate") == 0) {
-    return cmd_whatif_validate(argc, argv);
-  }
-  CliOptions cli;
-  if (!parse(argc, argv, cli)) {
-    usage(argv[0]);
-    return 2;
-  }
-
-  // Post-mortem mode: analyze a previously recorded trace file.
-  if (!cli.analyze_trace.empty()) {
-    try {
-      const trace::Trace loaded = trace::read_trace_file(cli.analyze_trace);
-      std::printf("loaded %zu events from %zu threads\n",
-                  loaded.event_count(), loaded.thread_count());
-      // Region names are not stored in the trace file; analyses that need
-      // them use a registry with generated names.
-      RegionRegistry names;
-      RegionHandle max_region = 0;
-      for (const auto& event : loaded.merged()) {
-        if (event.region != kInvalidRegion) {
-          max_region = std::max(max_region, event.region);
-        }
-      }
-      for (RegionHandle r = 0; r <= max_region; ++r) {
-        names.register_region("region " + std::to_string(r),
-                              RegionType::kTask);
-      }
-      const trace::TraceAnalysis analysis = trace::analyze_trace(loaded);
-      std::fputs(trace::render_analysis(analysis, names).c_str(), stdout);
-      std::fputs(trace::render_timeline(loaded).c_str(), stdout);
-      return 0;
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "%s\n", error.what());
-      return 1;
-    }
+  const std::string& kernel_name = args.text("--kernel");
+  const std::string& trace_out = args.text("--trace-out");
+  const std::string& chrome_trace = args.text("--chrome-trace");
+  const std::string& telemetry_json = args.text("--telemetry-json");
+  const std::string& report_json = args.text("--report-json");
+  const std::string& ingest_socket = args.text("--ingest");
+  const std::string& report = args.text("--report");
+  const bool instrumented = !args.flag("--uninstrumented");
+  const bool tracing =
+      args.flag("--trace") || !trace_out.empty() || !chrome_trace.empty();
+  const bool with_telemetry =
+      args.flag("--telemetry") || !telemetry_json.empty();
+  const std::uint64_t snapshot_every_ms = args.u64("--snapshot-every");
+  std::string snapshot_out = args.text("--snapshot-out");
+  if (snapshot_every_ms > 0 && snapshot_out.empty() && ingest_socket.empty()) {
+    snapshot_out = kernel_name + ".tpsnap";
   }
 
-  auto kernel = bots::make_kernel(cli.kernel);
-  if (kernel == nullptr) {
-    std::fprintf(stderr, "unknown kernel: %s\n", cli.kernel.c_str());
-    return 2;
-  }
-
-  rt::Topology topology;
-  if (!cli.topology_spec.empty() &&
-      !parse_topology_spec(cli.topology_spec, topology)) {
-    std::fprintf(stderr, "bad --topology spec: %s (want DxW, e.g. 4x16)\n",
-                 cli.topology_spec.c_str());
-    return 2;
-  }
-
-  std::unique_ptr<rt::Runtime> runtime;
   rt::RealRuntime* real_runtime = nullptr;
-  if (cli.engine == "sim") {
-    if (cli.scheduler != "chase_lev") {
-      std::fprintf(stderr, "--scheduler applies to --engine=real only\n");
-      return 2;
-    }
-    rt::SimConfig sim_config;
-    sim_config.topology = topology;
-    runtime = std::make_unique<rt::SimRuntime>(sim_config);
-  } else if (cli.engine == "real") {
-    rt::RealConfig config;
-    config.topology = topology;
-    if (cli.scheduler == "chase_lev") {
-      config.scheduler = rt::SchedulerKind::kChaseLev;
-    } else if (cli.scheduler == "mutex_deque") {
-      config.scheduler = rt::SchedulerKind::kMutexDeque;
-    } else if (cli.scheduler == "taskgraph") {
-      config.scheduler = rt::SchedulerKind::kTaskGraph;
-    } else {
-      std::fprintf(stderr, "unknown scheduler: %s\n", cli.scheduler.c_str());
-      return 2;
-    }
-    auto real = std::make_unique<rt::RealRuntime>(config);
-    real_runtime = real.get();
-    runtime = std::move(real);
-  } else {
-    std::fprintf(stderr, "unknown engine: %s\n", cli.engine.c_str());
-    return 2;
-  }
+  const std::unique_ptr<rt::Runtime> runtime =
+      make_runtime(args, &real_runtime);
 
   RegionRegistry registry;
-  std::unique_ptr<Instrumentor> instrumentor;
-  std::unique_ptr<trace::TraceRecorder> recorder;
-  std::unique_ptr<telemetry::Registry> telem;
-  std::unique_ptr<telemetry::TimedHooks> timed;
-  rt::FanoutHooks fanout;
-  if (cli.instrumented) {
+  Listeners on;
+  if (instrumented) {
     MeasureOptions measure;
-    if (!cli.snapshot_out.empty() || !cli.ingest_socket.empty()) {
+    if (!snapshot_out.empty() || !ingest_socket.empty()) {
       // Non-zero arms the capture handshake in every profiler's event
       // path; the actual cadence lives in the flusher.
       measure.snapshot_every = static_cast<Ticks>(
-          cli.snapshot_every_ms > 0 ? cli.snapshot_every_ms * 1'000'000 : 1);
+          snapshot_every_ms > 0 ? snapshot_every_ms * 1'000'000 : 1);
     }
-    try {
-      instrumentor = std::make_unique<Instrumentor>(registry, measure);
-    } catch (const std::exception& error) {
-      // Armed snapshots need membarrier(2), which a kernel may refuse.
-      std::fprintf(stderr, "%s\n", error.what());
-      return 1;
-    }
-    fanout.add(instrumentor.get());
+    // Armed snapshots need membarrier(2); a kernel that refuses it makes
+    // the constructor throw (exit 1).
+    on.instrumentor = std::make_unique<Instrumentor>(registry, measure);
   }
-  if (cli.trace) {
-    recorder = std::make_unique<trace::TraceRecorder>();
-    fanout.add(recorder.get());
-  }
-  if (cli.telemetry) telem = std::make_unique<telemetry::Registry>();
-  if (cli.instrumented || cli.trace) {
-    // With telemetry on, the timing decorator sits between the engine and
-    // the measurement hooks so their cost lands in the telemetry too.
-    if (telem != nullptr) {
-      timed = std::make_unique<telemetry::TimedHooks>(&fanout, telem.get());
-      runtime->set_hooks(timed.get());
-    } else {
-      runtime->set_hooks(&fanout);
-    }
-  }
-  if (telem != nullptr) runtime->set_telemetry(telem.get());
+  if (tracing) on.recorder = std::make_unique<trace::TraceRecorder>();
+  if (with_telemetry) on.telemetry = std::make_unique<telemetry::Registry>();
+  on.attach(*runtime);
+  Instrumentor* const instrumentor = on.instrumentor.get();
+  telemetry::Registry* const telem = on.telemetry.get();
   std::unique_ptr<snapshot::SnapshotFlusher> flusher;
   std::unique_ptr<ingest::IngestFlushSink> ingest_sink;
   if (instrumentor != nullptr &&
-      (!cli.snapshot_out.empty() || !cli.ingest_socket.empty())) {
+      (!snapshot_out.empty() || !ingest_socket.empty())) {
     snapshot::FlusherOptions flush_options;
-    flush_options.path = cli.snapshot_out;
+    flush_options.path = snapshot_out;
     flush_options.interval =
-        static_cast<Ticks>(cli.snapshot_every_ms) * 1'000'000;
-    flush_options.telemetry = telem.get();
-    if (!cli.ingest_socket.empty()) {
+        static_cast<Ticks>(snapshot_every_ms) * 1'000'000;
+    flush_options.telemetry = telem;
+    if (!ingest_socket.empty()) {
       ingest::ClientOptions client_options;
-      client_options.socket_path = cli.ingest_socket;
-      client_options.producer_name = cli.kernel;
+      client_options.socket_path = ingest_socket;
+      client_options.producer_name = kernel_name;
       ingest_sink =
           std::make_unique<ingest::IngestFlushSink>(std::move(client_options));
       flush_options.sink = ingest_sink.get();
@@ -1108,61 +712,39 @@ int main(int argc, char** argv) {
     snapshot::install_crash_flush(flusher.get());
     flusher->start();
   }
-  // --repeat runs the kernel on one runtime/registry/instrumentor: the
-  // profile aggregates across runs (RegionRegistry dedupes identical
-  // re-registrations), and with --scheduler=taskgraph run 1 records the
-  // task graph while runs 2..N replay it through the static schedule.
-  bots::KernelResult result;
-  for (int run = 0; run < cli.repeat; ++run) {
-    result = kernel->run(*runtime, registry, cli.config);
-    if (!result.ok) break;
-  }
+  const bots::KernelResult result = run_kernel(args, *runtime, registry);
   runtime->set_hooks(nullptr);
   runtime->set_telemetry(nullptr);
-  if (real_runtime != nullptr && cli.scheduler == "taskgraph") {
-    if (real_runtime->taskgraph_stale()) {
-      std::printf("taskgraph: %zu nodes recorded, %d replay run(s), "
-                  "diverged (fell back to chase_lev; cause: %s)\n",
-                  real_runtime->taskgraph_size(),
-                  cli.repeat > 1 ? cli.repeat - 1 : 0,
-                  rt::scheduler_note_name(
-                      real_runtime->taskgraph_fallback_reason()));
-    } else {
-      std::printf("taskgraph: %zu nodes recorded, %d replay run(s), "
-                  "shape stable\n",
-                  real_runtime->taskgraph_size(),
-                  cli.repeat > 1 ? cli.repeat - 1 : 0);
-    }
+  if (real_runtime != nullptr && args.text("--scheduler") == "taskgraph") {
+    const bool stale = real_runtime->taskgraph_stale();
+    std::printf("taskgraph: %zu nodes recorded, %d replay run(s), %s%s%s\n",
+                real_runtime->taskgraph_size(), args.integer("--repeat") - 1,
+                stale ? "diverged (fell back to chase_lev; cause: "
+                      : "shape stable",
+                stale ? rt::scheduler_note_name(
+                            real_runtime->taskgraph_fallback_reason())
+                      : "",
+                stale ? ")" : "");
   }
   if (flusher != nullptr) flusher->stop();
 
   telemetry::Snapshot telemetry_snapshot;
   if (telem != nullptr) telemetry_snapshot = telem->snapshot();
 
-  if (cli.trace) {
-    const trace::Trace recorded = recorder->take();
+  if (tracing) {
+    const trace::Trace recorded = on.recorder->take();
     std::printf("--- trace: %zu events ---\n", recorded.event_count());
-    if (!cli.trace_out.empty()) {
-      try {
-        trace::write_trace_file(cli.trace_out, recorded);
-        std::printf("trace written to %s\n", cli.trace_out.c_str());
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return 1;
-      }
+    if (!trace_out.empty()) {
+      trace::write_trace_file(trace_out, recorded);
+      std::printf("trace written to %s\n", trace_out.c_str());
     }
-    if (!cli.chrome_trace.empty()) {
-      try {
-        trace::ChromeExportOptions chrome;
-        chrome.registry = &registry;
-        chrome.telemetry = telem != nullptr ? &telemetry_snapshot : nullptr;
-        trace::write_chrome_trace(cli.chrome_trace, recorded, chrome);
-        std::printf("chrome trace written to %s (open in ui.perfetto.dev)\n",
-                    cli.chrome_trace.c_str());
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return 1;
-      }
+    if (!chrome_trace.empty()) {
+      trace::ChromeExportOptions chrome;
+      chrome.registry = &registry;
+      chrome.telemetry = telem != nullptr ? &telemetry_snapshot : nullptr;
+      trace::write_chrome_trace(chrome_trace, recorded, chrome);
+      std::printf("chrome trace written to %s (open in ui.perfetto.dev)\n",
+                  chrome_trace.c_str());
     }
     const trace::TraceAnalysis analysis = trace::analyze_trace(recorded);
     std::fputs(trace::render_analysis(analysis, registry).c_str(), stdout);
@@ -1185,21 +767,14 @@ int main(int argc, char** argv) {
 
   if (telem != nullptr) {
     std::fputs(render_telemetry(telemetry_snapshot).c_str(), stdout);
-    if (!cli.telemetry_json.empty()) {
-      std::FILE* f = std::fopen(cli.telemetry_json.c_str(), "wb");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", cli.telemetry_json.c_str());
-        return 1;
-      }
-      const std::string json = telemetry::snapshot_to_json(telemetry_snapshot);
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("telemetry snapshot written to %s\n",
-                  cli.telemetry_json.c_str());
+    if (!telemetry_json.empty()) {
+      write_output(telemetry_json,
+                   telemetry::snapshot_to_json(telemetry_snapshot),
+                   "telemetry snapshot");
     }
   }
 
-  if (!cli.instrumented) {
+  if (!instrumented) {
     std::printf("parallel span: %s | tasks executed: %s | self-check: %s\n",
                 format_ticks(result.stats.parallel_ticks).c_str(),
                 format_count(result.stats.tasks_executed).c_str(),
@@ -1210,9 +785,9 @@ int main(int argc, char** argv) {
   const AggregateProfile profile = instrumentor->aggregate();
   if (flusher != nullptr) {
     if (flusher->flush_final()) {
-      if (!cli.snapshot_out.empty()) {
+      if (!snapshot_out.empty()) {
         std::printf("snapshot written to %s (%llu flushes)\n",
-                    cli.snapshot_out.c_str(),
+                    snapshot_out.c_str(),
                     static_cast<unsigned long long>(flusher->flush_count()));
       }
     } else {
@@ -1224,38 +799,47 @@ int main(int argc, char** argv) {
                   "(%llu rebase(s))\n",
                   static_cast<unsigned long long>(
                       ingest_sink->client().total_sends()),
-                  cli.ingest_socket.c_str(),
+                  ingest_socket.c_str(),
                   static_cast<unsigned long long>(
                       ingest_sink->client().total_rebases()));
     }
     snapshot::install_crash_flush(nullptr);
   }
 
-  if (cli.report == "summary" || cli.report == "all") {
-    print_summary(result, profile, registry);
+  const bool all = report == "all";
+  if (all || report == "summary") print_summary(result, profile, registry);
+  std::string rendered;
+  if (all || report == "tree") rendered += render_profile(profile, registry);
+  if (report == "cube") rendered += render_cube_xml(profile, registry);
+  if (report == "csv") rendered += render_csv(profile, registry);
+  if (all || report == "findings") {
+    rendered += render_findings(diagnose(profile, registry));
   }
-  if (cli.report == "tree" || cli.report == "all") {
-    std::fputs(render_profile(profile, registry).c_str(), stdout);
-  }
-  if (cli.report == "cube") {
-    std::fputs(render_cube_xml(profile, registry).c_str(), stdout);
-  }
-  if (cli.report == "csv") {
-    std::fputs(render_csv(profile, registry).c_str(), stdout);
-  }
-  if (cli.report == "findings" || cli.report == "all") {
-    std::fputs(render_findings(diagnose(profile, registry)).c_str(), stdout);
-  }
-  if (!cli.report_json.empty()) {
-    const std::string json = render_report_json(profile, registry);
-    std::FILE* f = std::fopen(cli.report_json.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", cli.report_json.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("report JSON written to %s\n", cli.report_json.c_str());
+  std::fputs(rendered.c_str(), stdout);
+  if (!report_json.empty()) {
+    write_output(report_json, render_report_json(profile, registry),
+                 "report JSON");
   }
   return result.ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const cli::Args args = cli::parse_or_exit(kTable, argc, argv);
+  try {
+    switch (args.command) {
+      case kLoad: return cmd_load(args);
+      case kMerge: return cmd_merge(args);
+      case kDiagnose: return cmd_diagnose(args);
+      case kWhatif: return cmd_whatif(args);
+      case kValidate: return cmd_whatif_validate(args);
+      default: return cmd_run(args);
+    }
+  } catch (const std::exception& error) {
+    // A run failure: an unreadable or corrupt input file, an unwritable
+    // output, a refused membarrier(2).
+    std::fprintf(stderr, "%s\n", error.what());
+    return 1;
+  }
 }

@@ -1,7 +1,6 @@
 // taskprofd: fleet-scale continuous profile ingestion daemon.
 //
-//   taskprofd serve  --socket=PATH [--shards=N] [--memory-budget-mb=N]
-//                    [--keep-partial] [--max-seconds=N] [--quiet]
+//   taskprofd serve --socket=PATH [--shards=N] [--memory-budget-mb=N] ...
 //   taskprofd report --socket=PATH [--kind=text|json|stats]
 //   taskprofd export --socket=PATH --out=FILE.tpsnap
 //
@@ -10,15 +9,15 @@
 // ingestion stats on exit.  report/export are one-shot query clients:
 // report prints the daemon's current merged view, export writes it as
 // ordinary .tpsnap bytes that `taskprof_cli load` (or another merge)
-// consumes like any offline snapshot.
+// consumes like any offline snapshot.  The options are one table
+// (kOptions; `taskprofd COMMAND --help` lists them); a bad value exits 2.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli_options.hpp"
 #include "ingest/client.hpp"
 #include "ingest/daemon.hpp"
 #include "snapshot/snapshot.hpp"
@@ -26,60 +25,61 @@
 namespace {
 
 using namespace taskprof;
+using cli::Kind;
 
 volatile std::sig_atomic_t g_stop = 0;
 
 void stop_handler(int) { g_stop = 1; }
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage:\n"
-      "  %s serve  --socket=PATH [--shards=N] [--memory-budget-mb=N]\n"
-      "            [--keep-partial] [--max-seconds=N] [--quiet]\n"
-      "  %s report --socket=PATH [--kind=text|json|stats]\n"
-      "  %s export --socket=PATH --out=FILE.tpsnap\n"
-      "\n"
-      "serve accepts streaming delta snapshots from profiled processes\n"
-      "(taskprof_cli --ingest=PATH) and maintains the merged fleet\n"
-      "profile; --memory-budget-mb bounds the live call-tree memory by\n"
-      "folding cold call paths into [evicted] stubs (totals stay exact).\n"
-      "report/export query a running daemon over the same socket.\n",
-      argv0, argv0, argv0);
-}
+enum Command : unsigned { kServe, kReport, kExport };
 
-std::string arg_value(const std::string& arg, const char* prefix) {
-  return arg.substr(std::strlen(prefix));
-}
+constexpr cli::Command kCommands[] = {
+    {.name = "serve",
+     .about = "Accept streaming delta snapshots from profiled processes\n"
+              "(taskprof_cli --ingest=PATH) and maintain the merged fleet "
+              "profile."},
+    {.name = "report", .about = "Print a running daemon's merged view."},
+    {.name = "export",
+     .about = "Write a running daemon's merged view as a .tpsnap file."},
+};
 
-int run_serve(const std::vector<std::string>& args) {
+constexpr cli::Option kOptions[] = {
+    {.name = "--socket", .kind = Kind::kString,
+     .help = "the daemon's Unix-domain socket", .values = "PATH",
+     .required = true},
+    {.name = "--shards", .kind = Kind::kInt,
+     .help = "merge workers / aggregate shards", .fallback = "4", .min = 1,
+     .max = 1024, .commands = 1u << kServe},
+    {.name = "--memory-budget-mb", .kind = Kind::kU64,
+     .help = "bound the live call-tree memory by folding cold call paths\n"
+             "into [evicted] stubs (totals stay exact); 0 = unbounded",
+     .fallback = "0", .min = 0,
+     .max = 17592186044415.0,  // 2^44 - 1: the bytes fit in a u64
+     .commands = 1u << kServe},
+    {.name = "--keep-partial", .help = "fold dirty disconnects too",
+     .commands = 1u << kServe},
+    {.name = "--max-seconds", .kind = Kind::kInt,
+     .help = "stop after this many seconds; 0 = run until SIGINT/SIGTERM",
+     .fallback = "0", .min = 0, .commands = 1u << kServe},
+    {.name = "--quiet", .help = "print nothing", .commands = 1u << kServe},
+    {.name = "--kind", .kind = Kind::kChoice, .help = "report format",
+     .fallback = "text", .values = "text|json|stats",
+     .commands = 1u << kReport},
+    {.name = "--out", .kind = Kind::kString,
+     .help = "write the aggregate snapshot to FILE", .values = "FILE",
+     .required = true, .commands = 1u << kExport},
+};
+
+constexpr cli::Table kTable{kCommands, kOptions};
+
+int run_serve(const cli::Args& args) {
   ingest::DaemonOptions options;
-  long max_seconds = 0;
-  bool quiet = false;
-  for (const std::string& arg : args) {
-    if (arg.rfind("--socket=", 0) == 0) {
-      options.socket_path = arg_value(arg, "--socket=");
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = std::atoi(arg_value(arg, "--shards=").c_str());
-    } else if (arg.rfind("--memory-budget-mb=", 0) == 0) {
-      options.memory_budget_bytes =
-          std::strtoull(arg_value(arg, "--memory-budget-mb=").c_str(),
-                        nullptr, 10) *
-          (1ull << 20);
-    } else if (arg == "--keep-partial") {
-      options.keep_partial_sessions = true;
-    } else if (arg.rfind("--max-seconds=", 0) == 0) {
-      max_seconds = std::atol(arg_value(arg, "--max-seconds=").c_str());
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      std::fprintf(stderr, "unknown serve option: %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (options.socket_path.empty()) {
-    std::fprintf(stderr, "serve requires --socket=PATH\n");
-    return 2;
-  }
+  options.socket_path = args.text("--socket");
+  options.shards = args.integer("--shards");
+  options.memory_budget_bytes = args.u64("--memory-budget-mb") << 20;
+  options.keep_partial_sessions = args.flag("--keep-partial");
+  const long max_seconds = args.integer("--max-seconds");
+  const bool quiet = args.flag("--quiet");
   std::signal(SIGINT, stop_handler);
   std::signal(SIGTERM, stop_handler);
   try {
@@ -117,47 +117,21 @@ int run_serve(const std::vector<std::string>& args) {
   }
 }
 
-int run_query(const std::string& mode, const std::vector<std::string>& args) {
-  std::string socket_path;
-  std::string kind_name = "text";
-  std::string out_path;
-  for (const std::string& arg : args) {
-    if (arg.rfind("--socket=", 0) == 0) {
-      socket_path = arg_value(arg, "--socket=");
-    } else if (arg.rfind("--kind=", 0) == 0) {
-      kind_name = arg_value(arg, "--kind=");
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg_value(arg, "--out=");
-    } else {
-      std::fprintf(stderr, "unknown %s option: %s\n", mode.c_str(),
-                   arg.c_str());
-      return 2;
-    }
-  }
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "%s requires --socket=PATH\n", mode.c_str());
-    return 2;
-  }
-  ingest::ReportKind kind = ingest::ReportKind::kText;
-  if (mode == "export") {
-    kind = ingest::ReportKind::kSnapshot;
-    if (out_path.empty()) {
-      std::fprintf(stderr, "export requires --out=FILE\n");
-      return 2;
-    }
-  } else if (kind_name == "json") {
-    kind = ingest::ReportKind::kJson;
-  } else if (kind_name == "stats") {
-    kind = ingest::ReportKind::kStats;
-  } else if (kind_name != "text") {
-    std::fprintf(stderr, "unknown --kind=%s (text|json|stats)\n",
-                 kind_name.c_str());
-    return 2;
+int run_query(const cli::Args& args) {
+  const bool exporting = args.command == kExport;
+  const char* mode = exporting ? "export" : "report";
+  ingest::ReportKind kind = ingest::ReportKind::kSnapshot;
+  if (!exporting) {
+    const std::string& name = args.text("--kind");
+    kind = name == "json"    ? ingest::ReportKind::kJson
+           : name == "stats" ? ingest::ReportKind::kStats
+                             : ingest::ReportKind::kText;
   }
   try {
     const std::vector<std::uint8_t> body =
-        ingest::query_report(socket_path, kind);
-    if (mode == "export") {
+        ingest::query_report(args.text("--socket"), kind);
+    if (exporting) {
+      const std::string& out_path = args.text("--out");
       snapshot::atomic_write_file(out_path, body);
       std::printf("aggregate snapshot written to %s (%zu bytes)\n",
                   out_path.c_str(), body.size());
@@ -166,7 +140,7 @@ int run_query(const std::string& mode, const std::vector<std::string>& args) {
     }
     return 0;
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "taskprofd %s: %s\n", mode.c_str(), error.what());
+    std::fprintf(stderr, "taskprofd %s: %s\n", mode, error.what());
     return 1;
   }
 }
@@ -174,19 +148,6 @@ int run_query(const std::string& mode, const std::vector<std::string>& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage(argv[0]);
-    return 2;
-  }
-  const std::string mode = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  if (mode == "serve") return run_serve(args);
-  if (mode == "report" || mode == "export") return run_query(mode, args);
-  if (mode == "--help" || mode == "-h") {
-    usage(argv[0]);
-    return 0;
-  }
-  std::fprintf(stderr, "unknown mode: %s\n", mode.c_str());
-  usage(argv[0]);
-  return 2;
+  const cli::Args args = cli::parse_or_exit(kTable, argc, argv);
+  return args.command == kServe ? run_serve(args) : run_query(args);
 }

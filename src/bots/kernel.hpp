@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +31,14 @@ namespace taskprof::bots {
 /// engine), kSmall for default bench sweeps, kMedium for the full
 /// reproduction runs.
 enum class SizeClass : std::uint8_t { kTest, kSmall, kMedium };
+
+/// "test", "small" or "medium": the spelling of every command line,
+/// replay command and bench JSON.
+[[nodiscard]] const char* size_name(SizeClass size) noexcept;
+
+/// The inverse of size_name; nullopt for any other text.
+[[nodiscard]] std::optional<SizeClass> parse_size(
+    std::string_view text) noexcept;
 
 struct KernelConfig {
   int threads = 1;
@@ -75,6 +84,11 @@ class Kernel {
 /// All nine kernels, in the paper's (alphabetical) order: alignment, fft,
 /// fib, floorplan, health, nqueens, sort, sparselu, strassen.
 [[nodiscard]] std::vector<std::unique_ptr<Kernel>> make_all_kernels();
+
+/// The names of make_all_kernels(), in its order, as an option table's
+/// choices.
+inline constexpr std::string_view kKernelChoices =
+    "alignment|fft|fib|floorplan|health|nqueens|sort|sparselu|strassen";
 
 /// Factory for a single kernel by name; nullptr for unknown names.
 [[nodiscard]] std::unique_ptr<Kernel> make_kernel(std::string_view name);

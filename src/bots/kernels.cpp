@@ -1,6 +1,23 @@
 #include "bots/kernel.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 namespace taskprof::bots {
+
+// Indexed by SizeClass.
+constexpr const char* kSizeNames[] = {"test", "small", "medium"};
+
+const char* size_name(SizeClass size) noexcept {
+  return kSizeNames[static_cast<int>(size)];
+}
+
+std::optional<SizeClass> parse_size(std::string_view text) noexcept {
+  const auto* found = std::find(std::begin(kSizeNames), std::end(kSizeNames),
+                                text);
+  if (found == std::end(kSizeNames)) return std::nullopt;
+  return static_cast<SizeClass>(found - std::begin(kSizeNames));
+}
 
 // One factory per kernel translation unit.
 std::unique_ptr<Kernel> make_alignment_kernel();

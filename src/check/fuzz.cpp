@@ -275,30 +275,8 @@ std::string replay_command(const FuzzCase& c) {
   std::snprintf(buf, sizeof buf,
                 "fuzz_schedules --replay 0x%016" PRIx64
                 " --kernels %s --threads %d --size %s",
-                c.seed, c.kernel.c_str(), c.threads, size_name(c.size));
+                c.seed, c.kernel.c_str(), c.threads, bots::size_name(c.size));
   return buf;
-}
-
-const char* size_name(bots::SizeClass size) noexcept {
-  switch (size) {
-    case bots::SizeClass::kTest: return "test";
-    case bots::SizeClass::kSmall: return "small";
-    case bots::SizeClass::kMedium: return "medium";
-  }
-  return "?";
-}
-
-bool parse_size(const std::string& text, bots::SizeClass* out) noexcept {
-  if (text == "test") {
-    *out = bots::SizeClass::kTest;
-  } else if (text == "small") {
-    *out = bots::SizeClass::kSmall;
-  } else if (text == "medium") {
-    *out = bots::SizeClass::kMedium;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace taskprof::check

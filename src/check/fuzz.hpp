@@ -88,9 +88,4 @@ struct ReplayResult {
 /// Command line that reproduces `c` with the fuzz_schedules binary.
 [[nodiscard]] std::string replay_command(const FuzzCase& c);
 
-/// SizeClass <-> string ("test", "small", "medium").
-[[nodiscard]] const char* size_name(bots::SizeClass size) noexcept;
-[[nodiscard]] bool parse_size(const std::string& text,
-                              bots::SizeClass* out) noexcept;
-
 }  // namespace taskprof::check

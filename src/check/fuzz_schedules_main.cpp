@@ -6,201 +6,91 @@
 // Sweeps N seeds per (kernel, thread-count) pair through the sim and real
 // engines under the seeded SchedulePolicy, checks every profile's
 // structural invariants, diffs the engines' order-insensitive projections,
-// shrinks failing seeds and prints a replay command per failure.  Exit
-// code 0 = clean sweep, 1 = failures, 2 = usage error.
+// shrinks failing seeds and prints a replay command per failure.  The
+// options are one table (common/cli_options.hpp; `--help` lists them).
+// Exit code 0 = clean sweep, 1 = failures or an unwritable output,
+// 2 = usage error.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
 #include "check/fuzz.hpp"
+#include "common/cli_options.hpp"
+#include "common/write_file.hpp"
 
 namespace {
 
-using taskprof::check::FuzzCase;
-using taskprof::check::FuzzOptions;
+using namespace taskprof;
+using cli::Kind;
 
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: fuzz_schedules [options]\n"
-      "  --seeds N          seeds per (kernel, threads) pair  [16]\n"
-      "  --base-seed S      sweep base seed (decimal or 0x hex)\n"
-      "  --kernels a,b      BOTS kernels and/or 'random'      [fib]\n"
-      "  --threads 1,4,8    team sizes to sweep               [1,2,4]\n"
-      "  --size CLASS       test | small | medium             [test]\n"
-      "  --engine WHICH     both | sim | real                 [both]\n"
-      "  --no-shrink        keep the first failing configuration\n"
-      "  --log FILE         append the sweep log / failing seeds to FILE\n"
-      "  --replay SEED      re-run one seed: deterministic sim replay\n"
-      "                     (Chrome-trace diff) + full differential pass;\n"
-      "                     uses the first --kernels / --threads entry\n"
-      "  --chrome-out FILE  with --replay: write the replayed trace\n",
-      to);
-}
+constexpr cli::Command kCommands[] = {
+    {.about = "Sweep seeded schedules through the sim and real engines and "
+              "diff their\nprofiles; --replay re-runs one seed."}};
 
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(text.c_str(), &end, 0);  // base 0: accepts 0x...
-  return end != nullptr && *end == '\0';
-}
+constexpr cli::Option kOptions[] = {
+    {.name = "--seeds", .kind = Kind::kInt,
+     .help = "seeds per (kernel, threads) pair", .fallback = "16", .min = 1},
+    {.name = "--base-seed", .kind = Kind::kU64, .help = "sweep base seed",
+     .fallback = "0x5eedc0de"},
+    {.name = "--kernels", .kind = Kind::kChoice,
+     .help = "BOTS kernels and/or random task trees", .fallback = "fib",
+     .values = "alignment|fft|fib|floorplan|health|nqueens|sort|sparselu|"
+               "strassen|random",
+     .list = true},
+    {.name = "--threads", .kind = Kind::kInt, .help = "team sizes to sweep",
+     .fallback = "1,2,4", .min = 1, .max = 1024, .list = true},
+    {.name = "--size", .kind = Kind::kChoice, .help = "problem size class",
+     .fallback = "test", .values = "test|small|medium"},
+    {.name = "--engine", .kind = Kind::kChoice, .help = "engines to run",
+     .fallback = "both", .values = "both|sim|real"},
+    {.name = "--no-shrink", .help = "keep the first failing configuration"},
+    {.name = "--log", .kind = Kind::kString,
+     .help = "append the sweep log / failing seeds to FILE", .values = "FILE"},
+    {.name = "--replay", .kind = Kind::kU64,
+     .help = "re-run one seed: deterministic sim replay (Chrome-trace diff)\n"
+             "plus a full differential pass; uses the first --kernels and\n"
+             "--threads entries"},
+    {.name = "--chrome-out", .kind = Kind::kString,
+     .help = "with --replay: write the replayed trace to FILE",
+     .values = "FILE"},
+};
 
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::size_t end = comma == std::string::npos ? text.size() : comma;
-    if (end > start) items.push_back(text.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return items;
-}
+constexpr cli::Table kTable{kCommands, kOptions};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  FuzzOptions options;
-  bool have_replay = false;
-  std::uint64_t replay_seed_value = 0;
-  std::string log_path;
-  std::string chrome_out;
-
-  std::vector<std::string> args(argv + 1, argv + argc);
-  auto take_value = [&args](std::size_t* i, const std::string& flag,
-                            std::string* value) -> bool {
-    const std::string& arg = args[*i];
-    // Accept both "--flag value" and "--flag=value".
-    if (arg == flag) {
-      if (*i + 1 >= args.size()) return false;
-      *value = args[++*i];
-      return true;
-    }
-    if (arg.size() > flag.size() + 1 && arg.compare(0, flag.size(), flag) == 0 &&
-        arg[flag.size()] == '=') {
-      *value = arg.substr(flag.size() + 1);
-      return true;
-    }
-    return false;
-  };
-
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    std::string value;
-    if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      return 0;
-    }
-    if (arg == "--no-shrink") {
-      options.shrink = false;
-      continue;
-    }
-    if (take_value(&i, "--seeds", &value)) {
-      options.seeds = std::atoi(value.c_str());
-      if (options.seeds <= 0) {
-        std::fprintf(stderr, "fuzz_schedules: bad --seeds '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      continue;
-    }
-    if (take_value(&i, "--base-seed", &value)) {
-      if (!parse_u64(value, &options.base_seed)) {
-        std::fprintf(stderr, "fuzz_schedules: bad --base-seed '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      continue;
-    }
-    if (take_value(&i, "--kernels", &value)) {
-      options.kernels = split_list(value);
-      continue;
-    }
-    if (take_value(&i, "--threads", &value)) {
-      options.threads.clear();
-      for (const std::string& item : split_list(value)) {
-        const int threads = std::atoi(item.c_str());
-        if (threads <= 0) {
-          std::fprintf(stderr, "fuzz_schedules: bad --threads entry '%s'\n",
-                       item.c_str());
-          return 2;
-        }
-        options.threads.push_back(threads);
-      }
-      continue;
-    }
-    if (take_value(&i, "--size", &value)) {
-      if (!taskprof::check::parse_size(value, &options.size)) {
-        std::fprintf(stderr, "fuzz_schedules: bad --size '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      continue;
-    }
-    if (take_value(&i, "--engine", &value)) {
-      options.run_sim = (value == "both" || value == "sim");
-      options.run_real = (value == "both" || value == "real");
-      if (!options.run_sim && !options.run_real) {
-        std::fprintf(stderr, "fuzz_schedules: bad --engine '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      continue;
-    }
-    if (take_value(&i, "--log", &value)) {
-      log_path = value;
-      continue;
-    }
-    if (take_value(&i, "--chrome-out", &value)) {
-      chrome_out = value;
-      continue;
-    }
-    if (take_value(&i, "--replay", &value)) {
-      if (!parse_u64(value, &replay_seed_value)) {
-        std::fprintf(stderr, "fuzz_schedules: bad --replay seed '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      have_replay = true;
-      continue;
-    }
-    std::fprintf(stderr, "fuzz_schedules: unknown argument '%s'\n",
-                 arg.c_str());
-    usage(stderr);
-    return 2;
-  }
-
-  if (options.kernels.empty() || options.threads.empty()) {
-    std::fprintf(stderr, "fuzz_schedules: empty kernel or thread list\n");
-    return 2;
-  }
+  const cli::Args args = cli::parse_or_exit(kTable, argc, argv);
+  check::FuzzOptions options;
+  options.seeds = args.integer("--seeds");
+  options.base_seed = args.u64("--base-seed");
+  options.kernels = args.texts("--kernels");
+  options.threads = args.integers("--threads");
+  options.size = *bots::parse_size(args.text("--size"));
+  options.run_sim = args.text("--engine") != "real";
+  options.run_real = args.text("--engine") != "sim";
+  options.shrink = !args.flag("--no-shrink");
+  const std::string& chrome_out = args.text("--chrome-out");
 
   std::FILE* log = nullptr;
-  if (!log_path.empty()) {
-    log = std::fopen(log_path.c_str(), "a");
-    if (log == nullptr) {
-      std::fprintf(stderr, "fuzz_schedules: cannot open log '%s'\n",
-                   log_path.c_str());
-      return 2;
-    }
+  if (args.given("--log")) {
+    log = std::fopen(args.text("--log").c_str(), "a");
+    if (log == nullptr) cli::usage_error("--log", "cannot open for append");
   }
 
   int exit_code = 0;
-  if (have_replay) {
-    FuzzCase c;
+  if (args.given("--replay")) {
+    check::FuzzCase c;
     c.kernel = options.kernels.front();
     c.threads = options.threads.front();
-    c.seed = replay_seed_value;
+    c.seed = args.u64("--replay");
     c.size = options.size;
     std::printf("replaying kernel=%s threads=%d size=%s seed=0x%016" PRIx64
                 "\n",
-                c.kernel.c_str(), c.threads,
-                taskprof::check::size_name(c.size), c.seed);
-    const taskprof::check::ReplayResult result =
-        taskprof::check::replay_seed(c);
+                c.kernel.c_str(), c.threads, bots::size_name(c.size), c.seed);
+    const check::ReplayResult result = check::replay_seed(c);
     std::printf("deterministic replay: %s (%zu events)\n",
                 result.trace_identical ? "event order identical"
                                        : "DIVERGED",
@@ -209,35 +99,29 @@ int main(int argc, char** argv) {
       std::printf("  %s\n", p.c_str());
     }
     if (!chrome_out.empty()) {
-      std::FILE* f = std::fopen(chrome_out.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "fuzz_schedules: cannot write '%s'\n",
-                     chrome_out.c_str());
-        exit_code = 2;
-      } else {
-        std::fwrite(result.chrome_trace.data(), 1,
-                    result.chrome_trace.size(), f);
-        std::fclose(f);
+      try {
+        write_file(chrome_out, result.chrome_trace);
         std::printf("chrome trace written to %s\n", chrome_out.c_str());
+      } catch (const std::exception& error) {
+        std::fprintf(stderr, "fuzz_schedules: %s\n", error.what());
+        exit_code = 1;
       }
     }
     if (!result.ok()) exit_code = 1;
     std::printf("replay %s\n", result.ok() ? "PASS" : "FAIL");
   } else {
-    const taskprof::check::FuzzReport report =
-        taskprof::check::fuzz_schedules(options, log != nullptr ? log
-                                                                : stdout);
+    const check::FuzzReport report =
+        check::fuzz_schedules(options, log != nullptr ? log : stdout);
     std::printf("fuzz_schedules: %" PRIu64 " cases, %zu failing\n",
                 report.cases_run, report.failures.size());
-    for (const taskprof::check::CaseOutcome& failure : report.failures) {
+    for (const check::CaseOutcome& failure : report.failures) {
       std::printf("FAIL kernel=%s threads=%d seed=0x%016" PRIx64 "\n",
                   failure.c.kernel.c_str(), failure.c.threads,
                   failure.c.seed);
       for (const std::string& p : failure.problems) {
         std::printf("  %s\n", p.c_str());
       }
-      std::printf("  replay: %s\n",
-                  taskprof::check::replay_command(failure.c).c_str());
+      std::printf("  replay: %s\n", check::replay_command(failure.c).c_str());
     }
     if (!report.ok()) exit_code = 1;
   }

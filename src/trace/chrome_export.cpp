@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
 #include "common/format.hpp"
+#include "common/write_file.hpp"
 
 namespace taskprof::trace {
 
@@ -392,16 +392,7 @@ std::string render_chrome_trace(const Trace& trace,
 
 void write_chrome_trace(const std::string& path, const Trace& trace,
                         const ChromeExportOptions& options) {
-  const std::string doc = render_chrome_trace(trace, options);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    throw std::runtime_error("chrome_export: cannot open " + path);
-  }
-  const std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  const int rc = std::fclose(f);
-  if (written != doc.size() || rc != 0) {
-    throw std::runtime_error("chrome_export: short write to " + path);
-  }
+  write_file(path, render_chrome_trace(trace, options));
 }
 
 }  // namespace taskprof::trace

@@ -57,8 +57,8 @@ struct ChromeExportOptions {
 [[nodiscard]] std::string render_chrome_trace(
     const Trace& trace, const ChromeExportOptions& options = {});
 
-/// Write render_chrome_trace output to `path`.  Throws std::runtime_error
-/// on I/O failure.
+/// Write render_chrome_trace output to `path`.  Throws std::system_error
+/// (a std::runtime_error) on I/O failure.
 void write_chrome_trace(const std::string& path, const Trace& trace,
                         const ChromeExportOptions& options = {});
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,10 +56,12 @@ bool parse_case(const std::filesystem::path& path, check::FuzzCase* out,
     } else if (key == "seed") {
       out->seed = std::stoull(value, nullptr, 0);
     } else if (key == "size") {
-      if (!check::parse_size(value, &out->size)) {
+      const std::optional<bots::SizeClass> size = bots::parse_size(value);
+      if (!size.has_value()) {
         *error = "bad size '" + value + "'";
         return false;
       }
+      out->size = *size;
     } else {
       *error = "unknown key '" + key + "'";
       return false;

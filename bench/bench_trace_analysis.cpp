@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
            format_ticks(analysis.total_active),
            format_ticks(analysis.sync_management),
            format_ticks(analysis.sync_waiting),
-           format_percent(analysis.management_to_execution_ratio()),
+           format_share(analysis.management_to_execution_ratio()),
            format_ticks(static_cast<Ticks>(analysis.queue_latency.mean())),
            std::to_string(analysis.max_creation_depth),
            std::to_string(profile.max_concurrent_any_thread)});

@@ -8,9 +8,12 @@
 //     keeps enough parallelism while removing almost all overhead,
 //  4. verify the conclusion by running the cut-off version.
 #include <cstdio>
+#include <iostream>
 
 #include "bots/kernel.hpp"
 #include "common/format.hpp"
+#include "diagnose/diagnose.hpp"
+#include "diagnose/render.hpp"
 #include "instrument/instrumentor.hpp"
 #include "report/analysis.hpp"
 #include "rt/sim_runtime.hpp"
@@ -24,6 +27,12 @@ struct Measurement {
   AggregateProfile profile;
   std::unique_ptr<RegionRegistry> registry;
 };
+
+/// The detectors that read a profile alone.
+void print_diagnosis(const Measurement& run) {
+  diag::render_diagnosis_text(
+      diag::run_diagnosis({&run.profile, run.registry.get()}), std::cout);
+}
 
 Measurement measure(const bots::KernelConfig& config) {
   auto kernel = bots::make_kernel("nqueens");
@@ -64,9 +73,7 @@ int main() {
         format_ticks(static_cast<Ticks>(c.create_mean)).c_str(),
         c.create_mean > exec_mean ? "costs more than" : "costs less than");
   }
-  std::puts("  advisor says:");
-  std::fputs(render_findings(diagnose(plain.profile, *plain.registry)).c_str(),
-             stdout);
+  print_diagnosis(plain);
 
   // Step 2: parameter instrumentation by recursion depth (Table IV).
   std::puts("\nstep 2: per-depth breakdown via parameter instrumentation");
@@ -112,9 +119,7 @@ int main() {
               format_count(plain.result.stats.tasks_executed).c_str(),
               format_count(cutoff.result.stats.tasks_executed).c_str(),
               static_cast<unsigned long long>(cutoff.result.checksum));
-  std::puts("  advisor on the fixed version:");
-  std::fputs(
-      render_findings(diagnose(cutoff.profile, *cutoff.registry)).c_str(),
-      stdout);
+  std::puts("  the fixed version:");
+  print_diagnosis(cutoff);
   return 0;
 }

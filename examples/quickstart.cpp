@@ -4,11 +4,13 @@
 //   1. register task regions in a RegionRegistry,
 //   2. attach an Instrumentor to a runtime engine,
 //   3. run a parallel region that creates tasks,
-//   4. render the profile (paper Fig. 5 layout) and the advisor findings.
+//   4. render the profile (paper Fig. 5 layout) and diagnose it.
 #include <cstdio>
+#include <iostream>
 
+#include "diagnose/diagnose.hpp"
+#include "diagnose/render.hpp"
 #include "instrument/instrumentor.hpp"
-#include "report/analysis.hpp"
 #include "report/text_report.hpp"
 #include "rt/sim_runtime.hpp"
 
@@ -52,8 +54,9 @@ int main() {
   const AggregateProfile profile = instrumentor.aggregate();
   std::fputs(render_profile(profile, registry).c_str(), stdout);
 
-  // The granularity advisor (paper §VI workflow, automated).
-  std::puts("--- advisor ---");
-  std::fputs(render_findings(diagnose(profile, registry)).c_str(), stdout);
+  // The detectors that read a profile alone (paper §VI workflow,
+  // automated); a recorded trace would unlock the time-domain ones.
+  diag::render_diagnosis_text(diag::run_diagnosis({&profile, &registry}),
+                              std::cout);
   return 0;
 }

@@ -659,6 +659,18 @@ int cmd_run(const cli::Args& args) {
       args.flag("--trace") || !trace_out.empty() || !chrome_trace.empty();
   const bool with_telemetry =
       args.flag("--telemetry") || !telemetry_json.empty();
+  if (!instrumented) {
+    // These outputs read the profile, which --uninstrumented does not
+    // record: refuse them rather than drop them silently.
+    const std::string reason = "needs a profile; --uninstrumented records none";
+    for (const char* option :
+         {"--report-json", "--snapshot-out", "--snapshot-every", "--ingest"}) {
+      if (args.given(option)) cli::usage_error(option, reason);
+    }
+    if (report != "summary") {
+      cli::usage_error("--report", report + " " + reason);
+    }
+  }
   const std::uint64_t snapshot_every_ms = args.u64("--snapshot-every");
   std::string snapshot_out = args.text("--snapshot-out");
   if (snapshot_every_ms > 0 && snapshot_out.empty() && ingest_socket.empty()) {
@@ -731,8 +743,9 @@ int cmd_run(const cli::Args& args) {
   telemetry::Snapshot telemetry_snapshot;
   if (telem != nullptr) telemetry_snapshot = telem->snapshot();
 
+  trace::Trace recorded;
   if (tracing) {
-    const trace::Trace recorded = on.recorder->take();
+    recorded = on.recorder->take();
     std::printf("--- trace: %zu events ---\n", recorded.event_count());
     if (!trace_out.empty()) {
       trace::write_trace_file(trace_out, recorded);
@@ -812,10 +825,16 @@ int cmd_run(const cli::Args& args) {
   if (all || report == "tree") rendered += render_profile(profile, registry);
   if (report == "cube") rendered += render_cube_xml(profile, registry);
   if (report == "csv") rendered += render_csv(profile, registry);
-  if (all || report == "findings") {
-    rendered += render_findings(diagnose(profile, registry));
-  }
   std::fputs(rendered.c_str(), stdout);
+  if (all || report == "findings") {
+    // What `diagnose` reads from a live run, so the same verdict.
+    const diag::DiagnosisInput input{
+        &profile, &registry, tracing ? &recorded : nullptr,
+        telem != nullptr ? &telemetry_snapshot : nullptr};
+    std::ostringstream os;
+    diag::render_diagnosis_text(diag::run_diagnosis(input), os);
+    std::fputs(os.str().c_str(), stdout);
+  }
   if (!report_json.empty()) {
     write_output(report_json, render_report_json(profile, registry),
                  "report JSON");

@@ -69,6 +69,10 @@ std::string format_percent(double ratio, int decimals) {
   return s + " %";
 }
 
+std::string format_share(double ratio) {
+  return format_fixed(ratio * 100.0, 1) + "%";
+}
+
 std::string format_count(std::uint64_t n) {
   std::string digits = std::to_string(n);
   std::string out;

@@ -25,8 +25,13 @@ namespace taskprof {
 /// Format ticks as seconds with fixed decimals, e.g. "12.345".
 [[nodiscard]] std::string format_seconds(Ticks t, int decimals = 3);
 
-/// Format a ratio as a signed percentage, e.g. "+6.2 %", "-1.0 %".
+/// Format a ratio as a signed percentage, e.g. "+6.2 %", "-1.0 %": for
+/// deltas, such as an overhead against a baseline.
 [[nodiscard]] std::string format_percent(double ratio, int decimals = 1);
+
+/// Format a ratio as an unsigned share with one decimal, e.g. "54.7%":
+/// for parts of a whole, such as a thread's busy time of its span.
+[[nodiscard]] std::string format_share(double ratio);
 
 /// Format a count with thousands separators, e.g. "3,690,000,000".
 [[nodiscard]] std::string format_count(std::uint64_t n);

@@ -24,11 +24,6 @@ void add_metric(Diagnosis* d, const char* name, double value,
   d->metrics.push_back(Metric{name, value, unit});
 }
 
-/// Unsigned percent ("54.7%") — format_percent is for signed deltas.
-std::string percent(double ratio) {
-  return format_fixed(ratio * 100.0, 1) + "%";
-}
-
 /// The construct contributing the most critical-path time (the
 /// what-to-optimize site when a diagnosis has no sharper anchor).
 CallSite dominant_span_site(const DetectorContext& ctx) {
@@ -243,7 +238,8 @@ void detect_serialized_spawn_chain(const DetectorContext& ctx,
   std::ostringstream os;
   os << "serialized spawn chain: " << best_len
      << " tasks deep, each spawning a single successor - "
-     << percent(static_cast<double>(best_active) / static_cast<double>(work))
+     << format_share(static_cast<double>(best_active) /
+                     static_cast<double>(work))
      << " of all task work is on this chain";
   d.summary = os.str();
   d.remediation =
@@ -313,7 +309,7 @@ void detect_starved_workers(const DetectorContext& ctx,
   std::ostringstream os;
   os << "starved workers: " << starved << " of " << ctx.threads
      << " threads wait at scheduling points for most of the region (worst "
-     << percent(worst_fraction)
+     << format_share(worst_fraction)
      << " of span) - logical parallelism is only "
      << format_fixed(parallelism, 2) << "x";
   d.summary = os.str();
@@ -535,7 +531,7 @@ void detect_taskwait_serialization(const DetectorContext& ctx,
     d.sites.push_back(resolve_site(*ctx.input.registry, worst));
   }
 
-  d.summary = "taskwait serialization: " + percent(fraction) +
+  d.summary = "taskwait serialization: " + format_share(fraction) +
               " of the region runs with at most one task in flight while "
               "a thread blocks in taskwait (" +
               format_count(taskwaits) + " taskwaits)";

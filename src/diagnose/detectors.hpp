@@ -20,7 +20,6 @@ struct DetectorContext {
   const DiagnoseOptions& options;
   /// From report/analysis over the profile (always present).
   const std::vector<TaskConstructStats>& constructs;
-  const SchedulingPointSummary& scheduling;
   int threads = 0;
   /// Only with a trace (nullptr otherwise).
   const trace::TraceAnalysis* trace_analysis = nullptr;

@@ -44,10 +44,8 @@ DiagnosisReport run_diagnosis(const DiagnosisInput& input,
   // A profile unlocks the construct-level detectors; a trace alone still
   // feeds the time-domain ones.
   std::vector<TaskConstructStats> constructs;
-  SchedulingPointSummary scheduling;
   if (input.profile != nullptr) {
     constructs = task_construct_stats(*input.profile, *input.registry);
-    scheduling = scheduling_point_summary(*input.profile, *input.registry);
   }
 
   trace::TraceAnalysis trace_analysis;
@@ -63,7 +61,6 @@ DiagnosisReport run_diagnosis(const DiagnosisInput& input,
   DetectorContext ctx{input,
                       options,
                       constructs,
-                      scheduling,
                       static_cast<int>(
                           have_trace ? input.trace->thread_count()
                                      : (input.profile != nullptr

@@ -1,11 +1,8 @@
 #include "report/analysis.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 #include <unordered_map>
-
-#include "common/format.hpp"
 
 namespace taskprof {
 
@@ -167,75 +164,6 @@ SchedulingPointSummary scheduling_point_summary(
     scan(root, /*classify_sync=*/false);
   }
   return out;
-}
-
-std::vector<Finding> diagnose(const AggregateProfile& profile,
-                              const RegionRegistry& registry,
-                              const AdvisorOptions& options) {
-  std::vector<Finding> findings;
-  const auto constructs = task_construct_stats(profile, registry);
-  const auto summary = scheduling_point_summary(profile, registry);
-
-  for (const TaskConstructStats& c : constructs) {
-    if (c.instances == 0) continue;
-    const double exec_mean =
-        static_cast<double>(c.exclusive_total) /
-        static_cast<double>(c.instances);
-    if (c.inclusive_mean <
-        static_cast<double>(options.small_task_threshold)) {
-      std::ostringstream os;
-      os << "task '" << c.name << "': mean instance time "
-         << format_ticks(static_cast<Ticks>(c.inclusive_mean)) << " over "
-         << format_count(c.instances)
-         << " instances - tasks may be too small; raise the granularity "
-            "(e.g. a creation cut-off)";
-      findings.push_back({Finding::Severity::kProblem, os.str()});
-    }
-    if (c.creations > 0 && c.create_mean > exec_mean *
-                                               options.create_dominates_ratio) {
-      std::ostringstream os;
-      os << "task '" << c.name << "': mean creation time "
-         << format_ticks(static_cast<Ticks>(c.create_mean))
-         << " exceeds mean exclusive execution time "
-         << format_ticks(static_cast<Ticks>(exec_mean))
-         << " - creating a task costs more than it computes";
-      findings.push_back({Finding::Severity::kProblem, os.str()});
-    }
-  }
-
-  if (summary.parallel_inclusive > 0) {
-    const double barrier_fraction =
-        static_cast<double>(summary.barrier_exclusive) /
-        static_cast<double>(summary.parallel_inclusive);
-    if (barrier_fraction > options.barrier_fraction_warn) {
-      std::ostringstream os;
-      os << "threads spend "
-         << format_percent(barrier_fraction)
-         << " of the parallel region in barriers without executing tasks - "
-            "task management overhead or load imbalance";
-      findings.push_back({Finding::Severity::kWarning, os.str()});
-    }
-  }
-
-  if (findings.empty()) {
-    findings.push_back(
-        {Finding::Severity::kInfo,
-         "no task-granularity problems detected: task sizes look reasonable"});
-  }
-  return findings;
-}
-
-std::string render_findings(const std::vector<Finding>& findings) {
-  std::ostringstream os;
-  for (const Finding& finding : findings) {
-    switch (finding.severity) {
-      case Finding::Severity::kInfo: os << "[info]    "; break;
-      case Finding::Severity::kWarning: os << "[warning] "; break;
-      case Finding::Severity::kProblem: os << "[problem] "; break;
-    }
-    os << finding.message << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace taskprof

@@ -1,12 +1,9 @@
-// Automatic profile analysis: the paper's §VI diagnosis workflow as code.
-//
-// The paper reads task-granularity problems off the call-path profile by
-// hand: compare mean task execution time against mean creation time,
-// check how much exclusive time scheduling points accumulate, inspect the
-// per-depth parameter breakdown.  These functions compute the same
-// quantities and produce findings ("tasks too small", "creation
-// dominates", "threads idle at the barrier") so benches and examples can
-// print the paper's conclusions mechanically.
+// Per-task-construct statistics read off a call-path profile: the
+// quantities of the paper's Tables I, III and IV (instances, mean
+// instance time, creation cost, taskwait time, the scheduling-point
+// split, the per-parameter breakdown).  The text summary prints them;
+// the diagnosis detectors (diagnose/diagnose.hpp) turn them into
+// findings.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +47,6 @@ struct SchedulingPointSummary {
   Ticks parallel_inclusive = 0;  ///< sum over threads of the parallel region
 };
 
-/// One diagnosis produced by the advisor.
-struct Finding {
-  enum class Severity : std::uint8_t { kInfo, kWarning, kProblem };
-  Severity severity = Severity::kInfo;
-  std::string message;
-};
-
 /// Statistics for every task construct in the profile (one entry per
 /// merged task tree, i.e. per (region, parameter) pair).
 [[nodiscard]] std::vector<TaskConstructStats> task_construct_stats(
@@ -71,22 +61,5 @@ struct Finding {
 
 [[nodiscard]] SchedulingPointSummary scheduling_point_summary(
     const AggregateProfile& profile, const RegionRegistry& registry);
-
-/// The granularity advisor.  Thresholds follow the paper's discussion:
-/// strassen's 149 us mean is called "reasonable" while fib/health/nqueens
-/// at 1-2 us are "too small" (§V-A), so the too-small warning fires below
-/// `small_task_threshold`.
-struct AdvisorOptions {
-  Ticks small_task_threshold = 10 * kTicksPerUs;
-  double create_dominates_ratio = 1.0;  ///< create_mean / exec_mean
-  double barrier_fraction_warn = 0.25;  ///< of parallel time
-};
-
-[[nodiscard]] std::vector<Finding> diagnose(
-    const AggregateProfile& profile, const RegionRegistry& registry,
-    const AdvisorOptions& options = {});
-
-/// Render findings as text, one per line with a severity tag.
-[[nodiscard]] std::string render_findings(const std::vector<Finding>& findings);
 
 }  // namespace taskprof

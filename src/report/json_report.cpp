@@ -6,16 +6,7 @@ namespace taskprof {
 
 namespace {
 
-constexpr int kSchemaVersion = 1;
-
-const char* advisor_severity_name(Finding::Severity severity) {
-  switch (severity) {
-    case Finding::Severity::kInfo: return "info";
-    case Finding::Severity::kWarning: return "warning";
-    case Finding::Severity::kProblem: return "problem";
-  }
-  return "?";
-}
+constexpr int kSchemaVersion = 2;
 
 }  // namespace
 
@@ -84,19 +75,7 @@ std::string render_report_json(const AggregateProfile& profile,
   out += std::to_string(sched.create_exclusive);
   out += ",\n    \"parallel_inclusive_ns\": ";
   out += std::to_string(sched.parallel_inclusive);
-  out += "\n  }";
-
-  out += ",\n  \"findings\": [";
-  const std::vector<Finding> findings = diagnose(profile, registry);
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"severity\": ";
-    append_json_string(&out, advisor_severity_name(findings[i].severity));
-    out += ", \"message\": ";
-    append_json_string(&out, findings[i].message);
-    out += "}";
-  }
-  out += findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  out += "\n  }\n}\n";
   return out;
 }
 

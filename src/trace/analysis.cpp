@@ -274,7 +274,7 @@ std::string render_analysis(const TraceAnalysis& analysis,
   os << "  waiting for work (long gaps):                  "
      << format_ticks(analysis.sync_waiting) << '\n';
   os << "  management / task-execution ratio:             "
-     << format_percent(analysis.management_to_execution_ratio()) << '\n';
+     << format_share(analysis.management_to_execution_ratio()) << '\n';
 
   os << "\nlongest dependency chain: " << analysis.max_creation_depth
      << " tasks (creation depth)\n";
@@ -284,7 +284,7 @@ std::string render_analysis(const TraceAnalysis& analysis,
     const ThreadUsage& usage = analysis.threads[t];
     os << "  thread " << t << ": busy " << format_ticks(usage.busy) << " of "
        << format_ticks(usage.span) << " ("
-       << format_percent(usage.utilization()) << ", "
+       << format_share(usage.utilization()) << ", "
        << format_count(usage.fragments) << " fragments, waiting "
        << format_ticks(usage.waiting) << ")\n";
   }

@@ -78,6 +78,18 @@ NAMED = [
     ("taskprof_cli", "whatif-validate --kernels=fib --tolerance=-1",
      "--tolerance"),
     ("taskprof_cli", "whatif-validate --kernels=fib --threads=0", "--threads"),
+    # Exited 0 and wrote nothing: an uninstrumented run records no
+    # profile, so every output that reads one is refused.
+    ("taskprof_cli", "--kernel=fib --size=test --uninstrumented "
+     "--report-json={tmp}/u.json", "--report-json"),
+    ("taskprof_cli", "--kernel=fib --size=test --uninstrumented "
+     "--snapshot-out={tmp}/u.tpsnap", "--snapshot-out"),
+    ("taskprof_cli", "--kernel=fib --size=test --uninstrumented "
+     "--snapshot-every=10", "--snapshot-every"),
+    ("taskprof_cli", "--kernel=fib --size=test --uninstrumented "
+     "--ingest={tmp}/none.sock", "--ingest"),
+    ("taskprof_cli", "--kernel=fib --size=test --uninstrumented "
+     "--report=findings", "--report"),
     ("taskprofd", "serve --socket={tmp}/d.sock --shards=abc", "--shards"),
     ("taskprofd", "serve --socket={tmp}/d.sock --shards=0", "--shards"),
     ("taskprofd", "serve --socket={tmp}/d.sock --shards=-3", "--shards"),

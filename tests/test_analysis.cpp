@@ -65,54 +65,6 @@ TEST_F(AnalysisTest, SchedulingPointSummaryAccountsBarrierSplit) {
   EXPECT_GT(summary.taskwait_exclusive, 0);
 }
 
-TEST_F(AnalysisTest, AdvisorFlagsTinyTasks) {
-  // 1 us tasks: well under the 10 us threshold -> "too small" problem.
-  const AggregateProfile agg = run(100, 300);
-  const auto findings = diagnose(agg, registry_);
-  bool found_small = false;
-  for (const auto& finding : findings) {
-    if (finding.severity == Finding::Severity::kProblem &&
-        finding.message.find("too small") != std::string::npos) {
-      found_small = true;
-    }
-  }
-  EXPECT_TRUE(found_small);
-}
-
-TEST_F(AnalysisTest, AdvisorQuietForCoarseTasks) {
-  // 1 ms tasks: creation is negligible, no findings beyond the info line.
-  const AggregateProfile agg = run(16, 1'000'000);
-  const auto findings = diagnose(agg, registry_);
-  for (const auto& finding : findings) {
-    EXPECT_NE(finding.severity, Finding::Severity::kProblem)
-        << finding.message;
-  }
-}
-
-TEST_F(AnalysisTest, AdvisorFlagsCreationDominatedTasks) {
-  const AggregateProfile agg = run(200, 100);
-  const auto findings = diagnose(agg, registry_);
-  bool found_create = false;
-  for (const auto& finding : findings) {
-    if (finding.message.find("creation time") != std::string::npos) {
-      found_create = true;
-    }
-  }
-  EXPECT_TRUE(found_create);
-}
-
-TEST_F(AnalysisTest, RenderFindingsTagsSeverity) {
-  std::vector<Finding> findings = {
-      {Finding::Severity::kInfo, "alpha"},
-      {Finding::Severity::kWarning, "beta"},
-      {Finding::Severity::kProblem, "gamma"},
-  };
-  const std::string out = render_findings(findings);
-  EXPECT_NE(out.find("[info]    alpha"), std::string::npos);
-  EXPECT_NE(out.find("[warning] beta"), std::string::npos);
-  EXPECT_NE(out.find("[problem] gamma"), std::string::npos);
-}
-
 TEST_F(AnalysisTest, ParameterBreakdownSortsAndAggregates) {
   auto kernel = bots::make_kernel("nqueens");
   bots::KernelConfig config;

@@ -7,10 +7,13 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "check/shapes.hpp"
 #include "diagnose/detectors.hpp"
 #include "diagnose/render.hpp"
+#include "instrument/instrumentor.hpp"
+#include "rt/sim_runtime.hpp"
 
 namespace taskprof {
 namespace {
@@ -106,6 +109,59 @@ TEST(Diagnose, ProfileOnlyInputStillRunsConstructDetectors) {
   const diag::Diagnosis* d = find_detector(report, "granularity_collapse");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, diag::Severity::kProblem);
+}
+
+/// The profile of one thread of two creating `count` tasks of `work` ns
+/// each and waiting for them, on the sim engine.
+AggregateProfile profile_flat_farm(RegionRegistry* registry,
+                                   RegionHandle task, int count, Ticks work) {
+  rt::SimRuntime sim;
+  Instrumentor instr(*registry);
+  sim.set_hooks(&instr);
+  sim.parallel(2, [&](rt::TaskContext& ctx) {
+    if (!ctx.single()) return;
+    for (int i = 0; i < count; ++i) {
+      rt::TaskAttrs attrs;
+      attrs.region = task;
+      ctx.create_task([work](rt::TaskContext& c) { c.work(work); }, attrs);
+    }
+    ctx.taskwait();
+  });
+  sim.set_hooks(nullptr);
+  instr.finalize();
+  return instr.aggregate();
+}
+
+TEST(Diagnose, ProfileOnlyTinyTasksCollapse) {
+  // 300 ns bodies, and 100 ns bodies that cost less than their creation.
+  for (const auto& [count, work] : {std::pair{100, 300}, std::pair{200, 100}}) {
+    SCOPED_TRACE(std::to_string(count) + " tasks of " + std::to_string(work) +
+                 " ns");
+    RegionRegistry registry;
+    const RegionHandle task =
+        registry.register_region("tiny_task", RegionType::kTask);
+    const AggregateProfile profile =
+        profile_flat_farm(&registry, task, count, work);
+    const diag::DiagnosisReport report =
+        diag::run_diagnosis({&profile, &registry});
+    const diag::Diagnosis* d = find_detector(report, "granularity_collapse");
+    ASSERT_NE(d, nullptr);
+    EXPECT_GE(d->severity, diag::Severity::kWarning);
+    ASSERT_FALSE(d->sites.empty());
+    EXPECT_EQ(d->sites.front().region, task);
+  }
+}
+
+TEST(Diagnose, ProfileOnlyCoarseTasksRaiseNothing) {
+  // 1 ms bodies: creation is negligible.
+  RegionRegistry registry;
+  const RegionHandle task =
+      registry.register_region("coarse_task", RegionType::kTask);
+  const AggregateProfile profile =
+      profile_flat_farm(&registry, task, 16, 1'000'000);
+  const diag::DiagnosisReport report =
+      diag::run_diagnosis({&profile, &registry});
+  EXPECT_EQ(report.count_at_least(diag::Severity::kWarning), 0u);
 }
 
 TEST(Diagnose, ParseSeverityRoundTrips) {

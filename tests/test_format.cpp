@@ -54,6 +54,14 @@ TEST(FormatPercent, SignsAndDecimals) {
   EXPECT_EQ(format_percent(0.0), "+0.0 %");
 }
 
+TEST(FormatShare, UnsignedOneDecimal) {
+  EXPECT_EQ(format_share(0.547), "54.7%");
+  EXPECT_EQ(format_share(0.0), "0.0%");
+  EXPECT_EQ(format_share(1.0), "100.0%");
+  EXPECT_EQ(format_share(2.5), "250.0%");
+  EXPECT_EQ(format_share(0.00049), "0.0%");
+}
+
 /// printf's "%.*f" rendering of `value`, untruncated.
 std::string printf_fixed(double value, int decimals) {
   const int length = std::snprintf(nullptr, 0, "%.*f", decimals, value);

@@ -6,6 +6,7 @@
 
 #include "instrument/instrumentor.hpp"
 #include "report/cube_export.hpp"
+#include "report/json_report.hpp"
 #include "rt/sim_runtime.hpp"
 
 namespace taskprof {
@@ -72,6 +73,23 @@ TEST_F(ReportTest, ProfileRenderingListsTaskTreesBesideMainTree) {
   EXPECT_NE(out.find("max concurrent task instances"), std::string::npos);
   // The user region instrumented inside the task shows up in its tree.
   EXPECT_NE(out.find("foo"), std::string::npos);
+}
+
+TEST_F(ReportTest, ReportJsonHasStatisticsAndNoFindings) {
+  const std::string json = render_report_json(*profile_, registry_);
+  EXPECT_EQ(json.rfind("{\n  \"schema_version\": 2,\n", 0), 0u) << json;
+  for (const char* key :
+       {"\"threads\": 2", "\"constructs\": [", "\"name\": \"work_task\"",
+        "\"instances\": 3", "\"inclusive_mean_ns\": ", "\"creations\": 3",
+        "\"create_mean_ns\": ", "\"taskwait_total_ns\": ",
+        "\"scheduling_points\": {", "\"barrier_inclusive_ns\": ",
+        "\"barrier_stub_ns\": ", "\"create_exclusive_ns\": ",
+        "\"parallel_inclusive_ns\": "}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+  // Findings come from diag::run_diagnosis (diagnose --json) only.
+  EXPECT_EQ(json.find("findings"), std::string::npos);
+  EXPECT_EQ(render_report_json(*profile_, registry_), json);
 }
 
 TEST_F(ReportTest, EmptyTreeRenders) {

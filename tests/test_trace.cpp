@@ -566,6 +566,10 @@ TEST_F(TraceTest, RenderAnalysisAndTimelineProduceText) {
   EXPECT_NE(report.find("task construct"), std::string::npos);
   EXPECT_NE(report.find("management"), std::string::npos);
   EXPECT_NE(report.find("longest dependency chain"), std::string::npos);
+  // Shares print unsigned ("68.1%"); a sign marks a delta, and none is.
+  EXPECT_NE(report.find("%, "), std::string::npos) << report;
+  EXPECT_EQ(report.find('+'), std::string::npos) << report;
+  EXPECT_EQ(report.find(" %"), std::string::npos) << report;
   const std::string timeline = trace::render_timeline(trace, 40);
   EXPECT_NE(timeline.find("t0 |"), std::string::npos);
   EXPECT_NE(timeline.find("t1 |"), std::string::npos);

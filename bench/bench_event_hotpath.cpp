@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   baseline.leaf_fast_path = false;
   const MeasureOptions fastpath;  // defaults: acceleration on
 
-  bench::JsonWriter json;
+  JsonWriter json;
   json.begin_object();
   json.field("bench", "event_hotpath");
   json.field("size", bots::size_name(options.size));
@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
   }
   json.end_array();
   json.end_object();
-  if (!json.write_file(options.out_path)) return 1;
+  if (!bench::write_json(options.out_path, json)) return 1;
   std::printf("\nwrote %s\n", options.out_path.c_str());
   return 0;
 }

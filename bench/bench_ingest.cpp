@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
   json.field("delta_to_rebase_worst", worst_ratio);
   json.field("all_totals_exact", all_exact);
   json.end_object();
-  if (!json.write_file(options.out_path)) return 1;
+  if (!bench::write_json(options.out_path, json)) return 1;
   std::printf("\nwrote %s\n", options.out_path.c_str());
 
   if (!all_exact) {

@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bench::JsonWriter json;
+  JsonWriter json;
   json.begin_object();
   json.field("bench", "numa_scaling");
   json.field("engine", "sim");
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
   }
   json.end_array();
   json.end_object();
-  if (!json.write_file(options.out_path)) return 1;
+  if (!bench::write_json(options.out_path, json)) return 1;
   std::printf("wrote %s\n", options.out_path.c_str());
   return 0;
 }

@@ -334,7 +334,7 @@ int main(int argc, char** argv) {
                                           rt::SchedulerKind::kTaskGraph};
   constexpr int kSchedulerCount = 3;
 
-  bench::JsonWriter json;
+  JsonWriter json;
   json.begin_object();
   json.field("bench", "queue_contention");
   json.field("size", bots::size_name(size));
@@ -437,7 +437,7 @@ int main(int argc, char** argv) {
   json.field("taskgraph_speedup_sweep_4t", ratio_sweep_4);
   json.field("taskgraph_speedup_sweep_8t", ratio_sweep_8);
   json.end_object();
-  const bool wrote = json.write_file(out_path);
+  const bool wrote = bench::write_json(out_path, json);
 
   std::printf("chase_lev / mutex_deque throughput, fib x8:         %.2fx\n",
               ratio_fib_8);

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   RegionRegistry registry;
   const RegionHandle task = registry.register_region("t", RegionType::kTask);
 
-  bench::JsonWriter json;
+  JsonWriter json;
   json.begin_object();
   json.field("bench", "telemetry_overhead");
   json.field("size", bots::size_name(options.size));
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   json.field("sink_overhead_fib_under_5pct", sink_overhead_fib < 0.05);
   json.field("timed_hook_ns_per_event", hook_ns_per_event);
   json.end_object();
-  const bool wrote = json.write_file(options.out_path);
+  const bool wrote = bench::write_json(options.out_path, json);
 
   std::printf("telemetry sink overhead, fib x%d:     %s (target < +5.0 %%)\n",
               kThreads, format_percent(sink_overhead_fib, 1).c_str());

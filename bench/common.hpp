@@ -24,6 +24,7 @@
 #include "bots/kernel.hpp"
 #include "common/cli_options.hpp"
 #include "common/format.hpp"
+#include "common/json.hpp"
 #include "common/write_file.hpp"
 #include "instrument/instrumentor.hpp"
 #include "rt/sim_runtime.hpp"
@@ -210,93 +211,21 @@ inline void print_header(const char* title, const char* paper_ref,
 // Machine-readable output (the BENCH_<name>.json convention).
 //
 // Benches that track a performance trajectory across PRs write one flat
-// JSON file per run: a top-level object with "bench", the harness options,
-// and a "results" array of records.  JsonWriter is a minimal emitter for
-// exactly that shape — keys are written verbatim, strings are escaped,
-// commas and indentation are managed by the begin/end nesting.
+// JSON file per run through common/json.hpp's JsonWriter: a top-level
+// object with "bench", the harness options, and a "results" array of
+// records.
 // ---------------------------------------------------------------------------
 
-class JsonWriter {
- public:
-  JsonWriter() { out_.reserve(4096); }
-
-  void begin_object(const char* key = nullptr) { open('{', '}', key); }
-  void end_object() { close('}'); }
-  void begin_array(const char* key = nullptr) { open('[', ']', key); }
-  void end_array() { close(']'); }
-
-  void field(const char* key, const std::string& value) {
-    pre(key);
-    append_json_string(&out_, value);
+/// Write `json`'s finished document to `path`; returns false (with a
+/// message on stderr) when the file cannot be written.
+inline bool write_json(const std::string& path, JsonWriter& json) {
+  try {
+    write_file(path, json.finish());
+    return true;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return false;
   }
-  void field(const char* key, const char* value) {
-    field(key, std::string(value));
-  }
-  void field(const char* key, std::uint64_t value) {
-    pre(key);
-    out_ += std::to_string(value);
-  }
-  void field(const char* key, std::int64_t value) {
-    pre(key);
-    out_ += std::to_string(value);
-  }
-  void field(const char* key, int value) {
-    field(key, static_cast<std::int64_t>(value));
-  }
-  void field(const char* key, double value) {
-    pre(key);
-    append_json_number(&out_, value);
-  }
-  void field(const char* key, bool value) {
-    pre(key);
-    out_ += value ? "true" : "false";
-  }
-
-  [[nodiscard]] const std::string& str() const { return out_; }
-
-  /// Write the document to `path`; returns false (with a message on
-  /// stderr) when the file cannot be written.
-  bool write_file(const std::string& path) const {
-    try {
-      ::taskprof::write_file(path, out_ + '\n');
-      return true;
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "%s\n", error.what());
-      return false;
-    }
-  }
-
- private:
-  void open(char bracket, char closer, const char* key) {
-    pre(key);
-    out_ += bracket;
-    stack_.push_back(closer);
-    first_ = true;
-  }
-  void close(char closer) {
-    out_ += '\n';
-    stack_.pop_back();
-    indent();
-    out_ += closer;
-    first_ = false;
-  }
-  void pre(const char* key) {
-    if (!stack_.empty()) {
-      out_ += first_ ? "\n" : ",\n";
-      indent();
-    }
-    first_ = false;
-    if (key != nullptr) {
-      append_json_string(&out_, key);
-      out_ += ": ";
-    }
-  }
-  void indent() {
-    out_.append(2 * stack_.size(), ' ');
-  }
-  std::string out_;
-  std::vector<char> stack_;
-  bool first_ = true;
-};
+}
 
 }  // namespace taskprof::bench

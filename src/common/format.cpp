@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -85,38 +84,6 @@ std::string format_count(std::uint64_t n) {
     out.push_back(digits[i]);
   }
   return out;
-}
-
-void append_json_string(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void append_json_number(std::string* out, double value) {
-  if (!std::isfinite(value)) {
-    *out += "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  *out += buf;
 }
 
 TextTable::TextTable(std::vector<std::string> header)

@@ -1,5 +1,5 @@
-// Human-readable formatting of ticks and aligned text tables, and the
-// two JSON primitives every JSON writer shares.
+// Human-readable formatting of ticks, shares and counts, and aligned
+// text tables.  JSON goes through common/json.hpp.
 //
 // The report writer and every bench binary print call trees and
 // paper-style tables; they share these helpers so all output formats
@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -35,15 +34,6 @@ namespace taskprof {
 
 /// Format a count with thousands separators, e.g. "3,690,000,000".
 [[nodiscard]] std::string format_count(std::uint64_t n);
-
-/// Append `text` to `out` as a JSON string literal: quoted, with `"`,
-/// `\` and every control character escaped.
-void append_json_string(std::string* out, std::string_view text);
-
-/// Append `value` to `out` as a JSON number printed with `%.6g`, which
-/// keeps golden files byte-stable.  JSON has no inf or nan, so
-/// non-finite values become `null`.
-void append_json_number(std::string* out, double value);
 
 /// Minimal aligned-column table used by benches and the report writer.
 ///

@@ -70,10 +70,19 @@ CallSite resolve_site(const RegionRegistry& registry, RegionHandle region) {
 // piling up an unbounded backlog (Tuft et al.'s "creation storm").  Needs
 // the time dimension, so it only runs with a trace.
 // ---------------------------------------------------------------------------
+
+// Thresholds here and below are tuned so the seeded anti-pattern corpora
+// fire and clean BOTS runs at sane thread counts stay below kProblem
+// (DESIGN.md §13 documents the calibration).
+constexpr std::uint64_t kStormMinCreations = 256;  ///< ignore tiny runs
+/// Peak creation backlog (created - begun) that fires the detector, as a
+/// per-thread multiple; the absolute floor below also applies.
+constexpr std::uint64_t kStormBacklogPerThread = 32;
+constexpr std::uint64_t kStormBacklogFloor = 192;
+
 void detect_creation_storm(const DetectorContext& ctx,
                            std::vector<Diagnosis>* out) {
   if (ctx.input.trace == nullptr) return;
-  const DiagnoseOptions& opt = ctx.options;
 
   std::uint64_t created = 0;
   std::uint64_t begun = 0;
@@ -117,11 +126,11 @@ void detect_creation_storm(const DetectorContext& ctx,
         break;
     }
   }
-  if (created < opt.storm_min_creations) return;
+  if (created < kStormMinCreations) return;
 
   const std::uint64_t threshold = std::max(
-      opt.storm_backlog_floor,
-      opt.storm_backlog_per_thread * static_cast<std::uint64_t>(ctx.threads));
+      kStormBacklogFloor,
+      kStormBacklogPerThread * static_cast<std::uint64_t>(ctx.threads));
   if (peak_backlog < threshold / 2) return;
 
   Diagnosis d;
@@ -171,11 +180,16 @@ void detect_creation_storm(const DetectorContext& ctx,
 // serialized_spawn_chain: a deep path of single-child spawns — the task
 // graph degenerates into a linked list, so added workers idle.
 // ---------------------------------------------------------------------------
+
+constexpr int kChainMinDepth = 8;
+/// Chain active time must cover at least this fraction of total work
+/// (otherwise the chain is a sideshow, not the bottleneck).
+constexpr double kChainWorkFraction = 0.5;
+
 void detect_serialized_spawn_chain(const DetectorContext& ctx,
                                    std::vector<Diagnosis>* out) {
   if (ctx.trace_analysis == nullptr || ctx.workspan == nullptr) return;
   if (ctx.threads < 2) return;
-  const DiagnoseOptions& opt = ctx.options;
   const trace::TraceAnalysis& analysis = *ctx.trace_analysis;
 
   std::unordered_map<TaskInstanceId, const trace::TaskLifetime*> by_id;
@@ -216,11 +230,11 @@ void detect_serialized_spawn_chain(const DetectorContext& ctx,
     }
   }
 
-  if (best_len < opt.chain_min_depth) return;
+  if (best_len < kChainMinDepth) return;
   const Ticks work = ctx.workspan->work;
   if (work <= 0 ||
       static_cast<double>(best_active) <
-          opt.chain_work_fraction * static_cast<double>(work)) {
+          kChainWorkFraction * static_cast<double>(work)) {
     return;
   }
 
@@ -256,11 +270,16 @@ void detect_serialized_spawn_chain(const DetectorContext& ctx,
 // starved_workers: threads parked at scheduling points for most of the
 // region because the task structure never produced enough parallelism.
 // ---------------------------------------------------------------------------
+
+constexpr double kStarvedWaitingFraction = 0.5;  ///< of the thread's span
+/// Starvation is only a diagnosis when parallelism actually fell short:
+/// logical parallelism below threads * this fraction.
+constexpr double kStarvedParallelismFraction = 0.5;
+
 void detect_starved_workers(const DetectorContext& ctx,
                             std::vector<Diagnosis>* out) {
   if (ctx.trace_analysis == nullptr || ctx.workspan == nullptr) return;
   if (ctx.threads < 2) return;
-  const DiagnoseOptions& opt = ctx.options;
   const trace::TraceAnalysis& analysis = *ctx.trace_analysis;
   if (analysis.tasks.size() < 2) return;
 
@@ -274,7 +293,7 @@ void detect_starved_workers(const DetectorContext& ctx,
     total_waiting += usage.waiting;
     total_span += usage.span;
     const double fraction = usage.waiting_fraction();
-    if (fraction >= opt.starved_waiting_fraction) {
+    if (fraction >= kStarvedWaitingFraction) {
       ++starved;
       if (fraction > worst_fraction) {
         worst_fraction = fraction;
@@ -289,7 +308,7 @@ void detect_starved_workers(const DetectorContext& ctx,
   // not starvation.
   const double parallelism = ctx.workspan->logical_parallelism();
   if (parallelism >=
-      opt.starved_parallelism_fraction * static_cast<double>(ctx.threads)) {
+      kStarvedParallelismFraction * static_cast<double>(ctx.threads)) {
     return;
   }
 
@@ -328,19 +347,29 @@ void detect_starved_workers(const DetectorContext& ctx,
 // parameter/depth — creation cost overtakes body work, catastrophically
 // so in the recursion tail.
 // ---------------------------------------------------------------------------
+
+/// Mean inclusive time under which a task is "too small" (the paper's).
+constexpr Ticks kSmallTaskThreshold = 10 * kTicksPerUs;
+/// Problem requires BOTH: creation dominating execution by this ratio and
+/// mean body time under the floor.  Calibration: fib at test size has
+/// 470 ns bodies, so the 400 ns floor keeps it at a warning at any thread
+/// count (creation cost — and hence the ratio — grows with the team),
+/// while a degenerate tree of ~360 ns bodies at 7.7x is a problem.
+constexpr double kCollapseProblemRatio = 6.5;
+constexpr Ticks kCollapseFloor = 400;  ///< ns of mean exclusive body time
+
 void detect_granularity_collapse(const DetectorContext& ctx,
                                  std::vector<Diagnosis>* out) {
   if (ctx.input.profile == nullptr) return;
-  const DiagnoseOptions& opt = ctx.options;
   for (const TaskConstructStats& c : ctx.constructs) {
     if (c.instances == 0 || c.creations == 0) continue;
     const double body = exec_mean(c);
     const double ratio = body > 0 ? c.create_mean / body : 0.0;
     const bool too_small =
-        c.inclusive_mean < static_cast<double>(opt.small_task_threshold);
+        c.inclusive_mean < static_cast<double>(kSmallTaskThreshold);
     const bool create_dominates = c.create_mean >= body && body > 0;
-    const bool collapsed = ratio >= opt.collapse_problem_ratio &&
-                           body < static_cast<double>(opt.collapse_floor);
+    const bool collapsed = ratio >= kCollapseProblemRatio &&
+                           body < static_cast<double>(kCollapseFloor);
 
     // Per-depth refinement: find where the recursion tail collapses even
     // when the aggregate is merely small (paper Table IV's argument).
@@ -351,8 +380,8 @@ void detect_granularity_collapse(const DetectorContext& ctx,
                *ctx.input.profile, *ctx.input.registry, c.region)) {
         if (row.instances == 0) continue;
         const double row_body = exec_mean(row);
-        if (row_body < static_cast<double>(opt.collapse_floor) &&
-            c.create_mean >= opt.collapse_problem_ratio * row_body) {
+        if (row_body < static_cast<double>(kCollapseFloor) &&
+            c.create_mean >= kCollapseProblemRatio * row_body) {
           if (collapse_from == kNoParameter) collapse_from = row.parameter;
           collapsed_instances += row.instances;
         }
@@ -401,11 +430,17 @@ void detect_granularity_collapse(const DetectorContext& ctx,
 // taskwait_serialization: spawn-wait-spawn-wait lockstep — a taskwait
 // after every spawn caps concurrency at one task in flight.
 // ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kSerialMinTaskwaits = 8;
+/// Fraction of trace span with <=1 task executing while a thread sits in
+/// taskwait.
+constexpr double kSerialFractionWarn = 0.40;
+constexpr double kSerialFractionProblem = 0.60;
+
 void detect_taskwait_serialization(const DetectorContext& ctx,
                                    std::vector<Diagnosis>* out) {
   if (ctx.input.trace == nullptr) return;
   if (ctx.threads < 2) return;
-  const DiagnoseOptions& opt = ctx.options;
   const trace::Trace& trace = *ctx.input.trace;
 
   // Merged-stream replay: per-thread "executing a task fragment" state
@@ -503,18 +538,18 @@ void detect_taskwait_serialization(const DetectorContext& ctx,
     serial_current = serial ? current_serial_region() : kInvalidRegion;
   }
 
-  if (taskwaits < opt.serial_min_taskwaits) return;
+  if (taskwaits < kSerialMinTaskwaits) return;
   const auto [t_begin, t_end] = trace.time_span();
   const Ticks span = t_end - t_begin;
   if (span <= 0) return;
   const double fraction =
       static_cast<double>(serial_time) / static_cast<double>(span);
-  if (fraction < opt.serial_fraction_warn) return;
+  if (fraction < kSerialFractionWarn) return;
 
   Diagnosis d;
   d.detector = "taskwait_serialization";
-  d.severity = fraction >= opt.serial_fraction_problem ? Severity::kProblem
-                                                       : Severity::kWarning;
+  d.severity = fraction >= kSerialFractionProblem ? Severity::kProblem
+                                                  : Severity::kWarning;
   d.score = fraction;
   d.at = longest_serial_start;
   d.thread = 0;

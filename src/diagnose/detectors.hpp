@@ -17,7 +17,6 @@ namespace taskprof::diag {
 /// Precomputed views every detector shares.
 struct DetectorContext {
   const DiagnosisInput& input;
-  const DiagnoseOptions& options;
   /// From report/analysis over the profile (always present).
   const std::vector<TaskConstructStats>& constructs;
   int threads = 0;

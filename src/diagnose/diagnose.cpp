@@ -36,8 +36,7 @@ bool parse_severity(const std::string& text, Severity* out) {
   return true;
 }
 
-DiagnosisReport run_diagnosis(const DiagnosisInput& input,
-                              const DiagnoseOptions& options) {
+DiagnosisReport run_diagnosis(const DiagnosisInput& input) {
   DiagnosisReport report;
   if (input.registry == nullptr) return report;
 
@@ -59,7 +58,6 @@ DiagnosisReport run_diagnosis(const DiagnosisInput& input,
   }
 
   DetectorContext ctx{input,
-                      options,
                       constructs,
                       static_cast<int>(
                           have_trace ? input.trace->thread_count()

@@ -66,49 +66,6 @@ struct Diagnosis {
   ThreadId thread = 0;   ///< timeline track for the marker
 };
 
-/// Detector thresholds.  Defaults are tuned so the seeded anti-pattern
-/// corpora fire and clean BOTS runs at sane thread counts stay below
-/// kProblem (DESIGN.md §13 documents the calibration).
-struct DiagnoseOptions {
-  // creation_storm: tasks created far faster than they start executing.
-  std::uint64_t storm_min_creations = 256;  ///< ignore tiny runs
-  /// Peak creation backlog (created - begun) that fires the detector, as
-  /// a per-thread multiple; the absolute floor below also applies.
-  std::uint64_t storm_backlog_per_thread = 32;
-  std::uint64_t storm_backlog_floor = 192;
-
-  // serialized_spawn_chain: deep single-child spawn paths.
-  int chain_min_depth = 8;
-  /// Chain active time must cover at least this fraction of total work
-  /// (otherwise the chain is a sideshow, not the bottleneck).
-  double chain_work_fraction = 0.5;
-
-  // starved_workers: threads parked at scheduling points for most of the
-  // region while the task graph offers nothing to steal.
-  double starved_waiting_fraction = 0.5;  ///< of the thread's span
-  /// Starvation is only a diagnosis when parallelism actually fell
-  /// short: logical parallelism below threads * this fraction.
-  double starved_parallelism_fraction = 0.5;
-
-  // granularity_collapse: §VI generalized per parameter/depth.
-  Ticks small_task_threshold = 10 * kTicksPerUs;  ///< paper's "too small"
-  /// Problem requires BOTH: creation dominating execution by this ratio
-  /// and mean body time under the floor.  Calibration: fib at test size
-  /// has 470 ns bodies, so the 400 ns floor keeps it at a warning at any
-  /// thread count (creation cost — and hence the ratio — grows with the
-  /// team), while a degenerate tree of ~360 ns bodies at 7.7x is a
-  /// problem.
-  double collapse_problem_ratio = 6.5;
-  Ticks collapse_floor = 400;  ///< ns of mean exclusive body time
-
-  // taskwait_serialization: spawn-wait-spawn-wait lockstep.
-  std::uint64_t serial_min_taskwaits = 8;
-  /// Fraction of trace span with <=1 task executing while a thread sits
-  /// in taskwait.
-  double serial_fraction_warn = 0.40;
-  double serial_fraction_problem = 0.60;
-};
-
 /// Everything a diagnosis run may consume.  `profile` and `registry` are
 /// required; `trace` unlocks the time-domain detectors and work/span;
 /// `telemetry` unlocks the replay-fallback detector.
@@ -133,8 +90,7 @@ struct DiagnosisReport {
 /// Run every registered detector over `input`.  A trace whose events
 /// tell an impossible history throws snapshot::SnapshotError (kMalformed)
 /// from trace::analyze_trace.
-[[nodiscard]] DiagnosisReport run_diagnosis(const DiagnosisInput& input,
-                                            const DiagnoseOptions& options = {});
+[[nodiscard]] DiagnosisReport run_diagnosis(const DiagnosisInput& input);
 
 /// Parse "info" / "warning" / "problem" (CLI --fail-on).  Returns false
 /// on unknown names.

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/format.hpp"
+#include "common/json.hpp"
 
 namespace taskprof::diag {
 
@@ -61,84 +62,63 @@ void render_diagnosis_text(const DiagnosisReport& report, std::ostream& os) {
 }
 
 std::string render_diagnosis_json(const DiagnosisReport& report) {
-  std::string out;
-  out.reserve(4096);
-  out += "{\n  \"schema_version\": ";
-  out += std::to_string(kSchemaVersion);
-  out += ",\n  \"max_severity\": ";
-  append_json_string(&out, severity_name(report.max_severity()));
+  JsonWriter json;
+  json.begin_object();
+  json.field("schema_version", kSchemaVersion);
+  json.field("max_severity", severity_name(report.max_severity()));
 
   if (report.has_workspan) {
     const WorkSpanSummary& ws = report.workspan;
-    out += ",\n  \"workspan\": {\n    \"work_ns\": ";
-    out += std::to_string(ws.work);
-    out += ",\n    \"span_ns\": ";
-    out += std::to_string(ws.span);
-    out += ",\n    \"span_length\": ";
-    out += std::to_string(ws.span_length);
-    out += ",\n    \"logical_parallelism\": ";
-    append_json_number(&out, ws.logical_parallelism());
-    out += ",\n    \"span_shares\": [";
-    for (std::size_t i = 0; i < ws.shares.size(); ++i) {
-      const ConstructSpanShare& share = ws.shares[i];
-      out += i == 0 ? "\n" : ",\n";
-      out += "      {\"construct\": ";
-      append_json_string(&out, share.name);
-      out += ", \"on_span_ns\": ";
-      out += std::to_string(share.on_span);
-      out += ", \"instances\": ";
-      out += std::to_string(share.instances);
-      out += "}";
+    json.begin_object("workspan");
+    json.field("work_ns", ws.work);
+    json.field("span_ns", ws.span);
+    json.field("span_length", ws.span_length);
+    json.field("logical_parallelism", ws.logical_parallelism());
+    json.begin_array("span_shares");
+    for (const ConstructSpanShare& share : ws.shares) {
+      json.begin_object({}, JsonWriter::kLine);
+      json.field("construct", share.name);
+      json.field("on_span_ns", share.on_span);
+      json.field("instances", share.instances);
+      json.end_object();
     }
-    out += ws.shares.empty() ? "]\n  }" : "\n    ]\n  }";
+    json.end_array();
+    json.end_object();
   }
 
-  out += ",\n  \"findings\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const Diagnosis& d = report.findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\n      \"detector\": ";
-    append_json_string(&out, d.detector);
-    out += ",\n      \"severity\": ";
-    append_json_string(&out, severity_name(d.severity));
-    out += ",\n      \"score\": ";
-    append_json_number(&out, d.score);
-    out += ",\n      \"summary\": ";
-    append_json_string(&out, d.summary);
-    out += ",\n      \"remediation\": ";
-    append_json_string(&out, d.remediation);
-    out += ",\n      \"sites\": [";
-    for (std::size_t j = 0; j < d.sites.size(); ++j) {
-      const CallSite& site = d.sites[j];
-      out += j == 0 ? "" : ", ";
-      out += "{\"name\": ";
-      append_json_string(&out, site.name);
-      out += ", \"file\": ";
-      append_json_string(&out, site.file);
-      out += ", \"line\": ";
-      out += std::to_string(site.line);
-      out += "}";
+  json.begin_array("findings");
+  for (const Diagnosis& d : report.findings) {
+    json.begin_object();
+    json.field("detector", d.detector);
+    json.field("severity", severity_name(d.severity));
+    json.field("score", d.score);
+    json.field("summary", d.summary);
+    json.field("remediation", d.remediation);
+    json.begin_array("sites", JsonWriter::kLine);
+    for (const CallSite& site : d.sites) {
+      json.begin_object();
+      json.field("name", site.name);
+      json.field("file", site.file);
+      json.field("line", site.line);
+      json.end_object();
     }
-    out += "],\n      \"metrics\": [";
-    for (std::size_t j = 0; j < d.metrics.size(); ++j) {
-      const Metric& m = d.metrics[j];
-      out += j == 0 ? "" : ", ";
-      out += "{\"name\": ";
-      append_json_string(&out, m.name);
-      out += ", \"value\": ";
-      append_json_number(&out, m.value);
-      out += ", \"unit\": ";
-      append_json_string(&out, m.unit);
-      out += "}";
+    json.end_array();
+    json.begin_array("metrics", JsonWriter::kLine);
+    for (const Metric& m : d.metrics) {
+      json.begin_object();
+      json.field("name", m.name);
+      json.field("value", m.value);
+      json.field("unit", m.unit);
+      json.end_object();
     }
-    out += "],\n      \"at_ns\": ";
-    out += std::to_string(d.at);
-    out += ",\n      \"thread\": ";
-    out += std::to_string(d.thread);
-    out += "\n    }";
+    json.end_array();
+    json.field("at_ns", d.at);
+    json.field("thread", d.thread);
+    json.end_object();
   }
-  out += report.findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  json.end_array();
+  json.end_object();
+  return json.finish();
 }
 
 std::vector<trace::TraceAnnotation> diagnosis_annotations(

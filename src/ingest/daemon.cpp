@@ -9,8 +9,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 
+#include "common/json.hpp"
 #include "ingest/delta.hpp"
 #include "profile/calltree.hpp"
 #include "report/json_report.hpp"
@@ -570,32 +570,32 @@ DaemonStats IngestDaemon::stats() const {
 
 std::string IngestDaemon::render_stats_json() const {
   const DaemonStats s = stats();
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"sessions_opened\": " << s.sessions_opened << ",\n";
-  os << "  \"sessions_closed_clean\": " << s.sessions_closed_clean << ",\n";
-  os << "  \"sessions_dropped\": " << s.sessions_dropped << ",\n";
-  os << "  \"live_sessions\": " << s.live_sessions << ",\n";
-  os << "  \"frames_received\": " << s.frames_received << ",\n";
-  os << "  \"frames_rejected\": " << s.frames_rejected << ",\n";
-  os << "  \"bytes_received\": " << s.bytes_received << ",\n";
-  os << "  \"deltas_applied\": " << s.deltas_applied << ",\n";
-  os << "  \"deltas_duplicate\": " << s.deltas_duplicate << ",\n";
-  os << "  \"deltas_rejected\": " << s.deltas_rejected << ",\n";
-  os << "  \"rebases\": " << s.rebases << ",\n";
-  os << "  \"heartbeats\": " << s.heartbeats << ",\n";
-  os << "  \"errors_sent\": " << s.errors_sent << ",\n";
-  os << "  \"visits_ingested\": " << s.visits_ingested << ",\n";
-  os << "  \"nodes_created\": " << s.nodes_created << ",\n";
-  os << "  \"evicted_subtrees\": " << s.evicted_subtrees << ",\n";
-  os << "  \"evicted_nodes\": " << s.evicted_nodes << ",\n";
-  os << "  \"evicted_visits\": " << s.evicted_visits << ",\n";
-  os << "  \"reports_served\": " << s.reports_served << ",\n";
-  os << "  \"queue_stalls\": " << s.queue_stalls << ",\n";
-  os << "  \"live_node_bytes\": " << s.live_node_bytes << "\n";
-  os << "}\n";
-  return os.str();
+  JsonWriter json;
+  json.begin_object();
+  json.field("schema_version", 1);
+  json.field("sessions_opened", s.sessions_opened);
+  json.field("sessions_closed_clean", s.sessions_closed_clean);
+  json.field("sessions_dropped", s.sessions_dropped);
+  json.field("live_sessions", s.live_sessions);
+  json.field("frames_received", s.frames_received);
+  json.field("frames_rejected", s.frames_rejected);
+  json.field("bytes_received", s.bytes_received);
+  json.field("deltas_applied", s.deltas_applied);
+  json.field("deltas_duplicate", s.deltas_duplicate);
+  json.field("deltas_rejected", s.deltas_rejected);
+  json.field("rebases", s.rebases);
+  json.field("heartbeats", s.heartbeats);
+  json.field("errors_sent", s.errors_sent);
+  json.field("visits_ingested", s.visits_ingested);
+  json.field("nodes_created", s.nodes_created);
+  json.field("evicted_subtrees", s.evicted_subtrees);
+  json.field("evicted_nodes", s.evicted_nodes);
+  json.field("evicted_visits", s.evicted_visits);
+  json.field("reports_served", s.reports_served);
+  json.field("queue_stalls", s.queue_stalls);
+  json.field("live_node_bytes", s.live_node_bytes);
+  json.end_object();
+  return json.finish();
 }
 
 }  // namespace taskprof::ingest

@@ -1,6 +1,6 @@
 #include "report/json_report.hpp"
 
-#include "common/format.hpp"
+#include "common/json.hpp"
 
 namespace taskprof {
 
@@ -12,71 +12,45 @@ constexpr int kSchemaVersion = 2;
 
 std::string render_report_json(const AggregateProfile& profile,
                                const RegionRegistry& registry) {
-  std::string out;
-  out.reserve(4096);
-  out += "{\n  \"schema_version\": ";
-  out += std::to_string(kSchemaVersion);
-  out += ",\n  \"threads\": ";
-  out += std::to_string(profile.thread_count);
-  out += ",\n  \"max_concurrent_any_thread\": ";
-  out += std::to_string(profile.max_concurrent_any_thread);
+  JsonWriter json;
+  json.begin_object();
+  json.field("schema_version", kSchemaVersion);
+  json.field("threads", profile.thread_count);
+  json.field("max_concurrent_any_thread", profile.max_concurrent_any_thread);
 
-  out += ",\n  \"constructs\": [";
-  const std::vector<TaskConstructStats> constructs =
-      task_construct_stats(profile, registry);
-  for (std::size_t i = 0; i < constructs.size(); ++i) {
-    const TaskConstructStats& c = constructs[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": ";
-    append_json_string(&out, c.name);
-    if (c.parameter != kNoParameter) {
-      out += ", \"parameter\": ";
-      out += std::to_string(c.parameter);
-    }
-    out += ", \"instances\": ";
-    out += std::to_string(c.instances);
-    out += ", \"inclusive_total_ns\": ";
-    out += std::to_string(c.inclusive_total);
-    out += ", \"inclusive_mean_ns\": ";
-    append_json_number(&out, c.inclusive_mean);
-    out += ", \"inclusive_min_ns\": ";
-    out += std::to_string(c.inclusive_min);
-    out += ", \"inclusive_max_ns\": ";
-    out += std::to_string(c.inclusive_max);
-    out += ", \"exclusive_total_ns\": ";
-    out += std::to_string(c.exclusive_total);
-    out += ", \"creations\": ";
-    out += std::to_string(c.creations);
-    out += ", \"create_total_ns\": ";
-    out += std::to_string(c.create_total);
-    out += ", \"create_mean_ns\": ";
-    append_json_number(&out, c.create_mean);
-    out += ", \"taskwait_total_ns\": ";
-    out += std::to_string(c.taskwait_total);
-    out += ", \"taskwaits\": ";
-    out += std::to_string(c.taskwaits);
-    out += "}";
+  json.begin_array("constructs");
+  for (const TaskConstructStats& c : task_construct_stats(profile, registry)) {
+    json.begin_object({}, JsonWriter::kLine);
+    json.field("name", c.name);
+    if (c.parameter != kNoParameter) json.field("parameter", c.parameter);
+    json.field("instances", c.instances);
+    json.field("inclusive_total_ns", c.inclusive_total);
+    json.field("inclusive_mean_ns", c.inclusive_mean);
+    json.field("inclusive_min_ns", c.inclusive_min);
+    json.field("inclusive_max_ns", c.inclusive_max);
+    json.field("exclusive_total_ns", c.exclusive_total);
+    json.field("creations", c.creations);
+    json.field("create_total_ns", c.create_total);
+    json.field("create_mean_ns", c.create_mean);
+    json.field("taskwait_total_ns", c.taskwait_total);
+    json.field("taskwaits", c.taskwaits);
+    json.end_object();
   }
-  out += constructs.empty() ? "]" : "\n  ]";
+  json.end_array();
 
   const SchedulingPointSummary sched =
       scheduling_point_summary(profile, registry);
-  out += ",\n  \"scheduling_points\": {\n    \"barrier_inclusive_ns\": ";
-  out += std::to_string(sched.barrier_inclusive);
-  out += ",\n    \"barrier_exclusive_ns\": ";
-  out += std::to_string(sched.barrier_exclusive);
-  out += ",\n    \"barrier_stub_ns\": ";
-  out += std::to_string(sched.barrier_stub_time);
-  out += ",\n    \"barrier_visits\": ";
-  out += std::to_string(sched.barrier_visits);
-  out += ",\n    \"taskwait_exclusive_ns\": ";
-  out += std::to_string(sched.taskwait_exclusive);
-  out += ",\n    \"create_exclusive_ns\": ";
-  out += std::to_string(sched.create_exclusive);
-  out += ",\n    \"parallel_inclusive_ns\": ";
-  out += std::to_string(sched.parallel_inclusive);
-  out += "\n  }\n}\n";
-  return out;
+  json.begin_object("scheduling_points");
+  json.field("barrier_inclusive_ns", sched.barrier_inclusive);
+  json.field("barrier_exclusive_ns", sched.barrier_exclusive);
+  json.field("barrier_stub_ns", sched.barrier_stub_time);
+  json.field("barrier_visits", sched.barrier_visits);
+  json.field("taskwait_exclusive_ns", sched.taskwait_exclusive);
+  json.field("create_exclusive_ns", sched.create_exclusive);
+  json.field("parallel_inclusive_ns", sched.parallel_inclusive);
+  json.end_object();
+  json.end_object();
+  return json.finish();
 }
 
 }  // namespace taskprof

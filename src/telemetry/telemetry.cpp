@@ -1,7 +1,7 @@
 #include "telemetry/telemetry.hpp"
 
 #include "common/assert.hpp"
-#include "common/format.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 
 namespace taskprof::telemetry {
@@ -72,43 +72,32 @@ double Snapshot::hook_mean_ticks() const noexcept {
 }
 
 std::string snapshot_to_json(const Snapshot& snapshot) {
-  std::string out;
-  out.reserve(1024);
-  auto u64 = [&out](std::uint64_t v) { out += std::to_string(v); };
-  out += "{\n  \"threads\": ";
-  u64(static_cast<std::uint64_t>(snapshot.threads));
-  out += ",\n  \"counters\": {";
+  JsonWriter json;
+  json.begin_object();
+  json.field("threads", snapshot.threads);
+  json.begin_object("counters");
   for (std::size_t i = 0; i < kCounterCount; ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    \"";
-    out += counter_name(static_cast<Counter>(i));
-    out += "\": ";
-    u64(snapshot.counters[i]);
+    json.field(counter_name(static_cast<Counter>(i)), snapshot.counters[i]);
   }
-  out += "\n  },\n  \"gauges\": {";
+  json.end_object();
+  json.begin_object("gauges");
   for (std::size_t i = 0; i < kGaugeCount; ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    \"";
-    out += gauge_name(static_cast<Gauge>(i));
-    out += "\": ";
-    u64(snapshot.gauges[i]);
+    json.field(gauge_name(static_cast<Gauge>(i)), snapshot.gauges[i]);
   }
-  out += "\n  },\n  \"derived\": {\n    \"steal_success_rate\": ";
-  append_json_number(&out, snapshot.steal_success_rate());
-  out += ",\n    \"hook_mean_ns\": ";
-  append_json_number(&out, snapshot.hook_mean_ticks());
-  out += "\n  },\n  \"per_thread\": [";
-  for (std::size_t t = 0; t < snapshot.per_thread.size(); ++t) {
-    out += t == 0 ? "\n" : ",\n";
-    out += "    [";
-    for (std::size_t i = 0; i < kCounterCount; ++i) {
-      if (i != 0) out += ", ";
-      u64(snapshot.per_thread[t][i]);
-    }
-    out += "]";
+  json.end_object();
+  json.begin_object("derived");
+  json.field("steal_success_rate", snapshot.steal_success_rate());
+  json.field("hook_mean_ns", snapshot.hook_mean_ticks());
+  json.end_object();
+  json.begin_array("per_thread");
+  for (const auto& row : snapshot.per_thread) {
+    json.begin_array({}, JsonWriter::kLine);
+    for (const std::uint64_t v : row) json.value(v);
+    json.end_array();
   }
-  out += "\n  ]\n}\n";
-  return out;
+  json.end_array();
+  json.end_object();
+  return json.finish();
 }
 
 void merge_into(Snapshot& dst, const Snapshot& src) {

@@ -12,6 +12,10 @@ namespace taskprof::trace {
 
 namespace {
 
+/// Gaps at scheduling points up to this length count as management
+/// (dequeue/switch work); longer gaps count as waiting for work.
+constexpr Ticks kManagementGapThreshold = 3 * kTicksPerUs;
+
 /// Per-thread replay state.
 struct ThreadReplay {
   TaskInstanceId current = kImplicitTaskId;
@@ -45,8 +49,7 @@ Ticks queue_latency(const TaskLifetime& life) {
 
 }  // namespace
 
-TraceAnalysis analyze_trace(const Trace& trace,
-                            const AnalysisOptions& options) {
+TraceAnalysis analyze_trace(const Trace& trace) {
   TraceAnalysis out;
   out.threads.resize(trace.thread_count());
 
@@ -56,7 +59,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
   auto classify_gap = [&](ThreadId thread, Ticks gap) {
     if (gap <= 0) return;
     out.sync_total += gap;
-    if (gap <= options.management_gap_threshold) {
+    if (gap <= kManagementGapThreshold) {
       out.sync_management += gap;
       out.threads[thread].management += gap;
     } else {

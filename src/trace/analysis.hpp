@@ -71,12 +71,6 @@ struct ThreadUsage {
   }
 };
 
-struct AnalysisOptions {
-  /// Gaps at scheduling points up to this length count as management
-  /// (dequeue/switch work); longer gaps count as waiting for work.
-  Ticks management_gap_threshold = 3 * kTicksPerUs;
-};
-
 struct TraceAnalysis {
   std::vector<TaskLifetime> tasks;  ///< completed instances, by begin time
   std::vector<ThreadUsage> threads;
@@ -105,8 +99,7 @@ struct TraceAnalysis {
 /// Run all analyses over a trace.  Throws snapshot::SnapshotError
 /// (kMalformed) when the events tell an impossible history, such as a
 /// task that ends on a thread it is not running on.
-[[nodiscard]] TraceAnalysis analyze_trace(const Trace& trace,
-                                          const AnalysisOptions& options = {});
+[[nodiscard]] TraceAnalysis analyze_trace(const Trace& trace);
 
 /// Human-readable report: per-construct table + decomposition + threads.
 [[nodiscard]] std::string render_analysis(const TraceAnalysis& analysis,

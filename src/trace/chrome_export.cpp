@@ -1,12 +1,11 @@
 #include "trace/chrome_export.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <unordered_map>
 #include <vector>
 
-#include "common/format.hpp"
+#include "common/json.hpp"
 #include "common/write_file.hpp"
 
 namespace taskprof::trace {
@@ -14,115 +13,73 @@ namespace taskprof::trace {
 namespace {
 
 constexpr int kPid = 1;  ///< single process; threads are the tracks
+constexpr const char* kProcessName = "taskprof";  ///< shown in the UI
 
-/// Incremental trace-event emitter.  Every event is one line inside the
-/// "traceEvents" array — trivially greppable and diffable, and the tests
-/// lean on that shape.
+/// The trace-event document: an object whose "traceEvents" array holds
+/// one event per line — trivially greppable and diffable, and the tests
+/// lean on that shape.  Each event carries name, ph, pid, tid, ts (absent
+/// on metadata), s (on instants) and its args, if any.
 class EventWriter {
  public:
-  explicit EventWriter(const std::string& process_name) {
-    out_.reserve(16 * 1024);
-    out_ += "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
+  EventWriter() {
+    json_.begin_object();
+    json_.field("displayTimeUnit", "ms");
+    json_.begin_array("traceEvents");
     // Process metadata first, then thread metadata as callers add tracks.
     begin_event("process_name", 'M', kNoTs, 0);
-    raw_arg("\"name\": ");
-    string_value(process_name);
+    arg("name", kProcessName);
     end_event();
   }
 
   void thread_metadata(ThreadId tid) {
     begin_event("thread_name", 'M', kNoTs, tid);
-    raw_arg("\"name\": ");
-    string_value("worker " + std::to_string(tid));
+    arg("name", "worker " + std::to_string(tid));
     end_event();
     begin_event("thread_sort_index", 'M', kNoTs, tid);
-    raw_arg("\"sort_index\": " + std::to_string(tid));
+    arg("sort_index", tid);
     end_event();
   }
 
   /// Duration / instant / counter events.  `ts` is in ticks (ns) already
-  /// normalized to the trace start.  Pass args via the arg helpers between
+  /// normalized to the trace start.  Pass args via `arg` between
   /// begin_event and end_event.
-  void begin_event(const std::string& name, char phase, Ticks ts,
+  void begin_event(std::string_view name, char phase, Ticks ts,
                    ThreadId tid) {
-    if (!first_) out_ += ",\n";
-    first_ = false;
-    out_ += "{\"name\": ";
-    append_json_string(&out_, name);
-    out_ += ", \"ph\": \"";
-    out_ += phase;
-    out_ += "\", \"pid\": ";
-    out_ += std::to_string(kPid);
-    out_ += ", \"tid\": ";
-    out_ += std::to_string(tid);
-    if (ts != kNoTs) {
-      char buf[48];
-      // trace-event ts is in microseconds; keep ns resolution.
-      std::snprintf(buf, sizeof buf, "%.3f",
-                    static_cast<double>(ts) / 1000.0);
-      out_ += ", \"ts\": ";
-      out_ += buf;
-    }
-    if (phase == 'i') out_ += ", \"s\": \"t\"";  // thread-scoped instant
+    json_.begin_object({}, JsonWriter::kLine);
+    json_.field("name", name);
+    json_.field("ph", std::string_view(&phase, 1));
+    json_.field("pid", kPid);
+    json_.field("tid", tid);
+    // trace-event ts is in microseconds; keep ns resolution.
+    if (ts != kNoTs) json_.fixed("ts", static_cast<double>(ts) / 1000.0, 3);
+    if (phase == 'i') json_.field("s", "t");  // thread-scoped instant
     args_open_ = false;
   }
 
-  void arg(const char* key, std::uint64_t value) {
-    open_args();
-    out_ += '"';
-    out_ += key;
-    out_ += "\": ";
-    out_ += std::to_string(value);
+  template <typename T>
+  void arg(std::string_view key, const T& value) {
+    if (!args_open_) {
+      json_.begin_object("args");
+      args_open_ = true;
+    }
+    json_.field(key, value);
   }
-
-  void arg(const char* key, std::int64_t value) {
-    open_args();
-    out_ += '"';
-    out_ += key;
-    out_ += "\": ";
-    out_ += std::to_string(value);
-  }
-
-  void arg(const char* key, const std::string& value) {
-    open_args();
-    out_ += '"';
-    out_ += key;
-    out_ += "\": ";
-    append_json_string(&out_, value);
-  }
-
-  /// Raw key/value payload for metadata events ("args": { <raw> }).
-  void raw_arg(const std::string& raw) {
-    open_args();
-    out_ += raw;
-  }
-
-  void string_value(const std::string& s) { append_json_string(&out_, s); }
 
   void end_event() {
-    if (args_open_) out_ += '}';
-    out_ += '}';
+    if (args_open_) json_.end_object();
+    json_.end_object();
   }
 
   [[nodiscard]] std::string finish() {
-    out_ += "\n]}\n";
-    return std::move(out_);
+    json_.end_array();
+    json_.end_object();
+    return json_.finish();
   }
 
   static constexpr Ticks kNoTs = std::numeric_limits<Ticks>::min();
 
  private:
-  void open_args() {
-    if (args_open_) {
-      out_ += ", ";
-      return;
-    }
-    out_ += ", \"args\": {";
-    args_open_ = true;
-  }
-
-  std::string out_;
-  bool first_ = true;
+  JsonWriter json_;
   bool args_open_ = false;
 };
 
@@ -153,7 +110,7 @@ struct OpenSlice {
 std::string render_chrome_trace(const Trace& trace,
                                 const ChromeExportOptions& options) {
   const auto [t_begin, t_end] = trace.time_span();
-  EventWriter writer(options.process_name);
+  EventWriter writer;
 
   // Pass 1 (merged stream): task origins, for steal detection and for
   // naming resumed-task slices whose begin event carries no region.
@@ -217,7 +174,7 @@ std::string render_chrome_trace(const Trace& trace,
           if (event.kind == EventKind::kCreateEnd) {
             // Mark the newly created instance on its creator's track.
             writer.begin_event("create", 'i', ts, tid);
-            writer.arg("task", static_cast<std::uint64_t>(event.task));
+            writer.arg("task", event.task);
             writer.end_event();
           }
           break;
@@ -250,18 +207,17 @@ std::string render_chrome_trace(const Trace& trace,
                               it->second.creator != tid;
           if (stolen) {
             writer.begin_event("steal", 'i', ts, tid);
-            writer.arg("task", static_cast<std::uint64_t>(event.task));
-            writer.arg("from",
-                       static_cast<std::uint64_t>(it->second.creator));
+            writer.arg("task", event.task);
+            writer.arg("from", it->second.creator);
             writer.end_event();
           }
           writer.begin_event(region_label(options.registry, event.region),
                              'B', ts, tid);
-          writer.arg("task", static_cast<std::uint64_t>(event.task));
+          writer.arg("task", event.task);
           if (event.parameter != kNoParameter) {
             writer.arg("parameter", event.parameter);
           }
-          if (stolen) writer.arg("stolen", std::string("true"));
+          if (stolen) writer.arg("stolen", "true");
           writer.end_event();
           open.push_back({event.task, true});
           break;
@@ -284,21 +240,21 @@ std::string render_chrome_trace(const Trace& trace,
             // Resumption of the still-open enclosing task after a nested
             // child finished: the slice never closed, just mark it.
             writer.begin_event("switch", 'i', ts, tid);
-            writer.arg("task", static_cast<std::uint64_t>(event.task));
+            writer.arg("task", event.task);
             writer.end_event();
           } else {
             // Resumption of a suspended (possibly migrated-in) task.
             writer.begin_event(task_label(event.task) + " (resumed)", 'B',
                                ts, tid);
-            writer.arg("task", static_cast<std::uint64_t>(event.task));
+            writer.arg("task", event.task);
             writer.end_event();
             open.push_back({event.task, true});
           }
           break;
         case EventKind::kMigrate:
           writer.begin_event("migrate", 'i', ts, tid);
-          writer.arg("task", static_cast<std::uint64_t>(event.task));
-          writer.arg("to", static_cast<std::uint64_t>(event.peer));
+          writer.arg("task", event.task);
+          writer.arg("to", event.peer);
           writer.end_event();
           break;
         case EventKind::kSchedulerNote: {
@@ -306,8 +262,8 @@ std::string render_chrome_trace(const Trace& trace,
           writer.begin_event(
               std::string("scheduler: ") + rt::scheduler_note_name(note),
               'i', ts, tid);
-          writer.arg("note", std::string(rt::scheduler_note_name(note)));
-          writer.arg("detail", static_cast<std::uint64_t>(event.task));
+          writer.arg("note", rt::scheduler_note_name(note));
+          writer.arg("detail", event.task);
           writer.end_event();
           break;
         }
@@ -326,45 +282,43 @@ std::string render_chrome_trace(const Trace& trace,
   }
 
   // Derived counter tracks over the merged stream.
-  if (options.counter_tracks) {
-    std::int64_t created = 0;
-    std::int64_t begun = 0;
-    std::int64_t executing = 0;
-    auto counter = [&](const char* name, Ticks ts, std::int64_t value) {
-      writer.begin_event(name, 'C', ts, 0);
-      writer.arg("value", std::max<std::int64_t>(value, 0));
-      writer.end_event();
-    };
-    for (const TraceEvent& event : trace.merged()) {
-      const Ticks ts = event.time - t_begin;
-      switch (event.kind) {
-        case EventKind::kCreateEnd:
-          ++created;
-          counter("tasks queued", ts, created - begun);
-          break;
-        case EventKind::kTaskBegin:
-          ++begun;
-          ++executing;
-          counter("tasks queued", ts, created - begun);
-          counter("tasks executing", ts, executing);
-          break;
-        case EventKind::kTaskEnd:
-          --executing;
-          counter("tasks executing", ts, executing);
-          break;
-        default:
-          break;
-      }
+  std::int64_t created = 0;
+  std::int64_t begun = 0;
+  std::int64_t executing = 0;
+  auto counter = [&](const char* name, Ticks ts, std::int64_t value) {
+    writer.begin_event(name, 'C', ts, 0);
+    writer.arg("value", std::max<std::int64_t>(value, 0));
+    writer.end_event();
+  };
+  for (const TraceEvent& event : trace.merged()) {
+    const Ticks ts = event.time - t_begin;
+    switch (event.kind) {
+      case EventKind::kCreateEnd:
+        ++created;
+        counter("tasks queued", ts, created - begun);
+        break;
+      case EventKind::kTaskBegin:
+        ++begun;
+        ++executing;
+        counter("tasks queued", ts, created - begun);
+        counter("tasks executing", ts, executing);
+        break;
+      case EventKind::kTaskEnd:
+        --executing;
+        counter("tasks executing", ts, executing);
+        break;
+      default:
+        break;
     }
   }
 
-  // Caller-supplied annotations (diagnosis findings etc.) as instants.
+  // Caller-supplied annotations (diagnosis findings etc.) as instants.  A
+  // note without a timestamp (time 0) sits at the start of the timeline.
   if (options.annotations != nullptr) {
     for (const TraceAnnotation& note : *options.annotations) {
-      writer.begin_event(note.name, 'i', note.time - t_begin, note.thread);
-      for (const auto& [key, value] : note.args) {
-        writer.arg(key.c_str(), value);
-      }
+      writer.begin_event(note.name, 'i', std::max(note.time, t_begin) - t_begin,
+                         note.thread);
+      for (const auto& [key, value] : note.args) writer.arg(key, value);
       writer.end_event();
     }
   }
@@ -379,7 +333,7 @@ std::string render_chrome_trace(const Trace& trace,
           std::string(telemetry::counter_name(
               static_cast<telemetry::Counter>(i)));
       writer.begin_event(name, 'C', 0, 0);
-      writer.arg("value", std::uint64_t{0});
+      writer.arg("value", 0);
       writer.end_event();
       writer.begin_event(name, 'C', t_end - t_begin, 0);
       writer.arg("value", snap.counters[i]);

@@ -34,7 +34,9 @@ namespace taskprof::trace {
 /// subsystem depending on them.
 struct TraceAnnotation {
   std::string name;
-  Ticks time = 0;       ///< absolute trace time (same domain as the events)
+  /// Absolute trace time (same domain as the events); 0 when the note
+  /// has no timestamp, which places it at the start of the timeline.
+  Ticks time = 0;
   ThreadId thread = 0;  ///< track to pin the instant to
   std::vector<std::pair<std::string, std::string>> args;
 };
@@ -46,14 +48,10 @@ struct ChromeExportOptions {
   const telemetry::Snapshot* telemetry = nullptr;
   /// Extra instant events (diagnoses, markers) to layer onto the export.
   const std::vector<TraceAnnotation>* annotations = nullptr;
-  /// Emit the derived tasks-queued / tasks-executing counter tracks.
-  bool counter_tracks = true;
-  /// Process label shown in the UI.
-  std::string process_name = "taskprof";
 };
 
-/// Render `trace` as a trace-event JSON document (an object with a
-/// "traceEvents" array, one event per line).
+/// Render `trace` as a trace-event JSON document: an object with a
+/// "displayTimeUnit" and a "traceEvents" array, one event per line.
 [[nodiscard]] std::string render_chrome_trace(
     const Trace& trace, const ChromeExportOptions& options = {});
 

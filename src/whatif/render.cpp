@@ -1,6 +1,7 @@
 #include "whatif/render.hpp"
 
 #include "common/format.hpp"
+#include "common/json.hpp"
 
 namespace taskprof::whatif {
 
@@ -8,42 +9,29 @@ namespace {
 
 constexpr int kSchemaVersion = 1;
 
-void append_projection_json(std::string* out, const Projection& p,
-                            const char* indent) {
-  const std::string in(indent);
-  *out += in + "{\n";
-  *out += in + "  \"target\": ";
-  append_json_string(out, p.target);
-  *out += ",\n" + in + "  \"speedup_percent\": ";
-  append_json_number(out, p.fraction * 100.0);
-  *out += ",\n" + in + "  \"scalable_ns\": " + std::to_string(p.scalable);
-  *out += ",\n" + in + "  \"scalable_on_span_ns\": " +
-          std::to_string(p.scalable_on_span);
-  *out += ",\n" + in + "  \"share\": ";
-  append_json_number(out, p.share);
-  *out += ",\n" + in + "  \"amdahl_bound\": ";
-  append_json_number(out, p.bound);
-  *out += ",\n" + in + "  \"work_after_ns\": " + std::to_string(p.work_after);
-  *out += ",\n" + in + "  \"span_after_ns\": " + std::to_string(p.span_after);
-  *out += ",\n" + in + "  \"span_length_after\": " +
-          std::to_string(p.span_length_after);
-  *out += ",\n" + in + "  \"parallelism_after\": ";
-  append_json_number(out, p.parallelism_after);
-  *out += ",\n" + in + "  \"at_threads\": [";
-  for (std::size_t i = 0; i < p.at_threads.size(); ++i) {
-    const ThreadProjection& tp = p.at_threads[i];
-    *out += i == 0 ? "\n" : ",\n";
-    *out += in + "    {\"threads\": " + std::to_string(tp.threads);
-    *out += ", \"time_before_ns\": ";
-    append_json_number(out, tp.time_before);
-    *out += ", \"time_after_ns\": ";
-    append_json_number(out, tp.time_after);
-    *out += ", \"speedup\": ";
-    append_json_number(out, tp.speedup);
-    *out += "}";
+void projection_json(JsonWriter& json, const Projection& p) {
+  json.begin_object();
+  json.field("target", p.target);
+  json.field("speedup_percent", p.fraction * 100.0);
+  json.field("scalable_ns", p.scalable);
+  json.field("scalable_on_span_ns", p.scalable_on_span);
+  json.field("share", p.share);
+  json.field("amdahl_bound", p.bound);
+  json.field("work_after_ns", p.work_after);
+  json.field("span_after_ns", p.span_after);
+  json.field("span_length_after", p.span_length_after);
+  json.field("parallelism_after", p.parallelism_after);
+  json.begin_array("at_threads");
+  for (const ThreadProjection& tp : p.at_threads) {
+    json.begin_object({}, JsonWriter::kLine);
+    json.field("threads", tp.threads);
+    json.field("time_before_ns", tp.time_before);
+    json.field("time_after_ns", tp.time_after);
+    json.field("speedup", tp.speedup);
+    json.end_object();
   }
-  *out += p.at_threads.empty() ? "]" : "\n" + in + "  ]";
-  *out += "\n" + in + "}";
+  json.end_array();
+  json.end_object();
 }
 
 void render_projection_text(const Projection& p, std::ostream& os) {
@@ -111,34 +99,24 @@ void render_whatif_text(const Report& report, std::ostream& os) {
 }
 
 std::string render_whatif_json(const Report& report) {
-  std::string out;
-  out.reserve(4096);
-  out += "{\n  \"schema_version\": ";
-  out += std::to_string(kSchemaVersion);
-  out += ",\n  \"work_ns\": " + std::to_string(report.work);
-  out += ",\n  \"span_ns\": " + std::to_string(report.span);
-  out += ",\n  \"span_length\": " + std::to_string(report.span_length);
-  out += ",\n  \"logical_parallelism\": ";
-  append_json_number(&out, report.logical_parallelism);
-  out += ",\n  \"measured_threads\": " +
-         std::to_string(report.measured_threads);
-  out += ",\n  \"scaling_basis\": ";
-  append_json_string(&out,
-                     report.work_basis ? "declared_work" : "active_time");
-  out += ",\n  \"projections\": [";
-  for (std::size_t i = 0; i < report.projections.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    append_projection_json(&out, report.projections[i], "    ");
-  }
-  out += report.projections.empty() ? "]" : "\n  ]";
-  out += ",\n  \"top_targets\": [";
-  for (std::size_t i = 0; i < report.top_targets.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    append_projection_json(&out, report.top_targets[i], "    ");
-  }
-  out += report.top_targets.empty() ? "]" : "\n  ]";
-  out += "\n}\n";
-  return out;
+  JsonWriter json;
+  json.begin_object();
+  json.field("schema_version", kSchemaVersion);
+  json.field("work_ns", report.work);
+  json.field("span_ns", report.span);
+  json.field("span_length", report.span_length);
+  json.field("logical_parallelism", report.logical_parallelism);
+  json.field("measured_threads", report.measured_threads);
+  json.field("scaling_basis",
+             report.work_basis ? "declared_work" : "active_time");
+  json.begin_array("projections");
+  for (const Projection& p : report.projections) projection_json(json, p);
+  json.end_array();
+  json.begin_array("top_targets");
+  for (const Projection& p : report.top_targets) projection_json(json, p);
+  json.end_array();
+  json.end_object();
+  return json.finish();
 }
 
 void render_top_targets_text(const Report& report, std::size_t limit,

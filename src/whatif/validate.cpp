@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "check/differential.hpp"
-#include "common/format.hpp"
+#include "common/json.hpp"
 #include "instrument/instrumentor.hpp"
 #include "rt/duration_scale.hpp"
 #include "rt/sim_runtime.hpp"
@@ -236,54 +236,35 @@ void render_validate_text(const ValidateReport& report, std::ostream& os) {
 }
 
 std::string render_validate_json(const ValidateReport& report) {
-  std::string out;
-  out.reserve(4096);
-  out += "{\n  \"schema_version\": ";
-  out += std::to_string(kSchemaVersion);
-  out += ",\n  \"tolerance\": ";
-  append_json_number(&out, report.tolerance);
-  out += ",\n  \"pass\": ";
-  out += report.all_within() ? "true" : "false";
-  out += ",\n  \"cases\": [";
-  for (std::size_t i = 0; i < report.cases.size(); ++i) {
-    const ValidateCase& c = report.cases[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\n      \"kernel\": ";
-    append_json_string(&out, c.kernel);
-    out += ",\n      \"threads\": " + std::to_string(c.threads);
-    out += ",\n      \"speedup_percent\": ";
-    append_json_number(&out, c.fraction * 100.0);
-    out += ",\n      \"target\": ";
-    append_json_string(&out, c.target);
-    out += ",\n      \"measured_before_ns\": " +
-           std::to_string(c.measured_before);
-    out += ",\n      \"measured_after_ns\": " +
-           std::to_string(c.measured_after);
-    out += ",\n      \"analytic_before_ns\": ";
-    append_json_number(&out, c.analytic_before);
-    out += ",\n      \"analytic_after_ns\": ";
-    append_json_number(&out, c.analytic_after);
-    out += ",\n      \"projected_time_ns\": ";
-    append_json_number(&out, c.projected_time);
-    out += ",\n      \"simulated_speedup\": ";
-    append_json_number(&out, c.simulated_speedup);
-    out += ",\n      \"projected_speedup\": ";
-    append_json_number(&out, c.projected_speedup);
-    out += ",\n      \"relative_error\": ";
-    append_json_number(&out, c.relative_error);
-    out += ",\n      \"tolerance\": ";
-    append_json_number(&out, c.tolerance);
-    out += ",\n      \"structure_required\": ";
-    out += c.structure_required ? "true" : "false";
-    out += ",\n      \"within_tolerance\": ";
-    out += c.within_tolerance ? "true" : "false";
-    out += ",\n      \"structure_ok\": ";
-    out += c.structure_diff.empty() ? "true" : "false";
-    out += "\n    }";
+  JsonWriter json;
+  json.begin_object();
+  json.field("schema_version", kSchemaVersion);
+  json.field("tolerance", report.tolerance);
+  json.field("pass", report.all_within());
+  json.begin_array("cases");
+  for (const ValidateCase& c : report.cases) {
+    json.begin_object();
+    json.field("kernel", c.kernel);
+    json.field("threads", c.threads);
+    json.field("speedup_percent", c.fraction * 100.0);
+    json.field("target", c.target);
+    json.field("measured_before_ns", c.measured_before);
+    json.field("measured_after_ns", c.measured_after);
+    json.field("analytic_before_ns", c.analytic_before);
+    json.field("analytic_after_ns", c.analytic_after);
+    json.field("projected_time_ns", c.projected_time);
+    json.field("simulated_speedup", c.simulated_speedup);
+    json.field("projected_speedup", c.projected_speedup);
+    json.field("relative_error", c.relative_error);
+    json.field("tolerance", c.tolerance);
+    json.field("structure_required", c.structure_required);
+    json.field("within_tolerance", c.within_tolerance);
+    json.field("structure_ok", c.structure_diff.empty());
+    json.end_object();
   }
-  out += report.cases.empty() ? "]" : "\n  ]";
-  out += "\n}\n";
-  return out;
+  json.end_array();
+  json.end_object();
+  return json.finish();
 }
 
 }  // namespace taskprof::whatif

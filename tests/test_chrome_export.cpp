@@ -49,30 +49,32 @@ Trace small_trace(RegionHandle fib) {
 // instant on thread 1, the create instant on thread 0, and the derived
 // counter tracks.
 constexpr const char* kGolden =
-    R"({"displayTimeUnit": "ms",
-"traceEvents": [
-{"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "taskprof"}},
-{"name": "thread_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "worker 0"}},
-{"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 0, "args": {"sort_index": 0}},
-{"name": "implicit task", "ph": "B", "pid": 1, "tid": 0, "ts": 0.000},
-{"name": "create fib", "ph": "B", "pid": 1, "tid": 0, "ts": 1.000},
-{"name": "", "ph": "E", "pid": 1, "tid": 0, "ts": 2.000},
-{"name": "create", "ph": "i", "pid": 1, "tid": 0, "ts": 2.000, "s": "t", "args": {"task": 7}},
-{"name": "taskwait", "ph": "B", "pid": 1, "tid": 0, "ts": 3.000},
-{"name": "", "ph": "E", "pid": 1, "tid": 0, "ts": 5.000},
-{"name": "", "ph": "E", "pid": 1, "tid": 0, "ts": 8.000},
-{"name": "thread_name", "ph": "M", "pid": 1, "tid": 1, "args": {"name": "worker 1"}},
-{"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 1, "args": {"sort_index": 1}},
-{"name": "implicit task", "ph": "B", "pid": 1, "tid": 1, "ts": 0.500},
-{"name": "steal", "ph": "i", "pid": 1, "tid": 1, "ts": 4.000, "s": "t", "args": {"task": 7, "from": 0}},
-{"name": "fib", "ph": "B", "pid": 1, "tid": 1, "ts": 4.000, "args": {"task": 7, "stolen": "true"}},
-{"name": "", "ph": "E", "pid": 1, "tid": 1, "ts": 4.500},
-{"name": "", "ph": "E", "pid": 1, "tid": 1, "ts": 8.000},
-{"name": "tasks queued", "ph": "C", "pid": 1, "tid": 0, "ts": 2.000, "args": {"value": 1}},
-{"name": "tasks queued", "ph": "C", "pid": 1, "tid": 0, "ts": 4.000, "args": {"value": 0}},
-{"name": "tasks executing", "ph": "C", "pid": 1, "tid": 0, "ts": 4.000, "args": {"value": 1}},
-{"name": "tasks executing", "ph": "C", "pid": 1, "tid": 0, "ts": 4.500, "args": {"value": 0}}
-]}
+    R"({
+  "displayTimeUnit": "ms",
+  "traceEvents": [
+    {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "taskprof"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "worker 0"}},
+    {"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 0, "args": {"sort_index": 0}},
+    {"name": "implicit task", "ph": "B", "pid": 1, "tid": 0, "ts": 0.000},
+    {"name": "create fib", "ph": "B", "pid": 1, "tid": 0, "ts": 1.000},
+    {"name": "", "ph": "E", "pid": 1, "tid": 0, "ts": 2.000},
+    {"name": "create", "ph": "i", "pid": 1, "tid": 0, "ts": 2.000, "s": "t", "args": {"task": 7}},
+    {"name": "taskwait", "ph": "B", "pid": 1, "tid": 0, "ts": 3.000},
+    {"name": "", "ph": "E", "pid": 1, "tid": 0, "ts": 5.000},
+    {"name": "", "ph": "E", "pid": 1, "tid": 0, "ts": 8.000},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1, "args": {"name": "worker 1"}},
+    {"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": 1, "args": {"sort_index": 1}},
+    {"name": "implicit task", "ph": "B", "pid": 1, "tid": 1, "ts": 0.500},
+    {"name": "steal", "ph": "i", "pid": 1, "tid": 1, "ts": 4.000, "s": "t", "args": {"task": 7, "from": 0}},
+    {"name": "fib", "ph": "B", "pid": 1, "tid": 1, "ts": 4.000, "args": {"task": 7, "stolen": "true"}},
+    {"name": "", "ph": "E", "pid": 1, "tid": 1, "ts": 4.500},
+    {"name": "", "ph": "E", "pid": 1, "tid": 1, "ts": 8.000},
+    {"name": "tasks queued", "ph": "C", "pid": 1, "tid": 0, "ts": 2.000, "args": {"value": 1}},
+    {"name": "tasks queued", "ph": "C", "pid": 1, "tid": 0, "ts": 4.000, "args": {"value": 0}},
+    {"name": "tasks executing", "ph": "C", "pid": 1, "tid": 0, "ts": 4.000, "args": {"value": 1}},
+    {"name": "tasks executing", "ph": "C", "pid": 1, "tid": 0, "ts": 4.500, "args": {"value": 0}}
+  ]
+}
 )";
 
 TEST(ChromeExport, GoldenSmallTrace) {
@@ -196,6 +198,29 @@ TEST(ChromeExport, TelemetryCountersBecomeTracks) {
   EXPECT_NE(doc.find("{\"value\": 5}"), std::string::npos);
   // Zero counters are skipped.
   EXPECT_EQ(doc.find("\"telemetry tasks_created\""), std::string::npos);
+}
+
+TEST(ChromeExport, UntimedAnnotationSitsAtTheStartOfTheTimeline) {
+  // A finding without a timestamp (time 0) on a trace that starts at
+  // 1 ms, as real-engine traces start at a steady-clock reading.
+  RegionRegistry registry;
+  const RegionHandle fib = registry.register_region("fib", RegionType::kTask);
+  const std::vector<trace::TraceAnnotation> notes = {
+      {.name = "diagnosis: starved_workers",
+       .time = 0,
+       .thread = 0,
+       .args = {}}};
+  ChromeExportOptions options;
+  options.registry = &registry;
+  options.annotations = &notes;
+  const std::string doc = render_chrome_trace(
+      testutil::TraceBuilder(1).run(0, 1'000'000, 2'000'000, 1, fib).build(),
+      options);
+  EXPECT_NE(doc.find("    {\"name\": \"diagnosis: starved_workers\", "
+                     "\"ph\": \"i\", \"pid\": 1, \"tid\": 0, "
+                     "\"ts\": 0.000, \"s\": \"t\"}"),
+            std::string::npos)
+      << doc;
 }
 
 TEST(ChromeExport, WriteToFileRoundTrips) {

@@ -13,7 +13,9 @@
 #include "diagnose/detectors.hpp"
 #include "diagnose/render.hpp"
 #include "instrument/instrumentor.hpp"
+#include "report/json_report.hpp"
 #include "rt/sim_runtime.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace taskprof {
 namespace {
@@ -162,6 +164,33 @@ TEST(Diagnose, ProfileOnlyCoarseTasksRaiseNothing) {
   const diag::DiagnosisReport report =
       diag::run_diagnosis({&profile, &registry});
   EXPECT_EQ(report.count_at_least(diag::Severity::kWarning), 0u);
+}
+
+TEST(Diagnose, NonUtf8RegionNameFromASnapshotKeepsTheJsonValid) {
+  // Names reach the JSON writers verbatim from .tpsnap files.  The tiny
+  // tasks make granularity_collapse name the construct.
+  RegionRegistry registry;
+  const RegionHandle task =
+      registry.register_region("bad\xff\xfe name", RegionType::kTask);
+  const AggregateProfile profile =
+      profile_flat_farm(&registry, task, 200, 100);
+  const snapshot::SnapshotData loaded = snapshot::decode_snapshot(
+      snapshot::encode_snapshot(profile, registry, snapshot::SnapshotMeta{}));
+  ASSERT_EQ(loaded.registry->info(task).name, "bad\xff\xfe name");
+
+  const std::string report_json =
+      render_report_json(loaded.profile, *loaded.registry);
+  const std::string diagnosis_json = diag::render_diagnosis_json(
+      diag::run_diagnosis({&loaded.profile, loaded.registry.get()}));
+  for (const std::string& doc : {report_json, diagnosis_json}) {
+    // Every other byte of these documents is ASCII, so pure ASCII means
+    // valid UTF-8.
+    EXPECT_NE(doc.find("\"bad\\ufffd\\ufffd name\""), std::string::npos)
+        << doc;
+    EXPECT_TRUE(std::all_of(doc.begin(), doc.end(), [](char c) {
+      return static_cast<unsigned char>(c) < 0x80;
+    })) << doc;
+  }
 }
 
 TEST(Diagnose, ParseSeverityRoundTrips) {

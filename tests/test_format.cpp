@@ -120,38 +120,6 @@ TEST(FormatCount, ThousandsSeparators) {
   EXPECT_EQ(format_count(73'700'000ULL), "73,700,000");
 }
 
-TEST(JsonString, EscapesQuotesBackslashesAndControlCharacters) {
-  std::string out;
-  append_json_string(&out, "a\"b\\c");
-  EXPECT_EQ(out, "\"a\\\"b\\\\c\"");
-  out.clear();
-  append_json_string(&out, "tab\tnl\ncr\rbell\x01" "esc\x1f");
-  EXPECT_EQ(out, "\"tab\\tnl\\ncr\\u000dbell\\u0001esc\\u001f\"");
-  for (const char c : out) {
-    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte";
-  }
-}
-
-TEST(JsonString, KeepsNonAsciiBytesAndEmbeddedNul) {
-  std::string out;
-  append_json_string(&out, std::string("\xc3\xa9\0x", 4));
-  EXPECT_EQ(out, std::string("\"\xc3\xa9\\u0000x\""));
-}
-
-TEST(JsonNumber, SixSignificantDigitsAndNullForNonFinite) {
-  std::string out;
-  append_json_number(&out, 44.64612);
-  EXPECT_EQ(out, "44.6461");
-  out.clear();
-  append_json_number(&out, 2000.0);
-  EXPECT_EQ(out, "2000");
-  out.clear();
-  append_json_number(&out, std::numeric_limits<double>::infinity());
-  out += ',';
-  append_json_number(&out, std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(out, "null,null");
-}
-
 TEST(TextTable, AlignsColumns) {
   TextTable table({"code", "mean time", "number of tasks"});
   table.add_row({"fib", "1.49 us", "3,690,000,000"});

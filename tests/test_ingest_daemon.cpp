@@ -227,6 +227,40 @@ TEST(IngestDaemon, ReportsAreServedOverTheWire) {
   daemon.stop();
 }
 
+TEST(IngestDaemon, FreshDaemonServesTheStatsGolden) {
+  DaemonOptions options;
+  options.socket_path = socket_path("stats");
+  IngestDaemon daemon(options);
+  daemon.start();
+  const auto body = query_report(options.socket_path, ReportKind::kStats);
+  EXPECT_EQ(std::string(body.begin(), body.end()), R"({
+  "schema_version": 1,
+  "sessions_opened": 1,
+  "sessions_closed_clean": 0,
+  "sessions_dropped": 0,
+  "live_sessions": 0,
+  "frames_received": 1,
+  "frames_rejected": 0,
+  "bytes_received": 14,
+  "deltas_applied": 0,
+  "deltas_duplicate": 0,
+  "deltas_rejected": 0,
+  "rebases": 0,
+  "heartbeats": 0,
+  "errors_sent": 0,
+  "visits_ingested": 0,
+  "nodes_created": 0,
+  "evicted_subtrees": 0,
+  "evicted_nodes": 0,
+  "evicted_visits": 0,
+  "reports_served": 0,
+  "queue_stalls": 0,
+  "live_node_bytes": 0
+}
+)");
+  daemon.stop();
+}
+
 TEST(IngestDaemon, ReconnectRebasesIntoAFreshSession) {
   DaemonOptions options;
   options.socket_path = socket_path("reconnect");

@@ -2,7 +2,8 @@
 // its typed errors, profile construction over recorded traces (including
 // the degenerate no-task trace), path resolution, and the projection
 // math on programs whose structure makes the answer checkable by hand
-// (serial chains, zero-fraction identity, span re-evaluation bounds).
+// (serial chains, zero-fraction identity, span re-evaluation bounds),
+// and the exact bytes of the JSON rendering.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include "test_util.hpp"
 #include "trace/analysis.hpp"
 #include "trace/recorder.hpp"
+#include "whatif/render.hpp"
 #include "whatif/whatif.hpp"
 
 namespace taskprof {
@@ -264,6 +266,77 @@ TEST(WhatIfProjection, RankTargetsCoversEveryPathSortedBySpeedup) {
     EXPECT_GE(speedup_at(ranked[i - 1]), speedup_at(ranked[i]) - 1e-12)
         << "rank order broken at " << i;
   }
+}
+
+TEST(WhatIfRender, JsonGolden) {
+  // One projection with per-thread rows, one without, no ranked targets.
+  whatif::Report report;
+  report.work = 1'000'000;
+  report.span = 250'000;
+  report.span_length = 12;
+  report.logical_parallelism = 4.0;
+  report.measured_threads = 4;
+  report.work_basis = true;
+  whatif::Projection scaled;
+  scaled.target = "main/fib \"hot\"";
+  scaled.fraction = 0.5;
+  scaled.scalable = 600'000;
+  scaled.scalable_on_span = 150'000;
+  scaled.share = 0.6;
+  scaled.bound = 1.0 / 0.7;
+  scaled.work_after = 700'000;
+  scaled.span_after = 175'000;
+  scaled.span_length_after = 12;
+  scaled.parallelism_after = 4.0;
+  scaled.at_threads = {{1, 1e6, 7e5, 1e6 / 7e5},
+                       {4, 312'500.5, 218'750.25, 1.428571}};
+  whatif::Projection bare;
+  bare.target = "main/sort";
+  bare.fraction = 0.25;
+  bare.bound = 0.0;
+  report.projections = {scaled, bare};
+  EXPECT_EQ(whatif::render_whatif_json(report), R"({
+  "schema_version": 1,
+  "work_ns": 1000000,
+  "span_ns": 250000,
+  "span_length": 12,
+  "logical_parallelism": 4,
+  "measured_threads": 4,
+  "scaling_basis": "declared_work",
+  "projections": [
+    {
+      "target": "main/fib \"hot\"",
+      "speedup_percent": 50,
+      "scalable_ns": 600000,
+      "scalable_on_span_ns": 150000,
+      "share": 0.6,
+      "amdahl_bound": 1.42857,
+      "work_after_ns": 700000,
+      "span_after_ns": 175000,
+      "span_length_after": 12,
+      "parallelism_after": 4,
+      "at_threads": [
+        {"threads": 1, "time_before_ns": 1e+06, "time_after_ns": 700000, "speedup": 1.42857},
+        {"threads": 4, "time_before_ns": 312500, "time_after_ns": 218750, "speedup": 1.42857}
+      ]
+    },
+    {
+      "target": "main/sort",
+      "speedup_percent": 25,
+      "scalable_ns": 0,
+      "scalable_on_span_ns": 0,
+      "share": 0,
+      "amdahl_bound": 0,
+      "work_after_ns": 0,
+      "span_after_ns": 0,
+      "span_length_after": 0,
+      "parallelism_after": 0,
+      "at_threads": []
+    }
+  ],
+  "top_targets": []
+}
+)");
 }
 
 }  // namespace

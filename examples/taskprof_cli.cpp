@@ -560,7 +560,7 @@ int cmd_whatif(const cli::Args& args) {
              "--trace-file=FILE.tptrc"});
   }
   // Replaying a loaded trace rejects impossible histories typed.
-  const trace::TraceAnalysis analysis = trace::analyze_trace(in.trace);
+  const trace::TraceAnalysis& analysis = *in.trace.analysis();
 
   whatif::WhatIfProfile profile;
   const whatif::Error build_error =
@@ -633,8 +633,8 @@ int analyze_trace_file(const std::string& path) {
               loaded.thread_count());
   RegionRegistry names;
   register_generated_names(loaded, &names);
-  const trace::TraceAnalysis analysis = trace::analyze_trace(loaded);
-  std::fputs(trace::render_analysis(analysis, names).c_str(), stdout);
+  std::fputs(trace::render_analysis(*loaded.analysis(), names).c_str(),
+             stdout);
   std::fputs(trace::render_timeline(loaded).c_str(), stdout);
   return 0;
 }
@@ -759,7 +759,7 @@ int cmd_run(const cli::Args& args) {
       std::printf("chrome trace written to %s (open in ui.perfetto.dev)\n",
                   chrome_trace.c_str());
     }
-    const trace::TraceAnalysis analysis = trace::analyze_trace(recorded);
+    const trace::TraceAnalysis& analysis = *recorded.analysis();
     std::fputs(trace::render_analysis(analysis, registry).c_str(), stdout);
     // Ranked what-if targets: which construct to optimize first, and the
     // projected payoff if it ran 50% faster.

@@ -47,13 +47,13 @@ DiagnosisReport run_diagnosis(const DiagnosisInput& input) {
     constructs = task_construct_stats(*input.profile, *input.registry);
   }
 
-  trace::TraceAnalysis trace_analysis;
+  // The trace's own replay: shared with every other consumer of it.
+  const trace::TraceAnalysis* trace_analysis = nullptr;
   const bool have_trace =
-      input.trace != nullptr && !input.trace->merged().empty();
+      input.trace != nullptr && input.trace->event_count() != 0;
   if (have_trace) {
-    trace_analysis = trace::analyze_trace(*input.trace);
-    report.workspan =
-        compute_workspan(*input.trace, trace_analysis, *input.registry);
+    trace_analysis = input.trace->analysis().get();
+    report.workspan = compute_workspan(*input.trace, *input.registry);
     report.has_workspan = true;
   }
 
@@ -64,7 +64,7 @@ DiagnosisReport run_diagnosis(const DiagnosisInput& input) {
                                      : (input.profile != nullptr
                                             ? input.profile->thread_count
                                             : 0)),
-                      have_trace ? &trace_analysis : nullptr,
+                      trace_analysis,
                       report.has_workspan ? &report.workspan : nullptr};
 
   for (const Detector& detector : detector_registry()) {

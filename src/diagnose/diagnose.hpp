@@ -87,9 +87,10 @@ struct DiagnosisReport {
   [[nodiscard]] std::size_t count_at_least(Severity floor) const noexcept;
 };
 
-/// Run every registered detector over `input`.  A trace whose events
-/// tell an impossible history throws snapshot::SnapshotError (kMalformed)
-/// from trace::analyze_trace.
+/// Run every registered detector over `input`, reading the trace's own
+/// analysis and span model (trace::Trace::analysis(), span_model()).  A
+/// trace whose events tell an impossible history throws
+/// snapshot::SnapshotError (kMalformed) from that replay.
 [[nodiscard]] DiagnosisReport run_diagnosis(const DiagnosisInput& input);
 
 /// Parse "info" / "warning" / "problem" (CLI --fail-on).  Returns false

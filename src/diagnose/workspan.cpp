@@ -14,11 +14,8 @@ std::string construct_display_name(RegionHandle region,
 }
 
 WorkSpanSummary compute_workspan(const trace::Trace& trace,
-                                 const trace::TraceAnalysis& analysis,
                                  const RegionRegistry& registry) {
-  WorkSpanSummary out{
-      trace::measure_work_span(trace::SyncForest::build(trace), analysis),
-      {}};
+  WorkSpanSummary out{trace.span_model()->measured, {}};
 
   // Attribute chain time per construct, over all its parameters.
   std::map<RegionHandle, ConstructSpanShare> shares;

@@ -16,7 +16,6 @@
 
 #include "common/types.hpp"
 #include "profile/region.hpp"
-#include "trace/analysis.hpp"
 #include "trace/span.hpp"
 #include "trace/trace.hpp"
 
@@ -43,10 +42,10 @@ struct WorkSpanSummary : trace::WorkSpan {
   std::vector<ConstructSpanShare> shares;
 };
 
-/// Compute work/span from a finished trace and its analysis.
-/// Deterministic: shares tie-break toward the smaller region handle.
-[[nodiscard]] WorkSpanSummary compute_workspan(
-    const trace::Trace& trace, const trace::TraceAnalysis& analysis,
-    const RegionRegistry& registry);
+/// Work/span of a finished trace, from its span model
+/// (trace::Trace::span_model()).  Deterministic: shares tie-break toward
+/// the smaller region handle.
+[[nodiscard]] WorkSpanSummary compute_workspan(const trace::Trace& trace,
+                                               const RegionRegistry& registry);
 
 }  // namespace taskprof::diag

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <unordered_map>
 
@@ -47,9 +48,9 @@ Ticks queue_latency(const TaskLifetime& life) {
   return std::max<Ticks>(life.begin - life.created, 0);
 }
 
-}  // namespace
-
-TraceAnalysis analyze_trace(const Trace& trace) {
+/// Replay every stream into the analyses.  Throws SnapshotError
+/// (kMalformed) on events no engine could have recorded.
+TraceAnalysis replay(const Trace& trace) {
   TraceAnalysis out;
   out.threads.resize(trace.thread_count());
 
@@ -105,6 +106,13 @@ TraceAnalysis analyze_trace(const Trace& trace) {
           state.in_implicit = true;
           break;
         case EventKind::kImplicitEnd:
+          // Without its begin the thread's span would run from time 0.
+          if (!state.in_implicit) {
+            throw snapshot::SnapshotError(
+                snapshot::Errc::kMalformed, "trace replay",
+                "thread " + std::to_string(thread) +
+                    " ends an implicit task it never began");
+          }
           // Migrated untied tasks leave unmatched sync entries behind
           // (their taskwait exits on another thread); drop them.
           state.sync_stack.clear();
@@ -236,6 +244,17 @@ TraceAnalysis analyze_trace(const Trace& trace) {
             });
   return out;
 }
+
+}  // namespace
+
+const std::shared_ptr<const TraceAnalysis>& Trace::analysis() const {
+  if (analysis_ == nullptr) {
+    analysis_ = std::make_shared<const TraceAnalysis>(replay(*this));
+  }
+  return analysis_;
+}
+
+TraceAnalysis analyze_trace(const Trace& trace) { return *trace.analysis(); }
 
 std::string render_analysis(const TraceAnalysis& analysis,
                             const RegionRegistry& registry) {

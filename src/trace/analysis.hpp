@@ -96,9 +96,11 @@ struct TraceAnalysis {
   int max_creation_depth = 0;
 };
 
-/// Run all analyses over a trace.  Throws snapshot::SnapshotError
-/// (kMalformed) when the events tell an impossible history, such as a
-/// task that ends on a thread it is not running on.
+/// All analyses of a trace: a copy of `trace.analysis()`, so the trace
+/// is replayed once however often it is analyzed.  Throws
+/// snapshot::SnapshotError (kMalformed) when the events tell an
+/// impossible history, such as a task that ends on a thread it is not
+/// running on, or an implicit task that ends without having begun.
 [[nodiscard]] TraceAnalysis analyze_trace(const Trace& trace);
 
 /// Human-readable report: per-construct table + decomposition + threads.

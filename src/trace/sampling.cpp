@@ -13,11 +13,23 @@ SampleHistogram sample_trace(const Trace& trace, Ticks period) {
   const auto [begin, end] = trace.time_span();
   if (end <= begin) return out;
 
+  // Each instance's construct, from every stream: an untied task can
+  // resume on a thread other than the one that created and began it.
+  std::unordered_map<TaskInstanceId, RegionHandle> instance_regions;
+  for (ThreadId thread = 0; thread < trace.thread_count(); ++thread) {
+    for (const TraceEvent& event : trace.thread_events(thread)) {
+      if ((event.kind == EventKind::kCreateEnd ||
+           event.kind == EventKind::kTaskBegin) &&
+          event.region != kInvalidRegion) {
+        instance_regions.emplace(event.task, event.region);
+      }
+    }
+  }
+
   for (ThreadId thread = 0; thread < trace.thread_count(); ++thread) {
     // Replay this thread's stream, emitting samples that fall between
     // consecutive events with the state current at that moment.
     RegionHandle current_region = kInvalidRegion;  // construct being run
-    std::unordered_map<TaskInstanceId, RegionHandle> instance_regions;
     Ticks next_sample = begin;
     bool alive = false;  // between implicit begin and end
 
@@ -44,11 +56,7 @@ SampleHistogram sample_trace(const Trace& trace, Ticks period) {
         case EventKind::kImplicitEnd:
           alive = false;
           break;
-        case EventKind::kCreateEnd:
-          instance_regions[event.task] = event.region;
-          break;
         case EventKind::kTaskBegin:
-          instance_regions[event.task] = event.region;
           current_region = event.region;
           break;
         case EventKind::kTaskEnd:

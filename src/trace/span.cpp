@@ -1,7 +1,10 @@
 #include "trace/span.hpp"
 
 #include <cmath>
+#include <memory>
 #include <unordered_map>
+
+#include "trace/analysis.hpp"
 
 namespace taskprof::trace {
 
@@ -330,6 +333,9 @@ SyncForest::Evaluation SyncForest::evaluate(const CostFn& cost,
   return out;
 }
 
+namespace {
+
+/// T1, T∞ and the critical chain of the trace both were built from.
 WorkSpan measure_work_span(const SyncForest& forest,
                            const TraceAnalysis& analysis) {
   WorkSpan out;
@@ -348,6 +354,19 @@ WorkSpan measure_work_span(const SyncForest& forest,
   out.span_length = chain.tasks_on_chain;
   out.on_chain = std::move(chain.on_chain);
   return out;
+}
+
+}  // namespace
+
+const std::shared_ptr<const SpanModel>& Trace::span_model() const {
+  if (span_model_ == nullptr) {
+    const TraceAnalysis& replayed = *analysis();
+    SyncForest forest = SyncForest::build(*this);
+    WorkSpan measured = measure_work_span(forest, replayed);
+    span_model_ = std::make_shared<const SpanModel>(
+        SpanModel{std::move(forest), std::move(measured)});
+  }
+  return span_model_;
 }
 
 }  // namespace taskprof::trace

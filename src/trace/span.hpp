@@ -1,5 +1,6 @@
 // Sync-aware work/span, the one span model behind trace analysis,
-// diagnosis and what-if projection.
+// diagnosis and what-if projection.  Each trace builds it once
+// (Trace::span_model()), and diagnose and what-if share that one copy.
 //
 // A creation-tree chain (parent -> child, summed by active time) treats
 // every child as concurrent with its siblings and its creator.  It
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "trace/analysis.hpp"
 #include "trace/trace.hpp"
 
 namespace taskprof::trace {
@@ -73,9 +73,6 @@ class SyncForest {
 
   SyncForest() = default;
 
-  /// Replay `trace` into the series-parallel structure.
-  [[nodiscard]] static SyncForest build(const Trace& trace);
-
   /// Total executed time of the implicit tasks (creation serialization
   /// and other inline work); part of T1 but of no call path.
   [[nodiscard]] Ticks implicit_active() const noexcept {
@@ -93,6 +90,11 @@ class SyncForest {
                                     double task_overhead = 0.0) const;
 
  private:
+  friend class Trace;  // builds the one forest of each trace
+
+  /// Replay `trace` into the series-parallel structure.
+  [[nodiscard]] static SyncForest build(const Trace& trace);
+
   struct Item {
     enum class Kind : std::uint8_t { kSegment, kCreate, kJoin };
     Kind kind = Kind::kSegment;
@@ -135,10 +137,12 @@ struct WorkSpan {
   }
 };
 
-/// T1, T∞ and the critical chain of the trace `forest` was built from,
-/// measured as recorded (every segment at its executed time).
-/// `analysis` must come from the same trace.
-[[nodiscard]] WorkSpan measure_work_span(const SyncForest& forest,
-                                         const TraceAnalysis& analysis);
+/// A trace's span model (Trace::span_model()): its series-parallel
+/// structure, and T1, T∞ and the critical chain measured on it as
+/// recorded (every segment at its executed time).
+struct SpanModel {
+  SyncForest forest;
+  WorkSpan measured;
+};
 
 }  // namespace taskprof::trace

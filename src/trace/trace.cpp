@@ -36,6 +36,18 @@ Trace::Trace(std::vector<std::vector<TraceEvent>> per_thread)
 
 const std::vector<TraceEvent>& Trace::merged() const {
   if (merged_valid_) return merged_;
+  // A single-worker trace is already in merged order: hand out its one
+  // stream instead of copying it (or the empty merged_ when none holds
+  // an event).
+  const std::vector<TraceEvent>* only = &merged_;
+  std::size_t busy = 0;
+  for (const auto& stream : per_thread_) {
+    if (!stream.empty()) {
+      only = &stream;
+      ++busy;
+    }
+  }
+  if (busy <= 1) return *only;
   // k-way merge of the per-thread streams, each already in time order.
   // The heap holds each unfinished stream's next event as (time, thread):
   // the smallest goes next, ties to the lower thread.  A stream's run is

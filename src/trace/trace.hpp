@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -55,11 +56,22 @@ struct TraceEvent {
 };
 static_assert(sizeof(TraceEvent) == 40);
 
-/// A finished trace: per-thread streams plus a merged, globally
-/// time-ordered view.  Every event sits on its own thread's stream
-/// (`event.thread` is the stream index) and each stream's times never
-/// decrease; the recorder and the file reader produce only such traces,
-/// and merged() and the file writer rely on it.
+struct TraceAnalysis;  // trace/analysis.hpp
+struct SpanModel;      // trace/span.hpp
+
+/// A finished trace: per-thread streams plus the views replayed from
+/// them.  Every event sits on its own thread's stream (`event.thread` is
+/// the stream index) and each stream's times never decrease; the
+/// recorder and the file reader produce only such traces, and merged()
+/// and the file writer rely on it.
+///
+/// The streams never change after construction, so each view (the
+/// merged order, the analysis, the span model) is built lazily on first
+/// use and kept; analyze_trace, diag::run_diagnosis and
+/// whatif::WhatIfProfile all read the same replay.  A copy shares the
+/// analysis and the span model.  First use is not safe from two threads
+/// at once.  A replay that throws keeps nothing, so every later call
+/// throws the same error.
 class Trace {
  public:
   Trace() = default;
@@ -72,9 +84,20 @@ class Trace {
       ThreadId thread) const {
     return per_thread_[thread];
   }
-  /// All events, sorted by (time, thread) and stable within a thread;
-  /// built lazily on first use.
+  /// All events, sorted by (time, thread) and stable within a thread.
+  /// With at most one non-empty stream this is that stream itself;
+  /// otherwise the merge is built on first use.
   [[nodiscard]] const std::vector<TraceEvent>& merged() const;
+
+  /// The analyses of trace/analysis.hpp, replayed on first use (defined
+  /// in analysis.cpp).  Throws snapshot::SnapshotError (kMalformed) when
+  /// the events tell an impossible history.
+  [[nodiscard]] const std::shared_ptr<const TraceAnalysis>& analysis() const;
+
+  /// The sync-aware span structure and its measured work/span
+  /// (trace/span.hpp), built on first use from the merged order and the
+  /// analysis (defined in span.cpp); throws as analysis() does.
+  [[nodiscard]] const std::shared_ptr<const SpanModel>& span_model() const;
 
   [[nodiscard]] std::size_t event_count() const noexcept;
 
@@ -85,6 +108,8 @@ class Trace {
   std::vector<std::vector<TraceEvent>> per_thread_;
   mutable std::vector<TraceEvent> merged_;
   mutable bool merged_valid_ = false;
+  mutable std::shared_ptr<const TraceAnalysis> analysis_;
+  mutable std::shared_ptr<const SpanModel> span_model_;
 };
 
 }  // namespace taskprof::trace

@@ -122,10 +122,9 @@ ValidateReport run_validation(const ValidateOptions& options, Error* error) {
     for (const int threads : options.threads) {
       const SimRun baseline = run_kernel_sim(*kernel, registry, threads,
                                              options.size, nullptr);
-      const trace::TraceAnalysis analysis = analyze_trace(baseline.trace);
       WhatIfProfile profile;
-      const Error build_error =
-          WhatIfProfile::build(baseline.trace, analysis, registry, &profile);
+      const Error build_error = WhatIfProfile::build(
+          baseline.trace, *baseline.trace.analysis(), registry, &profile);
       if (!build_error.ok()) {
         if (error != nullptr) *error = build_error;
         continue;

@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 
+#include "common/assert.hpp"
+
 namespace taskprof::whatif {
 
 const char* error_code_name(ErrorCode code) noexcept {
@@ -66,23 +68,26 @@ Error WhatIfProfile::build(const trace::Trace& trace,
                            const trace::TraceAnalysis& analysis,
                            const RegionRegistry& registry,
                            WhatIfProfile* out) {
-  if (analysis.tasks.empty()) {
+  const std::shared_ptr<const trace::TraceAnalysis>& replayed =
+      trace.analysis();
+  TASKPROF_ASSERT(analysis.tasks.size() == replayed->tasks.size() &&
+                      analysis.threads.size() == replayed->threads.size(),
+                  "what-if analysis does not describe its trace");
+  if (replayed->tasks.empty()) {
     return {ErrorCode::kEmptyProfile,
             "trace contains no completed explicit tasks to project over"};
   }
-  out->analysis_ = &analysis;
-  out->sync_ = trace::SyncForest::build(trace);
+  out->analysis_ = replayed;
+  out->span_ = trace.span_model();
   out->measured_threads_ =
-      std::max<int>(1, static_cast<int>(analysis.threads.size()));
+      std::max<int>(1, static_cast<int>(replayed->threads.size()));
   out->work_basis_ = std::any_of(
-      analysis.tasks.begin(), analysis.tasks.end(),
+      replayed->tasks.begin(), replayed->tasks.end(),
       [](const trace::TaskLifetime& life) { return life.work > 0; });
-  out->measured_ = trace::measure_work_span(out->sync_, analysis);
-  out->overhead_ = analysis.sync_management;
 
   // Aggregate per (region, parameter), deterministically ordered.
   std::map<std::pair<RegionHandle, std::int64_t>, CallPathStats> by_path;
-  for (const trace::TaskLifetime& life : analysis.tasks) {
+  for (const trace::TaskLifetime& life : replayed->tasks) {
     CallPathStats& stats = by_path[{life.region, life.parameter}];
     stats.region = life.region;
     stats.parameter = life.parameter;
@@ -91,7 +96,7 @@ Error WhatIfProfile::build(const trace::Trace& trace,
     stats.work += life.work;
     stats.scalable += out->scalable_of(life);
   }
-  for (const auto& [key, chain] : out->measured_.on_chain) {
+  for (const auto& [key, chain] : out->measured().on_chain) {
     if (auto it = by_path.find(key); it != by_path.end()) {
       it->second.on_span += out->work_basis_ ? chain.work : chain.active;
     }
@@ -182,9 +187,9 @@ Projection WhatIfProfile::project(
       saved_work += fraction * static_cast<double>(scalable_of(life));
     }
   }
-  out.work_after = measured_.work - static_cast<Ticks>(saved_work + 0.5);
+  out.work_after = work() - static_cast<Ticks>(saved_work + 0.5);
 
-  const trace::SyncForest::Evaluation scaled = sync_.evaluate(
+  const trace::SyncForest::Evaluation scaled = span_->forest.evaluate(
       [&](const trace::SyncForest::PathKey& key,
           const trace::SyncForest::Segment& segment) {
         double duration = static_cast<double>(segment.active);
@@ -195,7 +200,7 @@ Projection WhatIfProfile::project(
         }
         return duration;
       },
-      measured_.task_overhead);
+      measured().task_overhead);
   out.span_after = static_cast<Ticks>(std::llround(scaled.span));
   out.span_length_after = scaled.tasks_on_chain;
   out.parallelism_after =
@@ -208,10 +213,10 @@ Projection WhatIfProfile::project(
   // so it enters T1 whole.  The spans already carry it per chain task
   // (evaluate()'s task_overhead).
   const double work_before =
-      static_cast<double>(measured_.work) + static_cast<double>(overhead_);
-  const double span_before = static_cast<double>(measured_.span);
+      static_cast<double>(work()) + static_cast<double>(overhead());
+  const double span_before = static_cast<double>(span());
   const double work_after =
-      static_cast<double>(out.work_after) + static_cast<double>(overhead_);
+      static_cast<double>(out.work_after) + static_cast<double>(overhead());
   const double span_after = static_cast<double>(out.span_after);
 
   const double work_share =

@@ -17,8 +17,9 @@
 // evaluation, so the critical chain itself accounts for it — a
 // hypothesis shrinks task bodies, never the dispatch cost around them,
 // and that floor binds as bodies shrink.  T1 and T∞ before any
-// hypothesis are trace::measure_work_span's, the numbers diagnose
-// reports.  The projected speedup at P is T_est(P) / T_est'(P).  Four
+// hypothesis are those of the trace's span model
+// (trace::Trace::span_model()), the numbers diagnose reports.  The
+// projected speedup at P is T_est(P) / T_est'(P).  Four
 // invariants follow (tests/test_whatif_property.cpp fuzzes them):
 //
 //   1. speedup ∈ [1, 1/(1 - share·N)] where share = max(scalable
@@ -40,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -124,26 +126,30 @@ struct Projection {
 };
 
 /// Per-call-path work/span profile over a recorded trace, ready for
-/// repeated what-if queries.  Holds pointers into `analysis`, which must
-/// outlive the profile.
+/// repeated what-if queries.  It shares ownership of the trace's own
+/// analysis and span model (trace::Trace::analysis(), span_model()), so
+/// it stays valid after the trace and the caller's analysis are gone.
+/// The accessors below read a profile that build() filled.
 class WhatIfProfile {
  public:
   /// Fails with kEmptyProfile when the trace has no completed tasks.
-  /// `analysis` must be derived from `trace` and outlive the profile.
+  /// `analysis` must be the analysis of `trace`; the profile reads the
+  /// trace's shared copy.  Throws snapshot::SnapshotError (kMalformed)
+  /// when the trace does not replay.
   static Error build(const trace::Trace& trace,
                      const trace::TraceAnalysis& analysis,
                      const RegionRegistry& registry, WhatIfProfile* out);
 
   /// T1: executed task time plus implicit-task time (creation
   /// serialization and inline work).
-  [[nodiscard]] Ticks work() const noexcept { return measured_.work; }
+  [[nodiscard]] Ticks work() const noexcept { return measured().work; }
   /// T∞ including the per-task dispatch overhead of the chain's tasks.
-  [[nodiscard]] Ticks span() const noexcept { return measured_.span; }
+  [[nodiscard]] Ticks span() const noexcept { return measured().span; }
   [[nodiscard]] int span_length() const noexcept {
-    return measured_.span_length;
+    return measured().span_length;
   }
   [[nodiscard]] double logical_parallelism() const noexcept {
-    return measured_.logical_parallelism();
+    return measured().logical_parallelism();
   }
   /// Thread count of the recorded run.
   [[nodiscard]] int measured_threads() const noexcept {
@@ -157,7 +163,9 @@ class WhatIfProfile {
   /// estimator adds it to T1 whole, and span() already carries it as a
   /// per-task dispatch cost on the chain — the floor that binds once
   /// bodies shrink.
-  [[nodiscard]] Ticks overhead() const noexcept { return overhead_; }
+  [[nodiscard]] Ticks overhead() const noexcept {
+    return analysis_->sync_management;
+  }
   /// Call paths, heaviest scalable time first.
   [[nodiscard]] const std::vector<CallPathStats>& paths() const noexcept {
     return paths_;
@@ -181,14 +189,15 @@ class WhatIfProfile {
       double fraction, const std::vector<int>& thread_counts) const;
 
  private:
-  const trace::TraceAnalysis* analysis_ = nullptr;
-  trace::SyncForest sync_;
+  std::shared_ptr<const trace::TraceAnalysis> analysis_;
+  std::shared_ptr<const trace::SpanModel> span_;
   std::vector<CallPathStats> paths_;
-  trace::WorkSpan measured_;
   int measured_threads_ = 1;
   bool work_basis_ = false;
-  Ticks overhead_ = 0;
 
+  [[nodiscard]] const trace::WorkSpan& measured() const noexcept {
+    return span_->measured;
+  }
   [[nodiscard]] Ticks scalable_of(const trace::TaskLifetime& life) const;
 };
 

@@ -1,13 +1,16 @@
 // The diagnosis engine: every seeded anti-pattern shape must be flagged
 // by its detector (at problem severity, pointing at the offending
-// construct) and the clean shape must stay finding-free.
+// construct) and the clean shape must stay finding-free.  Diagnosis,
+// trace analysis and what-if read one replay of a trace.
 #include "diagnose/diagnose.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "check/shapes.hpp"
 #include "diagnose/detectors.hpp"
@@ -16,6 +19,11 @@
 #include "report/json_report.hpp"
 #include "rt/sim_runtime.hpp"
 #include "snapshot/snapshot.hpp"
+#include "test_util.hpp"
+#include "trace/analysis.hpp"
+#include "trace/span.hpp"
+#include "whatif/render.hpp"
+#include "whatif/whatif.hpp"
 
 namespace taskprof {
 namespace {
@@ -221,6 +229,95 @@ TEST(Diagnose, AnnotationsCarrySeverityDetectorAndCallPath) {
   EXPECT_TRUE(has_arg("severity"));
   EXPECT_TRUE(has_arg("detector"));
   EXPECT_TRUE(has_arg("call_path"));
+}
+
+/// The ranked what-if report a consumer of `trace` would print.
+std::string whatif_json(const trace::Trace& trace,
+                        const trace::TraceAnalysis& analysis,
+                        const RegionRegistry& registry) {
+  whatif::WhatIfProfile profile;
+  EXPECT_TRUE(
+      whatif::WhatIfProfile::build(trace, analysis, registry, &profile).ok());
+  whatif::Report report;
+  report.summarize(profile);
+  report.top_targets = profile.rank_targets(0.5, {2, 8});
+  return whatif::render_whatif_json(report);
+}
+
+TEST(Diagnose, AnalysisDiagnosisAndWhatIfShareTheTracesOneReplay) {
+  const check::ShapeRun run =
+      check::run_anti_pattern(check::AntiPattern::kTaskwaitSerialization);
+  const trace::Trace& trace = run.trace;
+  const RegionRegistry& registry = *run.registry;
+
+  const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
+  const trace::TraceAnalysis* replayed = trace.analysis().get();
+  const std::string diagnosis =
+      diag::render_diagnosis_json(diag::run_diagnosis(input_for(run)));
+  const trace::SpanModel* model = trace.span_model().get();
+  EXPECT_EQ(trace.analysis().get(), replayed);
+  const std::string whatif = whatif_json(trace, analysis, registry);
+  EXPECT_EQ(trace.analysis().get(), replayed);
+  EXPECT_EQ(trace.span_model().get(), model);
+  EXPECT_EQ(trace::render_analysis(analysis, registry),
+            trace::render_analysis(*replayed, registry));
+
+  // A new trace of the same events replays on its own, to the same
+  // results.
+  std::vector<std::vector<trace::TraceEvent>> streams;
+  for (ThreadId t = 0; t < trace.thread_count(); ++t) {
+    streams.push_back(trace.thread_events(t));
+  }
+  const trace::Trace fresh(std::move(streams));
+  diag::DiagnosisInput fresh_input = input_for(run);
+  fresh_input.trace = &fresh;
+  EXPECT_EQ(diag::render_diagnosis_json(diag::run_diagnosis(fresh_input)),
+            diagnosis);
+  const trace::TraceAnalysis fresh_analysis = trace::analyze_trace(fresh);
+  EXPECT_NE(fresh.analysis().get(), replayed);
+  EXPECT_EQ(trace::render_analysis(fresh_analysis, registry),
+            trace::render_analysis(analysis, registry));
+  EXPECT_EQ(whatif_json(fresh, fresh_analysis, registry), whatif);
+}
+
+TEST(Diagnose, AnImpossibleHistoryFailsEveryConsumerTypedEveryTime) {
+  // tests/corpus/trace_replay/bad_malformed_task_end.tptrc: task 5 ends
+  // on a thread that is not running it.
+  testutil::TraceBuilder b(1);
+  b.add(0, 0, trace::EventKind::kImplicitBegin)
+      .add(0, 1, trace::EventKind::kTaskEnd, 5)
+      .add(0, 2, trace::EventKind::kImplicitEnd);
+  const trace::Trace trace = b.build();
+  RegionRegistry registry;
+  diag::DiagnosisInput input;
+  input.registry = &registry;
+  input.trace = &trace;
+  const std::vector<std::pair<const char*, std::function<void()>>>
+      consumers = {
+          {"analyze_trace", [&] { (void)trace::analyze_trace(trace); }},
+          {"run_diagnosis", [&] { (void)diag::run_diagnosis(input); }},
+          {"WhatIfProfile::build",
+           [&] {
+             whatif::WhatIfProfile profile;
+             (void)whatif::WhatIfProfile::build(trace, trace::TraceAnalysis{},
+                                                registry, &profile);
+           }},
+      };
+  std::string first;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [name, consume] : consumers) {
+      SCOPED_TRACE(std::string(name) + " round " + std::to_string(round));
+      try {
+        consume();
+        ADD_FAILURE() << "the trace replayed";
+      } catch (const snapshot::SnapshotError& error) {
+        EXPECT_EQ(error.code(), snapshot::Errc::kMalformed);
+        if (first.empty()) first = error.what();
+        EXPECT_EQ(error.what(), first);
+      }
+    }
+  }
+  EXPECT_NE(first.find("task 5"), std::string::npos) << first;
 }
 
 }  // namespace

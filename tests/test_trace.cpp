@@ -25,6 +25,7 @@
 #include "rt/real_runtime.hpp"
 #include "rt/schedule_policy.hpp"
 #include "rt/sim_runtime.hpp"
+#include "snapshot/format.hpp"
 #include "test_util.hpp"
 
 namespace taskprof {
@@ -155,6 +156,19 @@ TEST(TraceMerge, TiesGoToTheLowerThreadAndKeepStreamOrder) {
     EXPECT_EQ(trace.merged()[i].task, order[i]) << i;
   }
   expect_same_events(trace.merged(), sorted_reference(trace));
+}
+
+TEST(TraceMerge, OneBusyStreamIsItsOwnMergedOrder) {
+  testutil::TraceBuilder one(1);
+  one.run(0, 1, 4, 1, kInvalidRegion);
+  const Trace single = one.build();
+  EXPECT_EQ(&single.merged(), &single.thread_events(0));
+  // An idle thread's empty stream does not force a merge either.
+  testutil::TraceBuilder idle(3);
+  idle.run(1, 1, 4, 1, kInvalidRegion);
+  const Trace mostly_idle = idle.build();
+  EXPECT_EQ(&mostly_idle.merged(), &mostly_idle.thread_events(1));
+  EXPECT_TRUE(Trace().merged().empty());
 }
 
 TEST(TraceMerge, MatchesAStableSortOnEveryBotsKernel) {
@@ -315,8 +329,7 @@ TEST_F(TraceTest, ParentChildChainReconstructed) {
   const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
   EXPECT_EQ(analysis.tasks.size(), 5u);
   EXPECT_EQ(analysis.max_creation_depth, 5);
-  const trace::WorkSpan ws =
-      trace::measure_work_span(trace::SyncForest::build(trace), analysis);
+  const trace::WorkSpan& ws = trace.span_model()->measured;
   EXPECT_GE(ws.span, 50'000);
   EXPECT_EQ(ws.span_length, 5);
 }
@@ -420,10 +433,8 @@ TEST_F(TraceTest, RegionsKeepDistinctTaskIds) {
   EXPECT_EQ(*created.begin(), 1u);  // take() restarts the numbering
   const trace::TraceAnalysis analysis = trace::analyze_trace(twice);
   EXPECT_EQ(analysis.tasks.size(), 8u);
-  const trace::WorkSpan one = trace::measure_work_span(
-      trace::SyncForest::build(once), trace::analyze_trace(once));
-  const trace::WorkSpan two =
-      trace::measure_work_span(trace::SyncForest::build(twice), analysis);
+  const trace::WorkSpan& one = once.span_model()->measured;
+  const trace::WorkSpan& two = twice.span_model()->measured;
   EXPECT_EQ(two.work, 2 * one.work);
   EXPECT_EQ(two.span_length, 2 * one.span_length);
 }
@@ -553,6 +564,30 @@ TEST_F(TraceTest, MigratedTasksBeginAtTheirTaskBeginEvent) {
   EXPECT_GT(migrated, 0) << "the program must migrate tasks";
 }
 
+TEST(TraceAnalysis, AnImplicitEndWithoutItsBeginIsRejectedTyped) {
+  // Thread 1 never began its implicit task; at a real-engine clock base
+  // its span would run from time 0 and read 34,000 s.
+  constexpr Ticks kBase = 34'000'000'000'000;
+  testutil::TraceBuilder b(2);
+  b.add(0, kBase, EventKind::kImplicitBegin)
+      .add(0, kBase + 1, EventKind::kCreateEnd, 1)
+      .add(0, kBase + 10, EventKind::kImplicitEnd)
+      .run(1, kBase + 2, kBase + 6, 1, kInvalidRegion)
+      .add(1, kBase + 10, EventKind::kImplicitEnd);
+  const Trace trace = b.build();
+  for (int call = 0; call < 2; ++call) {
+    try {
+      (void)trace::analyze_trace(trace);
+      FAIL() << "the trace replayed";
+    } catch (const snapshot::SnapshotError& error) {
+      EXPECT_EQ(error.code(), snapshot::Errc::kMalformed);
+      EXPECT_NE(std::string(error.what()).find("thread 1"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST_F(TraceTest, RenderAnalysisAndTimelineProduceText) {
   const Trace trace = record(2, [this](rt::TaskContext& ctx) {
     for (int i = 0; i < 8; ++i) {
@@ -648,6 +683,29 @@ TEST_F(TraceTest, SamplingHandlesSuspendedFragments) {
   const double error = std::abs(static_cast<double>(estimate) -
                                 static_cast<double>(analysis.total_active));
   EXPECT_LE(error, 0.05 * static_cast<double>(analysis.total_active));
+}
+
+TEST(TraceSampling, AMigratedTaskKeepsItsConstructOnEveryThread) {
+  // Task 5 runs 10-50 on one thread and, after migrating, 60-200 on the
+  // other: 4 + 14 samples at period 10, whichever way it moves.
+  const RegionHandle region = 3;
+  for (const ThreadId first : {ThreadId{0}, ThreadId{1}}) {
+    const ThreadId second = first == 0 ? 1 : 0;
+    SCOPED_TRACE("begins on thread " + std::to_string(first));
+    testutil::TraceBuilder b(2);
+    b.add(first, 0, EventKind::kImplicitBegin)
+        .add(first, 5, EventKind::kCreateEnd, 5, region)
+        .add(first, 10, EventKind::kTaskBegin, 5, region)
+        .add(first, 50, EventKind::kTaskSwitch, kImplicitTaskId)
+        .add(first, 200, EventKind::kImplicitEnd)
+        .add(second, 0, EventKind::kImplicitBegin)
+        .add(second, 60, EventKind::kTaskSwitch, 5)
+        .add(second, 200, EventKind::kTaskEnd, 5)
+        .add(second, 200, EventKind::kImplicitEnd);
+    const auto histogram = trace::sample_trace(b.build(), 10);
+    EXPECT_EQ(histogram.task_samples.at(region), 18u);
+    EXPECT_EQ(histogram.total_samples, 40u);
+  }
 }
 
 // ---- Trace files -------------------------------------------------------------

@@ -153,12 +153,28 @@ std::vector<std::pair<std::string, Bytes>> seed_corpus() {
 /// Files whose bytes decode but whose events cannot have happened.
 std::vector<std::pair<std::string, Bytes>> replay_corpus() {
   using trace::EventKind;
+  std::vector<std::pair<std::string, Bytes>> corpus;
   std::vector<std::vector<trace::TraceEvent>> streams(1);
   streams[0] = {{.time = 0, .kind = EventKind::kImplicitBegin},
                 {.time = 1, .task = 5, .kind = EventKind::kTaskEnd},
                 {.time = 2, .kind = EventKind::kImplicitEnd}};
-  std::vector<std::pair<std::string, Bytes>> corpus;
   corpus.emplace_back("bad_malformed_task_end.tptrc",
+                      trace::encode_trace(trace::Trace(std::move(streams))));
+  // Thread 1 ends an implicit task it never began, at a real-engine
+  // clock base, where a span taken from time 0 would read 34,000 s.
+  constexpr Ticks kBase = 34'000'000'000'000;
+  streams.assign(2, {});
+  streams[0] = {{.time = kBase, .kind = EventKind::kImplicitBegin},
+                {.time = kBase + 1, .task = 1,
+                 .kind = EventKind::kCreateEnd},
+                {.time = kBase + 10, .kind = EventKind::kImplicitEnd}};
+  streams[1] = {{.time = kBase + 2, .task = 1, .thread = 1,
+                 .kind = EventKind::kTaskBegin},
+                {.time = kBase + 6, .task = 1, .thread = 1,
+                 .kind = EventKind::kTaskEnd},
+                {.time = kBase + 10, .thread = 1,
+                 .kind = EventKind::kImplicitEnd}};
+  corpus.emplace_back("bad_malformed_implicit_end.tptrc",
                       trace::encode_trace(trace::Trace(std::move(streams))));
   return corpus;
 }
@@ -451,7 +467,7 @@ TEST(TraceFuzz, CommittedReplayCorpusIsRejectedTyped) {
     EXPECT_FALSE(replays(trace::decode_trace(committed, name)));
     ++checked;
   }
-  EXPECT_GE(checked, 1u);
+  EXPECT_GE(checked, 2u);
 }
 
 // Semantic mutations of the sim fib trace: each stays valid bytes (the

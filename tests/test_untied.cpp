@@ -4,8 +4,13 @@
 // our simulator provides the events.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "instrument/instrumentor.hpp"
 #include "rt/sim_runtime.hpp"
+#include "trace/analysis.hpp"
+#include "trace/recorder.hpp"
+#include "trace/sampling.hpp"
 
 namespace taskprof {
 namespace {
@@ -119,6 +124,31 @@ TEST_F(UntiedProfilingTest, DeterministicWithInstrumentation) {
   const auto b = run();
   EXPECT_EQ(a.parallel_ticks, b.parallel_ticks);
   EXPECT_EQ(a.migrations, b.migrations);
+}
+
+// A sampling profiler sees a migrated task on whichever thread resumed
+// it: its resumed fragments must still count toward its construct.
+TEST_F(UntiedProfilingTest, SamplingFollowsMigratedTasks) {
+  rt::SimRuntime sim;
+  trace::TraceRecorder recorder;
+  sim.set_hooks(&recorder);
+  const auto stats = run_migrating_program(sim, 24);
+  sim.set_hooks(nullptr);
+  ASSERT_GT(stats.migrations, 0u) << "program must actually migrate";
+  const trace::Trace trace = recorder.take();
+
+  std::map<RegionHandle, Ticks> exact;
+  for (const trace::TaskLifetime& life : trace::analyze_trace(trace).tasks) {
+    exact[life.region] += life.active;
+  }
+  ASSERT_EQ(exact.size(), 2u);
+  const trace::SampleHistogram histogram = trace::sample_trace(trace, 100);
+  for (const auto& [region, active] : exact) {
+    SCOPED_TRACE(registry_.info(region).name);
+    const double expected = static_cast<double>(active);
+    EXPECT_NEAR(static_cast<double>(histogram.estimated_time(region)),
+                expected, 0.02 * expected);
+  }
 }
 
 TEST_F(UntiedProfilingTest, MigrationDisabledKeepsTasksHome) {

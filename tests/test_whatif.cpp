@@ -1,12 +1,14 @@
 // Unit tests for the what-if projection layer: target-spec parsing and
 // its typed errors, profile construction over recorded traces (including
-// the degenerate no-task trace), path resolution, and the projection
+// the degenerate no-task trace, and a profile that outlives its trace),
+// path resolution, and the projection
 // math on programs whose structure makes the answer checkable by hand
 // (serial chains, zero-fraction identity, span re-evaluation bounds),
 // and the exact bytes of the JSON rendering.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "check/random_tree.hpp"
 #include "rt/sim_runtime.hpp"
@@ -19,8 +21,7 @@
 namespace taskprof {
 namespace {
 
-/// A trace-backed profile plus everything it points into.  Heap-allocated
-/// so the analysis the profile references never moves.
+/// A trace-backed profile plus the inputs it was built from.
 struct Built {
   RegionRegistry registry;
   trace::Trace trace;
@@ -135,6 +136,38 @@ TEST(WhatIfProfile, UniformTreeProfilesOnePathWithAllInstances) {
   EXPECT_GT(built->profile.span_length(), 0);
   EXPECT_GE(built->profile.overhead(), 0);
   EXPECT_EQ(built->profile.measured_threads(), 2);
+}
+
+/// Everything a ranked what-if report prints for `profile`.
+std::string ranked_json(const whatif::WhatIfProfile& profile) {
+  whatif::Report report;
+  report.summarize(profile);
+  report.top_targets = profile.rank_targets(0.5, {1, 2, 4, 8});
+  return whatif::render_whatif_json(report);
+}
+
+TEST(WhatIfProfile, OutlivesItsTraceAndTheCallersAnalysis) {
+  RegionRegistry registry;
+  const check::UniformTree tree(registry, 400);
+  whatif::WhatIfProfile profile;
+  std::string expected;
+  {
+    rt::SimRuntime sim;
+    trace::TraceRecorder recorder;
+    sim.set_hooks(&recorder);
+    sim.parallel(2, [&](rt::TaskContext& ctx) {
+      if (ctx.single()) tree.body(ctx, /*depth=*/4, /*fanout=*/2);
+    });
+    sim.set_hooks(nullptr);
+    const trace::Trace trace = recorder.take();
+    const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
+    ASSERT_TRUE(
+        whatif::WhatIfProfile::build(trace, analysis, registry, &profile)
+            .ok());
+    expected = ranked_json(profile);
+  }
+  // The trace and the analysis are gone; the profile holds the replay.
+  EXPECT_EQ(ranked_json(profile), expected);
 }
 
 TEST(WhatIfProfile, ResolveMatchesNameAndParameter) {

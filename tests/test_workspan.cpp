@@ -23,15 +23,10 @@ namespace {
 using testutil::TraceBuilder;
 using trace::EventKind;
 
-diag::WorkSpanSummary workspan_of(const trace::Trace& trace,
-                                  const RegionRegistry& registry) {
-  return diag::compute_workspan(trace, trace::analyze_trace(trace),
-                                registry);
-}
-
 TEST(WorkSpan, EmptyTraceYieldsEmptySummary) {
   RegionRegistry registry;
-  const diag::WorkSpanSummary ws = workspan_of(trace::Trace(), registry);
+  const diag::WorkSpanSummary ws =
+      diag::compute_workspan(trace::Trace(), registry);
   EXPECT_EQ(ws.work, 0);
   EXPECT_EQ(ws.span, 0);
   EXPECT_EQ(ws.span_length, 0);
@@ -54,7 +49,7 @@ TEST(WorkSpan, OrphanedTasksAreChainRoots) {
       .add(0, 100, EventKind::kTaskwaitEnd)
       .add(0, 100, EventKind::kImplicitEnd);
 
-  const diag::WorkSpanSummary ws = workspan_of(b.build(), registry);
+  const diag::WorkSpanSummary ws = diag::compute_workspan(b.build(), registry);
   EXPECT_EQ(ws.work, 100);
   EXPECT_EQ(ws.span, 80);
   EXPECT_EQ(ws.span_length, 1);
@@ -71,7 +66,7 @@ TEST(WorkSpan, RegionlessTasksGetAStableLabel) {
       .spawn_and_wait(0, 0, 1, kInvalidRegion, 30)
       .add(0, 30, EventKind::kImplicitEnd);
 
-  const diag::WorkSpanSummary ws = workspan_of(b.build(), registry);
+  const diag::WorkSpanSummary ws = diag::compute_workspan(b.build(), registry);
   EXPECT_EQ(ws.span, 30);
   ASSERT_EQ(ws.shares.size(), 1u);
   EXPECT_EQ(ws.shares[0].name, "(unattributed)");
@@ -104,10 +99,8 @@ TEST(WorkSpan, ZeroDurationChildrenLoseTiesToTheContinuation) {
       .add(0, 100, EventKind::kImplicitEnd);
 
   const trace::Trace trace = b.build();
-  const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
-  EXPECT_EQ(analysis.max_creation_depth, 3);
-  const diag::WorkSpanSummary ws =
-      diag::compute_workspan(trace, analysis, registry);
+  EXPECT_EQ(trace::analyze_trace(trace).max_creation_depth, 3);
+  const diag::WorkSpanSummary ws = diag::compute_workspan(trace, registry);
   EXPECT_EQ(ws.work, 100);
   EXPECT_EQ(ws.span, 100);
   EXPECT_EQ(ws.span_length, 1);
@@ -145,7 +138,7 @@ TEST(WorkSpan, TaskwaitPhasesAreSequential) {
       .add(1, 200, EventKind::kBarrierEnd)
       .add(1, 200, EventKind::kImplicitEnd);
 
-  const diag::WorkSpanSummary ws = workspan_of(b.build(), registry);
+  const diag::WorkSpanSummary ws = diag::compute_workspan(b.build(), registry);
   EXPECT_EQ(ws.work, 400);
   EXPECT_EQ(ws.span, 200);
   EXPECT_EQ(ws.span_length, 2);
@@ -187,7 +180,7 @@ TEST(WorkSpan, ParallelRegionsAddUp) {
       .add(1, kEnd, EventKind::kBarrierEnd)
       .add(1, kEnd, EventKind::kImplicitEnd);
 
-  const diag::WorkSpanSummary ws = workspan_of(b.build(), registry);
+  const diag::WorkSpanSummary ws = diag::compute_workspan(b.build(), registry);
   EXPECT_EQ(ws.work, kEnd);
   EXPECT_EQ(ws.span, kEnd);
   EXPECT_EQ(ws.span_length, 2);

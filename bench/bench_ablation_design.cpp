@@ -12,19 +12,11 @@
 //                               the number of concurrently active
 //                               instances (profiler memory) far beyond
 //                               the recursion depth.
-//  5. mutex deque vs Chase-Lev — RealConfig::scheduler: the real engine's
-//                               lock-free work-stealing deque against the
-//                               mutex baseline, same task counts, spans
-//                               side by side (bench_queue_contention has
-//                               the full sweep).
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common.hpp"
 #include "report/analysis.hpp"
-#include "rt/real_runtime.hpp"
 
 using namespace taskprof;
 
@@ -157,59 +149,6 @@ int main(int argc, char** argv) {
   }
   std::fputs(sched.str().c_str(), stdout);
 
-  std::puts("\n--- real-engine scheduler ablation (RealConfig::scheduler) ---");
-  TextTable real_table({"scheduler", "tasks", "steals", "span"});
-  {
-    RegionRegistry real_registry;
-    const RegionHandle task_region =
-        real_registry.register_region("fib", RegionType::kTask);
-    // Cut-off-free fib: fine-grained spawns plus taskwait pressure — the
-    // shape where queue overhead dominates.
-    const int fib_n = options.size == bots::SizeClass::kTest ? 16 : 20;
-    std::function<void(rt::TaskContext&, int, long*)> fib =
-        [&](rt::TaskContext& ctx, int n, long* out) {
-          if (n < 2) {
-            *out = n;
-            return;
-          }
-          rt::TaskAttrs attrs;
-          attrs.region = task_region;
-          long a = 0;
-          long b = 0;
-          ctx.create_task(
-              [&fib, n, &a](rt::TaskContext& c) { fib(c, n - 1, &a); }, attrs);
-          ctx.create_task(
-              [&fib, n, &b](rt::TaskContext& c) { fib(c, n - 2, &b); }, attrs);
-          ctx.taskwait();
-          *out = a + b;
-        };
-    std::uint64_t tasks_baseline = 0;
-    const rt::SchedulerKind kinds[] = {rt::SchedulerKind::kMutexDeque,
-                                       rt::SchedulerKind::kChaseLev};
-    for (const rt::SchedulerKind kind : kinds) {
-      rt::RealConfig real_config;
-      real_config.scheduler = kind;
-      rt::RealRuntime runtime(real_config);
-      long result = 0;
-      const auto stats = runtime.parallel(4, [&](rt::TaskContext& ctx) {
-        if (ctx.single()) fib(ctx, fib_n, &result);
-      });
-      const char* name = kind == rt::SchedulerKind::kChaseLev
-                             ? "chase_lev (lock-free deque)"
-                             : "mutex_deque (baseline)";
-      real_table.add_row({name, std::to_string(stats.tasks_executed),
-                          std::to_string(stats.steals),
-                          format_ticks(stats.parallel_ticks)});
-      if (kind == rt::SchedulerKind::kMutexDeque) {
-        tasks_baseline = stats.tasks_executed;
-      } else if (stats.tasks_executed != tasks_baseline) {
-        std::fprintf(stderr, "FATAL: scheduler task counts diverge\n");
-        return 1;
-      }
-    }
-  }
-  std::fputs(real_table.str().c_str(), stdout);
-
   std::puts(
       "\nreadings: 'no stub nodes' zeroes the stub column and dumps task "
       "execution into barrier exclusive (waiting and working become "
@@ -217,7 +156,6 @@ int main(int argc, char** argv) {
       "time (suspension double-counted); creation-site attribution drives "
       "an exclusive time negative (Fig. 3); relaxed scheduling policies "
       "inflate concurrent instances (profiler memory) beyond the recursion "
-      "depth; both real-engine schedulers execute the identical task "
-      "count, the Chase-Lev deque just gets there without a lock.");
+      "depth.");
   return 0;
 }

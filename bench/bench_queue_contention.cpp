@@ -1,5 +1,5 @@
 // Scheduler contention benchmark: spawn/steal throughput and taskwait
-// latency of the real engine's three scheduler modes
+// latency of the real engine's two scheduler modes
 // (RealConfig::scheduler), swept over 1–8 threads on five workload
 // shapes:
 //
@@ -16,14 +16,13 @@
 //                 every iteration repeats the identical graph.  The
 //                 first iteration is warmup — and, for the taskgraph
 //                 scheduler, the recording pass — and is excluded from
-//                 the measurement, so the A/B/C comparison is dynamic
-//                 steady state vs. dynamic steady state vs. replay.
+//                 the measurement, so the comparison is dynamic steady
+//                 state vs. replay.
 //
-// Every (workload, threads) cell runs all three schedulers
-// (mutex_deque / chase_lev / taskgraph) and verifies they executed the
-// *identical* number of tasks; results go to stdout and to
-// BENCH_queue_contention.json (the machine-readable trajectory file —
-// schema per bench/common.hpp).
+// Every (workload, threads) cell runs both schedulers (chase_lev /
+// taskgraph) and verifies they executed the *identical* number of
+// tasks; results go to stdout and to BENCH_queue_contention.json (the
+// machine-readable trajectory file — schema per bench/common.hpp).
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -66,7 +65,6 @@ constexpr int kSweepMeasuredIters = 8;
 
 const char* scheduler_name(rt::SchedulerKind kind) {
   switch (kind) {
-    case rt::SchedulerKind::kMutexDeque: return "mutex_deque";
     case rt::SchedulerKind::kChaseLev: return "chase_lev";
     case rt::SchedulerKind::kTaskGraph: return "taskgraph";
   }
@@ -241,7 +239,7 @@ CellResult measure_once(const Workload& workload, rt::SchedulerKind scheduler,
 
 /// Median-of-`reps` measurement for every scheduler of one
 /// (workload, threads) cell, with reps interleaved across schedulers
-/// (A,B,C, A,B,C, ...).  Two estimator choices, both deliberate:
+/// (A,B, A,B, ...).  Two estimator choices, both deliberate:
 ///
 ///  * median by span, not min-of-N: min would filter out exactly the
 ///    lock-holder-preemption convoys that ARE the contention being
@@ -296,8 +294,7 @@ int main(int argc, char** argv) {
 
   const Sizes sz = sizes_for(size);
   std::printf(
-      "=== Scheduler contention: mutex deque vs. Chase-Lev vs. "
-      "taskgraph replay ===\n");
+      "=== Scheduler contention: Chase-Lev vs. taskgraph replay ===\n");
   std::printf(
       "engine: real threads | size class: %s | host threads: %u | "
       "median of %d reps\n\n",
@@ -329,10 +326,9 @@ int main(int argc, char** argv) {
        }},
   };
   const int thread_counts[] = {1, 2, 4, 8};
-  const rt::SchedulerKind schedulers[] = {rt::SchedulerKind::kMutexDeque,
-                                          rt::SchedulerKind::kChaseLev,
+  const rt::SchedulerKind schedulers[] = {rt::SchedulerKind::kChaseLev,
                                           rt::SchedulerKind::kTaskGraph};
-  constexpr int kSchedulerCount = 3;
+  constexpr int kSchedulerCount = 2;
 
   JsonWriter json;
   json.begin_object();
@@ -347,23 +343,15 @@ int main(int argc, char** argv) {
   json.begin_array("results");
 
   bool counts_match = true;
-  double ratio_fib_8 = 0.0;
-  double ratio_spawn_8 = 0.0;
   double ratio_sweep_4 = 0.0;
   double ratio_sweep_8 = 0.0;
 
-  // Profiling escape hatch: TASKPROF_BENCH_WORKLOAD=sweep runs a single
-  // workload (summary ratios for the others read 0 — don't commit such a
-  // JSON as the tracked baseline).
-  const char* only = std::getenv("TASKPROF_BENCH_WORKLOAD");
-
   for (const Workload& workload : workloads) {
-    if (only != nullptr && workload.name != std::string(only)) continue;
     TextTable table({"workload", "threads", "scheduler", "tasks", "steals",
                      "span ms", "tasks/s", "tw ns"});
     for (int threads : thread_counts) {
       std::uint64_t tasks_first = 0;
-      double throughput[kSchedulerCount] = {0.0, 0.0, 0.0};
+      double throughput[kSchedulerCount] = {0.0, 0.0};
       CellResult measured[kSchedulerCount];
       measure_cell(workload, schedulers, kSchedulerCount, threads, task,
                    reps, measured);
@@ -377,7 +365,8 @@ int main(int argc, char** argv) {
         } else if (stats.tasks_executed != tasks_first) {
           std::fprintf(
               stderr,
-              "FATAL: task-count mismatch on %s x%d: mutex=%llu %s=%llu\n",
+              "FATAL: task-count mismatch on %s x%d: chase_lev=%llu "
+              "%s=%llu\n",
               workload.name.c_str(), threads,
               static_cast<unsigned long long>(tasks_first),
               scheduler_name(scheduler),
@@ -413,15 +402,8 @@ int main(int argc, char** argv) {
         json.field("checksum", cell.run.checksum);
         json.end_object();
       }
-      if (throughput[0] > 0) {
-        const double chase_ratio = throughput[1] / throughput[0];
-        if (workload.name == "fib" && threads == 8) ratio_fib_8 = chase_ratio;
-        if (workload.name == "spawn_drain" && threads == 8) {
-          ratio_spawn_8 = chase_ratio;
-        }
-      }
-      if (throughput[1] > 0 && workload.name == "sweep") {
-        const double replay_ratio = throughput[2] / throughput[1];
+      if (throughput[0] > 0 && workload.name == "sweep") {
+        const double replay_ratio = throughput[1] / throughput[0];
         if (threads == 4) ratio_sweep_4 = replay_ratio;
         if (threads == 8) ratio_sweep_8 = replay_ratio;
       }
@@ -432,29 +414,15 @@ int main(int argc, char** argv) {
 
   json.end_array();
   json.field("task_counts_identical", counts_match);
-  json.field("chase_lev_speedup_fib_8t", ratio_fib_8);
-  json.field("chase_lev_speedup_spawn_drain_8t", ratio_spawn_8);
   json.field("taskgraph_speedup_sweep_4t", ratio_sweep_4);
   json.field("taskgraph_speedup_sweep_8t", ratio_sweep_8);
   json.end_object();
   const bool wrote = bench::write_json(out_path, json);
 
-  std::printf("chase_lev / mutex_deque throughput, fib x8:         %.2fx\n",
-              ratio_fib_8);
-  std::printf("chase_lev / mutex_deque throughput, spawn_drain x8:  %.2fx\n",
-              ratio_spawn_8);
-  std::printf("taskgraph / chase_lev throughput, sweep x4:          %.2fx\n",
+  std::printf("taskgraph / chase_lev throughput, sweep x4: %.2fx\n",
               ratio_sweep_4);
-  std::printf("taskgraph / chase_lev throughput, sweep x8:          %.2fx\n",
+  std::printf("taskgraph / chase_lev throughput, sweep x8: %.2fx\n",
               ratio_sweep_8);
-  if (taskprof::hardware_threads() <= 2) {
-    std::printf(
-        "note: single-core host — the mutex is only contended across\n"
-        "preemption boundaries, so the fib gap here is the per-task lock\n"
-        "overhead; the steal-contention gap shows in spawn_drain and\n"
-        "widens with real cores.  The taskgraph sweep ratio is the\n"
-        "honest per-task cost of replay vs. dynamic scheduling.\n");
-  }
   std::printf("task counts identical across schedulers: %s\n",
               counts_match ? "yes" : "NO");
   if (wrote) std::printf("wrote %s\n", out_path.c_str());

@@ -95,7 +95,7 @@ constexpr cli::Option kOptions[] = {
     {.name = "--scheduler", .kind = Kind::kChoice,
      .help = "real-engine task scheduler; taskgraph records run 1 and "
              "replays\nruns 2..N through a static schedule",
-     .fallback = "chase_lev", .values = "chase_lev|mutex_deque|taskgraph",
+     .fallback = "chase_lev", .values = "chase_lev|taskgraph",
      .commands = kRepeated},
     {.name = "--repeat", .kind = Kind::kInt,
      .help = "run the kernel this many times on one runtime", .fallback = "1",
@@ -229,9 +229,8 @@ std::unique_ptr<rt::Runtime> make_runtime(const cli::Args& args,
   }
   rt::RealConfig config;
   config.topology = topology;
-  config.scheduler = scheduler == "mutex_deque" ? rt::SchedulerKind::kMutexDeque
-                     : scheduler == "taskgraph" ? rt::SchedulerKind::kTaskGraph
-                                                : rt::SchedulerKind::kChaseLev;
+  config.scheduler = scheduler == "taskgraph" ? rt::SchedulerKind::kTaskGraph
+                                              : rt::SchedulerKind::kChaseLev;
   auto runtime = std::make_unique<rt::RealRuntime>(config);
   if (real != nullptr) *real = runtime.get();
   return runtime;

@@ -3,15 +3,9 @@
 #include <algorithm>
 #include <map>
 
-namespace taskprof::diag {
+#include "trace/analysis.hpp"
 
-std::string construct_display_name(RegionHandle region,
-                                   const RegionRegistry& registry) {
-  if (region != kInvalidRegion && region < registry.size()) {
-    return registry.info(region).name;
-  }
-  return "(unattributed)";
-}
+namespace taskprof::diag {
 
 WorkSpanSummary compute_workspan(const trace::Trace& trace,
                                  const RegionRegistry& registry) {
@@ -26,7 +20,7 @@ WorkSpanSummary compute_workspan(const trace::Trace& trace,
     share.instances += chain.tasks;
   }
   for (auto& [region, share] : shares) {
-    share.name = construct_display_name(region, registry);
+    share.name = trace::construct_display_name(region, registry);
     out.shares.push_back(std::move(share));
   }
   std::stable_sort(out.shares.begin(), out.shares.end(),

@@ -21,13 +21,6 @@
 
 namespace taskprof::diag {
 
-/// Stable display name for a construct: the registry name when the
-/// handle resolves, "(unattributed)" for kInvalidRegion / out-of-range
-/// handles (tasks recorded without a region — degenerate traces, manual
-/// event streams).
-[[nodiscard]] std::string construct_display_name(RegionHandle region,
-                                                 const RegionRegistry& registry);
-
 /// One construct's share of the critical path.
 struct ConstructSpanShare {
   RegionHandle region = kInvalidRegion;

@@ -100,7 +100,6 @@ ThreadTaskProfiler::ThreadTaskProfiler(ThreadId thread, const Clock& clock,
                                        RegionHandle implicit_region,
                                        MeasureOptions options)
     : thread_(thread), clock_(&clock), options_(options) {
-  pool_.set_lookup_acceleration(options_.child_lookup_acceleration);
   capture_enabled_ = options_.snapshot_every > 0;
   if (capture_enabled_) register_capture_barrier();
   implicit_root_ =
@@ -218,14 +217,11 @@ void ThreadTaskProfiler::task_begin(RegionHandle task_region,
   state->parameter = parameter;
   state->home_pool = &pool_;
   state->home_thread = thread_;
-  // Lazy instance-tree materialization: most instances of non-cut-off
-  // recursion never enter a region, so their tree would be the root node
-  // alone.  Defer allocating it until the first child enter; a leaf
-  // instance then folds straight into the merged node at task_end
-  // without ever touching the pool.
-  state->root = options_.leaf_fast_path
-                    ? nullptr
-                    : pool_.allocate(task_region, parameter, false, nullptr);
+  // Lazy instance-tree materialization: `root` stays nullptr (as in a
+  // fresh or reset state) until the first child enter.  Most instances
+  // of non-cut-off recursion never enter a region, so their tree would
+  // be the root node alone; such a leaf instance folds straight into the
+  // merged node at task_end without ever touching the pool.
   if (options_.creation_site_attribution && creation_sites_ != nullptr) {
     if (auto it = creation_sites_->find(id); it != creation_sites_->end()) {
       state->creation_node = it->second;
@@ -239,8 +235,7 @@ void ThreadTaskProfiler::task_begin(RegionHandle task_region,
 
   // TaskSwitch(task instance) then Enter(task instance, task region).
   switch_to(inst, now);
-  if (inst->root != nullptr) ++inst->root->visits;
-  inst->stack.push_back(TaskInstanceState::Frame{inst->root, now, 0});
+  inst->stack.push_back(TaskInstanceState::Frame{nullptr, now, 0});
 }
 
 void ThreadTaskProfiler::task_end(TaskInstanceId id) {
@@ -507,15 +502,7 @@ void ThreadTaskProfiler::merge_and_recycle(
     target->inclusive += leaf_duration;
     target->visit_stats.add(leaf_duration);
   } else {
-    if (options_.leaf_fast_path && root->first_child == nullptr) {
-      // Materialized but still a single node: one add + stats merge, no
-      // find-or-create descent.
-      target->visits += root->visits;
-      target->inclusive += root->inclusive;
-      target->visit_stats.merge(root->visit_stats);
-    } else {
-      merge_subtree(pool_, target, root);
-    }
+    merge_subtree(pool_, target, root);
     instance->home_pool->release_subtree(root);
   }
   instance->reset();
@@ -594,8 +581,7 @@ CallNode* ThreadTaskProfiler::merged_root_for(RegionHandle region,
     task_roots_.push_back(root);
     if (merged_root_index_active_) {
       merged_root_index_.insert(root);
-    } else if (options_.child_lookup_acceleration &&
-               task_roots_.size() >= kChildIndexFanout) {
+    } else if (task_roots_.size() >= kChildIndexFanout) {
       for (CallNode* existing : task_roots_) {
         merged_root_index_.insert(existing);
       }

@@ -75,22 +75,6 @@ struct MeasureOptions {
   /// tree depth limits might kick in" (§IV-B3).
   std::size_t max_tree_depth = 0;
 
-  /// Hot-path switches.  Both default on and are profile-identical to
-  /// the general paths (tests/test_event_hotpath.cpp proves it); the off
-  /// positions exist so tests and bench_event_hotpath can A/B the
-  /// accelerated engine against the plain one.
-  ///
-  /// child_lookup_acceleration: hot_child last-hit cache plus the
-  /// promoted open-addressed child index on high-fan-out nodes (see
-  /// profile/calltree.hpp), and the merged-task-root index.
-  bool child_lookup_acceleration = true;
-  /// leaf_fast_path: materialize an instance's call tree lazily (on its
-  /// first region enter) and fold leaf instances — which never needed a
-  /// tree at all — straight into the merged per-construct node on
-  /// task_end (one add, no tree walk, no node-pool traffic).  The
-  /// dominant case for non-cut-off BOTS recursion.
-  bool leaf_fast_path = true;
-
   /// Period (ns) between crash-safe snapshot flushes (src/snapshot).
   /// Non-zero arms the capture handshake on every profiler: event
   /// methods then publish an odd/even sequence number with plain stores
@@ -101,7 +85,7 @@ struct MeasureOptions {
   /// the profiler and the instrumentor constructors throw
   /// std::system_error when it is refused.  0 (the default) disarms it
   /// completely — events pay one predictable branch, which keeps the
-  /// bench_event_hotpath speedup gate honest.
+  /// unarmed event cost that bench_event_hotpath's ceilings gate.
   Ticks snapshot_every = 0;
 };
 

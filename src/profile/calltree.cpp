@@ -219,27 +219,22 @@ CallNode* find_or_create_child(NodePool& pool, CallNode* parent,
                                RegionHandle region, std::int64_t parameter,
                                bool is_stub) {
   TASKPROF_ASSERT(parent != nullptr, "parent required");
-  const bool accelerate = pool.lookup_acceleration();
-  if (accelerate) {
-    // Last-hit cache: loops re-entering the same callee and the stub
-    // enter/exit ping-pong hit here without touching the sibling list.
-    CallNode* hot = parent->hot_child;
-    if (hot != nullptr && hot->region == region &&
-        hot->parameter == parameter && hot->is_stub == is_stub) {
-      return hot;
-    }
+  // Last-hit cache: loops re-entering the same callee and the stub
+  // enter/exit ping-pong hit here without touching the sibling list.
+  CallNode* hot = parent->hot_child;
+  if (hot != nullptr && hot->region == region &&
+      hot->parameter == parameter && hot->is_stub == is_stub) {
+    return hot;
   }
   if (CallNode* existing = find_child(parent, region, parameter, is_stub)) {
-    if (accelerate) parent->hot_child = existing;
+    parent->hot_child = existing;
     return existing;
   }
   CallNode* node = pool.allocate(region, parameter, is_stub, parent);
-  if (accelerate) {
-    parent->hot_child = node;
-    if (parent->child_index == nullptr &&
-        parent->n_children >= kChildIndexFanout) {
-      pool.build_child_index(parent);
-    }
+  parent->hot_child = node;
+  if (parent->child_index == nullptr &&
+      parent->n_children >= kChildIndexFanout) {
+    pool.build_child_index(parent);
   }
   return node;
 }

@@ -149,17 +149,6 @@ class NodePool {
   /// Build (or rebuild) `parent`'s child index from its sibling list.
   void build_child_index(CallNode* parent);
 
-  /// Toggle the hot_child / ChildIndex acceleration used by
-  /// find_or_create_child on this pool's nodes (default on).  Off, the
-  /// lookup is the plain first-visit-ordered sibling scan — kept for the
-  /// fast-path-vs-general A/B in tests and bench_event_hotpath.
-  void set_lookup_acceleration(bool on) noexcept {
-    lookup_acceleration_ = on;
-  }
-  [[nodiscard]] bool lookup_acceleration() const noexcept {
-    return lookup_acceleration_;
-  }
-
   /// Total nodes ever carved from chunks (high-water mark of live nodes).
   [[nodiscard]] std::size_t allocated() const noexcept { return allocated_; }
 
@@ -177,7 +166,6 @@ class NodePool {
   CallNode* free_list_ = nullptr;           // linked through next_sibling
   std::size_t allocated_ = 0;
   std::size_t free_count_ = 0;
-  bool lookup_acceleration_ = true;
 
   std::vector<std::unique_ptr<ChildIndex>> index_storage_;
   std::vector<ChildIndex*> index_free_;
@@ -194,8 +182,7 @@ class NodePool {
 /// `pool`), preserving first-visit order among siblings.  This is the
 /// per-enter hot path: it consults `parent`'s hot_child cache first,
 /// then the child index (when promoted), and promotes the index once the
-/// fan-out reaches kChildIndexFanout — all skipped when the pool's
-/// lookup acceleration is off.
+/// fan-out reaches kChildIndexFanout.
 CallNode* find_or_create_child(NodePool& pool, CallNode* parent,
                                RegionHandle region,
                                std::int64_t parameter = kNoParameter,

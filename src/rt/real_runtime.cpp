@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -24,11 +23,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // Memory-ordering audit (the lock-free scheduler's correctness argument).
 //
-// With the mutex scheduler, every queue operation was a full
-// acquire/release pair, so the relaxed counter updates around it were
-// incidentally fenced.  With the Chase–Lev deque the only publication
-// edges are the deque's own release(bottom)/acquire(steal) pair and the
-// explicit orderings below:
+// The only publication edges are the Chase–Lev deque's own
+// release(bottom)/acquire(steal) pair and the explicit orderings below:
 //
 //  * pending_children / outstanding increments stay RELAXED: they are
 //    performed by the creating thread *before* the deque push, and the
@@ -168,16 +164,9 @@ class RecordSlab {
   alignas(64) std::atomic<TaskRecord*> remote_free_{nullptr};
 };
 
-/// Per-thread task queue, in both scheduler variants.  Only the one
-/// selected by RealConfig::scheduler is touched at runtime; the idle
-/// variant costs a few empty words.
-struct WorkerQueue {
-  // kMutexDeque: the pre-optimization fair queue.
-  std::mutex mutex;
-  std::deque<TaskRecord*> tasks;
-  // kChaseLev: the lock-free deque.
-  StealDeque deque;
-};
+/// Failed acquisition attempts before the spin loops call
+/// std::this_thread::yield() (essential on oversubscribed hosts).
+constexpr int kSpinsBeforeYield = 16;
 
 /// Number of single-construct episode slots.  Claims use monotonically
 /// increasing episode numbers, so slots are reused modulo the shard count
@@ -225,7 +214,8 @@ struct RealRuntime::Impl {
 
   // --- team state (valid during one parallel region) --------------------
   int nthreads = 0;
-  std::vector<std::unique_ptr<WorkerQueue>> queues;
+  /// Each worker's task queue (owner LIFO, thieves FIFO).
+  std::vector<std::unique_ptr<StealDeque>> queues;
   /// Hierarchical stealing (RealConfig::topology): true when the topology
   /// splits this team across more than one populated locality domain.
   /// False keeps steal_round() on the flat sweep, bit-identical to the
@@ -338,12 +328,6 @@ struct RealRuntime::Impl {
     }
   }
 
-  /// kTaskGraph rides on the Chase–Lev deques for recording and for
-  /// divergence fallback, so everything except kMutexDeque uses them.
-  [[nodiscard]] bool lock_free_queues() const noexcept {
-    return config.scheduler != SchedulerKind::kMutexDeque;
-  }
-
   static telemetry::Counter divergence_counter(SchedulerNote note) noexcept {
     switch (note) {
       case SchedulerNote::kTaskgraphDivergeStructure:
@@ -377,21 +361,11 @@ struct RealRuntime::Impl {
 
   void enqueue(ThreadState& st, TaskRecord* rec) {
     perturb(st, SchedulePoint::kTaskCreate);
-    WorkerQueue& own = *queues[st.tid];
-    if (lock_free_queues()) {
-      own.deque.push(rec);
-      if (st.telem.attached()) {
-        st.telem.gauge_max(telemetry::Gauge::kDequeDepth, own.deque.size());
-      }
-      return;
+    StealDeque& own = *queues[st.tid];
+    own.push(rec);
+    if (st.telem.attached()) {
+      st.telem.gauge_max(telemetry::Gauge::kDequeDepth, own.size());
     }
-    std::size_t depth = 0;
-    {
-      std::scoped_lock lock(own.mutex);
-      own.tasks.push_back(rec);
-      depth = own.tasks.size();
-    }
-    st.telem.gauge_max(telemetry::Gauge::kDequeDepth, depth);
   }
 
   /// One stolen-task acquisition: bumps the always-on attempt counter and,
@@ -402,30 +376,14 @@ struct RealRuntime::Impl {
     if (success) st.telem.add(telemetry::Counter::kStealSuccesses);
   }
 
-  /// LIFO pop from the worker's own queue (either scheduler variant).
+  /// LIFO pop from the worker's own queue.
   TaskRecord* pop_own(ThreadState& st) {
-    WorkerQueue& own = *queues[st.tid];
-    if (lock_free_queues()) {
-      return static_cast<TaskRecord*>(own.deque.pop());
-    }
-    std::scoped_lock lock(own.mutex);
-    if (own.tasks.empty()) return nullptr;
-    TaskRecord* t = own.tasks.back();
-    own.tasks.pop_back();
-    return t;
+    return static_cast<TaskRecord*>(queues[st.tid]->pop());
   }
 
-  /// One FIFO steal from `victim_tid`'s queue (either scheduler variant).
+  /// One FIFO steal from `victim_tid`'s queue.
   TaskRecord* steal_one(ThreadId victim_tid) {
-    WorkerQueue& victim = *queues[victim_tid];
-    if (lock_free_queues()) {
-      return static_cast<TaskRecord*>(victim.deque.steal());
-    }
-    std::scoped_lock lock(victim.mutex);
-    if (victim.tasks.empty()) return nullptr;
-    TaskRecord* t = victim.tasks.front();
-    victim.tasks.pop_front();
-    return t;
+    return static_cast<TaskRecord*>(queues[victim_tid]->steal());
   }
 
   /// Stack bound for one batched steal; Topology::steal_batch_max is
@@ -439,54 +397,30 @@ struct RealRuntime::Impl {
   /// find them without crossing the boundary again.  Returns nullptr when
   /// the victim yielded nothing.
   TaskRecord* steal_batch_from(ThreadState& st, ThreadId victim_tid) {
-    TaskRecord* items[kStealBatchCap];
     const std::size_t cap = std::min<std::size_t>(
         std::max<std::uint32_t>(config.topology.steal_batch_max, 1),
         kStealBatchCap);
-    std::size_t got = 0;
-    WorkerQueue& victim = *queues[victim_tid];
-    if (lock_free_queues()) {
-      void* raw[kStealBatchCap];
-      const std::size_t want = std::max<std::size_t>(
-          1, std::min(cap, (victim.deque.size() + 1) / 2));
-      got = victim.deque.steal_batch(raw, want);
-      for (std::size_t i = 0; i < got; ++i) {
-        items[i] = static_cast<TaskRecord*>(raw[i]);
-      }
-    } else {
-      // Mutex variant: one lock hold for the whole batch.  Items are
-      // buffered and re-pushed after unlocking — taking the thief's own
-      // queue mutex while holding the victim's would deadlock against a
-      // symmetric steal.
-      std::scoped_lock lock(victim.mutex);
-      const std::size_t want = std::max<std::size_t>(
-          1, std::min(cap, (victim.tasks.size() + 1) / 2));
-      while (got < want && !victim.tasks.empty()) {
-        items[got++] = victim.tasks.front();
-        victim.tasks.pop_front();
-      }
-    }
+    StealDeque& victim = *queues[victim_tid];
+    void* items[kStealBatchCap];
+    const std::size_t want =
+        std::max<std::size_t>(1, std::min(cap, (victim.size() + 1) / 2));
+    const std::size_t got = victim.steal_batch(items, want);
     count_steal(st, got > 0);
     if (got == 0) return nullptr;
     st.steals += got;
     st.telem.add(telemetry::Counter::kStealsCrossDomain, got);
     st.telem.add(telemetry::Counter::kStealBatchTasks, got);
     if (got > 1) {
-      WorkerQueue& own = *queues[st.tid];
-      if (lock_free_queues()) {
-        // Push deepest-age first so the next own pop() resumes with the
-        // batch's next-oldest task — the same continuation order a FIFO
-        // victim drain would produce.
-        for (std::size_t i = got; i-- > 1;) own.deque.push(items[i]);
-        if (st.telem.attached()) {
-          st.telem.gauge_max(telemetry::Gauge::kDequeDepth, own.deque.size());
-        }
-      } else {
-        std::scoped_lock lock(own.mutex);
-        for (std::size_t i = got; i-- > 1;) own.tasks.push_back(items[i]);
+      StealDeque& own = *queues[st.tid];
+      // Push deepest-age first so the next own pop() resumes with the
+      // batch's next-oldest task — the same continuation order a FIFO
+      // victim drain would produce.
+      for (std::size_t i = got; i-- > 1;) own.push(items[i]);
+      if (st.telem.attached()) {
+        st.telem.gauge_max(telemetry::Gauge::kDequeDepth, own.size());
       }
     }
-    return items[0];
+    return static_cast<TaskRecord*>(items[0]);
   }
 
   /// Hierarchical victim selection (RealConfig::topology, DESIGN.md §15):
@@ -543,7 +477,7 @@ struct RealRuntime::Impl {
   /// multi-domain topology the sweep is hierarchical instead (local
   /// domain first, batched escalation); see steal_round_hierarchical.
   TaskRecord* steal_round(ThreadState& st) {
-    if (!config.steal || nthreads <= 1) return nullptr;
+    if (nthreads <= 1) return nullptr;
     if (hier_steal) return steal_round_hierarchical(st);
     const auto ring = static_cast<std::uint32_t>(nthreads - 1);
     const std::uint32_t rotation =
@@ -666,7 +600,7 @@ struct RealRuntime::Impl {
     // bias and raids other queues before its own — the inversion OpenMP
     // permits at any task scheduling point but a fair scheduler never
     // exercises.
-    if (st.sched.attached() && config.steal && nthreads > 1 &&
+    if (st.sched.attached() && nthreads > 1 &&
         st.sched.steal_first()) {
       if (TaskRecord* t = steal_round(st)) return t;
       return pop_own(st);
@@ -855,7 +789,7 @@ class RealContext final : public TaskContext {
       if (TaskRecord* t = rt_.try_acquire(st_)) {
         rt_.execute(st_, *this, t);
         spins = 0;
-      } else if (++spins >= rt_.config.spins_before_yield) {
+      } else if (++spins >= kSpinsBeforeYield) {
         spins = 0;
         count_yield();
         std::this_thread::yield();
@@ -904,7 +838,7 @@ class RealContext final : public TaskContext {
           rt_.outstanding.load(std::memory_order_acquire) == 0) {
         break;
       }
-      if (++spins >= rt_.config.spins_before_yield) {
+      if (++spins >= kSpinsBeforeYield) {
         spins = 0;
         count_yield();
         if (rt_.replay_exhausted(st_)) {
@@ -1163,8 +1097,7 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
   // is the correct (and bit-identical historical) behaviour.
   rt.domain_members.clear();
   rt.hier_steal = false;
-  if (rt.config.topology.multi_domain() && rt.config.steal &&
-      num_threads > 1) {
+  if (rt.config.topology.multi_domain() && num_threads > 1) {
     rt.domain_members.assign(rt.config.topology.domains, {});
     for (int i = 0; i < num_threads; ++i) {
       const auto dom = rt.config.topology.domain_of(
@@ -1178,7 +1111,7 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
     rt.hier_steal = populated > 1;
   }
   for (int i = 0; i < num_threads; ++i) {
-    rt.queues.push_back(std::make_unique<WorkerQueue>());
+    rt.queues.push_back(std::make_unique<StealDeque>());
     auto st = std::make_unique<Impl::ThreadState>();
     st->tid = static_cast<ThreadId>(i);
     st->implicit_record.id = kImplicitTaskId;

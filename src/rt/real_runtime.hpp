@@ -11,10 +11,9 @@
 // Untied tasks are demoted to tied (documented paper work-around, §IV-D2);
 // the simulator engine implements real migration.
 //
-// The scheduler core exists in two variants (DESIGN.md §7): the default
-// lock-free Chase–Lev work-stealing deque, and the original mutex-guarded
-// std::deque kept for the contention ablation (bench_queue_contention,
-// bench_ablation_design).
+// Each worker's queue is a lock-free Chase–Lev work-stealing deque
+// (DESIGN.md §7); the taskgraph scheduler replays a recorded task graph on
+// top of it.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +27,10 @@ namespace taskprof::rt {
 
 class SchedulePolicy;  // rt/schedule_policy.hpp
 
-/// Which per-thread task-queue implementation the engine schedules with.
-/// Both implement the same policy (owner LIFO, thieves FIFO from the
-/// opposite end), so task counts are identical; only the synchronization
-/// cost differs.
+/// How the engine schedules explicit tasks.  Both kinds run the same
+/// tasks; the taskgraph replay only changes who runs them when.
 enum class SchedulerKind : std::uint8_t {
-  kMutexDeque,  ///< std::mutex around a std::deque (pre-optimization core)
-  kChaseLev,    ///< lock-free Chase–Lev deque (rt/steal_deque.hpp)
+  kChaseLev,  ///< lock-free Chase–Lev deque (rt/steal_deque.hpp)
   /// Record-and-replay static scheduler (rt/taskgraph.hpp, DESIGN.md §12):
   /// the first parallel region records the task graph on the Chase–Lev
   /// core; subsequent regions replay it through precomputed per-worker
@@ -45,14 +41,8 @@ enum class SchedulerKind : std::uint8_t {
 };
 
 struct RealConfig {
-  /// Task-queue implementation; the ablation knob for
-  /// bench_queue_contention and bench_ablation_design.
+  /// Dynamic scheduling or taskgraph record-and-replay.
   SchedulerKind scheduler = SchedulerKind::kChaseLev;
-  /// Allow threads to execute tasks created by other threads.
-  bool steal = true;
-  /// Failed acquisition attempts before the spin loops call
-  /// std::this_thread::yield() (essential on oversubscribed hosts).
-  int spins_before_yield = 16;
   /// Seeded schedule perturbation (victim rotation, steal-before-pop,
   /// injected yields) for the fuzzing harness in src/check/.  Not owned;
   /// must outlive the runtime.  nullptr leaves scheduling unperturbed.

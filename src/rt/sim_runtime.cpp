@@ -132,8 +132,7 @@ class SimContext;
 }  // namespace
 
 struct SimRuntime::Impl {
-  explicit Impl(SimConfig cfg)
-      : config(cfg), stack_pool(cfg.fiber_stack_bytes) {}
+  explicit Impl(SimConfig cfg) : config(cfg) {}
 
   SimConfig config;
   SchedulerHooks* hooks = nullptr;

@@ -70,7 +70,6 @@ struct SimConfig {
   /// Table II memory bound — at the recursion depth.  false = any queued
   /// task may run at a taskwait (LLVM-style), available for the ablation.
   bool strict_taskwait_scheduling = true;
-  std::size_t fiber_stack_bytes = 256 * 1024;
   /// Seeded schedule perturbation (dequeue choice, untied resume choice,
   /// virtual-time jitter) for the fuzzing harness in src/check/.  Not
   /// owned; must outlive the runtime.  Because the engine is

@@ -256,6 +256,14 @@ const std::shared_ptr<const TraceAnalysis>& Trace::analysis() const {
 
 TraceAnalysis analyze_trace(const Trace& trace) { return *trace.analysis(); }
 
+std::string construct_display_name(RegionHandle region,
+                                   const RegionRegistry& registry) {
+  if (region != kInvalidRegion && region < registry.size()) {
+    return registry.info(region).name;
+  }
+  return "(unattributed)";
+}
+
 std::string render_analysis(const TraceAnalysis& analysis,
                             const RegionRegistry& registry) {
   std::ostringstream os;
@@ -280,7 +288,8 @@ std::string render_analysis(const TraceAnalysis& analysis,
   TextTable table({"task construct", "instances", "active total",
                    "mean queue latency", "fragments", "migrations"});
   for (const auto& [region, agg] : constructs) {
-    table.add_row({registry.info(region).name, format_count(agg.instances),
+    table.add_row({construct_display_name(region, registry),
+                   format_count(agg.instances),
                    format_ticks(agg.active),
                    format_ticks(static_cast<Ticks>(agg.latency.mean())),
                    format_count(agg.fragments),

@@ -103,6 +103,13 @@ struct TraceAnalysis {
 /// running on, or an implicit task that ends without having begun.
 [[nodiscard]] TraceAnalysis analyze_trace(const Trace& trace);
 
+/// Stable display name for a task construct: the registry name when the
+/// handle resolves, "(unattributed)" for kInvalidRegion / out-of-range
+/// handles (tasks recorded without a region — degenerate traces, manual
+/// event streams).
+[[nodiscard]] std::string construct_display_name(RegionHandle region,
+                                                 const RegionRegistry& registry);
+
 /// Human-readable report: per-construct table + decomposition + threads.
 [[nodiscard]] std::string render_analysis(const TraceAnalysis& analysis,
                                           const RegionRegistry& registry);

@@ -105,7 +105,7 @@ Error WhatIfProfile::build(const trace::Trace& trace,
   out->paths_.clear();
   out->paths_.reserve(by_path.size());
   for (auto& [key, stats] : by_path) {
-    stats.name = diag::construct_display_name(stats.region, registry);
+    stats.name = trace::construct_display_name(stats.region, registry);
     out->paths_.push_back(std::move(stats));
   }
   std::sort(out->paths_.begin(), out->paths_.end(),

@@ -69,6 +69,10 @@ NAMED = [
     ("taskprof_cli", "--kernel=fib --size=test --engine=real --threads=5000",
      "--threads"),
     ("taskprof_cli", "--kernel=fib --size=test --report=bogus", "--report"),
+    # Ran before its scheduler was deleted: a removed choice is an
+    # unknown one.
+    ("taskprof_cli", "--kernel=fib --size=test --engine=real "
+     "--scheduler=mutex_deque", "--scheduler"),
     ("taskprof_cli", "diagnose --kernel=fib --size=test --threads=abc",
      "--threads"),
     ("taskprof_cli", "whatif --kernel=fib --size=test --threads-list=2,0,-3",

@@ -91,19 +91,12 @@ TEST(CheckInvariants, CleanSimProfilePasses) {
 }
 
 TEST(CheckInvariants, CleanRealProfilePasses) {
-  for (rt::SchedulerKind kind :
-       {rt::SchedulerKind::kMutexDeque, rt::SchedulerKind::kChaseLev}) {
-    SCOPED_TRACE(kind == rt::SchedulerKind::kChaseLev ? "chase_lev"
-                                                      : "mutex_deque");
-    Measured m;
-    rt::RealConfig config;
-    config.scheduler = kind;
-    rt::RealRuntime real(config);
-    run_fib(m, real);
-    const check::InvariantReport report =
-        check::check_profile(m.profile, m.registry, &m.stats, &m.snapshot);
-    EXPECT_TRUE(report.ok()) << report.to_string();
-  }
+  Measured m;
+  rt::RealRuntime real;
+  run_fib(m, real);
+  const check::InvariantReport report =
+      check::check_profile(m.profile, m.registry, &m.stats, &m.snapshot);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 // The acceptance negative test: inject a merge bug (an extra visit on a

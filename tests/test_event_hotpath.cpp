@@ -1,13 +1,17 @@
 // Tests of the event-engine fast paths: the hot_child last-hit cache,
 // the promoted open-addressed ChildIndex on wide-fan-out nodes, the
 // iterative O(1)-space merge/release walks, and the leaf fast path in
-// merge_and_recycle.  The through-line: every accelerated path must be
-// profile-identical to the plain one, so most tests here run the same
-// scenario with acceleration on and off and demand equal results.
+// merge_and_recycle.  The through-line: every fast path must be
+// profile-identical to the plain engine it replaced (linear sibling
+// scans, eager instance trees, full merge walks).  That engine is gone;
+// its profile of a mixed event stream is kept as a golden
+// (tests/corpus/hotpath/run_stream.csv) that the fast paths must
+// reproduce byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +23,7 @@
 #include "profile/calltree.hpp"
 #include "profile/region.hpp"
 #include "report/text_report.hpp"
+#include "test_util.hpp"
 
 namespace taskprof {
 namespace {
@@ -89,24 +94,6 @@ TEST_F(ChildIndexTest, HotChildShortCircuitsRepeatLookups) {
   EXPECT_EQ(find_or_create_child(pool_, root, 2), b);
   EXPECT_EQ(find_or_create_child(pool_, root, 1), a);
   EXPECT_EQ(root->hot_child, a);
-}
-
-TEST_F(ChildIndexTest, AccelerationOffNeverPromotes) {
-  pool_.set_lookup_acceleration(false);
-  CallNode* root = pool_.allocate(0, kNoParameter, false, nullptr);
-  std::vector<CallNode*> made;
-  for (int i = 0; i < 100; ++i) {
-    made.push_back(
-        find_or_create_child(pool_, root, static_cast<RegionHandle>(i + 1)));
-  }
-  EXPECT_EQ(root->child_index, nullptr);
-  EXPECT_EQ(root->hot_child, nullptr);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(find_or_create_child(pool_, root,
-                                   static_cast<RegionHandle>(i + 1)),
-              made[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(pool_.allocated(), 101u);
 }
 
 TEST_F(ChildIndexTest, AllocateKeepsPromotedIndexComplete) {
@@ -326,35 +313,18 @@ class HotpathEquivalenceTest : public ::testing::Test {
   RegionHandle task_b_ = registry_.register_region("taskB", RegionType::kTask);
 };
 
-TEST_F(HotpathEquivalenceTest, FastPathsAreProfileIdenticalToGeneralPaths) {
-  MeasureOptions fast;  // defaults: all acceleration on
-  MeasureOptions general;
-  general.child_lookup_acceleration = false;
-  general.leaf_fast_path = false;
-
-  auto fast_prof = make(fast);
-  run_stream(*fast_prof);
-  const std::string fast_csv = profile_csv(*fast_prof, fast);
-
-  auto general_prof = make(general);
-  run_stream(*general_prof);
-  const std::string general_csv = profile_csv(*general_prof, general);
-
-  EXPECT_EQ(fast_csv, general_csv);
-  EXPECT_FALSE(fast_csv.empty());
-}
-
-TEST_F(HotpathEquivalenceTest, LeafFastPathAloneMatchesForcedGeneralMerge) {
-  MeasureOptions leaf_on;
-  leaf_on.child_lookup_acceleration = false;  // isolate the merge fast path
-  MeasureOptions leaf_off = leaf_on;
-  leaf_off.leaf_fast_path = false;
-
-  auto on_prof = make(leaf_on);
-  run_stream(*on_prof);
-  auto off_prof = make(leaf_off);
-  run_stream(*off_prof);
-  EXPECT_EQ(profile_csv(*on_prof, leaf_on), profile_csv(*off_prof, leaf_off));
+TEST_F(HotpathEquivalenceTest, FastPathsReproduceTheGeneralPathGolden) {
+  // The golden was rendered by the plain engine (no hot_child cache, no
+  // child or merged-root index, an eagerly built tree per instance and a
+  // full merge walk per task_end).  Regenerating it from this engine
+  // would make the check vacuous; do so only for a deliberate change of
+  // the CSV format, and diff the old and new files by hand.
+  const MeasureOptions options;
+  auto prof = make(options);
+  run_stream(*prof);
+  testutil::check_golden(
+      std::filesystem::path(TASKPROF_HOTPATH_CORPUS_DIR) / "run_stream.csv",
+      profile_csv(*prof, options), "TASKPROF_REGEN_HOTPATH");
 }
 
 TEST_F(HotpathEquivalenceTest, ManyParameterRootsUseIndexedMergedLookup) {

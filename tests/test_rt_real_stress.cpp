@@ -1,9 +1,8 @@
-// Scheduler stress tests, run against BOTH queue implementations
-// (RealConfig::scheduler): ~100k fine-grained tasks on an oversubscribed
-// team, forced-steal totals, deep fire-and-forget chains that cycle the
-// record slabs, sharded single episodes far beyond the shard count, and
-// nested taskwait storms.  These are the tests the ThreadSanitizer preset
-// (CMakePresets.json, `tsan`) exists for.
+// Scheduler stress tests of the Chase–Lev core: ~100k fine-grained tasks
+// on an oversubscribed team, forced-steal totals, deep fire-and-forget
+// chains that cycle the record slabs, sharded single episodes far beyond
+// the shard count, and nested taskwait storms.  These are the tests the
+// ThreadSanitizer preset (CMakePresets.json, `tsan`) exists for.
 //
 // Every body additionally runs under seeded schedule perturbation
 // (rt::SchedulePolicy): injected yields, steal-before-pop inversions and
@@ -27,14 +26,8 @@
 namespace taskprof {
 namespace {
 
-class RealStressTest : public ::testing::TestWithParam<rt::SchedulerKind> {
+class RealStressTest : public ::testing::Test {
  protected:
-  rt::RealConfig config() const {
-    rt::RealConfig cfg;
-    cfg.scheduler = GetParam();
-    return cfg;
-  }
-
   rt::TaskAttrs attrs() const {
     rt::TaskAttrs a;
     a.region = task_;
@@ -47,7 +40,7 @@ class RealStressTest : public ::testing::TestWithParam<rt::SchedulerKind> {
   void run_variants(std::initializer_list<std::uint64_t> seeds, Body&& body) {
     {
       SCOPED_TRACE("unperturbed schedule");
-      rt::RealRuntime runtime(config());
+      rt::RealRuntime runtime;
       body(runtime);
     }
     for (const std::uint64_t seed : seeds) {
@@ -56,7 +49,7 @@ class RealStressTest : public ::testing::TestWithParam<rt::SchedulerKind> {
                    << " (deterministic seed list; re-run this test to "
                       "reproduce, or sweep more seeds with fuzz_schedules)");
       const rt::SchedulePolicy policy(seed);
-      rt::RealConfig cfg = config();
+      rt::RealConfig cfg;
       cfg.policy = &policy;
       rt::RealRuntime runtime(cfg);
       body(runtime);
@@ -67,7 +60,7 @@ class RealStressTest : public ::testing::TestWithParam<rt::SchedulerKind> {
   RegionHandle task_ = registry_.register_region("t", RegionType::kTask);
 };
 
-TEST_P(RealStressTest, HundredThousandFineGrainedTasks) {
+TEST_F(RealStressTest, HundredThousandFineGrainedTasks) {
   constexpr std::uint64_t kTasks = 100000;
   run_variants({0xfee1deadULL}, [&](rt::RealRuntime& runtime) {
     std::atomic<std::uint64_t> sum{0};
@@ -88,7 +81,7 @@ TEST_P(RealStressTest, HundredThousandFineGrainedTasks) {
   });
 }
 
-TEST_P(RealStressTest, EveryThreadProducingConcurrently) {
+TEST_F(RealStressTest, EveryThreadProducingConcurrently) {
   constexpr std::uint64_t kPerThread = 10000;
   constexpr int kThreads = 8;
   run_variants({0xfee1deadULL, 0x0badf00dULL}, [&](rt::RealRuntime& runtime) {
@@ -107,7 +100,7 @@ TEST_P(RealStressTest, EveryThreadProducingConcurrently) {
   });
 }
 
-TEST_P(RealStressTest, StealTotalsExactWhenCreatorNeverSchedules) {
+TEST_F(RealStressTest, StealTotalsExactWhenCreatorNeverSchedules) {
   // Thread 0 creates all tasks and busy-waits outside any scheduling
   // point, so every task MUST be executed by a thief: the steal counter
   // is deterministic even on an oversubscribed host — and under any
@@ -133,7 +126,7 @@ TEST_P(RealStressTest, StealTotalsExactWhenCreatorNeverSchedules) {
   });
 }
 
-TEST_P(RealStressTest, DeepFireAndForgetChainCyclesTheSlab) {
+TEST_F(RealStressTest, DeepFireAndForgetChainCyclesTheSlab) {
   // Each task spawns the next without waiting: a 50k-deep chain whose
   // records die and get recycled one by one — the slab free lists (local
   // and cross-thread) churn constantly.  No nesting, so thread stacks
@@ -155,7 +148,7 @@ TEST_P(RealStressTest, DeepFireAndForgetChainCyclesTheSlab) {
   });
 }
 
-TEST_P(RealStressTest, RecursiveFibHasDeterministicTaskCount) {
+TEST_F(RealStressTest, RecursiveFibHasDeterministicTaskCount) {
   run_variants({0xfee1deadULL, 0x0badf00dULL}, [&](rt::RealRuntime& runtime) {
     std::function<void(rt::TaskContext&, int, long*)> fib =
         [&](rt::TaskContext& ctx, int n, long* out) {
@@ -184,7 +177,7 @@ TEST_P(RealStressTest, RecursiveFibHasDeterministicTaskCount) {
   });
 }
 
-TEST_P(RealStressTest, ShardedSinglesClaimExactlyOncePerEpisode) {
+TEST_F(RealStressTest, ShardedSinglesClaimExactlyOncePerEpisode) {
   // Way more episodes than shard slots, with no barriers in between, so
   // threads drift across slot reuse boundaries — the scenario the
   // monotonic episode-claim protocol must survive.
@@ -200,7 +193,7 @@ TEST_P(RealStressTest, ShardedSinglesClaimExactlyOncePerEpisode) {
   });
 }
 
-TEST_P(RealStressTest, BarrierGenerationsStayInLockstep) {
+TEST_F(RealStressTest, BarrierGenerationsStayInLockstep) {
   constexpr int kPhases = 500;
   constexpr int kThreads = 4;
   run_variants({0xfee1deadULL, 0x0badf00dULL}, [&](rt::RealRuntime& runtime) {
@@ -222,7 +215,7 @@ TEST_P(RealStressTest, BarrierGenerationsStayInLockstep) {
   });
 }
 
-TEST_P(RealStressTest, NestedTaskwaitStorm) {
+TEST_F(RealStressTest, NestedTaskwaitStorm) {
   constexpr int kRounds = 200;
   constexpr int kThreads = 4;
   constexpr int kChildren = 4;
@@ -257,7 +250,7 @@ TEST_P(RealStressTest, NestedTaskwaitStorm) {
   });
 }
 
-TEST_P(RealStressTest, SequentialRegionsResetTeamState) {
+TEST_F(RealStressTest, SequentialRegionsResetTeamState) {
   run_variants({0xfee1deadULL, 0x0badf00dULL}, [&](rt::RealRuntime& runtime) {
     for (int round = 0; round < 5; ++round) {
       std::atomic<std::uint64_t> executed{0};
@@ -282,15 +275,6 @@ TEST_P(RealStressTest, SequentialRegionsResetTeamState) {
     }
   });
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedulers, RealStressTest,
-    ::testing::Values(rt::SchedulerKind::kMutexDeque,
-                      rt::SchedulerKind::kChaseLev),
-    [](const ::testing::TestParamInfo<rt::SchedulerKind>& param) {
-      return param.param == rt::SchedulerKind::kChaseLev ? "chase_lev"
-                                                         : "mutex_deque";
-    });
 
 }  // namespace
 }  // namespace taskprof

@@ -87,10 +87,7 @@ TEST(ScheduleStream, AttachedStreamActuallyPerturbs) {
 
 // The real engine must stay *correct* under any seed: task counts and the
 // computed result are schedule-independent.
-class RealPerturbedTest : public ::testing::TestWithParam<rt::SchedulerKind> {
-};
-
-TEST_P(RealPerturbedTest, FibCountsExactUnderPerturbation) {
+TEST(RealPerturbedTest, FibCountsExactUnderPerturbation) {
   RegionRegistry registry;
   const RegionHandle task =
       registry.register_region("t", RegionType::kTask);
@@ -116,7 +113,6 @@ TEST_P(RealPerturbedTest, FibCountsExactUnderPerturbation) {
     SCOPED_TRACE(::testing::Message() << "seed 0x" << std::hex << seed);
     const rt::SchedulePolicy policy(seed);
     rt::RealConfig config;
-    config.scheduler = GetParam();
     config.policy = &policy;
     rt::RealRuntime runtime(config);
     long result = 0;
@@ -127,15 +123,6 @@ TEST_P(RealPerturbedTest, FibCountsExactUnderPerturbation) {
     EXPECT_EQ(stats.tasks_executed, 2u * 610 - 2);  // 2*fib(n+1) - 2
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedulers, RealPerturbedTest,
-    ::testing::Values(rt::SchedulerKind::kMutexDeque,
-                      rt::SchedulerKind::kChaseLev),
-    [](const ::testing::TestParamInfo<rt::SchedulerKind>& param) {
-      return param.param == rt::SchedulerKind::kChaseLev ? "chase_lev"
-                                                         : "mutex_deque";
-    });
 
 namespace sim_replay {
 

@@ -410,10 +410,8 @@ TEST(TimedHooks, ParallelBeginPreparesRegistry) {
 
 // End-to-end on the real engine: deep telemetry must agree with the
 // always-on TeamStats summary for the shared quantities.
-void telemetry_matches_team_stats(rt::SchedulerKind scheduler) {
-  rt::RealConfig config;
-  config.scheduler = scheduler;
-  rt::RealRuntime runtime(config);
+TEST(TelemetryEndToEnd, ChaseLevMatchesTeamStats) {
+  rt::RealRuntime runtime;
   Registry registry;
   runtime.set_telemetry(&registry);
 
@@ -452,14 +450,6 @@ void telemetry_matches_team_stats(rt::SchedulerKind scheduler) {
   EXPECT_GE(snap.gauge(Gauge::kSlabRecords), 1u);
   EXPECT_GE(snap.counter(Counter::kTaskwaitEntries), 1u);
   EXPECT_GE(snap.counter(Counter::kBarrierEntries), 4u);
-}
-
-TEST(TelemetryEndToEnd, ChaseLevMatchesTeamStats) {
-  telemetry_matches_team_stats(rt::SchedulerKind::kChaseLev);
-}
-
-TEST(TelemetryEndToEnd, MutexDequeMatchesTeamStats) {
-  telemetry_matches_team_stats(rt::SchedulerKind::kMutexDeque);
 }
 
 TEST(TelemetryEndToEnd, NoSinkMeansNoRegistryTouches) {

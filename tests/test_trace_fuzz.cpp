@@ -78,6 +78,19 @@ Bytes small_trace_bytes() {
   return trace::encode_trace(trace::Trace(std::move(streams)));
 }
 
+/// One thread runs task 1, which was recorded without a region: every
+/// post-mortem command must name its construct "(unattributed)".
+Bytes unattributed_task_bytes() {
+  using trace::EventKind;
+  std::vector<std::vector<trace::TraceEvent>> streams(1);
+  streams[0] = {{.time = 0, .kind = EventKind::kImplicitBegin},
+                {.time = 1, .task = 1, .kind = EventKind::kCreateEnd},
+                {.time = 2, .task = 1, .kind = EventKind::kTaskBegin},
+                {.time = 5, .task = 1, .kind = EventKind::kTaskEnd},
+                {.time = 6, .kind = EventKind::kImplicitEnd}};
+  return trace::encode_trace(trace::Trace(std::move(streams)));
+}
+
 /// A version 2 container around a hand-written events payload, so a
 /// test can state what the encoder never writes.
 Bytes framed(const snapshot::Encoder& payload) {
@@ -128,6 +141,7 @@ std::vector<std::pair<std::string, Bytes>> seed_corpus() {
   std::vector<std::pair<std::string, Bytes>> corpus;
   corpus.emplace_back("ok_fib_sim.tptrc", valid_trace_bytes());
   corpus.emplace_back("ok_fields.tptrc", ok);
+  corpus.emplace_back("ok_unattributed_task.tptrc", unattributed_task_bytes());
   corpus.emplace_back("bad_bad-magic_v1.tptrc", v1_trace_bytes());
   corpus.emplace_back("bad_truncated_header.tptrc",
                       Bytes(ok.begin(), ok.begin() + 12));
@@ -411,7 +425,7 @@ TEST(TraceFuzz, CommittedCorpusReplays) {
                     << " must start with ok_ or bad_";
     }
   }
-  EXPECT_GE(ok_files, 2u);
+  EXPECT_GE(ok_files, 3u);
   EXPECT_GE(bad_files, 8u);
 }
 

@@ -70,7 +70,7 @@ TEST(WorkSpan, RegionlessTasksGetAStableLabel) {
   EXPECT_EQ(ws.span, 30);
   ASSERT_EQ(ws.shares.size(), 1u);
   EXPECT_EQ(ws.shares[0].name, "(unattributed)");
-  EXPECT_EQ(diag::construct_display_name(kInvalidRegion, registry),
+  EXPECT_EQ(trace::construct_display_name(kInvalidRegion, registry),
             "(unattributed)");
 }
 

@@ -15,17 +15,21 @@
 #include <atomic>
 #include <cerrno>
 #include <cstddef>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <system_error>
 #include <thread>
+#include <vector>
 
 #include "bots/kernel.hpp"
 #include "check/invariants.hpp"
 #include "instrument/instrumentor.hpp"
+#include "report/text_report.hpp"
 #include "rt/real_runtime.hpp"
 #include "snapshot/flusher.hpp"
 #include "snapshot/snapshot.hpp"
+#include "test_util.hpp"
 
 namespace taskprof {
 namespace {
@@ -242,6 +246,129 @@ TEST(SnapshotCapture, CapturesLandingInsideEventsQuiesce) {
   const AggregateProfile profile = aggregate_profiles(std::span(&view, 1));
   const check::InvariantReport verdict = check::check_profile(profile, registry);
   EXPECT_TRUE(verdict.ok()) << verdict.to_string();
+}
+
+TEST(SnapshotCapture, DirectDriveCaptureReproducesTheGolden) {
+  // Two profilers driven through the instrumentor's hooks with manual
+  // clocks: parameterized constructs, finished and in-flight instances,
+  // and open implicit frames on both threads when a second OS thread
+  // captures.  The goldens were rendered by the capture that copied each
+  // profiler's trees into a scratch pool and aggregated the copies.
+  RegionRegistry registry;
+  MeasureOptions options;
+  options.snapshot_every = 1;
+  Instrumentor instr(registry, options);
+  const RegionHandle work =
+      registry.register_region("work", RegionType::kFunction);
+  const RegionHandle leaf =
+      registry.register_region("leaf", RegionType::kFunction);
+  const RegionHandle task_a = registry.register_region("a", RegionType::kTask);
+  const RegionHandle task_b = registry.register_region("b", RegionType::kTask);
+  const RegionHandle task_c = registry.register_region("c", RegionType::kTask);
+  ManualClock c0(100);
+  ManualClock c1(100);
+  const auto create = [&](ThreadId t, ManualClock& clock, TaskInstanceId id,
+                          RegionHandle region, std::int64_t parameter) {
+    instr.on_task_create_begin(t, region, parameter);
+    clock.advance(2);
+    instr.on_task_create_end(t, id, region, parameter);
+    clock.advance(1);
+  };
+
+  instr.on_parallel_begin(2);
+  instr.on_implicit_task_begin(0, c0);
+  c1.advance(3);
+  instr.on_implicit_task_begin(1, c1);
+  // Thread 0: a parameterized function creates a(1) and a(2), runs a(1)
+  // at a taskwait, then starts c(7), which is still running (inside
+  // `leaf`) when the capture lands.
+  c0.advance(5);
+  instr.on_region_enter(0, work, 3);
+  c0.advance(4);
+  create(0, c0, 1, task_a, 1);
+  create(0, c0, 2, task_a, 2);
+  instr.on_taskwait_begin(0);
+  c0.advance(2);
+  instr.on_task_begin(0, 1, task_a, 1);
+  c0.advance(3);
+  instr.on_region_enter(0, leaf, kNoParameter);
+  c0.advance(6);
+  instr.on_region_exit(0, leaf);
+  c0.advance(1);
+  instr.on_task_end(0, 1);
+  c0.advance(2);
+  instr.on_taskwait_end(0);
+  c0.advance(1);
+  create(0, c0, 4, task_c, 7);
+  instr.on_taskwait_begin(0);
+  c0.advance(1);
+  instr.on_task_begin(0, 4, task_c, 7);
+  c0.advance(2);
+  instr.on_region_enter(0, leaf, 9);
+  c0.advance(5);
+  // Thread 1: runs a(2) at the implicit barrier; a(2) creates b and
+  // waits for it, so a(2) is suspended while b runs, then resumes.
+  c1.advance(4);
+  instr.on_barrier_begin(1, true);
+  c1.advance(2);
+  instr.on_task_begin(1, 2, task_a, 2);
+  c1.advance(1);
+  instr.on_region_enter(1, leaf, kNoParameter);
+  c1.advance(2);
+  create(1, c1, 3, task_b, kNoParameter);
+  instr.on_taskwait_begin(1);
+  c1.advance(1);
+  instr.on_task_begin(1, 3, task_b, kNoParameter);
+  c1.advance(8);
+  instr.on_task_end(1, 3);
+  c1.advance(1);
+  instr.on_task_switch(1, 2);
+  c1.advance(2);
+  instr.on_taskwait_end(1);
+  c1.advance(1);
+  instr.on_region_exit(1, leaf);
+  c1.advance(3);
+  instr.on_task_end(1, 2);
+  c1.advance(4);
+
+  Instrumentor::CaptureResult capture;
+  std::thread capturer([&] { capture = instr.capture_snapshot(); });
+  capturer.join();
+  ASSERT_EQ(capture.profilers_live, 2u);
+  ASSERT_EQ(capture.profilers_captured, 2u);
+  const check::InvariantReport verdict =
+      check::check_profile(capture.profile, registry);
+  EXPECT_TRUE(verdict.ok()) << verdict.to_string();
+  const std::filesystem::path dir = TASKPROF_CAPTURE_CORPUS_DIR;
+  testutil::check_golden(dir / "direct_drive.csv",
+                         render_csv(capture.profile, registry),
+                         "TASKPROF_REGEN_CAPTURE");
+  const std::vector<std::uint8_t> bytes =
+      snapshot::encode_snapshot(capture.profile, registry, {});
+  testutil::check_golden(dir / "direct_drive.tpsnap",
+                         std::string(bytes.begin(), bytes.end()),
+                         "TASKPROF_REGEN_CAPTURE");
+
+  // The rest of the program runs to a valid complete profile.
+  c0.advance(3);
+  instr.on_region_exit(0, leaf);
+  c0.advance(1);
+  instr.on_task_end(0, 4);
+  c0.advance(1);
+  instr.on_taskwait_end(0);
+  c0.advance(2);
+  instr.on_region_exit(0, work);
+  instr.on_barrier_begin(0, true);
+  c0.advance(1);
+  instr.on_barrier_end(0, true);
+  instr.on_implicit_task_end(0);
+  instr.on_barrier_end(1, true);
+  instr.on_implicit_task_end(1);
+  instr.on_parallel_end();
+  instr.finalize();
+  const check::InvariantReport full =
+      check::check_profile(instr.aggregate(), registry);
+  EXPECT_TRUE(full.ok()) << full.to_string();
 }
 
 TEST(SnapshotCapture, ArmingFailsWhenTheKernelRefusesTheBarrier) {

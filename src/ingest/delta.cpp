@@ -1,7 +1,5 @@
 #include "ingest/delta.hpp"
 
-#include <limits>
-
 #include "common/assert.hpp"
 #include "profile/calltree.hpp"
 #include "snapshot/format.hpp"
@@ -14,55 +12,6 @@ using snapshot::SnapshotError;
 
 namespace {
 
-constexpr std::size_t kNoParent = std::numeric_limits<std::size_t>::max();
-
-/// One cur-tree node paired with its baseline counterpart (nullptr when
-/// the node is new since the baseline).
-struct PairRec {
-  const CallNode* cur;
-  const CallNode* base;
-  std::size_t parent;  ///< index into the preorder record vector
-};
-
-/// Collect `cur_root`'s subtree in preorder (siblings in first-visit
-/// order), pairing each node with the baseline node of the same
-/// identity.  Iterative over the intrusive links: delta subtraction
-/// runs on the producer's flusher thread against arbitrarily deep
-/// recursion trees.
-std::vector<PairRec> pair_subtrees(const CallNode* cur_root,
-                                   const CallNode* base_root) {
-  std::vector<PairRec> recs;
-  recs.push_back({cur_root, base_root, kNoParent});
-  std::vector<std::size_t> open = {0};  // ancestor record indices, back = current
-  const CallNode* node = cur_root;
-  const auto enter = [&](const CallNode* child) {
-    const std::size_t parent_idx = open.back();
-    const CallNode* parent_base = recs[parent_idx].base;
-    const CallNode* child_base =
-        parent_base == nullptr
-            ? nullptr
-            : find_child(parent_base, child->region, child->parameter,
-                         child->is_stub);
-    recs.push_back({child, child_base, parent_idx});
-    open.push_back(recs.size() - 1);
-  };
-  for (;;) {
-    if (node->first_child != nullptr) {
-      node = node->first_child;
-      enter(node);
-      continue;
-    }
-    while (node != cur_root && node->next_sibling == nullptr) {
-      node = node->parent;
-      open.pop_back();
-    }
-    if (node == cur_root) return recs;
-    node = node->next_sibling;
-    open.pop_back();  // replace the finished sibling with this one
-    enter(node);
-  }
-}
-
 /// Require base <= cur on every counter a delta difference-encodes.
 /// visit_stats are exempt: they ride as the whole current accumulator
 /// (replaced on apply), so they may move any direction between flushes.
@@ -74,15 +23,14 @@ void check_monotone(const CallNode& cur, const CallNode& base) {
   }
 }
 
-[[nodiscard]] bool node_changed(const PairRec& rec) {
-  if (rec.base == nullptr) return true;
-  check_monotone(*rec.cur, *rec.base);
-  return rec.cur->visits != rec.base->visits ||
-         rec.cur->inclusive != rec.base->inclusive ||
-         rec.cur->visit_stats.count != rec.base->visit_stats.count ||
-         rec.cur->visit_stats.sum != rec.base->visit_stats.sum ||
-         rec.cur->visit_stats.min != rec.base->visit_stats.min ||
-         rec.cur->visit_stats.max != rec.base->visit_stats.max;
+[[nodiscard]] bool node_changed(const CallNode& cur, const CallNode* base) {
+  if (base == nullptr) return true;
+  check_monotone(cur, *base);
+  return cur.visits != base->visits || cur.inclusive != base->inclusive ||
+         cur.visit_stats.count != base->visit_stats.count ||
+         cur.visit_stats.sum != base->visit_stats.sum ||
+         cur.visit_stats.min != base->visit_stats.min ||
+         cur.visit_stats.max != base->visit_stats.max;
 }
 
 /// Emit the pruned difference tree for one (cur, base) root pair into
@@ -91,11 +39,19 @@ void check_monotone(const CallNode& cur, const CallNode& base) {
 CallNode* subtract_tree(NodePool& pool, const CallNode* cur_root,
                         const CallNode* base_root, bool force_root,
                         DeltaResult& totals) {
-  std::vector<PairRec> recs = pair_subtrees(cur_root, base_root);
+  // Iterative preorder listing: delta subtraction runs on the producer's
+  // flusher thread against arbitrarily deep recursion trees.  base[i] is
+  // the baseline node of recs[i]'s identity, nullptr when it is new.
+  const auto recs = collect_preorder(cur_root);
+  std::vector<const CallNode*> base(recs.size(), nullptr);
   std::vector<std::uint8_t> changed(recs.size(), 0);
   std::vector<std::uint8_t> include(recs.size(), 0);
   for (std::size_t i = 0; i < recs.size(); ++i) {
-    changed[i] = node_changed(recs[i]) ? 1 : 0;
+    const CallNode& c = *recs[i].node;
+    base[i] = i == 0 ? base_root
+                     : find_child(base[recs[i].parent], c.region, c.parameter,
+                                  c.is_stub);
+    changed[i] = node_changed(c, base[i]) ? 1 : 0;
     include[i] = changed[i];
   }
   for (std::size_t i = recs.size(); i-- > 1;) {
@@ -107,27 +63,25 @@ CallNode* subtract_tree(NodePool& pool, const CallNode* cur_root,
   std::vector<CallNode*> built(recs.size(), nullptr);
   for (std::size_t i = 0; i < recs.size(); ++i) {
     if (!include[i]) continue;
-    const CallNode& c = *recs[i].cur;
-    CallNode* parent = recs[i].parent == kNoParent ? nullptr
-                                                   : built[recs[i].parent];
+    const CallNode& c = *recs[i].node;
+    CallNode* parent = i == 0 ? nullptr : built[recs[i].parent];
     CallNode* d = pool.allocate(c.region, c.parameter, c.is_stub, parent);
     built[i] = d;
-    const CallNode* b = recs[i].base;
+    const CallNode* b = base[i];
     if (b == nullptr) {
       d->visits = c.visits;
       d->inclusive = c.inclusive;
-      d->visit_stats = c.visit_stats;
     } else {
       d->visits = c.visits - b->visits;
       d->inclusive = c.inclusive - b->inclusive;
-      // visit_stats ride wholesale, not difference-encoded: producers
-      // account in-progress visits provisionally, so between captures
-      // sum can grow with no new completions and min can *rise* once a
-      // long visit completes and replaces its provisional sample.  The
-      // codec also cannot express count==0 stats, so a pure sum diff
-      // has no wire representation.  Apply replaces instead of merging.
-      d->visit_stats = c.visit_stats;
     }
+    // visit_stats ride wholesale, not difference-encoded: producers
+    // account in-progress visits provisionally, so between captures sum
+    // can grow with no new completions and min can *rise* once a long
+    // visit completes and replaces its provisional sample.  The codec
+    // also cannot express count==0 stats, so a pure sum diff has no wire
+    // representation.  Apply replaces instead of merging.
+    d->visit_stats = c.visit_stats;
     if (changed[i]) {
       ++totals.changed_nodes;
     } else {
@@ -156,38 +110,6 @@ void check_registry_prefix(const RegionRegistry& cur,
   }
 }
 
-/// Same parallel walk as snapshot::merge's merge_subtree_remapped, plus
-/// heat stamping and apply accounting.
-void fold_subtree_remapped(NodePool& pool, CallNode* dst, const CallNode* src,
-                           const std::vector<RegionHandle>& remap,
-                           std::uint64_t epoch, HeatMap* heat,
-                           ApplyStats& stats) {
-  const CallNode* s = src;
-  CallNode* d = dst;
-  for (;;) {
-    d->visits += s->visits;
-    d->inclusive += s->inclusive;
-    d->visit_stats = s->visit_stats;
-    if (heat != nullptr) (*heat)[d] = epoch;
-    ++stats.nodes_touched;
-    stats.visits_added += s->visits;
-    if (s->first_child != nullptr) {
-      s = s->first_child;
-      d = find_or_create_child(pool, d, remap[s->region], s->parameter,
-                               s->is_stub);
-      continue;
-    }
-    while (s != src && s->next_sibling == nullptr) {
-      s = s->parent;
-      d = d->parent;
-    }
-    if (s == src) return;
-    s = s->next_sibling;
-    d = find_or_create_child(pool, d->parent, remap[s->region], s->parameter,
-                             s->is_stub);
-  }
-}
-
 }  // namespace
 
 SnapshotData clone_snapshot(const SnapshotData& data) {
@@ -206,9 +128,7 @@ DeltaResult subtract_snapshot(const SnapshotData& cur,
   DeltaResult result;
   SnapshotData& delta = result.snapshot;
   delta.registry = std::make_unique<RegionRegistry>();
-  for (RegionHandle h = 0; h < cur.registry->size(); ++h) {
-    delta.registry->register_region(RegionInfo(cur.registry->info(h)));
-  }
+  (void)delta.registry->adopt(*cur.registry);  // same handles: fresh registry
 
   // Envelope scalars ride cumulatively and are replaced on apply.
   delta.meta = cur.meta;
@@ -261,43 +181,26 @@ ApplyStats apply_delta(SnapshotData& acc, const SnapshotData& delta,
     acc.registry = std::make_unique<RegionRegistry>();
   }
 
-  const std::size_t delta_regions = delta.registry->size();
-  std::vector<RegionHandle> remap(delta_regions);
-  for (RegionHandle h = 0; h < delta_regions; ++h) {
-    remap[h] =
-        acc.registry->register_region(RegionInfo(delta.registry->info(h)));
-  }
+  const std::vector<RegionHandle> remap = acc.registry->adopt(*delta.registry);
 
   ApplyStats stats;
   AggregateProfile& ap = acc.profile;
   const AggregateProfile& sp = delta.profile;
   const std::size_t live_before = ap.pool.allocated() - ap.pool.free_count();
 
-  if (sp.implicit_root != nullptr) {
-    const RegionHandle root_region = remap[sp.implicit_root->region];
-    if (ap.implicit_root == nullptr) {
-      ap.implicit_root = ap.pool.allocate(
-          root_region, sp.implicit_root->parameter, false, nullptr);
-    } else if (ap.implicit_root->region != root_region) {
-      throw SnapshotError(Errc::kMalformed, "<apply>",
-                          "delta disagrees on the implicit root region");
-    }
-    fold_subtree_remapped(ap.pool, ap.implicit_root, sp.implicit_root, remap,
-                          epoch, heat, stats);
-  }
-
-  ChildIndex root_index;
-  for (CallNode* root : ap.task_roots) root_index.insert(root);
-  for (const CallNode* src_root : sp.task_roots) {
-    const RegionHandle region = remap[src_root->region];
-    CallNode* dst_root = root_index.find(region, src_root->parameter, false);
-    if (dst_root == nullptr) {
-      dst_root = ap.pool.allocate(region, src_root->parameter, false, nullptr);
-      ap.task_roots.push_back(dst_root);
-      root_index.insert(dst_root);
-    }
-    fold_subtree_remapped(ap.pool, dst_root, src_root, remap, epoch, heat,
-                          stats);
+  // The walk sums the visit and inclusive differences; visit_stats carry
+  // the producer's current accumulator and replace what the walk summed.
+  const bool same_program = fold_trees(
+      ap, sp.implicit_root, sp.task_roots, remap,
+      [&](CallNode& dst, const CallNode& src) {
+        dst.visit_stats = src.visit_stats;
+        if (heat != nullptr) (*heat)[&dst] = epoch;
+        ++stats.nodes_touched;
+        stats.visits_added += src.visits;
+      });
+  if (!same_program) {
+    throw SnapshotError(Errc::kMalformed, "<apply>",
+                        "delta disagrees on the implicit root");
   }
 
   // Envelope scalars: the delta carries the producer's current

@@ -66,12 +66,14 @@ struct ApplyStats {
   std::uint64_t visits_added = 0;
 };
 
-/// Fold `delta` into the session cumulative `acc`: trees merge the
-/// differences (region handles remapped through acc's registry),
-/// scalars / meta / telemetry are replaced by the delta's cumulative
-/// values.  `heat`, when non-null, records `epoch` for every touched
-/// node.  Throws snapshot::SnapshotError(kMalformed) when the delta
-/// cannot describe the same program as `acc`.
+/// Fold `delta` into the session cumulative `acc` (fold_trees, region
+/// handles remapped through acc's registry): trees sum the differences
+/// and replace each touched node's visit_stats; scalars / meta /
+/// telemetry are replaced by the delta's cumulative values.  `heat`,
+/// when non-null, records `epoch` for every touched node.  Throws
+/// snapshot::SnapshotError(kMalformed) when the delta cannot describe
+/// the same program as `acc` (implicit roots that differ in region or
+/// parameter).
 ApplyStats apply_delta(snapshot::SnapshotData& acc,
                        const snapshot::SnapshotData& delta,
                        std::uint64_t epoch, HeatMap* heat);

@@ -1,7 +1,5 @@
 #include "ingest/session.hpp"
 
-#include <limits>
-
 #include "profile/calltree.hpp"
 
 namespace taskprof::ingest {
@@ -11,41 +9,7 @@ using snapshot::SnapshotError;
 
 namespace {
 
-constexpr std::size_t kNoParent = std::numeric_limits<std::size_t>::max();
-
 constexpr char kEvictedRegionName[] = "[evicted]";
-
-struct NodeRec {
-  CallNode* node;
-  std::size_t parent;
-};
-
-/// Preorder collection with parent indices (siblings in list order).
-std::vector<NodeRec> collect_preorder(CallNode* root) {
-  std::vector<NodeRec> recs;
-  recs.push_back({root, kNoParent});
-  std::vector<std::size_t> open = {0};
-  CallNode* node = root;
-  const auto enter = [&](CallNode* child) {
-    recs.push_back({child, open.back()});
-    open.push_back(recs.size() - 1);
-  };
-  for (;;) {
-    if (node->first_child != nullptr) {
-      node = node->first_child;
-      enter(node);
-      continue;
-    }
-    while (node != root && node->next_sibling == nullptr) {
-      node = node->parent;
-      open.pop_back();
-    }
-    if (node == root) return recs;
-    node = node->next_sibling;
-    open.pop_back();
-    enter(node);
-  }
-}
 
 }  // namespace
 
@@ -267,7 +231,7 @@ Session::EvictResult Session::evict_cold(std::uint64_t cutoff_epoch) {
 Session::EvictResult Session::evict_cold_tree(CallNode* root,
                                               std::uint64_t cutoff_epoch) {
   EvictResult result;
-  std::vector<NodeRec> recs = collect_preorder(root);
+  const auto recs = collect_preorder(root);
   if (recs.size() <= 1) return result;
 
   // A subtree is cold when *every* node in it was last touched before

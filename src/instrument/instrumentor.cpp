@@ -155,30 +155,11 @@ AggregateProfile Instrumentor::aggregate() const {
 Instrumentor::CaptureResult Instrumentor::capture_snapshot() const {
   std::scoped_lock lock(threads_mutex_);
   CaptureResult result;
-  NodePool scratch;
-  std::vector<ThreadTaskProfiler::CaptureView> captured;
   for (const ThreadSlot& slot : threads_) {
     if (slot.profiler == nullptr) continue;
     ++result.profilers_live;
-    ThreadTaskProfiler::CaptureView view;
-    if (slot.profiler->capture(scratch, view)) {
-      captured.push_back(std::move(view));
-    }
+    if (slot.profiler->capture(result.profile)) ++result.profilers_captured;
   }
-  result.profilers_captured = captured.size();
-  std::vector<ThreadProfileView> views;
-  views.reserve(captured.size());
-  for (const ThreadTaskProfiler::CaptureView& c : captured) {
-    ThreadProfileView view;
-    view.thread = c.thread;
-    view.implicit_root = c.implicit_root;
-    view.task_roots.assign(c.task_roots.begin(), c.task_roots.end());
-    view.max_concurrent_instances = c.max_concurrent_instances;
-    view.task_switches = c.task_switches;
-    view.folded_events = c.folded_events;
-    views.push_back(std::move(view));
-  }
-  result.profile = aggregate_profiles(views);
   result.profile.partial_capture = true;
   return result;
 }

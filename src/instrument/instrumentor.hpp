@@ -92,15 +92,15 @@ class Instrumentor final : public rt::SchedulerHooks {
   [[nodiscard]] AggregateProfile aggregate() const;
 
   /// Mid-run crash-safe capture (src/snapshot): pause each live profiler
-  /// at an event boundary (ThreadTaskProfiler::capture), copy its trees,
-  /// and aggregate the copies into a partial profile.  Requires
+  /// at an event boundary in turn (ThreadTaskProfiler::capture) and fold
+  /// its trees straight into one partial profile.  Requires
   /// MeasureOptions::snapshot_every > 0 (profilers refuse to capture
   /// otherwise) and must be called from a thread that drives no
   /// profiler's events — the snapshot flusher's background thread.
   struct CaptureResult {
     AggregateProfile profile;            ///< partial_capture == true
     std::size_t profilers_live = 0;      ///< profilers that exist
-    std::size_t profilers_captured = 0;  ///< profilers copied successfully
+    std::size_t profilers_captured = 0;  ///< profilers folded successfully
   };
   [[nodiscard]] CaptureResult capture_snapshot() const;
 

@@ -1,9 +1,12 @@
-// Cross-thread aggregation of per-thread profiles.
+// Cross-thread aggregation of per-thread profiles, and the one fold of
+// one profile's trees into another.
 //
 // Each thread builds its own trees (lock-free measurement, paper §IV-A);
 // for reporting, the per-thread trees are merged into one system view:
 // implicit-task trees merge node-by-node (identical region identity), and
-// the per-construct task trees of all threads merge per construct.
+// the per-construct task trees of all threads merge per construct.  The
+// mid-run capture, `.tpsnap` merge and the ingest daemon's delta apply
+// fold whole profiles the same way, through fold_trees.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +48,26 @@ struct AggregateProfile {
   /// Find the merged task tree for a construct (kInvalidRegion -> nullptr).
   [[nodiscard]] const CallNode* task_root(RegionHandle region) const noexcept;
 };
+
+/// Fold one profile's trees into `out`: `implicit_root` into
+/// out.implicit_root, and each task root into the root of `out` with the
+/// same (region, parameter), appended to out.task_roots when missing.
+/// Source handles are translated through `remap` (empty: the trees use
+/// `out`'s registry), and `hook` runs on every node pair
+/// (merge_subtree).  Returns false, folding nothing, when both implicit
+/// roots exist and differ in region or parameter: the two profiles
+/// cannot describe the same program.
+[[nodiscard]] bool fold_trees(AggregateProfile& out,
+                              const CallNode* implicit_root,
+                              std::span<const CallNode* const> task_roots,
+                              std::span<const RegionHandle> remap = {},
+                              const MergeHook& hook = {});
+
+/// Fold one thread's view into `out`: its trees (fold_trees, with `hook`)
+/// and its scalars (one more thread, switches and folds summed, its
+/// concurrency mark appended).
+void fold_thread(AggregateProfile& out, const ThreadProfileView& view,
+                 const MergeHook& hook = {});
 
 /// Merge the given per-thread views.  Views must stay valid for the call.
 [[nodiscard]] AggregateProfile aggregate_profiles(

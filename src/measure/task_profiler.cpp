@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "measure/aggregate.hpp"
 
 namespace taskprof {
 
@@ -26,9 +27,9 @@ namespace taskprof {
 // point P.  If P precedes our flag load, the load sees the flag and we
 // retract and park; otherwise P follows our odd store, which the
 // capturer therefore sees, and it waits for the release store that ends
-// the event.  Either way no event body overlaps the copy.  The flag load
-// is acquire so that an event admitted after a capture cleared the flag
-// (release) is ordered after that capture's copy.
+// the event.  Either way no event body overlaps the capture's fold.  The
+// flag load is acquire so that an event admitted after a capture cleared
+// the flag (release) is ordered after that capture's reads.
 class ThreadTaskProfiler::EventScope {
  public:
   explicit EventScope(const ThreadTaskProfiler& profiler) noexcept
@@ -61,37 +62,6 @@ namespace {
 
 long membarrier(int command) {
   return syscall(__NR_membarrier, command, 0U, 0);
-}
-
-/// Deep copy of a subtree into `pool` (metrics included, accelerator
-/// state not).  Same iterative parallel-preorder walk as merge_subtree.
-CallNode* copy_subtree(NodePool& pool, const CallNode* src) {
-  const auto copy_metrics = [](CallNode* dst, const CallNode* from) {
-    dst->visits = from->visits;
-    dst->inclusive = from->inclusive;
-    dst->visit_stats = from->visit_stats;
-  };
-  CallNode* root =
-      pool.allocate(src->region, src->parameter, src->is_stub, nullptr);
-  copy_metrics(root, src);
-  const CallNode* s = src;
-  CallNode* d = root;
-  for (;;) {
-    if (s->first_child != nullptr) {
-      s = s->first_child;
-      d = pool.allocate(s->region, s->parameter, s->is_stub, d);
-      copy_metrics(d, s);
-      continue;
-    }
-    while (s != src && s->next_sibling == nullptr) {
-      s = s->parent;
-      d = d->parent;
-    }
-    if (s == src) return root;
-    s = s->next_sibling;
-    d = pool.allocate(s->region, s->parameter, s->is_stub, d->parent);
-    copy_metrics(d, s);
-  }
 }
 
 }  // namespace
@@ -356,7 +326,7 @@ void ThreadTaskProfiler::register_capture_barrier() {
   }
 }
 
-bool ThreadTaskProfiler::capture(NodePool& into, CaptureView& out) const {
+bool ThreadTaskProfiler::capture(AggregateProfile& into) const {
   if (!capture_enabled_) return false;
   // The barrier orders this store before everything the worker does
   // after its fence point, so the store itself can be relaxed.
@@ -369,72 +339,38 @@ bool ThreadTaskProfiler::capture(NodePool& into, CaptureView& out) const {
   // number).  After the barrier, an event the worker opened before its
   // fence point shows here as odd, and any event it opens after that
   // point sees the pause flag and parks (EventScope): once we observe an
-  // even value, the copy below runs in mutual exclusion.
+  // even value, the fold below runs in mutual exclusion.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
-  bool quiesced = false;
   for (;;) {
-    if ((event_seq_.load(std::memory_order_acquire) & 1) == 0) {
-      quiesced = true;
-      break;
+    if ((event_seq_.load(std::memory_order_acquire) & 1) == 0) break;
+    if (std::chrono::steady_clock::now() >= deadline) {
+      // Worker wedged inside an event (should not happen; events are
+      // bounded) — skip this flush rather than stall the flusher.
+      capture_pause_.store(false, std::memory_order_release);
+      return false;
     }
-    if (std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::yield();
   }
-  if (!quiesced) {
-    // Worker wedged inside an event (should not happen; events are
-    // bounded) — skip this flush rather than stall the flusher.
-    capture_pause_.store(false, std::memory_order_release);
-    return false;
-  }
 
-  CallNode* implicit_copy = copy_subtree(into, implicit_root_);
-  std::vector<CallNode*> root_copies;
-  root_copies.reserve(task_roots_.size());
-  for (const CallNode* root : task_roots_) {
-    root_copies.push_back(copy_subtree(into, root));
-  }
-
-  // Close the open implicit frames in the *copy* at the last event
-  // timestamp: each open node gets its in-progress fragment, so the
-  // copy satisfies the fragment-count/-sum invariants without touching
-  // the live tree (the live frames close normally at exit/finalize).
-  bool closed = true;
-  const Ticks now = last_event_ticks_;
-  CallNode* cursor = implicit_copy;
-  for (std::size_t i = 0; i < implicit_stack_.size(); ++i) {
-    const ImplicitFrame& frame = implicit_stack_[i];
-    if (i > 0) {
-      cursor = find_child(cursor, frame.node->region, frame.node->parameter,
-                          frame.node->is_stub);
-      if (cursor == nullptr) {
-        closed = false;
-        break;
-      }
+  // Fold while paused: the instant the flag drops, workers resume
+  // mutating the trees and scalars.  The open implicit frames form one
+  // root path, so the preorder walk meets them root first; each gets its
+  // in-progress fragment in `into`, and the live frames close normally
+  // at exit/finalize.
+  std::size_t open = 0;
+  fold_thread(into, view(), [&](CallNode& dst, const CallNode& src) {
+    if (open < implicit_stack_.size() && &src == implicit_stack_[open].node) {
+      const Ticks elapsed =
+          last_event_ticks_ - implicit_stack_[open].enter_time;
+      dst.inclusive += elapsed;
+      dst.visit_stats.add(elapsed);
+      ++open;
     }
-    const Ticks elapsed = now - frame.enter_time;
-    cursor->inclusive += elapsed;
-    cursor->visit_stats.add(elapsed);
-  }
-
-  // Read the scalar counters before releasing the pause: the instant
-  // the flag drops, workers resume mutating them.
-  const auto max_active = max_active_;
-  const auto task_switches = task_switches_;
-  const auto total_folds = total_folds_;
+  });
+  TASKPROF_ASSERT(open == implicit_stack_.size(),
+                  "capture missed an open implicit frame");
   capture_pause_.store(false, std::memory_order_release);
-
-  if (!closed) {
-    into.release_subtree(implicit_copy);
-    for (CallNode* root : root_copies) into.release_subtree(root);
-    return false;
-  }
-  out.thread = thread_;
-  out.implicit_root = implicit_copy;
-  out.task_roots = std::move(root_copies);
-  out.max_concurrent_instances = max_active;
-  out.task_switches = task_switches;
-  out.folded_events = total_folds;
   return true;
 }
 

@@ -49,6 +49,8 @@
 
 namespace taskprof {
 
+struct AggregateProfile;
+
 /// Measurement-policy switches.  Defaults reproduce the paper's design;
 /// the alternatives exist for the design-ablation benchmark.
 struct MeasureOptions {
@@ -80,7 +82,8 @@ struct MeasureOptions {
   /// methods then publish an odd/even sequence number with plain stores
   /// and read a pause flag with one acquire load — no lock and no locked
   /// instruction — so a background flusher can pause the profiler at an
-  /// event boundary and copy its trees (ThreadTaskProfiler::capture).
+  /// event boundary and fold its trees into a capture
+  /// (ThreadTaskProfiler::capture).
   /// Arming needs the kernel's membarrier(2) private expedited command;
   /// the profiler and the instrumentor constructors throw
   /// std::system_error when it is refused.  0 (the default) disarms it
@@ -203,33 +206,23 @@ class ThreadTaskProfiler {
 
   // --- Crash-safe capture (src/snapshot) ----------------------------------
 
-  /// A self-consistent mid-run copy of this profiler's trees, owned by
-  /// the pool passed to capture().
-  struct CaptureView {
-    ThreadId thread = 0;
-    CallNode* implicit_root = nullptr;
-    std::vector<CallNode*> task_roots;
-    std::size_t max_concurrent_instances = 0;
-    std::uint64_t task_switches = 0;
-    std::uint64_t folded_events = 0;
-  };
-
-  /// Copy the implicit tree and the merged per-construct trees into
-  /// `into` without stopping the run for longer than one event boundary.
-  /// Protocol (DESIGN.md §11, "Capture handshake"): set the pause flag,
-  /// run one process-wide memory barrier (membarrier(2)), which stands
-  /// in for the fence the worker side leaves out, wait for the event
-  /// sequence number to be even (no event body open), copy, clear the
-  /// flag; an event that starts meanwhile observes the flag and parks at
-  /// its boundary.  Open implicit frames are closed in the *copy* at the
-  /// profiler's last event timestamp, so the copy satisfies the per-node
-  /// fragment invariants; in-flight task instances are not merged (the
-  /// caller marks the aggregate partial_capture).  Returns false —
-  /// capturing nothing — when the handshake is disarmed
-  /// (options.snapshot_every == 0), the barrier fails, or the worker
-  /// failed to quiesce within the timeout.  Must be called from a thread
-  /// that does not drive this profiler's events.
-  [[nodiscard]] bool capture(NodePool& into, CaptureView& out) const;
+  /// Fold this profiler's implicit tree and merged per-construct trees,
+  /// and its scalars, into `into` (fold_thread) without stopping the run
+  /// for longer than one event boundary.  Protocol (DESIGN.md §11,
+  /// "Capture handshake"): set the pause flag, run one process-wide
+  /// memory barrier (membarrier(2)), which stands in for the fence the
+  /// worker side leaves out, wait for the event sequence number to be
+  /// even (no event body open), fold, clear the flag; an event that
+  /// starts meanwhile observes the flag and parks at its boundary.  The
+  /// fold closes each open implicit frame in `into` at the profiler's
+  /// last event timestamp, so the capture satisfies the per-node
+  /// fragment invariants while the live frames stay open; in-flight task
+  /// instances are not merged (the caller marks the aggregate
+  /// partial_capture).  Returns false — folding nothing — when the
+  /// handshake is disarmed (options.snapshot_every == 0), the barrier
+  /// fails, or the worker failed to quiesce within the timeout.  Must be
+  /// called from a thread that does not drive this profiler's events.
+  [[nodiscard]] bool capture(AggregateProfile& into) const;
 
   /// Register the process for the capture barrier
   /// (MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED).  Armed profilers and
@@ -341,8 +334,8 @@ class ThreadTaskProfiler {
   mutable std::atomic<bool> capture_pause_{false};
   mutable std::atomic<std::uint64_t> event_seq_{0};
   /// Timestamp of the most recent event, used to close open frames in a
-  /// captured copy — the engine's clock may live on a worker's stack and
-  /// must not be dereferenced from the flusher thread.
+  /// capture — the engine's clock may live on a worker's stack and must
+  /// not be dereferenced from the flusher thread.
   Ticks last_event_ticks_ = 0;
 };
 

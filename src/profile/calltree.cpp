@@ -239,21 +239,29 @@ CallNode* find_or_create_child(NodePool& pool, CallNode* parent,
   return node;
 }
 
-void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src) {
+namespace {
+
+/// The one merge walk behind both merge_subtree overloads: a parallel
+/// preorder cursor over the intrusive links, `d` always mirroring `s` in
+/// the destination tree.  O(1) space — the recursive version overflowed
+/// the C++ stack on the cut-off-free recursion depths this profiler
+/// exists to measure.  `region_of` maps a source handle to the
+/// destination's; `visit` runs on each pair after its metrics are summed.
+template <typename RegionOf, typename Visit>
+void merge_walk(NodePool& pool, CallNode* dst, const CallNode* src,
+                RegionOf region_of, Visit visit) {
   TASKPROF_ASSERT(dst != nullptr && src != nullptr, "merge needs both trees");
-  // Parallel preorder walk over the intrusive links: `d` always mirrors
-  // `s` in the destination tree.  O(1) space — the recursive version
-  // overflowed the C++ stack on the cut-off-free recursion depths this
-  // profiler exists to measure.
   const CallNode* s = src;
   CallNode* d = dst;
   for (;;) {
     d->visits += s->visits;
     d->inclusive += s->inclusive;
     d->visit_stats.merge(s->visit_stats);
+    visit(*d, *s);
     if (s->first_child != nullptr) {
       s = s->first_child;
-      d = find_or_create_child(pool, d, s->region, s->parameter, s->is_stub);
+      d = find_or_create_child(pool, d, region_of(s->region), s->parameter,
+                               s->is_stub);
       continue;
     }
     while (s != src && s->next_sibling == nullptr) {
@@ -262,9 +270,29 @@ void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src) {
     }
     if (s == src) return;
     s = s->next_sibling;
-    d = find_or_create_child(pool, d->parent, s->region, s->parameter,
-                             s->is_stub);
+    d = find_or_create_child(pool, d->parent, region_of(s->region),
+                             s->parameter, s->is_stub);
   }
+}
+
+}  // namespace
+
+void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src) {
+  merge_walk(
+      pool, dst, src, [](RegionHandle region) { return region; },
+      [](CallNode&, const CallNode&) {});
+}
+
+void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src,
+                   std::span<const RegionHandle> remap, const MergeHook& hook) {
+  merge_walk(
+      pool, dst, src,
+      [remap](RegionHandle region) {
+        return remap.empty() ? region : remap[region];
+      },
+      [&hook](CallNode& d, const CallNode& s) {
+        if (hook) hook(d, s);
+      });
 }
 
 std::size_t subtree_size(const CallNode* root) noexcept {

@@ -26,7 +26,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -194,16 +197,27 @@ CallNode* find_or_create_child(NodePool& pool, CallNode* parent,
 /// from cut-off-free recursion must not overflow the C++ stack.
 void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src);
 
-/// Preorder traversal.  `fn` is called as fn(node, depth).
+/// Called on every node pair a merge visits, after the source node's
+/// metrics were summed into the destination node.
+using MergeHook = std::function<void(CallNode& dst, const CallNode& src)>;
+
+/// The same walk for trees whose region handles belong to another
+/// registry: every source handle is translated through `remap` (empty:
+/// the same registry), and `hook` (may be empty) runs on every node pair.
+void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src,
+                   std::span<const RegionHandle> remap, const MergeHook& hook);
+
+/// Preorder traversal.  `fn` is called as fn(node, depth); `Node` is
+/// CallNode or const CallNode.
 ///
 /// Iterative via the intrusive links (first_child to descend,
 /// next_sibling / parent to backtrack): O(1) space and no call recursion,
 /// so report generation over the arbitrarily deep trees of cut-off-free
 /// task recursion (nqueens, fib) cannot overflow the stack.
-template <typename Fn>
-void for_each_node(const CallNode* root, Fn&& fn, int depth = 0) {
+template <typename Node, typename Fn>
+void for_each_node(Node* root, Fn&& fn, int depth = 0) {
   if (root == nullptr) return;
-  const CallNode* node = root;
+  Node* node = root;
   for (;;) {
     fn(*node, depth);
     if (node->first_child != nullptr) {
@@ -218,6 +232,32 @@ void for_each_node(const CallNode* root, Fn&& fn, int depth = 0) {
     if (node == root) return;
     node = node->next_sibling;
   }
+}
+
+/// Parent index of a preorder listing's root.
+inline constexpr std::size_t kNoParent =
+    std::numeric_limits<std::size_t>::max();
+
+/// One entry of collect_preorder's listing.
+template <typename Node>
+struct PreorderNode {
+  Node* node;
+  std::size_t parent;  ///< index of the parent's entry, kNoParent for the root
+};
+
+/// `root`'s subtree in preorder (siblings in list order), each node with
+/// its parent's index, so passes over a tree can run bottom-up by
+/// scanning the listing backwards.
+template <typename Node>
+[[nodiscard]] std::vector<PreorderNode<Node>> collect_preorder(Node* root) {
+  std::vector<PreorderNode<Node>> out;
+  std::vector<std::size_t> path;  // entry index of the open node per depth
+  for_each_node(root, [&](Node& node, int depth) {
+    path.resize(static_cast<std::size_t>(depth));
+    out.push_back({&node, depth == 0 ? kNoParent : path.back()});
+    path.push_back(out.size() - 1);
+  });
+  return out;
 }
 
 /// Count the nodes of a subtree.

@@ -32,6 +32,14 @@ RegionHandle RegionRegistry::register_region(RegionInfo info) {
   return static_cast<RegionHandle>(regions_.size() - 1);
 }
 
+std::vector<RegionHandle> RegionRegistry::adopt(const RegionRegistry& other) {
+  std::vector<RegionHandle> handles(other.size());
+  for (RegionHandle h = 0; h < handles.size(); ++h) {
+    handles[h] = register_region(RegionInfo(other.info(h)));
+  }
+  return handles;
+}
+
 const RegionInfo& RegionRegistry::info(RegionHandle handle) const {
   std::scoped_lock lock(mutex_);
   TASKPROF_ASSERT(handle < regions_.size(), "invalid region handle");

@@ -72,6 +72,10 @@ class RegionRegistry {
     return register_region(RegionInfo{std::move(name), type, {}, 0});
   }
 
+  /// Register every region of `other` here, in handle order, and return
+  /// the map from `other`'s handles to this registry's.
+  std::vector<RegionHandle> adopt(const RegionRegistry& other);
+
   /// Look up a handle.  Precondition: handle was returned by this registry.
   [[nodiscard]] const RegionInfo& info(RegionHandle handle) const;
 

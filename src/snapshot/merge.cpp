@@ -3,81 +3,21 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "profile/calltree.hpp"
 
 namespace taskprof::snapshot {
-
-namespace {
-
-/// merge_subtree with every source region handle translated through
-/// `remap` (same iterative parallel-preorder walk; O(1) space).
-void merge_subtree_remapped(NodePool& pool, CallNode* dst, const CallNode* src,
-                            const std::vector<RegionHandle>& remap) {
-  const CallNode* s = src;
-  CallNode* d = dst;
-  for (;;) {
-    d->visits += s->visits;
-    d->inclusive += s->inclusive;
-    d->visit_stats.merge(s->visit_stats);
-    if (s->first_child != nullptr) {
-      s = s->first_child;
-      d = find_or_create_child(pool, d, remap[s->region], s->parameter,
-                               s->is_stub);
-      continue;
-    }
-    while (s != src && s->next_sibling == nullptr) {
-      s = s->parent;
-      d = d->parent;
-    }
-    if (s == src) return;
-    s = s->next_sibling;
-    d = find_or_create_child(pool, d->parent, remap[s->region], s->parameter,
-                             s->is_stub);
-  }
-}
-
-}  // namespace
 
 void merge_snapshot_into(SnapshotData& dst, const SnapshotData& src) {
   TASKPROF_ASSERT(dst.registry != nullptr && src.registry != nullptr,
                   "merge of snapshot without a registry");
-
   // Region handle translation: re-register every source region into the
   // destination registry (dedupe on name/type gives stable handles).
-  const std::size_t src_regions = src.registry->size();
-  std::vector<RegionHandle> remap(src_regions);
-  for (RegionHandle h = 0; h < src_regions; ++h) {
-    remap[h] = dst.registry->register_region(RegionInfo(src.registry->info(h)));
-  }
-
+  const std::vector<RegionHandle> remap = dst.registry->adopt(*src.registry);
   AggregateProfile& dp = dst.profile;
   const AggregateProfile& sp = src.profile;
 
-  if (sp.implicit_root != nullptr) {
-    const RegionHandle root_region = remap[sp.implicit_root->region];
-    if (dp.implicit_root == nullptr) {
-      dp.implicit_root = dp.pool.allocate(
-          root_region, sp.implicit_root->parameter, false, nullptr);
-    } else if (dp.implicit_root->region != root_region) {
-      throw SnapshotError(Errc::kMalformed, "<merge>",
-                          "snapshots disagree on the implicit root region");
-    }
-    merge_subtree_remapped(dp.pool, dp.implicit_root, sp.implicit_root, remap);
-  }
-
-  // Indexed root lookup, as in aggregate_profiles: per-depth parameter
-  // profiling can carry hundreds of roots per snapshot.
-  ChildIndex root_index;
-  for (CallNode* root : dp.task_roots) root_index.insert(root);
-  for (const CallNode* src_root : sp.task_roots) {
-    const RegionHandle region = remap[src_root->region];
-    CallNode* dst_root = root_index.find(region, src_root->parameter, false);
-    if (dst_root == nullptr) {
-      dst_root = dp.pool.allocate(region, src_root->parameter, false, nullptr);
-      dp.task_roots.push_back(dst_root);
-      root_index.insert(dst_root);
-    }
-    merge_subtree_remapped(dp.pool, dst_root, src_root, remap);
+  if (!fold_trees(dp, sp.implicit_root, sp.task_roots, remap)) {
+    throw SnapshotError(Errc::kMalformed, "<merge>",
+                        "snapshots disagree on the implicit root");
   }
 
   dp.thread_count += sp.thread_count;

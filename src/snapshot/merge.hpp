@@ -20,9 +20,9 @@
 
 namespace taskprof::snapshot {
 
-/// Fold `src` into `dst` in place.  Throws SnapshotError(kMalformed)
-/// when the snapshots cannot describe the same program (implicit roots
-/// with different region identities).
+/// Fold `src` into `dst` in place (fold_trees).  Throws
+/// SnapshotError(kMalformed) when the snapshots cannot describe the same
+/// program (implicit roots that differ in region or parameter).
 void merge_snapshot_into(SnapshotData& dst, const SnapshotData& src);
 
 /// Read every file and fold them left to right into the first.

@@ -234,7 +234,9 @@ void encode_telemetry(Encoder& out, const telemetry::Snapshot& snapshot) {
 
 void decode_telemetry(Decoder& in, SnapshotData& data) {
   data.has_telemetry = true;
-  data.telemetry.threads = static_cast<int>(in.varint());
+  const std::uint64_t threads = in.varint();
+  if (threads > kMaxThreads) in.fail(Errc::kLimit, "telemetry thread count");
+  data.telemetry.threads = static_cast<int>(threads);
   // Entries are name-keyed so a reader survives counter renumbering;
   // names it does not know are skipped.
   const std::uint64_t counters = in.varint();

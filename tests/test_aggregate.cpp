@@ -113,6 +113,31 @@ TEST_F(AggregateTest, CollectsCountersAcrossThreads) {
   EXPECT_GT(agg.total_task_switches, 0u);
 }
 
+TEST_F(AggregateTest, FoldTreesMatchesRootsOnRegionAndParameter) {
+  NodePool src_pool;
+  CallNode* implicit =
+      src_pool.allocate(implicit_, kNoParameter, false, nullptr);
+  implicit->visits = 1;
+  CallNode* a1 = src_pool.allocate(task_a_, 1, false, nullptr);
+  a1->visits = 2;
+  CallNode* a2 = src_pool.allocate(task_a_, 2, false, nullptr);
+  a2->visits = 3;
+  const std::vector<const CallNode*> roots = {a1, a2, a1};
+  AggregateProfile out;
+  ASSERT_TRUE(fold_trees(out, implicit, roots));
+  ASSERT_EQ(out.task_roots.size(), 2u);
+  EXPECT_EQ(out.task_roots[0]->visits, 4u);
+  EXPECT_EQ(out.task_roots[1]->parameter, 2);
+
+  // An implicit root with another parameter is another program: the fold
+  // refuses before it touches anything.
+  CallNode* other = src_pool.allocate(implicit_, 5, false, nullptr);
+  other->visits = 1;
+  EXPECT_FALSE(fold_trees(out, other, roots));
+  EXPECT_EQ(out.implicit_root->visits, 1u);
+  EXPECT_EQ(out.task_roots[0]->visits, 4u);
+}
+
 TEST_F(AggregateTest, ProfileIsMovable) {
   ThreadTaskProfiler p0(0, clock_, implicit_);
   p0.enter(barrier_);

@@ -164,6 +164,53 @@ TEST_F(CallTreeTest, MergeDistinguishesStubsAndParameters) {
   EXPECT_EQ(find_child(dst, 1, 9)->inclusive, 3);
 }
 
+TEST_F(CallTreeTest, RemappedMergeTranslatesHandlesAndRunsTheHookPerPair) {
+  NodePool src_pool;
+  CallNode* src = src_pool.allocate(0, kNoParameter, false, nullptr);
+  src->visits = 1;
+  CallNode* src_a = src_pool.allocate(1, 4, false, src);
+  src_a->visits = 2;
+  src_pool.allocate(2, kNoParameter, true, src_a)->visits = 3;
+  const std::vector<RegionHandle> remap = {10, 11, 12};
+  CallNode* dst = pool_.allocate(10, kNoParameter, false, nullptr);
+  std::vector<std::pair<RegionHandle, RegionHandle>> pairs;
+  merge_subtree(pool_, dst, src, remap,
+                [&](CallNode& d, const CallNode& s) {
+                  EXPECT_EQ(d.visits, s.visits);  // summed before the hook
+                  pairs.emplace_back(d.region, s.region);
+                });
+  const std::vector<std::pair<RegionHandle, RegionHandle>> expected = {
+      {10, 0}, {11, 1}, {12, 2}};
+  EXPECT_EQ(pairs, expected);
+  const CallNode* a = find_child(dst, 11, 4);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(find_child(a, 12, kNoParameter, true), nullptr);
+
+  // An empty map keeps the handles and an empty hook is skipped.
+  CallNode* same = pool_.allocate(0, kNoParameter, false, nullptr);
+  merge_subtree(pool_, same, src, {}, {});
+  EXPECT_EQ(subtree_size(same), 3u);
+  ASSERT_NE(find_child(same, 1, 4), nullptr);
+}
+
+TEST_F(CallTreeTest, CollectPreorderIndexesEachParent) {
+  CallNode* root = pool_.allocate(0, kNoParameter, false, nullptr);
+  CallNode* a = pool_.allocate(1, kNoParameter, false, root);
+  CallNode* a1 = pool_.allocate(2, kNoParameter, false, a);
+  CallNode* b = pool_.allocate(3, kNoParameter, false, root);
+  CallNode* b1 = pool_.allocate(4, kNoParameter, false, b);
+  const auto listing = collect_preorder(root);
+  const std::vector<CallNode*> nodes = {root, a, a1, b, b1};
+  const std::vector<std::size_t> parents = {kNoParent, 0, 1, 0, 3};
+  ASSERT_EQ(listing.size(), nodes.size());
+  for (std::size_t i = 0; i < listing.size(); ++i) {
+    EXPECT_EQ(listing[i].node, nodes[i]) << i;
+    EXPECT_EQ(listing[i].parent, parents[i]) << i;
+  }
+  const CallNode* const_root = root;
+  EXPECT_EQ(collect_preorder(const_root).size(), 5u);
+}
+
 TEST_F(CallTreeTest, ForEachNodeVisitsPreorderWithDepth) {
   CallNode* root = pool_.allocate(0, kNoParameter, false, nullptr);
   CallNode* a = pool_.allocate(1, kNoParameter, false, root);

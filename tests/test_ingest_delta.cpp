@@ -163,6 +163,19 @@ TEST(IngestDelta, MismatchedRegistryPrefixIsRejected) {
   EXPECT_THROW((void)subtract_snapshot(cur, &base), SnapshotError);
 }
 
+TEST(IngestDelta, DeltaWithAnotherImplicitRootParameterIsRejected) {
+  // The root identity is (region, parameter), as in the snapshot merge.
+  SnapshotData acc = capture(0);
+  SnapshotData delta = capture(1);
+  delta.profile.implicit_root->parameter = 5;
+  try {
+    (void)apply_delta(acc, delta, 1, nullptr);
+    ADD_FAILURE() << "delta for a different implicit root applied";
+  } catch (const SnapshotError& error) {
+    EXPECT_EQ(error.code(), snapshot::Errc::kMalformed);
+  }
+}
+
 TEST(IngestDelta, MassHelpersSumEveryTree) {
   const SnapshotData cur = capture(1);
   // implicit_root 5 + worker 1 + grand 3 = 9 visits.

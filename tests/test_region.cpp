@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace taskprof {
 namespace {
 
@@ -51,6 +53,22 @@ TEST(RegionRegistry, HandlesAreDense) {
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
   EXPECT_EQ(c, 2u);
+}
+
+TEST(RegionRegistry, AdoptMapsEveryHandleOfTheOtherRegistry) {
+  RegionRegistry dst;
+  dst.register_region("main", RegionType::kFunction);
+  const RegionHandle shared = dst.register_region("work", RegionType::kTask);
+  RegionRegistry src;
+  src.register_region("work", RegionType::kTask);
+  src.register_region(RegionInfo{"leaf", RegionType::kFunction, "leaf.c", 7});
+  const std::vector<RegionHandle> map = dst.adopt(src);
+  ASSERT_EQ(map.size(), 2u);
+  EXPECT_EQ(map[0], shared);
+  EXPECT_EQ(map[1], 2u);
+  EXPECT_EQ(dst.size(), 3u);
+  EXPECT_EQ(dst.info(map[1]).file, "leaf.c");
+  EXPECT_EQ(dst.info(map[1]).line, 7);
 }
 
 TEST(RegionType, SchedulingPointClassification) {

@@ -163,20 +163,6 @@ class SlowClock final : public Clock {
   }
 };
 
-/// The partial profile one profiler capture stands for.
-AggregateProfile capture_profile(const ThreadTaskProfiler::CaptureView& c) {
-  ThreadProfileView view;
-  view.thread = c.thread;
-  view.implicit_root = c.implicit_root;
-  view.task_roots.assign(c.task_roots.begin(), c.task_roots.end());
-  view.max_concurrent_instances = c.max_concurrent_instances;
-  view.task_switches = c.task_switches;
-  view.folded_events = c.folded_events;
-  AggregateProfile profile = aggregate_profiles(std::span(&view, 1));
-  profile.partial_capture = true;
-  return profile;
-}
-
 TEST(SnapshotCapture, CapturesLandingInsideEventsQuiesce) {
   // One thread drives a profiler through long events while another
   // captures it hundreds of times: the capturer mostly waits on an odd
@@ -226,12 +212,12 @@ TEST(SnapshotCapture, CapturesLandingInsideEventsQuiesce) {
       std::this_thread::yield();
     }
     seen_rounds = rounds.load(std::memory_order_acquire);
-    NodePool pool;
-    ThreadTaskProfiler::CaptureView view;
-    if (!prof.capture(pool, view)) continue;
+    AggregateProfile capture;
+    if (!prof.capture(capture)) continue;
     ++quiesced;
+    capture.partial_capture = true;
     const check::InvariantReport verdict =
-        check::check_profile(capture_profile(view), registry);
+        check::check_profile(capture, registry);
     if (!verdict.ok() && first_failure.empty()) {
       first_failure = verdict.to_string();
     }

@@ -24,8 +24,9 @@ namespace taskprof {
 namespace {
 
 /// A valid snapshot exercising all four sections (meta, regions, trees,
-/// telemetry).
-std::vector<std::uint8_t> valid_snapshot_bytes() {
+/// telemetry).  Its telemetry section declares `telemetry_threads`
+/// threads, which decodes only up to the thread limit of 2^20.
+std::vector<std::uint8_t> valid_snapshot_bytes(int telemetry_threads = 2) {
   RegionRegistry registry;
   rt::SimRuntime runtime;
   Instrumentor instr(registry);
@@ -44,7 +45,8 @@ std::vector<std::uint8_t> valid_snapshot_bytes() {
   telem.prepare(2);
   telem.add(0, telemetry::Counter::kTasksCreated, 5);
   telem.gauge_max(1, telemetry::Gauge::kDequeDepth, 3);
-  const telemetry::Snapshot snap = telem.snapshot();
+  telemetry::Snapshot snap = telem.snapshot();
+  snap.threads = telemetry_threads;
 
   snapshot::SnapshotMeta meta;
   meta.flush_seq = 1;
@@ -158,6 +160,23 @@ TEST(SnapshotFuzz, TrailingDataIsTyped) {
   std::vector<std::uint8_t> bytes = valid_snapshot_bytes();
   bytes.push_back(0);
   EXPECT_EQ(reject_code(bytes), snapshot::Errc::kTrailingData);
+}
+
+TEST(SnapshotFuzz, TelemetryThreadCountOverTheLimitIsLimit) {
+  // A count past the meta section's thread limit would narrow into the
+  // telemetry's int (-7 rides the wire as 2^64 - 7) and overflow the sum
+  // that merging snapshots takes.
+  EXPECT_EQ(reject_code(valid_snapshot_bytes(-7)), snapshot::Errc::kLimit);
+  EXPECT_EQ(reject_code(valid_snapshot_bytes((1 << 20) + 1)),
+            snapshot::Errc::kLimit);
+  EXPECT_TRUE(decodes(valid_snapshot_bytes(1 << 20)));
+  std::ifstream in(std::filesystem::path(TASKPROF_SNAPSHOT_CORPUS_DIR) /
+                       "bad_limit_telemetry_threads.tpsnap",
+                   std::ios::binary);
+  ASSERT_TRUE(in);
+  const std::vector<std::uint8_t> bytes(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(reject_code(bytes), snapshot::Errc::kLimit);
 }
 
 TEST(SnapshotFuzz, CommittedCorpusReplays) {

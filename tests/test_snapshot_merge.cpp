@@ -208,6 +208,22 @@ TEST(SnapshotMerge, DifferentProgramsAreRejected) {
   }
 }
 
+TEST(SnapshotMerge, ImplicitRootsDifferingInParameterAreRejected) {
+  // Either order: the verdict must not depend on which file comes first.
+  for (const bool parameter_on_dst : {false, true}) {
+    SCOPED_TRACE(parameter_on_dst ? "parameter on dst" : "parameter on src");
+    snapshot::SnapshotData dst = hand_built(false, 1);
+    snapshot::SnapshotData src = hand_built(false, 1);
+    (parameter_on_dst ? dst : src).profile.implicit_root->parameter = 5;
+    try {
+      snapshot::merge_snapshot_into(dst, src);
+      ADD_FAILURE() << "merge of different implicit roots accepted";
+    } catch (const snapshot::SnapshotError& error) {
+      EXPECT_EQ(error.code(), snapshot::Errc::kMalformed);
+    }
+  }
+}
+
 TEST(SnapshotMerge, TelemetryFoldsCountersSumGaugesMax) {
   using telemetry::Counter;
   using telemetry::Gauge;

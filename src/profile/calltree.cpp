@@ -258,20 +258,19 @@ void merge_walk(NodePool& pool, CallNode* dst, const CallNode* src,
     d->inclusive += s->inclusive;
     d->visit_stats.merge(s->visit_stats);
     visit(*d, *s);
-    if (s->first_child != nullptr) {
-      s = s->first_child;
-      d = find_or_create_child(pool, d, region_of(s->region), s->parameter,
-                               s->is_stub);
-      continue;
-    }
-    while (s != src && s->next_sibling == nullptr) {
-      s = s->parent;
+    const CallNode* next = s->first_child;
+    if (next == nullptr) {
+      while (s != src && s->next_sibling == nullptr) {
+        s = s->parent;
+        d = d->parent;
+      }
+      if (s == src) return;
+      next = s->next_sibling;
       d = d->parent;
     }
-    if (s == src) return;
-    s = s->next_sibling;
-    d = find_or_create_child(pool, d->parent, region_of(s->region),
-                             s->parameter, s->is_stub);
+    s = next;
+    d = find_or_create_child(pool, d, region_of(s->region), s->parameter,
+                             s->is_stub);
   }
 }
 

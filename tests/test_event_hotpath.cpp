@@ -12,17 +12,22 @@
 #include <algorithm>
 #include <cstddef>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bots/kernel.hpp"
 #include "check/invariants.hpp"
 #include "common/clock.hpp"
+#include "instrument/instrumentor.hpp"
 #include "measure/aggregate.hpp"
 #include "measure/task_profiler.hpp"
 #include "profile/calltree.hpp"
 #include "profile/region.hpp"
 #include "report/text_report.hpp"
+#include "rt/sim_runtime.hpp"
 #include "test_util.hpp"
 
 namespace taskprof {
@@ -160,10 +165,10 @@ TEST(DeepTreeTest, IterativeMergeAndReleaseSurviveDeepChains) {
 
   NodePool dst_pool;
   CallNode* dst = dst_pool.allocate(0, kNoParameter, false, nullptr);
-  merge_subtree(dst_pool, dst, src);
+  merge_subtree(dst_pool, dst, src, {}, {});
   EXPECT_EQ(subtree_size(dst), static_cast<std::size_t>(kDeepChain));
   // Merging the same chain again folds onto the existing nodes.
-  merge_subtree(dst_pool, dst, src);
+  merge_subtree(dst_pool, dst, src, {}, {});
   EXPECT_EQ(subtree_size(dst), static_cast<std::size_t>(kDeepChain));
   EXPECT_EQ(dst->visits, 2u);
 
@@ -358,6 +363,78 @@ TEST_F(HotpathEquivalenceTest, ManyParameterRootsUseIndexedMergedLookup) {
       check::check_profile(profile, registry_, nullptr, nullptr, fast);
   EXPECT_TRUE(report.violations.empty()) << report.to_string();
 }
+
+// ---- Whole BOTS runs against goldens of the merge-at-end profiler --------
+//
+// `taskprof_cli --engine=sim --size=test --report=csv` of four runs, as
+// the profiler that merged each finished instance tree into its
+// construct's tree rendered them.  Profiling in place lists construct
+// roots in first-begin order and children in first-visit order, so
+// these runs may print their rows in another order; each row (call
+// path, visits, inclusive, exclusive, min/mean/max) must still be there
+// exactly as often.
+
+struct SimGoldenCase {
+  const char* golden;
+  const char* kernel;
+  int threads;
+  bool untied;
+  bool depth_parameter;
+};
+
+std::vector<std::string> sorted_rows(const std::string& csv) {
+  std::vector<std::string> rows;
+  std::istringstream in(csv);
+  for (std::string line; std::getline(in, line);) rows.push_back(line);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+std::string golden_case_name(
+    const ::testing::TestParamInfo<SimGoldenCase>& param) {
+  const std::string file = param.param.golden;
+  return file.substr(0, file.find('.'));
+}
+
+class SimGoldenTest : public ::testing::TestWithParam<SimGoldenCase> {};
+
+TEST_P(SimGoldenTest, CsvRowsMatchTheMergeAtEndGolden) {
+  const SimGoldenCase& c = GetParam();
+  RegionRegistry registry;
+  rt::SimRuntime runtime;
+  Instrumentor instrumentor(registry);
+  runtime.set_hooks(&instrumentor);
+  bots::KernelConfig config;
+  config.threads = c.threads;
+  config.size = bots::SizeClass::kTest;
+  config.untied = c.untied;
+  config.depth_parameter = c.depth_parameter;
+  const bots::KernelResult result =
+      bots::make_kernel(c.kernel)->run(runtime, registry, config);
+  runtime.set_hooks(nullptr);
+  ASSERT_TRUE(result.ok) << result.check;
+  instrumentor.finalize();
+  const std::string csv = render_csv(instrumentor.aggregate(), registry);
+
+  const std::filesystem::path path =
+      std::filesystem::path(TASKPROF_HOTPATH_CORPUS_DIR) / c.golden;
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden " << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(sorted_rows(csv), sorted_rows(golden.str()))
+      << path << ": the rows differ, not only their order";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MergeAtEnd, SimGoldenTest,
+    ::testing::Values(
+        SimGoldenCase{"sim_nqueens_t4.csv", "nqueens", 4, false, false},
+        SimGoldenCase{"sim_health_untied_t2.csv", "health", 2, true, false},
+        SimGoldenCase{"sim_floorplan_untied_t2.csv", "floorplan", 2, true,
+                      false},
+        SimGoldenCase{"sim_fib_depth_params_t4.csv", "fib", 4, false, true}),
+    golden_case_name);
 
 }  // namespace
 }  // namespace taskprof

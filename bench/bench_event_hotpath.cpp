@@ -93,8 +93,8 @@ std::uint64_t shape_enter_exit_wide256(Fixture& f, std::uint64_t n) {
 
 /// Non-cut-off fib leaves with per-depth parameter profiling (paper
 /// Table IV): every task is a leaf instance that begins and immediately
-/// ends — the leaf merge fast path's case — and the depth parameter
-/// spreads the merged roots and barrier stubs over ~40 identities.
+/// ends, and the depth parameter spreads the construct roots and barrier
+/// stubs over ~40 identities.
 std::uint64_t shape_fib_leaf_tasks(Fixture& f, std::uint64_t n) {
   f.prof.enter(f.barrier);
   TaskInstanceId id = 1;
@@ -111,8 +111,8 @@ std::uint64_t shape_fib_leaf_tasks(Fixture& f, std::uint64_t n) {
 }
 
 /// Fib interior nodes under per-depth profiling: create/create/taskwait
-/// inside each task, so the instance trees have children and take the
-/// general merge into the per-depth merged tree.
+/// inside each task, so every instance enters child nodes of its
+/// per-depth construct tree.
 std::uint64_t shape_fib_with_creates(Fixture& f, std::uint64_t n) {
   f.prof.enter(f.barrier);
   TaskInstanceId id = 1;
@@ -133,8 +133,8 @@ std::uint64_t shape_fib_with_creates(Fixture& f, std::uint64_t n) {
 }
 
 /// Per-depth parameter profiling (paper Table IV): tasks of 48 different
-/// parameter values interleaved, so the merged-root lookup on every
-/// task_end misses the last-hit pointer and hundreds of roots accumulate.
+/// parameter values interleaved, so the construct-root lookup on every
+/// task_begin misses the last-hit pointer.
 std::uint64_t shape_nqueens_param_tasks(Fixture& f, std::uint64_t n) {
   f.prof.enter(f.barrier);
   TaskInstanceId id = 1;
@@ -150,8 +150,8 @@ std::uint64_t shape_nqueens_param_tasks(Fixture& f, std::uint64_t n) {
   return 4 * n + 2;
 }
 
-/// One task with a one-region body per iteration, no parameter: the
-/// instance tree is materialized and merged as a two-node tree.
+/// One task with a one-region body per iteration, no parameter: each
+/// instance writes its root and one child node of the construct tree.
 std::uint64_t shape_task_with_body(Fixture& f, std::uint64_t n) {
   f.prof.enter(f.barrier);
   TaskInstanceId id = 1;
@@ -205,7 +205,9 @@ std::uint64_t shape_merge_small(Fixture&, std::uint64_t n) {
   }
   NodePool dst_pool;
   CallNode* dst = dst_pool.allocate(0, kNoParameter, false, nullptr);
-  for (std::uint64_t i = 0; i < n; ++i) merge_subtree(dst_pool, dst, src);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    merge_subtree(dst_pool, dst, src, {}, {});
+  }
   return 5 * n;
 }
 
@@ -223,8 +225,10 @@ std::uint64_t shape_merge_wide64(Fixture&, std::uint64_t n) {
   }
   NodePool dst_pool;
   CallNode* dst = dst_pool.allocate(0, kNoParameter, false, nullptr);
-  merge_subtree(dst_pool, dst, src);  // pre-build the destination shape
-  for (std::uint64_t i = 0; i < n; ++i) merge_subtree(dst_pool, dst, src);
+  merge_subtree(dst_pool, dst, src, {}, {});  // pre-build the destination
+  for (std::uint64_t i = 0; i < n; ++i) {
+    merge_subtree(dst_pool, dst, src, {}, {});
+  }
   return static_cast<std::uint64_t>(kFanout + 1) * n;
 }
 

@@ -48,7 +48,9 @@ int main(int argc, char** argv) {
   std::fputs(table.str().c_str(), stdout);
   std::puts(
       "\npaper reference: never above 20; alignment exactly 1; recursive "
-      "codes track their recursion (or cut-off) depth.  Instance trees are "
-      "recycled, so this count bounds the profiler's memory (paper SV-B).");
+      "codes track their recursion (or cut-off) depth.  Deviation from "
+      "paper SV-B: instances write straight into their construct's tree, so "
+      "the profiler's nodes and memory count distinct call paths, not live "
+      "instance trees.");
   return 0;
 }

@@ -293,13 +293,12 @@ InvariantReport check_profile(const AggregateProfile& profile,
 
   // Time conservation between the two views of task execution: every tick
   // a task ran is bracketed by a stub visit in the implicit tree and by
-  // the task's own instance tree, from the same clock reads.  A partial
-  // capture breaks exactly this pairing — in-flight instances are absent
-  // from the merged task trees while their stub frames were closed at the
-  // capture instant — so the cross-tree comparison is skipped for it (the
-  // per-node checks above still hold).
+  // the task's root frame in its construct tree, from the same clock
+  // reads.  A partial capture closes both at the same instants (open
+  // frames at the last event, a suspended instance's at its suspend
+  // instant), so the pairing holds for it too.
   if (options.stub_nodes && options.pause_on_suspend &&
-      !options.creation_site_attribution && !profile.partial_capture) {
+      !options.creation_site_attribution) {
     if (totals.stub_inclusive != task_tree_inclusive) {
       out.fail("conservation",
                "stub time %" PRId64 " != merged task-tree time %" PRId64,

@@ -3,8 +3,8 @@
 // The Fig. 12 task-profiling algorithm promises structural guarantees
 // that hold for *every* legal schedule: stub nodes appear only under
 // scheduling points of the implicit task, the time recorded in the
-// implicit tree's stubs equals the time recorded in the merged task
-// trees, visits are conserved across the instance-tree merge, durations
+// implicit tree's stubs equals the time recorded in the task trees,
+// every executed instance is one visit of its construct's root, durations
 // are never negative or double-counted, and the scheduler's telemetry
 // counters agree with the call tree.  check_profile() walks a finalized
 // AggregateProfile and reports every violated guarantee as a string —
@@ -46,9 +46,10 @@ struct InvariantReport {
 /// telemetry snapshot must cover exactly the measured run(s).
 ///
 /// Profiles flagged partial_capture (mid-run crash-safe snapshots) keep
-/// every per-node structural check but skip the whole-run cross-checks
-/// that a capture instant cannot satisfy: stub-vs-task-tree time
-/// conservation and the engine-stats / telemetry comparisons.
+/// every per-node structural check and stub-vs-task-tree time
+/// conservation (the capture closes every open frame), but skip the
+/// whole-run cross-checks that a capture instant cannot satisfy: the
+/// engine-stats and telemetry comparisons.
 [[nodiscard]] InvariantReport check_profile(
     const AggregateProfile& profile, const RegionRegistry& registry,
     const rt::TeamStats* stats = nullptr,

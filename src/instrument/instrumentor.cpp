@@ -169,7 +169,6 @@ Instrumentor::MemoryStats Instrumentor::memory_stats() const {
   for (const ThreadSlot& slot : threads_) {
     if (slot.profiler == nullptr) continue;
     stats.nodes += slot.profiler->pool().allocated();
-    stats.free_nodes += slot.profiler->pool().free_count();
   }
   stats.bytes = stats.nodes * sizeof(CallNode);
   return stats;

@@ -109,12 +109,11 @@ class Instrumentor final : public rt::SchedulerHooks {
   void reset_concurrency_marks();
 
   /// Memory footprint of the measurement system (paper §V-B): call-tree
-  /// nodes across all thread pools.  `nodes` is the high-water mark of
-  /// live nodes (instance trees recycle through the free lists).
+  /// nodes across all thread pools, one per distinct call path of each
+  /// thread's trees.
   struct MemoryStats {
-    std::size_t nodes = 0;       ///< nodes ever carved (high-water)
-    std::size_t free_nodes = 0;  ///< currently parked for reuse
-    std::size_t bytes = 0;       ///< nodes * sizeof(CallNode)
+    std::size_t nodes = 0;  ///< nodes carved from the pools
+    std::size_t bytes = 0;  ///< nodes * sizeof(CallNode)
   };
   [[nodiscard]] MemoryStats memory_stats() const;
 

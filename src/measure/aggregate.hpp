@@ -31,11 +31,11 @@ struct AggregateProfile {
   std::vector<std::size_t> max_concurrent_per_thread;
 
   /// True when this profile is a mid-run crash-safe capture
-  /// (Instrumentor::capture_snapshot / the snapshot flusher): in-flight
-  /// task instances are absent from the merged task trees and open
-  /// frames were closed at the capture instant, so the cross-tree
-  /// conservation and engine/telemetry cross-checks do not hold —
-  /// check_profile relaxes exactly those, and the text report prints a
+  /// (Instrumentor::capture_snapshot / the snapshot flusher): every open
+  /// frame, in-flight task instances' included, was closed at the
+  /// capture instant, so the profile covers the run up to then while the
+  /// engine's and telemetry's counters run on — check_profile skips
+  /// exactly those cross-checks, and the text report prints a
   /// partial-capture banner.  Survives serialization (src/snapshot).
   bool partial_capture = false;
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <functional>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -106,20 +107,8 @@ void ThreadTaskProfiler::enter(RegionHandle region, std::int64_t parameter) {
       ++total_folds_;
       return;
     }
-    CallNode* parent = inst.stack.back().node;
-    if (parent == nullptr) {
-      // First enter inside a lazily-materialized instance: build the
-      // instance-tree root now (see task_begin).
-      TASKPROF_ASSERT(inst.stack.size() == 1 && inst.root == nullptr,
-                      "unmaterialized frame below the instance root");
-      inst.root = inst.home_pool->allocate(inst.task_region, inst.parameter,
-                                           false, nullptr);
-      ++inst.root->visits;
-      inst.stack.front().node = inst.root;
-      parent = inst.root;
-    }
-    CallNode* node = find_or_create_child(*inst.home_pool, parent, region,
-                                          parameter, false);
+    CallNode* node = find_or_create_child(
+        *inst.home_pool, inst.stack.back().node, region, parameter, false);
     ++node->visits;
     inst.stack.push_back(
         TaskInstanceState::Frame{node, now, inst.suspended_total});
@@ -152,15 +141,9 @@ void ThreadTaskProfiler::exit(RegionHandle region) {
     }
     TASKPROF_ASSERT(inst.stack.size() > 1,
                     "exit would pop the task root; task_end does that");
-    TaskInstanceState::Frame frame = inst.stack.back();
-    TASKPROF_ASSERT(frame.node->region == region,
+    TASKPROF_ASSERT(inst.stack.back().node->region == region,
                     "exit region does not match innermost open region");
-    Ticks duration = now - frame.enter_time;
-    if (options_.pause_on_suspend) {
-      duration -= inst.suspended_total - frame.suspended_at_enter;
-    }
-    frame.node->inclusive += duration;
-    frame.node->visit_stats.add(duration);
+    close_frame(inst, inst.stack.back(), now);
     inst.stack.pop_back();
   }
 }
@@ -186,18 +169,18 @@ void ThreadTaskProfiler::task_begin(RegionHandle task_region,
   state->task_region = task_region;
   state->parameter = parameter;
   state->home_pool = &pool_;
-  state->home_thread = thread_;
-  // Lazy instance-tree materialization: `root` stays nullptr (as in a
-  // fresh or reset state) until the first child enter.  Most instances
-  // of non-cut-off recursion never enter a region, so their tree would
-  // be the root node alone; such a leaf instance folds straight into the
-  // merged node at task_end without ever touching the pool.
+  // The root frame: the construct's tree root, or under the creation-site
+  // ablation the construct's child of the node that created the task.
+  CallNode* root = nullptr;
   if (options_.creation_site_attribution && creation_sites_ != nullptr) {
     if (auto it = creation_sites_->find(id); it != creation_sites_->end()) {
-      state->creation_node = it->second;
+      root = find_or_create_child(pool_, it->second, task_region, parameter,
+                                  false);
       creation_sites_->erase(it);
     }
   }
+  if (root == nullptr) root = task_root_for(task_region, parameter);
+  ++root->visits;
 
   instances_.push_back(std::move(state));
   TaskInstanceState* inst = instances_.back().get();
@@ -205,7 +188,7 @@ void ThreadTaskProfiler::task_begin(RegionHandle task_region,
 
   // TaskSwitch(task instance) then Enter(task instance, task region).
   switch_to(inst, now);
-  inst->stack.push_back(TaskInstanceState::Frame{nullptr, now, 0});
+  inst->stack.push_back(TaskInstanceState::Frame{root, now, 0});
 }
 
 void ThreadTaskProfiler::task_end(TaskInstanceId id) {
@@ -219,24 +202,19 @@ void ThreadTaskProfiler::task_end(TaskInstanceId id) {
   TASKPROF_ASSERT(inst.stack.size() == 1,
                   "unbalanced enter/exit inside task instance");
 
-  // Exit(task instance, task region).
-  TaskInstanceState::Frame frame = inst.stack.back();
-  Ticks duration = now - frame.enter_time;
-  if (options_.pause_on_suspend) {
-    duration -= inst.suspended_total - frame.suspended_at_enter;
-  }
-  if (frame.node != nullptr) {
-    frame.node->inclusive += duration;
-    frame.node->visit_stats.add(duration);
-  }
+  // Exit(task instance, task region).  Every frame wrote its node at its
+  // own exit, so this completes the instance's share of the construct
+  // tree: Fig. 12's "merge task tree into global profile of thread" has
+  // nothing left to do.
+  close_frame(inst, inst.stack.back(), now);
   inst.stack.pop_back();
 
   // TaskSwitch(implicit task).
   switch_to(nullptr, now);
 
-  // "Merge task tree into global profile of thread."  A still-null root
-  // means the instance stayed a leaf; `duration` is its whole life.
-  merge_and_recycle(take_instance(id), duration);
+  std::unique_ptr<TaskInstanceState> done = take_instance(id);
+  done->reset();
+  instance_freelist_.push_back(std::move(done));
 }
 
 void ThreadTaskProfiler::task_switch(TaskInstanceId id) {
@@ -255,8 +233,8 @@ void ThreadTaskProfiler::task_switch(TaskInstanceId id) {
 void ThreadTaskProfiler::note_task_created(TaskInstanceId id) {
   EventScope guard(*this);
   if (!options_.creation_site_attribution) return;
-  // Only implicit-task creation sites are stable for the lifetime of the
-  // created instance (instance trees are merged and recycled); see header.
+  // Only implicit-task creation sites, as in Fig. 3: an instance created
+  // by another task keeps execution-site placement.
   if (current_ != nullptr) return;
   if (creation_sites_ == nullptr) {
     creation_sites_ =
@@ -354,22 +332,43 @@ bool ThreadTaskProfiler::capture(AggregateProfile& into) const {
   }
 
   // Fold while paused: the instant the flag drops, workers resume
-  // mutating the trees and scalars.  The open implicit frames form one
-  // root path, so the preorder walk meets them root first; each gets its
-  // in-progress fragment in `into`, and the live frames close normally
-  // at exit/finalize.
-  std::size_t open = 0;
+  // mutating the trees and scalars.  Each open frame gets its
+  // in-progress fragment in `into` as one visit, and the live frames
+  // close normally later.  The implicit frames and the running instance
+  // close at the last event, a suspended instance at its suspend
+  // instant.  Frames of different instances can share a node, so they
+  // are matched by node address.  An instance adopted from another
+  // thread writes that thread's trees, not these.
+  struct OpenFrame {
+    const CallNode* node;
+    Ticks elapsed;
+  };
+  std::vector<OpenFrame> open;
+  for (const ImplicitFrame& frame : implicit_stack_) {
+    open.push_back({frame.node, last_event_ticks_ - frame.enter_time});
+  }
+  for (const auto& inst : instances_) {
+    if (inst->home_pool != &pool_) continue;
+    const Ticks end = inst->suspended ? inst->suspend_start : last_event_ticks_;
+    for (const TaskInstanceState::Frame& frame : inst->stack) {
+      open.push_back({frame.node, frame_duration(*inst, frame, end)});
+    }
+  }
+  const auto by_node = [](const OpenFrame& a, const OpenFrame& b) {
+    return std::less<const CallNode*>()(a.node, b.node);
+  };
+  std::sort(open.begin(), open.end(), by_node);
+  std::size_t closed = 0;
   fold_thread(into, view(), [&](CallNode& dst, const CallNode& src) {
-    if (open < implicit_stack_.size() && &src == implicit_stack_[open].node) {
-      const Ticks elapsed =
-          last_event_ticks_ - implicit_stack_[open].enter_time;
-      dst.inclusive += elapsed;
-      dst.visit_stats.add(elapsed);
-      ++open;
+    const auto [first, last] =
+        std::equal_range(open.begin(), open.end(), OpenFrame{&src, 0}, by_node);
+    for (auto it = first; it != last; ++it) {
+      dst.inclusive += it->elapsed;
+      dst.visit_stats.add(it->elapsed);
+      ++closed;
     }
   });
-  TASKPROF_ASSERT(open == implicit_stack_.size(),
-                  "capture missed an open implicit frame");
+  TASKPROF_ASSERT(closed == open.size(), "capture missed an open frame");
   capture_pause_.store(false, std::memory_order_release);
   return true;
 }
@@ -416,33 +415,22 @@ void ThreadTaskProfiler::switch_to(TaskInstanceState* target, Ticks now) {
   }
 }
 
-void ThreadTaskProfiler::merge_and_recycle(
-    std::unique_ptr<TaskInstanceState> instance, Ticks leaf_duration) {
-  TASKPROF_ASSERT(instance != nullptr, "merge of null instance");
-  CallNode* target = nullptr;
-  if (options_.creation_site_attribution &&
-      instance->creation_node != nullptr) {
-    target = find_or_create_child(pool_, instance->creation_node,
-                                  instance->task_region, instance->parameter,
-                                  false);
-  } else {
-    target = merged_root_for(instance->task_region, instance->parameter);
+Ticks ThreadTaskProfiler::frame_duration(
+    const TaskInstanceState& instance, const TaskInstanceState::Frame& frame,
+    Ticks now) const noexcept {
+  Ticks duration = now - frame.enter_time;
+  if (options_.pause_on_suspend) {
+    duration -= instance.suspended_total - frame.suspended_at_enter;
   }
-  CallNode* root = instance->root;
-  if (root == nullptr) {
-    // Leaf fast path: the instance never entered a region, so its tree
-    // was never materialized (see task_begin) — the dominant case for
-    // non-cut-off BOTS recursion.  One visit of `leaf_duration` folds
-    // straight into the merged node; no tree walk, no pool traffic.
-    ++target->visits;
-    target->inclusive += leaf_duration;
-    target->visit_stats.add(leaf_duration);
-  } else {
-    merge_subtree(pool_, target, root);
-    instance->home_pool->release_subtree(root);
-  }
-  instance->reset();
-  instance_freelist_.push_back(std::move(instance));
+  return duration;
+}
+
+void ThreadTaskProfiler::close_frame(const TaskInstanceState& instance,
+                                     const TaskInstanceState::Frame& frame,
+                                     Ticks now) {
+  const Ticks duration = frame_duration(instance, frame, now);
+  frame.node->inclusive += duration;
+  frame.node->visit_stats.add(duration);
 }
 
 TaskInstanceState* ThreadTaskProfiler::find_instance(
@@ -492,18 +480,18 @@ std::unique_ptr<TaskInstanceState> ThreadTaskProfiler::take_instance(
   return out;
 }
 
-CallNode* ThreadTaskProfiler::merged_root_for(RegionHandle region,
-                                              std::int64_t parameter) {
-  // Last-hit first: completions of the same construct come in runs
+CallNode* ThreadTaskProfiler::task_root_for(RegionHandle region,
+                                            std::int64_t parameter) {
+  // Last-hit first: instances of the same construct begin in runs
   // (LIFO scheduling drains one recursion's tasks together).
-  if (CallNode* last = last_merged_root_;
+  if (CallNode* last = last_task_root_;
       last != nullptr && last->region == region &&
       last->parameter == parameter) {
     return last;
   }
   CallNode* root = nullptr;
-  if (merged_root_index_active_) {
-    root = merged_root_index_.find(region, parameter, false);
+  if (task_root_index_active_) {
+    root = task_root_index_.find(region, parameter, false);
   } else {
     for (CallNode* existing : task_roots_) {
       if (existing->region == region && existing->parameter == parameter) {
@@ -515,16 +503,16 @@ CallNode* ThreadTaskProfiler::merged_root_for(RegionHandle region,
   if (root == nullptr) {
     root = pool_.allocate(region, parameter, false, nullptr);
     task_roots_.push_back(root);
-    if (merged_root_index_active_) {
-      merged_root_index_.insert(root);
+    if (task_root_index_active_) {
+      task_root_index_.insert(root);
     } else if (task_roots_.size() >= kChildIndexFanout) {
       for (CallNode* existing : task_roots_) {
-        merged_root_index_.insert(existing);
+        task_root_index_.insert(existing);
       }
-      merged_root_index_active_ = true;
+      task_root_index_active_ = true;
     }
   }
-  last_merged_root_ = root;
+  last_task_root_ = root;
   return root;
 }
 

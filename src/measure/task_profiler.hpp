@@ -4,12 +4,18 @@
 // One ThreadTaskProfiler exists per thread.  It maintains
 //
 //  * the call tree of the thread's *implicit task*,
-//  * a table of *active explicit task instances*, each with its own call
-//    tree and open-frame stack (the instance tree),
-//  * a *current task* pointer, and
-//  * the per-construct *merged task trees* that completed instances fold
-//    into ("all task instances of the same task region will finally form a
-//    common sub-tree", §IV-B3).
+//  * the per-construct *task trees* ("all task instances of the same task
+//    region will finally form a common sub-tree", §IV-B3),
+//  * a table of *active explicit task instances*, each an open-frame
+//    stack over the construct tree of the thread it began on, and
+//  * a *current task* pointer.
+//
+// The paper builds one call tree per instance and merges it into the
+// construct tree when the instance ends (Fig. 12).  Every merged metric
+// is a sum or an extremum over visits (§IV-A), so the profile is the
+// same when each frame adds its own duration to its construct-tree node
+// at exit: the instance keeps only its frame stack, which is what tells
+// the non-nested exits of Figs. 2 and 4 apart.
 //
 // The event interface mirrors the paper's Fig. 12 pseudocode: Enter/Exit
 // for regions plus TaskBegin / TaskEnd / TaskSwitch for task scheduling.
@@ -27,13 +33,15 @@
 //    tree, not under the creating node — exclusive times stay non-negative.
 //    The creation-site alternative of Fig. 3 is available as an option for
 //    the ablation benchmark.
-//  * Instance-tree recycling (§V-B): completed instance trees are merged
-//    and their nodes returned to the pool; the profiler tracks the maximum
-//    number of concurrently active instances (Table II).
+//  * Concurrency (§V-B): the profiler tracks the maximum number of
+//    concurrently active instances (Table II); a construct tree holds one
+//    node per distinct call path, however many instances run.
 //  * Untied-task migration (§IV-D): instance state can be detached from one
 //    profiler and adopted by another, moving the "pointer to the
-//    task-specific data" with the task.  Only the simulator engine uses
-//    this (single OS thread), so no synchronization is needed.
+//    task-specific data" with the task.  Its frames keep writing into the
+//    construct tree of the thread the instance began on.  Only the
+//    simulator engine uses this (single OS thread), so no synchronization
+//    is needed.
 #pragma once
 
 #include <atomic>
@@ -98,7 +106,7 @@ class TaskInstanceState {
  public:
   /// One open region frame of the instance's call stack.
   struct Frame {
-    CallNode* node = nullptr;
+    CallNode* node = nullptr;  ///< construct-tree node of the open region
     Ticks enter_time = 0;
     Ticks suspended_at_enter = 0;  ///< instance suspended_total at enter
   };
@@ -106,15 +114,12 @@ class TaskInstanceState {
   TaskInstanceId id = 0;
   RegionHandle task_region = kInvalidRegion;
   std::int64_t parameter = kNoParameter;
-  NodePool* home_pool = nullptr;  ///< pool the tree nodes came from
-  ThreadId home_thread = 0;       ///< thread that started execution
-  CallNode* root = nullptr;       ///< instance call tree (root = task region)
+  NodePool* home_pool = nullptr;  ///< pool of the thread it began on
   std::vector<Frame> stack;       ///< open frames, root at index 0
   Ticks suspended_total = 0;      ///< accumulated suspension time
   Ticks suspend_start = 0;        ///< valid while suspended
   bool suspended = false;
   std::size_t folded = 0;         ///< open enters beyond max_tree_depth
-  CallNode* creation_node = nullptr;  ///< only for creation-site ablation
 
   /// Reset for reuse through the instance free list.  Field-by-field
   /// rather than `*this = {}` so the open-frame stack keeps its vector
@@ -125,14 +130,11 @@ class TaskInstanceState {
     task_region = kInvalidRegion;
     parameter = kNoParameter;
     home_pool = nullptr;
-    home_thread = 0;
-    root = nullptr;
     stack.clear();
     suspended_total = 0;
     suspend_start = 0;
     suspended = false;
     folded = 0;
-    creation_node = nullptr;
   }
 };
 
@@ -140,7 +142,7 @@ class TaskInstanceState {
 struct ThreadProfileView {
   ThreadId thread = 0;
   const CallNode* implicit_root = nullptr;       ///< main call tree
-  std::vector<const CallNode*> task_roots;       ///< merged per-construct trees
+  std::vector<const CallNode*> task_roots;       ///< per-construct task trees
   std::size_t max_concurrent_instances = 0;      ///< Table II metric
   std::uint64_t task_switches = 0;               ///< total TaskSwitch events
   std::uint64_t folded_events = 0;  ///< enters folded by max_tree_depth
@@ -176,12 +178,14 @@ class ThreadTaskProfiler {
   // --- Task events (paper Fig. 12) ---------------------------------------
 
   /// A new explicit task instance starts executing on this thread.
-  /// Performs TaskSwitch(instance) then Enter(task_region), per Fig. 12.
+  /// Performs TaskSwitch(instance) then Enter(task_region), per Fig. 12:
+  /// the instance's root frame is the construct's tree root (under the
+  /// creation-site ablation, the construct's child of the creating node).
   void task_begin(RegionHandle task_region, TaskInstanceId id,
                   std::int64_t parameter = kNoParameter);
 
-  /// The current task instance (which must be `id`) completes: Exit,
-  /// TaskSwitch(implicit), merge of the instance tree, recycling.
+  /// The current task instance (which must be `id`) completes: Exit of
+  /// its root frame, then TaskSwitch(implicit).
   void task_end(TaskInstanceId id);
 
   /// Switch to `id` (an active instance, or kImplicitTaskId for the
@@ -196,9 +200,9 @@ class ThreadTaskProfiler {
   // --- Untied-task migration (paper §IV-D) -------------------------------
 
   /// Remove a *suspended* instance from this profiler's table so another
-  /// profiler can adopt it.  The instance tree stays in this thread's
-  /// pool; it is released back here when the adopting profiler completes
-  /// the task (single-OS-thread engines only).
+  /// profiler can adopt it.  Its frames stay in this thread's construct
+  /// trees, and the adopting profiler keeps writing there
+  /// (single-OS-thread engines only).
   std::unique_ptr<TaskInstanceState> detach_instance(TaskInstanceId id);
 
   /// Adopt a migrated instance (it stays suspended until task_switch).
@@ -206,7 +210,7 @@ class ThreadTaskProfiler {
 
   // --- Crash-safe capture (src/snapshot) ----------------------------------
 
-  /// Fold this profiler's implicit tree and merged per-construct trees,
+  /// Fold this profiler's implicit tree and per-construct task trees,
   /// and its scalars, into `into` (fold_thread) without stopping the run
   /// for longer than one event boundary.  Protocol (DESIGN.md §11,
   /// "Capture handshake"): set the pause flag, run one process-wide
@@ -214,14 +218,16 @@ class ThreadTaskProfiler {
   /// worker side leaves out, wait for the event sequence number to be
   /// even (no event body open), fold, clear the flag; an event that
   /// starts meanwhile observes the flag and parks at its boundary.  The
-  /// fold closes each open implicit frame in `into` at the profiler's
-  /// last event timestamp, so the capture satisfies the per-node
-  /// fragment invariants while the live frames stay open; in-flight task
-  /// instances are not merged (the caller marks the aggregate
-  /// partial_capture).  Returns false — folding nothing — when the
-  /// handshake is disarmed (options.snapshot_every == 0), the barrier
-  /// fails, or the worker failed to quiesce within the timeout.  Must be
-  /// called from a thread that does not drive this profiler's events.
+  /// fold closes every open frame in `into` while the live frames stay
+  /// open: the implicit stack and the running instance's stack at the
+  /// profiler's last event timestamp, a suspended instance's stack at its
+  /// suspend instant.  So each in-flight instance is held up to the
+  /// capture instant, and the capture satisfies the per-node fragment
+  /// invariants and stub-vs-task time conservation.  Returns false —
+  /// folding nothing — when the handshake is disarmed
+  /// (options.snapshot_every == 0), the barrier fails, or the worker
+  /// failed to quiesce within the timeout.  Must be called from a thread
+  /// that does not drive this profiler's events.
   [[nodiscard]] bool capture(AggregateProfile& into) const;
 
   /// Register the process for the capture barrier
@@ -275,13 +281,17 @@ class ThreadTaskProfiler {
   /// Fig. 12 TaskSwitch: suspend the current explicit task (if any), make
   /// `target` current (nullptr = implicit task), resume its measurement.
   void switch_to(TaskInstanceState* target, Ticks now);
-  /// `leaf_duration` is the instance's measured lifetime, used when the
-  /// instance tree was never materialized (lazy leaf fast path).
-  void merge_and_recycle(std::unique_ptr<TaskInstanceState> instance,
-                         Ticks leaf_duration);
+  /// The time `frame` has been open at `now`, less the instance's
+  /// suspension since its enter (when pause_on_suspend).
+  [[nodiscard]] Ticks frame_duration(const TaskInstanceState& instance,
+                                     const TaskInstanceState::Frame& frame,
+                                     Ticks now) const noexcept;
+  /// Add frame_duration to the frame's node as one visit.
+  void close_frame(const TaskInstanceState& instance,
+                   const TaskInstanceState::Frame& frame, Ticks now);
   TaskInstanceState* find_instance(TaskInstanceId id) noexcept;
   std::unique_ptr<TaskInstanceState> take_instance(TaskInstanceId id);
-  CallNode* merged_root_for(RegionHandle region, std::int64_t parameter);
+  CallNode* task_root_for(RegionHandle region, std::int64_t parameter);
 
   ThreadId thread_;
   const Clock* clock_;
@@ -302,18 +312,20 @@ class ThreadTaskProfiler {
   std::vector<std::unique_ptr<TaskInstanceState>> instance_freelist_;
   TaskInstanceState* current_ = nullptr;  // nullptr = implicit task
 
-  // Merged per-construct trees, beside the main tree (§IV-B3).  Lookup
-  // on task_end keeps a last-hit pointer (completions of one construct
-  // come in runs) and promotes to an open-addressed index once the root
-  // count crosses kChildIndexFanout — parameter profiling (per-depth
-  // nqueens) produces one root per parameter value, and an O(roots) scan
-  // per completed instance dominated those runs.
+  // Per-construct task trees, beside the main tree (§IV-B3), in
+  // first-begin order.  Lookup on task_begin keeps a last-hit pointer
+  // (instances of one construct begin in runs) and promotes to an
+  // open-addressed index once the root count crosses kChildIndexFanout —
+  // parameter profiling (per-depth nqueens) produces one root per
+  // parameter value, and an O(roots) scan per instance dominated those
+  // runs.
   std::vector<CallNode*> task_roots_;
-  CallNode* last_merged_root_ = nullptr;
-  ChildIndex merged_root_index_;
-  bool merged_root_index_active_ = false;
+  CallNode* last_task_root_ = nullptr;
+  ChildIndex task_root_index_;
+  bool task_root_index_active_ = false;
 
-  // Creation-site ablation bookkeeping.  Lazily allocated: the default
+  // Creation-site ablation bookkeeping: the implicit-tree node each
+  // instance was created under.  Lazily allocated: the default
   // configuration never touches (or even constructs) the map.
   std::unique_ptr<std::unordered_map<TaskInstanceId, CallNode*>>
       creation_sites_;

@@ -239,17 +239,12 @@ CallNode* find_or_create_child(NodePool& pool, CallNode* parent,
   return node;
 }
 
-namespace {
-
-/// The one merge walk behind both merge_subtree overloads: a parallel
-/// preorder cursor over the intrusive links, `d` always mirroring `s` in
-/// the destination tree.  O(1) space — the recursive version overflowed
-/// the C++ stack on the cut-off-free recursion depths this profiler
-/// exists to measure.  `region_of` maps a source handle to the
-/// destination's; `visit` runs on each pair after its metrics are summed.
-template <typename RegionOf, typename Visit>
-void merge_walk(NodePool& pool, CallNode* dst, const CallNode* src,
-                RegionOf region_of, Visit visit) {
+void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src,
+                   std::span<const RegionHandle> remap, const MergeHook& hook) {
+  // A parallel preorder cursor over the intrusive links, `d` always
+  // mirroring `s` in the destination tree.  O(1) space — a recursive walk
+  // overflowed the C++ stack on the cut-off-free recursion depths this
+  // profiler exists to measure.
   TASKPROF_ASSERT(dst != nullptr && src != nullptr, "merge needs both trees");
   const CallNode* s = src;
   CallNode* d = dst;
@@ -257,7 +252,7 @@ void merge_walk(NodePool& pool, CallNode* dst, const CallNode* src,
     d->visits += s->visits;
     d->inclusive += s->inclusive;
     d->visit_stats.merge(s->visit_stats);
-    visit(*d, *s);
+    if (hook) hook(*d, *s);
     const CallNode* next = s->first_child;
     if (next == nullptr) {
       while (s != src && s->next_sibling == nullptr) {
@@ -269,29 +264,10 @@ void merge_walk(NodePool& pool, CallNode* dst, const CallNode* src,
       d = d->parent;
     }
     s = next;
-    d = find_or_create_child(pool, d, region_of(s->region), s->parameter,
-                             s->is_stub);
+    d = find_or_create_child(pool, d,
+                             remap.empty() ? s->region : remap[s->region],
+                             s->parameter, s->is_stub);
   }
-}
-
-}  // namespace
-
-void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src) {
-  merge_walk(
-      pool, dst, src, [](RegionHandle region) { return region; },
-      [](CallNode&, const CallNode&) {});
-}
-
-void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src,
-                   std::span<const RegionHandle> remap, const MergeHook& hook) {
-  merge_walk(
-      pool, dst, src,
-      [remap](RegionHandle region) {
-        return remap.empty() ? region : remap[region];
-      },
-      [&hook](CallNode& d, const CallNode& s) {
-        if (hook) hook(d, s);
-      });
 }
 
 std::size_t subtree_size(const CallNode* root) noexcept {

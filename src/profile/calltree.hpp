@@ -4,12 +4,10 @@
 // next-sibling links) allocated from a NodePool.  Pools are per-thread:
 // as in Score-P, "every thread operates on a separate section of
 // preallocated memory and constructs a separate call tree", avoiding
-// locking on the hot path (paper §IV-A).
-//
-// Task-instance trees are transient: created when an instance starts
-// executing, merged into the per-construct tree when it completes, then
-// recycled through the pool's free list (paper §V-B: "released
-// task-instance tree nodes are reused").
+// locking on the hot path (paper §IV-A).  A profiler's trees only grow:
+// task instances write straight into their construct's tree
+// (measure/task_profiler.hpp), so nodes are released only by the ingest
+// daemon's eviction (release_subtree).
 //
 // Child lookup is accelerated two ways (the per-enter cost used to be an
 // O(siblings) scan, which dominates for parameter-profiled nodes with
@@ -191,19 +189,16 @@ CallNode* find_or_create_child(NodePool& pool, CallNode* parent,
                                std::int64_t parameter = kNoParameter,
                                bool is_stub = false);
 
-/// Merge `src`'s metrics and subtree into `dst` (same identity assumed for
-/// the roots).  Missing nodes are created in `pool`; `src` is left intact.
-/// Iterative over the intrusive links (O(1) space): deep instance trees
-/// from cut-off-free recursion must not overflow the C++ stack.
-void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src);
-
 /// Called on every node pair a merge visits, after the source node's
 /// metrics were summed into the destination node.
 using MergeHook = std::function<void(CallNode& dst, const CallNode& src)>;
 
-/// The same walk for trees whose region handles belong to another
-/// registry: every source handle is translated through `remap` (empty:
-/// the same registry), and `hook` (may be empty) runs on every node pair.
+/// Merge `src`'s metrics and subtree into `dst` (same identity assumed for
+/// the roots).  Missing nodes are created in `pool`; `src` is left intact.
+/// Every source handle is translated through `remap` (empty: both trees
+/// use one registry), and `hook` (may be empty) runs on every node pair.
+/// Iterative over the intrusive links (O(1) space): deep trees from
+/// cut-off-free recursion must not overflow the C++ stack.
 void merge_subtree(NodePool& pool, CallNode* dst, const CallNode* src,
                    std::span<const RegionHandle> remap, const MergeHook& hook);
 

@@ -113,8 +113,8 @@ std::string render_profile(const AggregateProfile& profile,
                            const ReportOptions& options) {
   std::ostringstream os;
   if (profile.partial_capture) {
-    os << "=== PARTIAL CAPTURE: mid-run snapshot; in-flight tasks are not "
-          "included ===\n";
+    os << "=== PARTIAL CAPTURE: mid-run snapshot; in-flight tasks are "
+          "included up to the capture ===\n";
   }
   os << "=== main tree (implicit tasks, " << profile.thread_count
      << " threads merged; '*' marks task-execution stub nodes) ===\n";

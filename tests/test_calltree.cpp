@@ -130,7 +130,7 @@ TEST_F(CallTreeTest, MergeAggregatesMetricsAndStructure) {
   src_b->inclusive = 2;
   src_b->visit_stats.add(2);
 
-  merge_subtree(pool_, dst, src);
+  merge_subtree(pool_, dst, src, {}, {});
 
   EXPECT_EQ(dst->visits, 2u);
   EXPECT_EQ(dst->inclusive, 30);
@@ -157,7 +157,7 @@ TEST_F(CallTreeTest, MergeDistinguishesStubsAndParameters) {
   src_pool.allocate(1, kNoParameter, false, src)->inclusive = 1;
   src_pool.allocate(1, kNoParameter, true, src)->inclusive = 2;
   src_pool.allocate(1, 9, false, src)->inclusive = 3;
-  merge_subtree(pool_, dst, src);
+  merge_subtree(pool_, dst, src, {}, {});
   EXPECT_EQ(dst->child_count(), 3u);
   EXPECT_EQ(find_child(dst, 1)->inclusive, 1);
   EXPECT_EQ(find_child(dst, 1, kNoParameter, true)->inclusive, 2);

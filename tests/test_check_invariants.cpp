@@ -100,7 +100,7 @@ TEST(CheckInvariants, CleanRealProfilePasses) {
 }
 
 // The acceptance negative test: inject a merge bug (an extra visit on a
-// merged task root, as a broken instance-tree merge would produce) and
+// task root, as a task_begin that counted twice would produce) and
 // require the checker to flag it — on both engines.
 TEST(CheckInvariants, InjectedMergeBugIsCaughtOnSim) {
   Measured m;

@@ -1,10 +1,10 @@
 // Tests of the event-engine fast paths: the hot_child last-hit cache,
 // the promoted open-addressed ChildIndex on wide-fan-out nodes, the
-// iterative O(1)-space merge/release walks, and the leaf fast path in
-// merge_and_recycle.  The through-line: every fast path must be
-// profile-identical to the plain engine it replaced (linear sibling
-// scans, eager instance trees, full merge walks).  That engine is gone;
-// its profile of a mixed event stream is kept as a golden
+// iterative O(1)-space merge/release walks, and task frames that write
+// straight into the construct tree.  The through-line: every fast path
+// must be profile-identical to the plain engine it replaced (linear
+// sibling scans, eager instance trees, full merge walks).  That engine is
+// gone; its profile of a mixed event stream is kept as a golden
 // (tests/corpus/hotpath/run_stream.csv) that the fast paths must
 // reproduce byte for byte.
 #include <gtest/gtest.h>
@@ -252,9 +252,9 @@ class HotpathEquivalenceTest : public ::testing::Test {
                                                 options);
   }
 
-  /// Deterministic mixed event stream: leaf-only tasks (the leaf fast
-  /// path's case), tasks with nested enters and a parameter fan-out wide
-  /// enough to promote indexes, interleaved suspension, and a taskwait.
+  /// Deterministic mixed event stream: leaf-only tasks, tasks with nested
+  /// enters and a parameter fan-out wide enough to promote indexes,
+  /// interleaved suspension, and a taskwait.
   void run_stream(ThreadTaskProfiler& prof) {
     clock_.set(0);
     prof.enter(main_);
@@ -262,7 +262,7 @@ class HotpathEquivalenceTest : public ::testing::Test {
     prof.enter(barrier_);
     TaskInstanceId next_id = 1;
     for (std::int64_t round = 0; round < 40; ++round) {
-      // Leaf task: single-node instance tree.
+      // Leaf task: only its root frame.
       const TaskInstanceId leaf = next_id++;
       clock_.advance(1);
       prof.task_begin(task_a_, leaf, round % 12);

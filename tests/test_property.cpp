@@ -71,7 +71,7 @@ TEST_P(RandomProgramTest, MeasurementInvariantsHold) {
   EXPECT_TRUE(out.report.ok()) << out.report.to_string();
 
   // Conservation: every executed fragment is timed identically in the
-  // implicit tree's stub and in the instance tree.
+  // implicit tree's stub and in the task's construct tree.
   EXPECT_EQ(out.stub_total, out.task_tree_total);
 
   // Execution-site attribution keeps all exclusive times non-negative.

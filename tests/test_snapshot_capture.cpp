@@ -238,8 +238,9 @@ TEST(SnapshotCapture, DirectDriveCaptureReproducesTheGolden) {
   // Two profilers driven through the instrumentor's hooks with manual
   // clocks: parameterized constructs, finished and in-flight instances,
   // and open implicit frames on both threads when a second OS thread
-  // captures.  The goldens were rendered by the capture that copied each
-  // profiler's trees into a scratch pool and aggregated the copies.
+  // captures.  The capture closes every open frame, so the in-flight c(7)
+  // is held up to the capture instant, and its construct tree lists
+  // between a(1)'s and a(2)'s because it began between them.
   RegionRegistry registry;
   MeasureOptions options;
   options.snapshot_every = 1;

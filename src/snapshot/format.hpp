@@ -68,6 +68,11 @@ class SnapshotError : public std::runtime_error {
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
 
+/// Most threads a container may describe: the decoders reject larger
+/// counts with kLimit, and whatever sums counts (merge) refuses a total
+/// above it, so no writer produces a file its reader rejects.
+inline constexpr std::size_t kMaxThreads = std::size_t{1} << 20;
+
 /// What tells one file kind apart inside the shared container.
 struct ContainerFormat {
   std::string_view name;  ///< file kind in error messages, e.g. ".tpsnap"

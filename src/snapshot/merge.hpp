@@ -20,9 +20,11 @@
 
 namespace taskprof::snapshot {
 
-/// Fold `src` into `dst` in place (fold_trees).  Throws
-/// SnapshotError(kMalformed) when the snapshots cannot describe the same
-/// program (implicit roots that differ in region or parameter).
+/// Fold `src` into `dst` in place (fold_trees).  Throws, leaving `dst`
+/// unchanged: SnapshotError(kMalformed) when the snapshots cannot
+/// describe the same program (implicit roots that differ in region or
+/// parameter), SnapshotError(kLimit) when a summed thread, concurrency
+/// mark or telemetry row count would exceed kMaxThreads.
 void merge_snapshot_into(SnapshotData& dst, const SnapshotData& src);
 
 /// Read every file and fold them left to right into the first.

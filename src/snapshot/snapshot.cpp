@@ -15,7 +15,6 @@ namespace {
 // Sanity limits: generous for real profiles, tight enough that a
 // malformed count cannot drive allocation before its payload runs out.
 constexpr std::size_t kMaxStringSize = 1u << 20;
-constexpr std::size_t kMaxThreads = 1u << 20;
 constexpr std::size_t kMaxTelemetryEntries = 4096;
 
 constexpr std::uint64_t kMetaFlagPartial = 1;

@@ -13,6 +13,7 @@ namespace {
 using snapshot::Decoder;
 using snapshot::Encoder;
 using snapshot::Errc;
+using snapshot::kMaxThreads;
 using snapshot::SnapshotError;
 
 constexpr std::uint8_t kKindMask = 0x1F;
@@ -21,10 +22,10 @@ constexpr std::uint8_t kHasParameter = 0x40;
 constexpr std::uint8_t kHasPeer = 0x80;
 static_assert(static_cast<std::uint8_t>(EventKind::kWork) <= kKindMask);
 
-// Sanity limits, as for .tpsnap thread counts: far above real traces,
-// low enough that the trace-only CLI paths, which register a generated
-// name for every region id up to the largest, stay quick.
-constexpr std::uint64_t kMaxThreads = 1u << 20;
+// Region-id sanity limit, as high as the container's thread limit: far
+// above real traces, low enough that the trace-only CLI paths, which
+// register a generated name for every region id up to the largest, stay
+// quick.
 constexpr std::uint64_t kMaxRegion = 1u << 20;
 
 // The container header and the events section's header.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "bots/kernel.hpp"
 #include "check/differential.hpp"
 #include "check/invariants.hpp"
+#include "ingest/delta.hpp"
 #include "instrument/instrumentor.hpp"
 #include "measure/aggregate.hpp"
 #include "report/text_report.hpp"
@@ -222,6 +224,58 @@ TEST(SnapshotMerge, ImplicitRootsDifferingInParameterAreRejected) {
       EXPECT_EQ(error.code(), snapshot::Errc::kMalformed);
     }
   }
+}
+
+TEST(SnapshotMerge, SummedThreadCountOverTheLimitIsLimit) {
+  // The committed fib snapshot with its thread count set to the format's
+  // limit still loads; merged with itself it would sum to a file the
+  // loader rejects, so the merge refuses it and changes nothing.
+  const std::filesystem::path corpus = TASKPROF_SNAPSHOT_CORPUS_DIR;
+  snapshot::SnapshotData data =
+      snapshot::read_snapshot_file(corpus / "ok_fib_sim.tpsnap");
+  data.profile.thread_count = snapshot::kMaxThreads;
+  const std::string path = testing::TempDir() + "limit_threads.tpsnap";
+  snapshot::write_snapshot_file(path, data);
+  try {
+    (void)snapshot::merge_snapshot_files({path, path});
+    ADD_FAILURE() << "merge past the thread limit accepted";
+  } catch (const snapshot::SnapshotError& error) {
+    EXPECT_EQ(error.code(), snapshot::Errc::kLimit);
+  }
+  snapshot::SnapshotData dst = snapshot::read_snapshot_file(path);
+  std::remove(path.c_str());
+  const std::vector<std::uint8_t> before = snapshot::encode_snapshot(dst);
+  const RegionHandle regions = static_cast<RegionHandle>(dst.registry->size());
+  EXPECT_THROW(snapshot::merge_snapshot_into(dst, data),
+               snapshot::SnapshotError);
+  EXPECT_EQ(snapshot::encode_snapshot(dst), before);
+  EXPECT_EQ(dst.registry->size(), regions);
+}
+
+TEST(SnapshotMerge, SummedMarksAndTelemetryThreadsOverTheLimitAreLimit) {
+  const auto expect_limit = [](const snapshot::SnapshotData& dst,
+                               const snapshot::SnapshotData& src) {
+    snapshot::SnapshotData copy = ingest::clone_snapshot(dst);
+    try {
+      snapshot::merge_snapshot_into(copy, src);
+      ADD_FAILURE() << "merge past a limit accepted";
+    } catch (const snapshot::SnapshotError& error) {
+      EXPECT_EQ(error.code(), snapshot::Errc::kLimit);
+    }
+  };
+  snapshot::SnapshotData marks = hand_built(false, 1);
+  marks.profile.max_concurrent_per_thread.resize(snapshot::kMaxThreads);
+  expect_limit(marks, marks);
+  snapshot::SnapshotData telemetry = hand_built(false, 1);
+  telemetry.has_telemetry = true;
+  telemetry.telemetry.threads = static_cast<int>(snapshot::kMaxThreads);
+  expect_limit(telemetry, telemetry);
+  // At the limit exactly, the merge goes through.
+  snapshot::SnapshotData half = hand_built(false, 1);
+  half.profile.thread_count = snapshot::kMaxThreads / 2;
+  snapshot::SnapshotData copy = ingest::clone_snapshot(half);
+  snapshot::merge_snapshot_into(copy, half);
+  EXPECT_EQ(copy.profile.thread_count, snapshot::kMaxThreads);
 }
 
 TEST(SnapshotMerge, TelemetryFoldsCountersSumGaugesMax) {

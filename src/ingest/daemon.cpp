@@ -20,6 +20,7 @@
 namespace taskprof::ingest {
 
 using snapshot::SnapshotData;
+using snapshot::SnapshotError;
 
 namespace {
 
@@ -383,15 +384,15 @@ void IngestDaemon::process_item(Shard& shard, WorkItem& item) {
   }
   rec.session.handle_frame(*item.frame);
   if (rec.session.bye_received() && rec.in_live) {
-    fold_session(shard, rec);
-    retire_session(shard, item.rec, true);
+    const bool folded = fold_session(shard, rec);
+    retire_session(shard, item.rec, folded);
     return;
   }
   if (is_delta) maybe_evict(shard);
 }
 
-void IngestDaemon::fold_session(Shard& shard, SessionRec& rec) {
-  if (rec.session.cumulative() == nullptr) return;
+bool IngestDaemon::fold_session(Shard& shard, SessionRec& rec) {
+  if (rec.session.cumulative() == nullptr) return true;
   SnapshotData cum = rec.session.release_cumulative();
   if (!shard.has_aggregate) {
     // First contribution: adopt it wholesale, exactly like
@@ -399,9 +400,16 @@ void IngestDaemon::fold_session(Shard& shard, SessionRec& rec) {
     // daemon therefore exports byte-identical snapshots.
     shard.aggregate = std::move(cum);
     shard.has_aggregate = true;
-  } else {
-    snapshot::merge_snapshot_into(shard.aggregate, cum);
+    return true;
   }
+  try {
+    snapshot::merge_snapshot_into(shard.aggregate, cum);
+  } catch (const SnapshotError& error) {
+    // The merge refused before changing anything; so does the daemon.
+    rec.session.refuse(error);
+    return false;
+  }
+  return true;
 }
 
 void IngestDaemon::retire_session(Shard& shard,
@@ -492,7 +500,11 @@ snapshot::SnapshotData IngestDaemon::export_aggregate() const {
   }
   SnapshotData out = clone_snapshot(*sources.front());
   for (std::size_t i = 1; i < sources.size(); ++i) {
-    snapshot::merge_snapshot_into(out, *sources[i]);
+    try {
+      snapshot::merge_snapshot_into(out, *sources[i]);
+    } catch (const SnapshotError&) {
+      // Left out; the merge changed nothing (see export_aggregate).
+    }
   }
   return out;
 }

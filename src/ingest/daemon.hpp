@@ -16,7 +16,10 @@
 // session's contribution (default) so the daemon's aggregate equals the
 // offline merge of the *survivors'* snapshots — the crash-injection
 // soak asserts exactly that.  `keep_partial_sessions` opts into folding
-// dirty sessions instead.
+// dirty sessions instead.  A session whose profile cannot join the shard
+// aggregate (another program's implicit root, or counts summing past the
+// snapshot format's limits) is refused: it gets an Error frame, counts
+// as dropped, and the aggregate stays as it was.
 //
 // Memory budget: when the live call-tree bytes of a shard exceed
 // budget/shards, the merge worker evicts cold call paths (least
@@ -104,7 +107,10 @@ class IngestDaemon {
 
   /// The merged fleet view: shard aggregates (retired sessions) plus
   /// every live session's cumulative, folded with snapshot::merge
-  /// semantics.  An empty daemon exports an empty-but-valid snapshot.
+  /// semantics.  A source that cannot join the sources before it is left
+  /// out (a live session that its fold will refuse, or the aggregate of
+  /// another shard).  An empty daemon exports an empty-but-valid
+  /// snapshot.
   [[nodiscard]] snapshot::SnapshotData export_aggregate() const;
 
   /// Rendered report of the current aggregate (text / analysis JSON /
@@ -169,7 +175,9 @@ class IngestDaemon {
   void drain_outboxes();
   void wake_io();
   void process_item(Shard& shard, WorkItem& item);
-  void fold_session(Shard& shard, SessionRec& rec);
+  /// Fold the session's cumulative into the shard aggregate; false when
+  /// the session was refused instead.
+  bool fold_session(Shard& shard, SessionRec& rec);
   void retire_session(Shard& shard, const std::shared_ptr<SessionRec>& rec,
                       bool clean);
   void maybe_evict(Shard& shard);

@@ -185,6 +185,12 @@ void Session::send_error(Errc code, const std::string& detail, bool fatal) {
   if (fatal) state_ = SessionState::kClosed;
 }
 
+void Session::refuse(const SnapshotError& error) {
+  send_error(error.code() == snapshot::Errc::kLimit ? Errc::kLimit
+                                                    : Errc::kMalformed,
+             error.what(), true);
+}
+
 std::vector<std::uint8_t> Session::take_output() {
   std::vector<std::uint8_t> out;
   out.swap(output_);

@@ -92,6 +92,11 @@ class Session {
   /// shard aggregate).  The session keeps running but starts empty.
   [[nodiscard]] snapshot::SnapshotData release_cumulative();
 
+  /// The daemon could not fold the released cumulative (`error` from
+  /// snapshot::merge_snapshot_into): answer with an Error frame and
+  /// close the session.
+  void refuse(const snapshot::SnapshotError& error);
+
   /// Shard epoch stamped onto every node the next delta touches (the
   /// merge scheduler bumps it per applied delta).
   void set_apply_epoch(std::uint64_t epoch) noexcept { apply_epoch_ = epoch; }

@@ -28,11 +28,13 @@ std::string socket_path(const char* name) {
 
 /// Two-stage synthetic producer (same shape as the delta tests):
 /// stage 1 strictly grows stage 0 and adds a new region/subtree.
-SnapshotData capture(int stage, std::uint64_t process_id) {
+/// `root` names the implicit task (another name: another program).
+SnapshotData capture(int stage, std::uint64_t process_id,
+                     const char* root = "implicit task") {
   SnapshotData data;
   data.registry = std::make_unique<RegionRegistry>();
-  const RegionHandle implicit = data.registry->register_region(
-      "implicit task", RegionType::kImplicitTask);
+  const RegionHandle implicit =
+      data.registry->register_region(root, RegionType::kImplicitTask);
   const RegionHandle work =
       data.registry->register_region("work", RegionType::kFunction);
   AggregateProfile& p = data.profile;
@@ -156,6 +158,92 @@ TEST(IngestDaemon, TwoProducersMatchTheOfflineMerge) {
             snapshot::encode_snapshot(offline));
   daemon.stop();
 }
+
+// Two producers whose profiles cannot merge: the second names another
+// implicit root, or both declare the format's thread limit so their sum
+// would exceed it.  The daemon must keep serving: reports while both
+// sessions are live leave the second out, and with one shard its fold
+// is refused with an Error frame and counted as dropped.
+struct ConflictCase {
+  int shards;
+  bool over_limit;
+};
+
+std::string conflict_name(const ::testing::TestParamInfo<ConflictCase>& param) {
+  return std::string(param.param.over_limit ? "thread_limit" : "other_root") +
+         "_shards" + std::to_string(param.param.shards);
+}
+
+class IngestDaemonConflict : public ::testing::TestWithParam<ConflictCase> {};
+
+TEST_P(IngestDaemonConflict, UnmergeableProducerIsRefusedAndServingGoesOn) {
+  const ConflictCase& c = GetParam();
+  DaemonOptions options;
+  options.socket_path = socket_path(conflict_name({c, 0}).c_str());
+  options.shards = c.shards;
+  IngestDaemon daemon(options);
+  daemon.start();
+
+  SnapshotData a = capture(1, 1);
+  SnapshotData b = capture(1, 2, c.over_limit ? "implicit task" : "main");
+  if (c.over_limit) {
+    a.profile.thread_count = snapshot::kMaxThreads;
+    b.profile.thread_count = snapshot::kMaxThreads;
+  }
+  const auto client_for = [&](const SnapshotData& snap) {
+    ClientOptions copts;
+    copts.socket_path = options.socket_path;
+    copts.process_id = snap.meta.process_id;
+    return std::make_unique<IngestClient>(copts);
+  };
+  const auto first = client_for(a);
+  const auto second = client_for(b);
+  (void)first->send_snapshot(a);
+  (void)second->send_snapshot(b);
+  ASSERT_TRUE(wait_for([&] { return daemon.stats().deltas_applied == 2; }));
+
+  // Both sessions live: the export holds the first one only.
+  const std::vector<std::uint8_t> live =
+      query_report(options.socket_path, ReportKind::kSnapshot);
+  EXPECT_EQ(live, snapshot::encode_snapshot(a));
+
+  first->finish(nullptr);
+  ASSERT_TRUE(
+      wait_for([&] { return daemon.stats().sessions_closed_clean == 1; }));
+  second->finish(nullptr);
+  ASSERT_TRUE(wait_for([&] {
+    const DaemonStats s = daemon.stats();
+    return s.sessions_closed_clean + s.sessions_dropped == 2;
+  }));
+  const DaemonStats stats = daemon.stats();
+  if (c.shards == 1) {
+    // The second fold is refused; the aggregate is the first producer's.
+    EXPECT_EQ(stats.sessions_closed_clean, 1u);
+    EXPECT_EQ(stats.sessions_dropped, 1u);
+    EXPECT_EQ(stats.errors_sent, 1u);
+    EXPECT_EQ(snapshot::encode_snapshot(daemon.export_aggregate()),
+              snapshot::encode_snapshot(a));
+  } else {
+    // Each fold lands in its own shard; the export holds one of them.
+    EXPECT_EQ(stats.sessions_closed_clean, 2u);
+    const std::vector<std::uint8_t> exported =
+        snapshot::encode_snapshot(daemon.export_aggregate());
+    EXPECT_TRUE(exported == snapshot::encode_snapshot(a) ||
+                exported == snapshot::encode_snapshot(b));
+  }
+  EXPECT_TRUE(daemon.running());
+  const std::vector<std::uint8_t> text =
+      query_report(options.socket_path, ReportKind::kText);
+  EXPECT_NE(std::string(text.begin(), text.end()).find("main tree"),
+            std::string::npos);
+  daemon.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsAndConflicts, IngestDaemonConflict,
+    ::testing::Values(ConflictCase{1, false}, ConflictCase{2, false},
+                      ConflictCase{1, true}, ConflictCase{2, true}),
+    conflict_name);
 
 TEST(IngestDaemon, ExportIncludesLiveSessions) {
   DaemonOptions options;

@@ -30,34 +30,50 @@ namespace taskprof {
 // capturer therefore sees, and it waits for the release store that ends
 // the event.  Either way no event body overlaps the capture's fold.  The
 // flag load is acquire so that an event admitted after a capture cleared
-// the flag (release) is ordered after that capture's reads.
+// the flag (release) is ordered after that capture's reads.  A null
+// profiler guards nothing.
 class ThreadTaskProfiler::EventScope {
  public:
-  explicit EventScope(const ThreadTaskProfiler& profiler) noexcept
-      : profiler_(profiler) {
-    if (!profiler_.capture_enabled_) return;
-    seq_ = profiler_.event_seq_.load(std::memory_order_relaxed);
+  explicit EventScope(const ThreadTaskProfiler* profiler) noexcept
+      : profiler_(profiler != nullptr && profiler->capture_enabled_
+                      ? profiler
+                      : nullptr) {
+    if (profiler_ == nullptr) return;
+    seq_ = profiler_->event_seq_.load(std::memory_order_relaxed);
     for (;;) {
-      profiler_.event_seq_.store(++seq_, std::memory_order_relaxed);
+      profiler_->event_seq_.store(++seq_, std::memory_order_relaxed);
       std::atomic_signal_fence(std::memory_order_seq_cst);
-      if (!profiler_.capture_pause_.load(std::memory_order_acquire)) return;
-      profiler_.event_seq_.store(++seq_, std::memory_order_release);
-      while (profiler_.capture_pause_.load(std::memory_order_acquire)) {
+      if (!profiler_->capture_pause_.load(std::memory_order_acquire)) return;
+      profiler_->event_seq_.store(++seq_, std::memory_order_release);
+      while (profiler_->capture_pause_.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
     }
   }
   ~EventScope() {
-    if (!profiler_.capture_enabled_) return;
-    profiler_.event_seq_.store(seq_ + 1, std::memory_order_release);
+    if (profiler_ == nullptr) return;
+    profiler_->event_seq_.store(seq_ + 1, std::memory_order_release);
   }
   EventScope(const EventScope&) = delete;
   EventScope& operator=(const EventScope&) = delete;
 
  private:
-  const ThreadTaskProfiler& profiler_;
+  const ThreadTaskProfiler* profiler_;
   std::uint64_t seq_ = 0;  ///< odd value published while the body runs
 };
+
+namespace {
+
+/// The profiler whose trees an instance's frames write, when that is not
+/// `self`: an untied instance adopted from another thread (simulator
+/// only, where one OS thread drives every profiler).  Its events then
+/// also hold that profiler's capture off.
+const ThreadTaskProfiler* foreign_home(const TaskInstanceState& instance,
+                                       const ThreadTaskProfiler* self) {
+  return instance.home != self ? instance.home : nullptr;
+}
+
+}  // namespace
 
 namespace {
 
@@ -83,7 +99,7 @@ ThreadTaskProfiler::ThreadTaskProfiler(ThreadId thread, const Clock& clock,
 ThreadTaskProfiler::~ThreadTaskProfiler() = default;
 
 void ThreadTaskProfiler::enter(RegionHandle region, std::int64_t parameter) {
-  EventScope guard(*this);
+  EventScope guard(this);
   const Ticks now = clock_->now();
   last_event_ticks_ = now;
   const std::size_t limit = options_.max_tree_depth;
@@ -107,8 +123,9 @@ void ThreadTaskProfiler::enter(RegionHandle region, std::int64_t parameter) {
       ++total_folds_;
       return;
     }
+    const EventScope home_guard(foreign_home(inst, this));
     CallNode* node = find_or_create_child(
-        *inst.home_pool, inst.stack.back().node, region, parameter, false);
+        inst.home->pool_, inst.stack.back().node, region, parameter, false);
     ++node->visits;
     inst.stack.push_back(
         TaskInstanceState::Frame{node, now, inst.suspended_total});
@@ -116,7 +133,7 @@ void ThreadTaskProfiler::enter(RegionHandle region, std::int64_t parameter) {
 }
 
 void ThreadTaskProfiler::exit(RegionHandle region) {
-  EventScope guard(*this);
+  EventScope guard(this);
   const Ticks now = clock_->now();
   last_event_ticks_ = now;
   if (current_ == nullptr) {
@@ -143,6 +160,7 @@ void ThreadTaskProfiler::exit(RegionHandle region) {
                     "exit would pop the task root; task_end does that");
     TASKPROF_ASSERT(inst.stack.back().node->region == region,
                     "exit region does not match innermost open region");
+    const EventScope home_guard(foreign_home(inst, this));
     close_frame(inst, inst.stack.back(), now);
     inst.stack.pop_back();
   }
@@ -151,7 +169,7 @@ void ThreadTaskProfiler::exit(RegionHandle region) {
 void ThreadTaskProfiler::task_begin(RegionHandle task_region,
                                     TaskInstanceId id,
                                     std::int64_t parameter) {
-  EventScope guard(*this);
+  EventScope guard(this);
   TASKPROF_ASSERT(id != kImplicitTaskId, "instance id 0 is the implicit task");
   TASKPROF_ASSERT(find_instance(id) == nullptr, "instance id already active");
   const Ticks now = clock_->now();
@@ -168,7 +186,7 @@ void ThreadTaskProfiler::task_begin(RegionHandle task_region,
   state->id = id;
   state->task_region = task_region;
   state->parameter = parameter;
-  state->home_pool = &pool_;
+  state->home = this;
   // The root frame: the construct's tree root, or under the creation-site
   // ablation the construct's child of the node that created the task.
   CallNode* root = nullptr;
@@ -192,7 +210,7 @@ void ThreadTaskProfiler::task_begin(RegionHandle task_region,
 }
 
 void ThreadTaskProfiler::task_end(TaskInstanceId id) {
-  EventScope guard(*this);
+  EventScope guard(this);
   const Ticks now = clock_->now();
   last_event_ticks_ = now;
   TASKPROF_ASSERT(current_ != nullptr && current_->id == id,
@@ -206,7 +224,10 @@ void ThreadTaskProfiler::task_end(TaskInstanceId id) {
   // own exit, so this completes the instance's share of the construct
   // tree: Fig. 12's "merge task tree into global profile of thread" has
   // nothing left to do.
-  close_frame(inst, inst.stack.back(), now);
+  {
+    const EventScope home_guard(foreign_home(inst, this));
+    close_frame(inst, inst.stack.back(), now);
+  }
   inst.stack.pop_back();
 
   // TaskSwitch(implicit task).
@@ -218,7 +239,7 @@ void ThreadTaskProfiler::task_end(TaskInstanceId id) {
 }
 
 void ThreadTaskProfiler::task_switch(TaskInstanceId id) {
-  EventScope guard(*this);
+  EventScope guard(this);
   const Ticks now = clock_->now();
   last_event_ticks_ = now;
   if (id == kImplicitTaskId) {
@@ -231,7 +252,7 @@ void ThreadTaskProfiler::task_switch(TaskInstanceId id) {
 }
 
 void ThreadTaskProfiler::note_task_created(TaskInstanceId id) {
-  EventScope guard(*this);
+  EventScope guard(this);
   if (!options_.creation_site_attribution) return;
   // Only implicit-task creation sites, as in Fig. 3: an instance created
   // by another task keeps execution-site placement.
@@ -245,7 +266,7 @@ void ThreadTaskProfiler::note_task_created(TaskInstanceId id) {
 
 std::unique_ptr<TaskInstanceState> ThreadTaskProfiler::detach_instance(
     TaskInstanceId id) {
-  EventScope guard(*this);
+  EventScope guard(this);
   TASKPROF_ASSERT(current_ == nullptr || current_->id != id,
                   "cannot detach the running instance");
   auto state = take_instance(id);
@@ -255,7 +276,7 @@ std::unique_ptr<TaskInstanceState> ThreadTaskProfiler::detach_instance(
 
 void ThreadTaskProfiler::adopt_instance(
     std::unique_ptr<TaskInstanceState> state) {
-  EventScope guard(*this);
+  EventScope guard(this);
   TASKPROF_ASSERT(state != nullptr, "adopt requires an instance");
   TASKPROF_ASSERT(find_instance(state->id) == nullptr,
                   "instance id already active on this thread");
@@ -264,7 +285,7 @@ void ThreadTaskProfiler::adopt_instance(
 }
 
 void ThreadTaskProfiler::finalize() {
-  EventScope guard(*this);
+  EventScope guard(this);
   TASKPROF_ASSERT(current_ == nullptr,
                   "finalize while an explicit task is current");
   TASKPROF_ASSERT(instances_.empty(), "finalize with active task instances");
@@ -338,7 +359,8 @@ bool ThreadTaskProfiler::capture(AggregateProfile& into) const {
   // close at the last event, a suspended instance at its suspend
   // instant.  Frames of different instances can share a node, so they
   // are matched by node address.  An instance adopted from another
-  // thread writes that thread's trees, not these.
+  // thread writes that thread's trees, not these; one lent to another
+  // thread is not in this table, so its open frames stay out.
   struct OpenFrame {
     const CallNode* node;
     Ticks elapsed;
@@ -348,7 +370,7 @@ bool ThreadTaskProfiler::capture(AggregateProfile& into) const {
     open.push_back({frame.node, last_event_ticks_ - frame.enter_time});
   }
   for (const auto& inst : instances_) {
-    if (inst->home_pool != &pool_) continue;
+    if (inst->home != this) continue;
     const Ticks end = inst->suspended ? inst->suspend_start : last_event_ticks_;
     for (const TaskInstanceState::Frame& frame : inst->stack) {
       open.push_back({frame.node, frame_duration(*inst, frame, end)});

@@ -39,9 +39,9 @@
 //  * Untied-task migration (§IV-D): instance state can be detached from one
 //    profiler and adopted by another, moving the "pointer to the
 //    task-specific data" with the task.  Its frames keep writing into the
-//    construct tree of the thread the instance began on.  Only the
-//    simulator engine uses this (single OS thread), so no synchronization
-//    is needed.
+//    construct tree of the thread the instance began on, inside that
+//    profiler's capture handshake too.  Only the simulator engine uses
+//    this (single OS thread), so no further synchronization is needed.
 #pragma once
 
 #include <atomic>
@@ -58,6 +58,7 @@
 namespace taskprof {
 
 struct AggregateProfile;
+class ThreadTaskProfiler;
 
 /// Measurement-policy switches.  Defaults reproduce the paper's design;
 /// the alternatives exist for the design-ablation benchmark.
@@ -114,7 +115,7 @@ class TaskInstanceState {
   TaskInstanceId id = 0;
   RegionHandle task_region = kInvalidRegion;
   std::int64_t parameter = kNoParameter;
-  NodePool* home_pool = nullptr;  ///< pool of the thread it began on
+  ThreadTaskProfiler* home = nullptr;  ///< where it began; frames write there
   std::vector<Frame> stack;       ///< open frames, root at index 0
   Ticks suspended_total = 0;      ///< accumulated suspension time
   Ticks suspend_start = 0;        ///< valid while suspended
@@ -129,7 +130,7 @@ class TaskInstanceState {
     id = 0;
     task_region = kInvalidRegion;
     parameter = kNoParameter;
-    home_pool = nullptr;
+    home = nullptr;
     stack.clear();
     suspended_total = 0;
     suspend_start = 0;

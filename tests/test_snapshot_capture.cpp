@@ -27,6 +27,7 @@
 #include "instrument/instrumentor.hpp"
 #include "report/text_report.hpp"
 #include "rt/real_runtime.hpp"
+#include "rt/sim_runtime.hpp"
 #include "snapshot/flusher.hpp"
 #include "snapshot/snapshot.hpp"
 #include "test_util.hpp"
@@ -93,6 +94,70 @@ TEST(SnapshotCapture, ConcurrentCapturesAreValidPartialProfiles) {
   const AggregateProfile profile = instr.aggregate();
   const check::InvariantReport verdict = check::check_profile(
       profile, registry);
+  EXPECT_TRUE(verdict.ok()) << verdict.to_string();
+}
+
+TEST(SnapshotCapture, CapturesOfMigratingUntiedTasksDoNotRace) {
+  // On the simulator, untied instances migrate at their taskwait and keep
+  // writing the trees of the thread they began on, from the adopting
+  // thread's events.  Those writes must hold the first thread's capture
+  // off (the tsan preset checks it).  The captures themselves are not
+  // checked: they miss the open frames of an instance lent to another
+  // thread (DESIGN.md §11), so check_profile may flag those frames' nodes.
+  RegionRegistry registry;
+  MeasureOptions options;
+  options.snapshot_every = 1;
+  Instrumentor instr(registry, options);
+  rt::SimRuntime runtime;
+  rt::FanoutHooks fanout({&instr});
+  runtime.set_hooks(&fanout);
+  const RegionHandle outer =
+      registry.register_region("untied_outer", RegionType::kTask);
+  const RegionHandle inner =
+      registry.register_region("inner", RegionType::kTask);
+  const RegionHandle fn = registry.register_region("fn", RegionType::kFunction);
+
+  std::atomic<bool> running{true};
+  std::atomic<std::size_t> captured{0};
+  std::thread capturer([&] {
+    while (running.load(std::memory_order_acquire)) {
+      captured += instr.capture_snapshot().profilers_captured;
+    }
+  });
+  std::uint64_t migrations = 0;
+  for (int round = 0; round < 20 || (captured == 0 && round < 2000);
+       ++round) {
+    const rt::TeamStats stats = runtime.parallel(4, [&](rt::TaskContext& ctx) {
+      if (!ctx.single()) return;
+      for (int i = 0; i < 16; ++i) {
+        rt::TaskAttrs attrs;
+        attrs.region = outer;
+        attrs.binding = rt::TaskBinding::kUntied;
+        ctx.create_task(
+            [&](rt::TaskContext& task) {
+              task.region_enter(fn);
+              rt::TaskAttrs child;
+              child.region = inner;
+              task.create_task([](rt::TaskContext& c) { c.work(20'000); },
+                               child);
+              task.taskwait();  // may resume on another worker
+              task.work(1'000);
+              task.region_exit(fn);
+            },
+            attrs);
+      }
+    });
+    migrations += stats.migrations;
+  }
+  running.store(false, std::memory_order_release);
+  capturer.join();
+  runtime.set_hooks(nullptr);
+  ASSERT_GT(migrations, 0u) << "the program must migrate";
+  EXPECT_GT(captured.load(), 0u);
+
+  instr.finalize();
+  const check::InvariantReport verdict =
+      check::check_profile(instr.aggregate(), registry);
   EXPECT_TRUE(verdict.ok()) << verdict.to_string();
 }
 

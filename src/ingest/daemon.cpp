@@ -503,7 +503,7 @@ snapshot::SnapshotData IngestDaemon::export_aggregate() const {
     try {
       snapshot::merge_snapshot_into(out, *sources[i]);
     } catch (const SnapshotError&) {
-      // Left out; the merge changed nothing (see export_aggregate).
+      // Left out (see the header); the refused merge changed nothing.
     }
   }
   return out;

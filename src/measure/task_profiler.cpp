@@ -73,10 +73,6 @@ const ThreadTaskProfiler* foreign_home(const TaskInstanceState& instance,
   return instance.home != self ? instance.home : nullptr;
 }
 
-}  // namespace
-
-namespace {
-
 long membarrier(int command) {
   return syscall(__NR_membarrier, command, 0U, 0);
 }
@@ -353,14 +349,11 @@ bool ThreadTaskProfiler::capture(AggregateProfile& into) const {
   }
 
   // Fold while paused: the instant the flag drops, workers resume
-  // mutating the trees and scalars.  Each open frame gets its
-  // in-progress fragment in `into` as one visit, and the live frames
-  // close normally later.  The implicit frames and the running instance
-  // close at the last event, a suspended instance at its suspend
-  // instant.  Frames of different instances can share a node, so they
-  // are matched by node address.  An instance adopted from another
-  // thread writes that thread's trees, not these; one lent to another
-  // thread is not in this table, so its open frames stay out.
+  // mutating the trees and scalars.  The hook closes each open frame in
+  // `into` as one visit (see the header); the live frames stay open.
+  // Frames of different instances can share a node, so they are matched
+  // by node address.  An instance adopted from another thread writes
+  // that thread's trees; one lent to another thread is not in this table.
   struct OpenFrame {
     const CallNode* node;
     Ticks elapsed;

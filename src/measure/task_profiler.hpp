@@ -224,7 +224,8 @@ class ThreadTaskProfiler {
   /// profiler's last event timestamp, a suspended instance's stack at its
   /// suspend instant.  So each in-flight instance is held up to the
   /// capture instant, and the capture satisfies the per-node fragment
-  /// invariants and stub-vs-task time conservation.  Returns false —
+  /// invariants and stub-vs-task time conservation (except for an
+  /// instance lent to another profiler, DESIGN.md §11).  Returns false —
   /// folding nothing — when the handshake is disarmed
   /// (options.snapshot_every == 0), the barrier fails, or the worker
   /// failed to quiesce within the timeout.  Must be called from a thread

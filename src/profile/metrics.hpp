@@ -28,7 +28,7 @@ struct DurationStats {
     ++count;
   }
 
-  /// Fold another accumulator in (used when merging task-instance trees).
+  /// Fold another accumulator in (used when merging trees).
   void merge(const DurationStats& other) noexcept {
     if (other.count == 0) return;
     sum += other.sum;

@@ -773,7 +773,7 @@ void SimRuntime::Impl::schedule(Worker& w) {
   // OpenMP tied-task scheduling constraint (and GCC-libgomp taskwait
   // behaviour): while an explicit tied task is suspended on this worker,
   // only its descendants may run here.  This bounds the suspended chain —
-  // and thus the profiler's live instance-tree count, paper Table II — by
+  // and thus the profiler's active-instance count, paper Table II — by
   // the task-tree depth.
   SimTask* constraint = nullptr;
   if (config.strict_taskwait_scheduling && !w.tied_stack.empty() &&

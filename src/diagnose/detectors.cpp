@@ -439,111 +439,16 @@ constexpr double kSerialFractionProblem = 0.60;
 
 void detect_taskwait_serialization(const DetectorContext& ctx,
                                    std::vector<Diagnosis>* out) {
-  if (ctx.input.trace == nullptr) return;
+  if (ctx.trace_analysis == nullptr) return;
   if (ctx.threads < 2) return;
-  const trace::Trace& trace = *ctx.input.trace;
-
-  // Merged-stream replay: per-thread "executing a task fragment" state
-  // (same transitions as trace::analyze_trace) plus taskwait nesting.
-  struct ThreadState {
-    TaskInstanceId current = kImplicitTaskId;
-    int taskwait_depth = 0;
-  };
-  std::vector<ThreadState> threads(trace.thread_count());
-  std::unordered_map<TaskInstanceId, RegionHandle> instance_region;
-
-  int busy = 0;
-  int waiting_threads = 0;
-  std::uint64_t taskwaits = 0;
-  Ticks serial_time = 0;
-  Ticks serial_start = 0;
-  Ticks longest_serial = 0;
-  Ticks longest_serial_start = 0;
-  bool in_serial = false;
-  Ticks prev_time = 0;
-  std::map<RegionHandle, Ticks> serial_by_region;
-  RegionHandle serial_current = kInvalidRegion;
-
-  auto serial_now = [&]() { return waiting_threads > 0 && busy <= 1; };
-  auto current_serial_region = [&]() -> RegionHandle {
-    if (busy != 1) return kInvalidRegion;
-    for (const ThreadState& ts : threads) {
-      if (ts.current != kImplicitTaskId) {
-        const auto it = instance_region.find(ts.current);
-        return it == instance_region.end() ? kInvalidRegion : it->second;
-      }
-    }
-    return kInvalidRegion;
-  };
-
-  for (const trace::TraceEvent& event : trace.merged()) {
-    // Close the elapsed interval against the previous state.
-    if (in_serial) {
-      serial_time += event.time - prev_time;
-      if (serial_current != kInvalidRegion) {
-        serial_by_region[serial_current] += event.time - prev_time;
-      }
-    }
-    prev_time = event.time;
-
-    ThreadState& ts = threads[event.thread];
-    switch (event.kind) {
-      case trace::EventKind::kCreateEnd:
-        instance_region[event.task] = event.region;
-        break;
-      case trace::EventKind::kTaskBegin:
-        if (ts.current == kImplicitTaskId) ++busy;
-        ts.current = event.task;
-        instance_region.emplace(event.task, event.region);
-        break;
-      case trace::EventKind::kTaskEnd:
-        if (ts.current != kImplicitTaskId) --busy;
-        ts.current = kImplicitTaskId;
-        break;
-      case trace::EventKind::kTaskSwitch:
-        if (event.task == kImplicitTaskId) {
-          if (ts.current != kImplicitTaskId) --busy;
-          ts.current = kImplicitTaskId;
-        } else {
-          if (ts.current == kImplicitTaskId) ++busy;
-          ts.current = event.task;
-        }
-        break;
-      case trace::EventKind::kTaskwaitBegin:
-        if (ts.taskwait_depth == 0) ++waiting_threads;
-        ++ts.taskwait_depth;
-        ++taskwaits;
-        break;
-      case trace::EventKind::kTaskwaitEnd:
-        if (ts.taskwait_depth > 0) {
-          --ts.taskwait_depth;
-          if (ts.taskwait_depth == 0) --waiting_threads;
-        }
-        break;
-      default:
-        break;
-    }
-
-    const bool serial = serial_now();
-    if (serial && !in_serial) {
-      serial_start = event.time;
-    } else if (!serial && in_serial) {
-      const Ticks len = event.time - serial_start;
-      if (len > longest_serial) {
-        longest_serial = len;
-        longest_serial_start = serial_start;
-      }
-    }
-    in_serial = serial;
-    serial_current = serial ? current_serial_region() : kInvalidRegion;
-  }
-
-  if (taskwaits < kSerialMinTaskwaits) return;
-  const auto [t_begin, t_end] = trace.time_span();
+  const trace::TaskwaitSerialization& serial =
+      ctx.trace_analysis->serialization;
+  if (serial.taskwaits < kSerialMinTaskwaits) return;
+  const auto [t_begin, t_end] = ctx.input.trace->time_span();
   const Ticks span = t_end - t_begin;
   if (span <= 0) return;
   const double fraction =
-      static_cast<double>(serial_time) / static_cast<double>(span);
+      static_cast<double>(serial.time) / static_cast<double>(span);
   if (fraction < kSerialFractionWarn) return;
 
   Diagnosis d;
@@ -551,12 +456,12 @@ void detect_taskwait_serialization(const DetectorContext& ctx,
   d.severity = fraction >= kSerialFractionProblem ? Severity::kProblem
                                                   : Severity::kWarning;
   d.score = fraction;
-  d.at = longest_serial_start;
+  d.at = serial.longest_start;
   d.thread = 0;
 
   RegionHandle worst = kInvalidRegion;
   Ticks worst_time = 0;
-  for (const auto& [region, time] : serial_by_region) {
+  for (const auto& [region, time] : serial.by_construct) {
     if (time > worst_time) {
       worst = region;
       worst_time = time;
@@ -569,13 +474,13 @@ void detect_taskwait_serialization(const DetectorContext& ctx,
   d.summary = "taskwait serialization: " + format_share(fraction) +
               " of the region runs with at most one task in flight while "
               "a thread blocks in taskwait (" +
-              format_count(taskwaits) + " taskwaits)";
+              format_count(serial.taskwaits) + " taskwaits)";
   d.remediation =
       "batch spawns before waiting: move the taskwait out of the "
       "per-task loop so siblings overlap";
   add_metric(&d, "serial_fraction", fraction, "ratio");
-  add_metric(&d, "serial_time", static_cast<double>(serial_time), "ns");
-  add_metric(&d, "taskwaits", static_cast<double>(taskwaits), "count");
+  add_metric(&d, "serial_time", static_cast<double>(serial.time), "ns");
+  add_metric(&d, "taskwaits", static_cast<double>(serial.taskwaits), "count");
   out->push_back(std::move(d));
 }
 

@@ -47,7 +47,7 @@ DiagnosisReport run_diagnosis(const DiagnosisInput& input) {
     constructs = task_construct_stats(*input.profile, *input.registry);
   }
 
-  // The trace's own replay: shared with every other consumer of it.
+  // The trace's own walk: shared with every other consumer of it.
   const trace::TraceAnalysis* trace_analysis = nullptr;
   const bool have_trace =
       input.trace != nullptr && input.trace->event_count() != 0;

@@ -90,7 +90,7 @@ struct DiagnosisReport {
 /// Run every registered detector over `input`, reading the trace's own
 /// analysis and span model (trace::Trace::analysis(), span_model()).  A
 /// trace whose events tell an impossible history throws
-/// snapshot::SnapshotError (kMalformed) from that replay.
+/// snapshot::SnapshotError (kMalformed) from that walk.
 [[nodiscard]] DiagnosisReport run_diagnosis(const DiagnosisInput& input);
 
 /// Parse "info" / "warning" / "problem" (CLI --fail-on).  Returns false

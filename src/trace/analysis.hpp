@@ -11,16 +11,20 @@
 //    management / switching, long gap = starvation), giving "the ratio of
 //    overall management time to exclusive execution time for tasks";
 //  * per-instance queue latency (creation -> begin) and fragmentation;
-//  * per-thread utilization; and
+//  * per-thread utilization;
 //  * the deepest creation chain, which the paper proposes as "a good
 //    estimate for the number of concurrent tasks" (§V-B) — the
-//    estimate can be checked against the profiler's measured maximum.
+//    estimate can be checked against the profiler's measured maximum; and
+//  * the stretches in which a thread blocks in a taskwait while at most
+//    one task executes, which diagnose's taskwait_serialization reads.
 //
-// Work and span (the critical path) come from the sync-aware model in
-// trace/span.hpp, not from here.
+// The same walk of the trace (trace/replay.cpp) builds the sync-aware
+// span model of trace/span.hpp, which gives work and span (the critical
+// path); this file's analyses do not.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -51,6 +55,15 @@ struct TaskLifetime {
   int fragments = 0;
   int migrations = 0;
   bool completed = false;
+
+  /// Time the instance waited between its creation and its first
+  /// fragment, clamped at 0.  An undeferred task never waits in a queue:
+  /// it runs inside its creation construct, whose end is stamped after it
+  /// ran.  A thief may also stamp its begin before the creator stamps
+  /// create_end, which the engine records after the enqueue.
+  [[nodiscard]] Ticks queue_latency() const noexcept {
+    return begin > created ? begin - created : 0;
+  }
 };
 
 struct ThreadUsage {
@@ -69,6 +82,21 @@ struct ThreadUsage {
                      : static_cast<double>(waiting) /
                            static_cast<double>(span);
   }
+};
+
+/// The time in which some thread sits in a taskwait while at most one
+/// task executes on the whole team.  A thread's taskwait depth counts
+/// only taskwaits (no barriers) and no event resets it; an end with no
+/// open taskwait on its thread is skipped.  A task's construct is its
+/// latest create's, or its first begin's until a create names one.
+struct TaskwaitSerialization {
+  Ticks time = 0;  ///< all serial time
+  /// Serial time while exactly one task executes, by that task's
+  /// construct when it has one.
+  std::map<RegionHandle, Ticks> by_construct;
+  Ticks longest = 0;        ///< longest serial stretch that ended
+  Ticks longest_start = 0;  ///< and when it began
+  std::uint64_t taskwaits = 0;  ///< taskwait begins, all threads
 };
 
 struct TraceAnalysis {
@@ -94,10 +122,12 @@ struct TraceAnalysis {
   /// task's depth is 1 + its parent's, or 1 when the parent is not a
   /// completed explicit task.
   int max_creation_depth = 0;
+
+  TaskwaitSerialization serialization;
 };
 
 /// All analyses of a trace: a copy of `trace.analysis()`, so the trace
-/// is replayed once however often it is analyzed.  Throws
+/// is walked once however often it is analyzed.  Throws
 /// snapshot::SnapshotError (kMalformed) when the events tell an
 /// impossible history, such as a task that ends on a thread it is not
 /// running on, or an implicit task that ends without having begun.

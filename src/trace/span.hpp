@@ -1,6 +1,7 @@
 // Sync-aware work/span, the one span model behind trace analysis,
-// diagnosis and what-if projection.  Each trace builds it once
-// (Trace::span_model()), and diagnose and what-if share that one copy.
+// diagnosis and what-if projection.  Each trace builds it once, in the
+// same walk of its events that fills its analysis (trace/replay.cpp),
+// and diagnose and what-if share that one copy (Trace::span_model()).
 //
 // A creation-tree chain (parent -> child, summed by active time) treats
 // every child as concurrent with its siblings and its creator.  It
@@ -9,9 +10,9 @@
 // spawned one create at a time by the implicit task, whose time the
 // creation tree does not model at all).
 //
-// SyncForest replays the trace event stream into one node per task
-// (explicit tasks and each thread's implicit task) holding an ordered
-// item list:
+// SyncForest holds one node per task (explicit tasks and each thread's
+// implicit task, in the order the merged event stream first names them)
+// with an ordered item list:
 //
 //   Segment{active, work}  executed time between structural points
 //   Create{child}          a child task spawned here
@@ -90,10 +91,7 @@ class SyncForest {
                                     double task_overhead = 0.0) const;
 
  private:
-  friend class Trace;  // builds the one forest of each trace
-
-  /// Replay `trace` into the series-parallel structure.
-  [[nodiscard]] static SyncForest build(const Trace& trace);
+  friend class Trace;  // its one walk builds the forest (trace/replay.cpp)
 
   struct Item {
     enum class Kind : std::uint8_t { kSegment, kCreate, kJoin };

@@ -59,18 +59,19 @@ static_assert(sizeof(TraceEvent) == 40);
 struct TraceAnalysis;  // trace/analysis.hpp
 struct SpanModel;      // trace/span.hpp
 
-/// A finished trace: per-thread streams plus the views replayed from
-/// them.  Every event sits on its own thread's stream (`event.thread` is
-/// the stream index) and each stream's times never decrease; the
-/// recorder and the file reader produce only such traces, and merged()
-/// and the file writer rely on it.
+/// A finished trace: per-thread streams plus the views built from them.
+/// Every event sits on its own thread's stream (`event.thread` is the
+/// stream index) and each stream's times never decrease; the recorder
+/// and the file reader produce only such traces, and merged() and the
+/// file writer rely on it.
 ///
-/// The streams never change after construction, so each view (the
-/// merged order, the analysis, the span model) is built lazily on first
-/// use and kept; analyze_trace, diag::run_diagnosis and
-/// whatif::WhatIfProfile all read the same replay.  A copy shares the
+/// The streams never change after construction, so each view is built
+/// lazily on first use and kept: the merged order, and the analysis and
+/// the span model, which one walk of the merged order builds together
+/// (trace/replay.cpp).  analyze_trace, diag::run_diagnosis and
+/// whatif::WhatIfProfile all read that one walk.  A copy shares the
 /// analysis and the span model.  First use is not safe from two threads
-/// at once.  A replay that throws keeps nothing, so every later call
+/// at once.  A walk that throws keeps nothing, so every later call
 /// throws the same error.
 class Trace {
  public:
@@ -89,14 +90,12 @@ class Trace {
   /// otherwise the merge is built on first use.
   [[nodiscard]] const std::vector<TraceEvent>& merged() const;
 
-  /// The analyses of trace/analysis.hpp, replayed on first use (defined
-  /// in analysis.cpp).  Throws snapshot::SnapshotError (kMalformed) when
-  /// the events tell an impossible history.
+  /// The analyses of trace/analysis.hpp.  Throws snapshot::SnapshotError
+  /// (kMalformed) when the events tell an impossible history.
   [[nodiscard]] const std::shared_ptr<const TraceAnalysis>& analysis() const;
 
   /// The sync-aware span structure and its measured work/span
-  /// (trace/span.hpp), built on first use from the merged order and the
-  /// analysis (defined in span.cpp); throws as analysis() does.
+  /// (trace/span.hpp); throws as analysis() does.
   [[nodiscard]] const std::shared_ptr<const SpanModel>& span_model() const;
 
   [[nodiscard]] std::size_t event_count() const noexcept;
@@ -105,6 +104,10 @@ class Trace {
   [[nodiscard]] std::pair<Ticks, Ticks> time_span() const;
 
  private:
+  /// Build the analysis and the span model in one walk of merged(), unless
+  /// a walk has already built them (defined in replay.cpp).
+  void replay() const;
+
   std::vector<std::vector<TraceEvent>> per_thread_;
   mutable std::vector<TraceEvent> merged_;
   mutable bool merged_valid_ = false;

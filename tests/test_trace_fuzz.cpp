@@ -119,7 +119,8 @@ Bytes one_event(std::uint64_t threads, trace::EventKind kind,
 
 /// A version 1 file: the fixed-width layout without a CRC.  Its event
 /// names thread 0x40000000 of a one-thread trace; version 1 readers
-/// passed that on, and SyncForest::build indexed its cursors with it.
+/// passed that on, and the span model's walk indexed its cursors with
+/// it.
 Bytes v1_trace_bytes() {
   snapshot::Encoder out;
   const char magic[] = {'T', 'P', 'T', 'R', 'C', '1', '\n', '\0'};

@@ -2,7 +2,8 @@
 
 #include <map>
 #include <sstream>
-#include <unordered_map>
+#include <string>
+#include <vector>
 
 namespace taskprof {
 
@@ -29,33 +30,41 @@ std::string xml_escape(const std::string& text) {
 
 /// Stable integer id per call node, assigned in definition order.
 struct CnodeIndex {
-  std::unordered_map<const CallNode*, int> ids;
   std::vector<const CallNode*> nodes;  // by id
 
   int add(const CallNode* node) {
-    const int id = static_cast<int>(nodes.size());
-    ids.emplace(node, id);
     nodes.push_back(node);
-    return id;
+    return static_cast<int>(nodes.size()) - 1;
   }
 };
 
+/// Define `root`'s subtree as nested cnodes, each level indented two
+/// spaces more than its parent.  Preorder without recursion: the tags of
+/// the levels the walk leaves are closed before the next node opens, so
+/// a tree as deep as cut-off-free recursion makes it renders in constant
+/// stack space.
 void define_cnodes(std::ostringstream& os, CnodeIndex& index,
-                   const CallNode* node, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  const int id = index.add(node);
-  os << pad << "<cnode id=\"" << id << "\" calleeId=\"" << node->region
-     << "\"";
-  if (node->parameter != kNoParameter) {
-    os << " parameter=\"" << node->parameter << "\"";
-  }
-  if (node->is_stub) os << " stub=\"1\"";
-  os << ">\n";
-  for (const CallNode* child = node->first_child; child != nullptr;
-       child = child->next_sibling) {
-    define_cnodes(os, index, child, indent + 1);
-  }
-  os << pad << "</cnode>\n";
+                   const CallNode* root) {
+  constexpr int kIndent = 2;  // levels above a call tree's root
+  auto pad = [](int depth) {
+    return std::string(static_cast<std::size_t>(kIndent + depth) * 2, ' ');
+  };
+  int open = 0;  // cnodes whose closing tag is still due
+  auto close_to = [&](int depth) {
+    for (; open > depth; --open) os << pad(open - 1) << "</cnode>\n";
+  };
+  for_each_node(root, [&](const CallNode& node, int depth) {
+    close_to(depth);
+    os << pad(depth) << "<cnode id=\"" << index.add(&node)
+       << "\" calleeId=\"" << node.region << "\"";
+    if (node.parameter != kNoParameter) {
+      os << " parameter=\"" << node.parameter << "\"";
+    }
+    if (node.is_stub) os << " stub=\"1\"";
+    os << ">\n";
+    ++open;
+  });
+  close_to(0);
 }
 
 template <typename ValueFn>
@@ -122,11 +131,9 @@ std::string render_cube_xml(const AggregateProfile& profile,
 
   // -- call tree(s): main tree first, task trees beside it --------------------
   CnodeIndex index;
-  if (profile.implicit_root != nullptr) {
-    define_cnodes(os, index, profile.implicit_root, 2);
-  }
+  define_cnodes(os, index, profile.implicit_root);
   for (const CallNode* root : profile.task_roots) {
-    define_cnodes(os, index, root, 2);
+    define_cnodes(os, index, root);
   }
   os << "  </program>\n";
 

@@ -1,8 +1,10 @@
 #include "report/text_report.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <sstream>
+#include <string>
 
 #include "instrument/instrumentor.hpp"
 #include "report/cube_export.hpp"
@@ -185,6 +187,67 @@ TEST_F(ReportTest, CubeXmlEscapesSpecialCharacters) {
   EXPECT_NE(xml.find("a&lt;b&gt;&amp;&quot;c&quot; task"),
             std::string::npos);
   EXPECT_EQ(xml.find("<name>a<b>"), std::string::npos);
+}
+
+// A main tree as deep as cut-off-free recursion makes one: the CUBE
+// export must render it in constant stack space.  A 64 KiB stack holds a
+// recursive walk a few hundred levels deep, not 2,000.
+TEST(CubeExport, DeepChainRendersOnASmallStack) {
+  constexpr int kDepth = 2000;
+  RegionRegistry registry;
+  const RegionHandle fn =
+      registry.register_region("fn", RegionType::kFunction);
+  AggregateProfile profile;
+  profile.thread_count = 1;
+  profile.implicit_root =
+      profile.pool.allocate(fn, kNoParameter, false, nullptr);
+  CallNode* leaf = profile.implicit_root;
+  for (int level = 1; level < kDepth; ++level) {
+    leaf = profile.pool.allocate(fn, kNoParameter, false, leaf);
+  }
+
+  struct Job {
+    const AggregateProfile* profile;
+    const RegionRegistry* registry;
+    std::string xml;
+  } job{&profile, &registry, {}};
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 64 * 1024), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  Job& run = *static_cast<Job*>(arg);
+                  run.xml = render_cube_xml(*run.profile, *run.registry);
+                  return nullptr;
+                },
+                &job),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+
+  auto count = [&job](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t pos = 0;
+         (pos = job.xml.find(needle, pos)) != std::string::npos;
+         pos += needle.size()) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("<cnode "), static_cast<std::size_t>(kDepth));
+  EXPECT_EQ(count("</cnode>"), static_cast<std::size_t>(kDepth));
+  // The leaf opens and closes at its own depth, the root last.
+  const std::string leaf_pad(static_cast<std::size_t>(2 + kDepth - 1) * 2,
+                             ' ');
+  EXPECT_NE(job.xml.find("\n" + leaf_pad + "<cnode id=\"" +
+                         std::to_string(kDepth - 1) + "\" calleeId=\"" +
+                         std::to_string(fn) + "\">\n" + leaf_pad +
+                         "</cnode>\n"),
+            std::string::npos);
+  EXPECT_NE(job.xml.find("\n    </cnode>\n  </program>\n"),
+            std::string::npos);
 }
 
 TEST_F(ReportTest, CsvStubColumnDistinguishesStubs) {

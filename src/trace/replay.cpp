@@ -1,30 +1,20 @@
-// The one walk of a trace: Trace::analysis() and Trace::span_model().
-//
-// One pass over the merged event stream fills the TraceAnalysis
-// (trace/analysis.hpp), its taskwait-serialization stretches included,
-// and the SyncForest (trace/span.hpp); the work and span measured on the
-// forest follow.  Each thread has one cursor and each task id one row of
+// The one walk of a trace behind Trace::analysis() and
+// Trace::span_model(): one pass over the merged event stream fills the
+// TraceAnalysis (trace/analysis.hpp), its taskwait serialization
+// included, and the SyncForest (trace/span.hpp), whose measured work and
+// span follow.  Each thread has one cursor and each task id one row of
 // one task table, so an event costs at most one id lookup.
 //
-// The views share what they agree on — which explicit task a thread
-// executes, and whether it is inside its implicit task — and keep their
-// own rules where they answer differently:
-//
-//  * scheduling points: the analysis keeps a stack per thread that an
-//    end pops only when it is not empty and an implicit-task end clears;
-//    the forest keeps a depth that every implicit-task begin and end
-//    resets; the serialization counts only taskwaits, and never resets;
-//  * executed time: the forest charges a thread's implicit task outside
-//    scheduling points and stops charging at an implicit-task end, while
-//    the analysis times explicit-task fragments only;
-//  * a task whose create the trace lacks: the analysis leaves its
-//    construct unattributed, the forest takes the first construct an
-//    event names for it, and the serialization its first begin's;
-//  * a repeated create: the forest keeps the first creator, the analysis
-//    the last create.
+// The views share which explicit task a thread executes and whether it is
+// inside its implicit task, and keep their own rules where they differ
+// (DESIGN.md §11): the analysis' scheduling-point stack, the forest's sync
+// depth and the serialization's taskwait depth are reset by different
+// events, and each view names the construct of a task without a create in
+// its own way.
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,40 +33,42 @@ constexpr Ticks kManagementGapThreshold = 3 * kTicksPerUs;
 
 constexpr std::uint32_t kNoNode = 0xffffffffu;
 
-/// Everything the views keep per task id.
+/// What the walk keeps per task id beside its TaskLifetime, whose
+/// construct only a create names.
 struct TaskRow {
-  TaskLifetime life;
   /// Memoized creation depth (0 = not yet known, -1 = on the walk in
   /// progress).
   int depth = 0;
-  std::uint32_t node = kNoNode;  ///< forest node, once an event made one
-  /// The construct the serialization charges (TaskwaitSerialization);
-  /// `serial_region_set` once a create or a begin has named one.
-  RegionHandle serial_region = kInvalidRegion;
-  bool serial_region_set = false;
+  /// The forest node, made by the first event naming the task; its
+  /// construct is the first one an event names.
+  std::uint32_t node = kNoNode;
+  /// The serialization's construct: the latest create's, else the first
+  /// begin's.
+  std::optional<RegionHandle> serial_region;
 };
 
 /// One thread's position in the walk.
 struct Cursor {
-  /// The explicit task the thread executes (kImplicitTaskId: none) and
-  /// its row; the open fragment began at `fragment_start`.
+  /// The explicit task the thread executes (kImplicitTaskId: none), its
+  /// row, and the start of its open fragment.
   TaskInstanceId task = kImplicitTaskId;
   std::uint32_t row = 0;
   Ticks fragment_start = 0;
   Ticks implicit_begin = 0;
   bool in_implicit = false;
-  /// The analysis' open scheduling points, each with its last activity:
-  /// the end of the last fragment executed inside it, or its entry.
+  /// The analysis' open scheduling points, each with its last activity
+  /// (the end of the last fragment executed inside it, or its entry).  An
+  /// end pops one only when there is one; an implicit-task end drops all.
   std::vector<Ticks> sync_stack;
 
-  /// The forest node accruing executed time since `accrued_to`.
+  /// The forest node accruing executed time, charged up to `accrued_to`.
   std::uint32_t node = kNoNode;
   std::uint32_t implicit_node = kNoNode;
   Ticks accrued_to = 0;
-  int sync_depth = 0;
+  int sync_depth = 0;  ///< reset at every implicit-task begin and end
   std::uint32_t regions = 0;  ///< implicit tasks begun so far
 
-  int taskwait_depth = 0;
+  int taskwait_depth = 0;  ///< taskwaits only, never reset
 
   /// Ordinal of the parallel region the thread is in.
   [[nodiscard]] std::uint32_t region() const noexcept {
@@ -114,25 +106,26 @@ WorkSpan measure_work_span(const SyncForest& forest,
 
 void Trace::replay() const {
   if (analysis_ != nullptr) return;
+  using Kind = SyncForest::Item::Kind;
   TraceAnalysis analysis;
   analysis.threads.resize(thread_count());
   SyncForest forest;
   std::vector<SyncForest::Node>& nodes = forest.nodes_;
   std::vector<Cursor> cursors(thread_count());
+  // The task table: row i of `lives` and `rows` is one task id.  The
+  // lifetimes of the completed tasks become the analysis' task list in
+  // place.
+  std::vector<TaskLifetime> lives;
   std::vector<TaskRow> rows;
   std::unordered_map<TaskInstanceId, std::uint32_t> row_of;
-  // A recorded task has at least four events (its create begin and end,
-  // its begin and end), so this bounds the table of a recorded trace and
-  // spares it every regrowth.
-  const std::size_t task_bound = event_count() / 4;
-  rows.reserve(task_bound);
-  row_of.reserve(task_bound);
-  nodes.reserve(task_bound);
 
   auto row_for = [&](TaskInstanceId id) -> std::uint32_t {
     const auto [it, inserted] =
         row_of.emplace(id, static_cast<std::uint32_t>(rows.size()));
-    if (inserted) rows.emplace_back();
+    if (inserted) {
+      lives.emplace_back();
+      rows.emplace_back();
+    }
     return it->second;
   };
 
@@ -152,7 +145,7 @@ void Trace::replay() const {
   auto close_fragment = [&](Cursor& cursor, ThreadId thread, Ticks now) {
     if (cursor.task == kImplicitTaskId) return;
     const Ticks duration = now - cursor.fragment_start;
-    rows[cursor.row].life.active += duration;
+    lives[cursor.row].active += duration;
     analysis.threads[thread].busy += duration;
     analysis.threads[thread].fragments += 1;
     if (!cursor.sync_stack.empty()) cursor.sync_stack.back() = now;
@@ -160,8 +153,7 @@ void Trace::replay() const {
   };
 
   auto open_fragment = [&](Cursor& cursor, ThreadId thread,
-                           TaskInstanceId id, std::uint32_t row,
-                           Ticks now) -> TaskLifetime& {
+                           TaskInstanceId id, std::uint32_t row, Ticks now) {
     if (!cursor.sync_stack.empty()) {
       classify_gap(thread, now - cursor.sync_stack.back());
       cursor.sync_stack.back() = now;
@@ -169,9 +161,7 @@ void Trace::replay() const {
     cursor.task = id;
     cursor.row = row;
     cursor.fragment_start = now;
-    TaskLifetime& life = rows[row].life;
-    life.fragments += 1;
-    return life;
+    lives[row].fragments += 1;
   };
 
   // -- The forest: nodes and their item lists -----------------------------
@@ -180,10 +170,9 @@ void Trace::replay() const {
     std::uint32_t& index = rows[row].node;
     if (index == kNoNode) {
       index = static_cast<std::uint32_t>(nodes.size());
-      SyncForest::Node node;
-      node.key = {event.region, event.parameter};
-      node.region = cursor.region();
-      nodes.push_back(std::move(node));
+      nodes.emplace_back();
+      nodes.back().key = {event.region, event.parameter};
+      nodes.back().region = cursor.region();
     } else if (event.region != kInvalidRegion &&
                nodes[index].key.first == kInvalidRegion) {
       nodes[index].key = {event.region, event.parameter};
@@ -191,32 +180,23 @@ void Trace::replay() const {
     return index;
   };
 
-  auto push_item = [&](std::uint32_t index, SyncForest::Item::Kind kind,
-                       std::uint32_t child) {
-    SyncForest::Item item;
-    item.kind = kind;
-    item.child = child;
-    nodes[index].items.push_back(item);
-  };
-
   // Move the open-segment accumulator of a node into its item list.
   auto flush = [&](std::uint32_t index) {
     SyncForest::Node& node = nodes[index];
     if (node.pending_active == 0 && node.pending_work == 0) return;
-    SyncForest::Item item;
-    item.kind = SyncForest::Item::Kind::kSegment;
-    item.segment = {node.pending_active, node.pending_work};
-    node.items.push_back(item);
+    node.items.push_back(
+        {Kind::kSegment, 0, {node.pending_active, node.pending_work}});
     node.pending_active = 0;
     node.pending_work = 0;
   };
 
-  auto accrue = [&](Cursor& cursor, Ticks now) {
-    if (cursor.node == kNoNode) return;
-    SyncForest::Node& node = nodes[cursor.node];
-    const Ticks duration = now - cursor.accrued_to;
-    node.pending_active += duration;
-    if (node.implicit) forest.implicit_active_ += duration;
+  // Charge the thread's time up to `now` to the node accruing it, if any.
+  auto charge = [&](Cursor& cursor, Ticks now) {
+    if (cursor.node != kNoNode) {
+      SyncForest::Node& node = nodes[cursor.node];
+      node.pending_active += now - cursor.accrued_to;
+      if (node.implicit) forest.implicit_active_ += now - cursor.accrued_to;
+    }
     cursor.accrued_to = now;
   };
 
@@ -245,7 +225,7 @@ void Trace::replay() const {
     if (busy != 1) return kInvalidRegion;
     for (const Cursor& cursor : cursors) {
       if (cursor.task != kImplicitTaskId) {
-        return rows[cursor.row].serial_region;
+        return rows[cursor.row].serial_region.value_or(kInvalidRegion);
       }
     }
     return kInvalidRegion;
@@ -255,7 +235,7 @@ void Trace::replay() const {
     const ThreadId thread = event.thread;
     Cursor& cursor = cursors[thread];
     const Ticks now = event.time;
-    // Charge the time since the previous event to the state before this
+    // The time since the previous event belongs to the state before this
     // one.
     if (in_serial) {
       serial.time += now - previous;
@@ -294,13 +274,13 @@ void Trace::replay() const {
         cursor.sync_stack.clear();
         analysis.threads[thread].span += now - cursor.implicit_begin;
         cursor.in_implicit = false;
-        accrue(cursor, now);
+        charge(cursor, now);
         cursor.node = kNoNode;
         cursor.sync_depth = 0;
         break;
       case EventKind::kCreateEnd: {
         const std::uint32_t row = row_for(event.task);
-        TaskLifetime& life = rows[row].life;
+        TaskLifetime& life = lives[row];
         life.id = event.task;
         life.region = event.region;
         life.parameter = event.parameter;
@@ -308,7 +288,6 @@ void Trace::replay() const {
         life.created = now;
         life.parent = cursor.task;
         rows[row].serial_region = event.region;
-        rows[row].serial_region_set = true;
 
         const std::uint32_t child = node_for(row, event, cursor);
         const std::uint32_t creator =
@@ -318,9 +297,9 @@ void Trace::replay() const {
         // trace keeps the first creator so the structure stays a forest;
         // the later instance's time lands on the same node.
         if (creator != kNoNode && !nodes[child].has_parent) {
-          if (creator == cursor.node) accrue(cursor, now);
+          if (creator == cursor.node) charge(cursor, now);
           flush(creator);
-          push_item(creator, SyncForest::Item::Kind::kCreate, child);
+          nodes[creator].items.push_back({Kind::kCreate, child, {}});
           nodes[child].has_parent = true;
         }
         break;
@@ -329,20 +308,15 @@ void Trace::replay() const {
         const std::uint32_t row = row_for(event.task);
         if (!was_executing) ++busy;
         close_fragment(cursor, thread, now);
+        open_fragment(cursor, thread, event.task, row, now);
         // The begin is the TaskBegin event itself, not the task's first
         // fragment: in merged order a migrated untied task's resume on a
         // lower-numbered thread, stamped at the same time, comes first.
-        TaskLifetime& life =
-            open_fragment(cursor, thread, event.task, row, now);
-        life.begin = now;
-        life.first_thread = thread;
-        if (!rows[row].serial_region_set) {
-          rows[row].serial_region = event.region;
-          rows[row].serial_region_set = true;
-        }
-        accrue(cursor, now);
+        lives[row].begin = now;
+        lives[row].first_thread = thread;
+        if (!rows[row].serial_region) rows[row].serial_region = event.region;
+        charge(cursor, now);
         cursor.node = node_for(row, event, cursor);
-        cursor.accrued_to = now;
         break;
       }
       case EventKind::kTaskEnd: {
@@ -356,17 +330,16 @@ void Trace::replay() const {
         const std::uint32_t row =
             was_executing ? cursor.row : row_for(event.task);
         close_fragment(cursor, thread, now);
-        rows[row].life.end = now;
-        rows[row].life.completed = true;
-        accrue(cursor, now);
+        lives[row].end = now;
+        lives[row].completed = true;
+        charge(cursor, now);
         if (cursor.node != kNoNode) flush(cursor.node);
         cursor.node = rest_node(cursor);
-        cursor.accrued_to = now;
         break;
       }
       case EventKind::kTaskSwitch:
         close_fragment(cursor, thread, now);
-        accrue(cursor, now);
+        charge(cursor, now);
         if (event.task == kImplicitTaskId) {
           if (was_executing) --busy;
           cursor.node = rest_node(cursor);
@@ -376,17 +349,16 @@ void Trace::replay() const {
           open_fragment(cursor, thread, event.task, row, now);
           cursor.node = node_for(row, event, cursor);
         }
-        cursor.accrued_to = now;
         break;
       case EventKind::kMigrate:
-        rows[row_for(event.task)].life.migrations += 1;
+        lives[row_for(event.task)].migrations += 1;
         break;
       case EventKind::kWork:
         // Declared ctx.work() ticks, on the task the thread is running.
         // Implicit-task work has no lifetime to land on and no call path
         // to scale.
         if (event.parameter == kNoParameter) break;
-        if (was_executing) rows[cursor.row].life.work += event.parameter;
+        if (was_executing) lives[cursor.row].work += event.parameter;
         if (cursor.node != kNoNode && !nodes[cursor.node].implicit) {
           nodes[cursor.node].pending_work += event.parameter;
         }
@@ -398,7 +370,7 @@ void Trace::replay() const {
         // explicit one keeps accruing until it is switched out (the
         // pre-switch sliver is genuine sync-entry cost).
         if (cursor.node != kNoNode && nodes[cursor.node].implicit) {
-          accrue(cursor, now);
+          charge(cursor, now);
           cursor.node = kNoNode;
         }
         cursor.sync_depth += 1;
@@ -419,20 +391,16 @@ void Trace::replay() const {
           if (!cursor.sync_stack.empty()) cursor.sync_stack.back() = now;
         }
         if (cursor.sync_depth > 0) cursor.sync_depth -= 1;
-        std::uint32_t subject = cursor.node;
-        if (subject != kNoNode) {
-          accrue(cursor, now);
-        } else if (cursor.in_implicit) {
-          subject = cursor.implicit_node;
+        const std::uint32_t joined = cursor.node != kNoNode ? cursor.node
+                                     : cursor.in_implicit
+                                         ? cursor.implicit_node
+                                         : kNoNode;
+        charge(cursor, now);
+        if (joined != kNoNode) {
+          flush(joined);
+          nodes[joined].items.push_back({Kind::kJoin, 0, {}});
         }
-        if (subject != kNoNode) {
-          flush(subject);
-          push_item(subject, SyncForest::Item::Kind::kJoin, 0);
-        }
-        if (cursor.node == kNoNode) {
-          cursor.node = rest_node(cursor);
-          cursor.accrued_to = now;
-        }
+        if (cursor.node == kNoNode) cursor.node = rest_node(cursor);
         if (event.kind == EventKind::kTaskwaitEnd &&
             cursor.taskwait_depth > 0 && --cursor.taskwait_depth == 0) {
           --waiting_threads;
@@ -474,43 +442,38 @@ void Trace::replay() const {
   // it: an undeferred task's create ends only after its children ran,
   // and a thief can run a task and create its children before the
   // creator records the create.
-  std::vector<TaskRow*> walk;
-  for (TaskRow& task : rows) {
-    if (!task.life.completed || task.depth != 0) continue;
+  std::vector<std::uint32_t> walk;
+  for (std::uint32_t row = 0; row < rows.size(); ++row) {
+    if (!lives[row].completed || rows[row].depth != 0) continue;
     int depth = 0;
-    for (TaskRow* at = &task;;) {
-      at->depth = -1;
+    for (std::uint32_t at = row;;) {
+      rows[at].depth = -1;
       walk.push_back(at);
-      const auto parent = row_of.find(at->life.parent);
-      if (parent == row_of.end() || !rows[parent->second].life.completed) {
-        break;
-      }
-      at = &rows[parent->second];
+      const auto parent = row_of.find(lives[at].parent);
+      if (parent == row_of.end() || !lives[parent->second].completed) break;
+      at = parent->second;
       // Known depth, or -1 where malformed input loops back on the walk.
-      if (at->depth != 0) {
-        depth = std::max(at->depth, 0);
+      if (rows[at].depth != 0) {
+        depth = std::max(rows[at].depth, 0);
         break;
       }
     }
-    for (; !walk.empty(); walk.pop_back()) walk.back()->depth = ++depth;
+    for (; !walk.empty(); walk.pop_back()) rows[walk.back()].depth = ++depth;
     analysis.max_creation_depth = std::max(analysis.max_creation_depth, depth);
   }
 
-  analysis.tasks.reserve(static_cast<std::size_t>(std::count_if(
-      rows.begin(), rows.end(),
-      [](const TaskRow& task) { return task.life.completed; })));
-  for (const TaskRow& task : rows) {
-    const TaskLifetime& life = task.life;
-    if (!life.completed) continue;
+  std::erase_if(lives,
+                [](const TaskLifetime& life) { return !life.completed; });
+  for (const TaskLifetime& life : lives) {
     analysis.total_active += life.active;
     analysis.queue_latency.add(life.queue_latency());
     analysis.instance_fragments.add(life.fragments);
-    analysis.tasks.push_back(life);
   }
-  std::sort(analysis.tasks.begin(), analysis.tasks.end(),
+  std::sort(lives.begin(), lives.end(),
             [](const TaskLifetime& a, const TaskLifetime& b) {
               return a.begin < b.begin;
             });
+  analysis.tasks = std::move(lives);
 
   WorkSpan measured = measure_work_span(forest, analysis);
   span_model_ = std::make_shared<const SpanModel>(

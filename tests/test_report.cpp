@@ -1,7 +1,6 @@
 #include "report/text_report.hpp"
 
 #include <gtest/gtest.h>
-#include <pthread.h>
 
 #include <sstream>
 #include <string>
@@ -10,6 +9,7 @@
 #include "report/cube_export.hpp"
 #include "report/json_report.hpp"
 #include "rt/sim_runtime.hpp"
+#include "test_util.hpp"
 
 namespace taskprof {
 namespace {
@@ -206,31 +206,14 @@ TEST(CubeExport, DeepChainRendersOnASmallStack) {
     leaf = profile.pool.allocate(fn, kNoParameter, false, leaf);
   }
 
-  struct Job {
-    const AggregateProfile* profile;
-    const RegionRegistry* registry;
-    std::string xml;
-  } job{&profile, &registry, {}};
-  pthread_attr_t attr;
-  ASSERT_EQ(pthread_attr_init(&attr), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&attr, 64 * 1024), 0);
-  pthread_t thread;
-  ASSERT_EQ(pthread_create(
-                &thread, &attr,
-                [](void* arg) -> void* {
-                  Job& run = *static_cast<Job*>(arg);
-                  run.xml = render_cube_xml(*run.profile, *run.registry);
-                  return nullptr;
-                },
-                &job),
-            0);
-  ASSERT_EQ(pthread_join(thread, nullptr), 0);
-  pthread_attr_destroy(&attr);
+  std::string xml;
+  testutil::run_on_small_stack(
+      64 * 1024, [&] { xml = render_cube_xml(profile, registry); });
 
-  auto count = [&job](const std::string& needle) {
+  auto count = [&xml](const std::string& needle) {
     std::size_t n = 0;
     for (std::size_t pos = 0;
-         (pos = job.xml.find(needle, pos)) != std::string::npos;
+         (pos = xml.find(needle, pos)) != std::string::npos;
          pos += needle.size()) {
       ++n;
     }
@@ -241,12 +224,12 @@ TEST(CubeExport, DeepChainRendersOnASmallStack) {
   // The leaf opens and closes at its own depth, the root last.
   const std::string leaf_pad(static_cast<std::size_t>(2 + kDepth - 1) * 2,
                              ' ');
-  EXPECT_NE(job.xml.find("\n" + leaf_pad + "<cnode id=\"" +
+  EXPECT_NE(xml.find("\n" + leaf_pad + "<cnode id=\"" +
                          std::to_string(kDepth - 1) + "\" calleeId=\"" +
                          std::to_string(fn) + "\">\n" + leaf_pad +
                          "</cnode>\n"),
             std::string::npos);
-  EXPECT_NE(job.xml.find("\n    </cnode>\n  </program>\n"),
+  EXPECT_NE(xml.find("\n    </cnode>\n  </program>\n"),
             std::string::npos);
 }
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -190,6 +193,25 @@ inline trace::Trace serial_chain(int tasks, Ticks duration, RegionHandle a,
 
 /// Compare `actual` with the committed golden file at `path`, or rewrite
 /// the file when the environment variable `regen_env` is set.
+/// Run `body` on a thread with a `stack_bytes` stack, so a walk whose
+/// recursion depth grows with its input's depth overflows it.
+inline void run_on_small_stack(std::size_t stack_bytes,
+                               const std::function<void()>& body) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+  pthread_t thread;
+  const auto trampoline = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, trampoline,
+                           const_cast<std::function<void()>*>(&body)),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
 inline void check_golden(const std::filesystem::path& path,
                          const std::string& actual, const char* regen_env) {
   if (std::getenv(regen_env) != nullptr) {

@@ -5,10 +5,8 @@
 // created task ran, and a 100,000-deep nested chain that every
 // post-mortem entry point must survive on a small stack.
 #include <gtest/gtest.h>
-#include <pthread.h>
 
 #include <algorithm>
-#include <functional>
 
 #include "diagnose/diagnose.hpp"
 #include "diagnose/workspan.hpp"
@@ -214,24 +212,6 @@ TEST(WorkSpan, CreationDepthDoesNotDependOnEventOrder) {
   EXPECT_EQ(analysis.max_creation_depth, 2);
 }
 
-/// Run `body` on a thread with a 256 KiB stack, so any walk whose
-/// recursion depth grows with the task depth overflows it.
-void run_on_small_stack(const std::function<void()>& body) {
-  pthread_attr_t attr;
-  ASSERT_EQ(pthread_attr_init(&attr), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
-  pthread_t thread;
-  const auto trampoline = [](void* arg) -> void* {
-    (*static_cast<const std::function<void()>*>(arg))();
-    return nullptr;
-  };
-  ASSERT_EQ(pthread_create(&thread, &attr, trampoline,
-                           const_cast<std::function<void()>*>(&body)),
-            0);
-  pthread_join(thread, nullptr);
-  pthread_attr_destroy(&attr);
-}
-
 TEST(WorkSpan, HundredThousandDeepChainRunsOnASmallStack) {
   // Task i creates task i+1 and waits for it, 100,000 deep, on thread 0
   // while thread 1 idles in the barrier.
@@ -265,7 +245,9 @@ TEST(WorkSpan, HundredThousandDeepChainRunsOnASmallStack) {
   diag::DiagnosisReport report;
   whatif::WhatIfProfile profile;
   whatif::Error error;
-  run_on_small_stack([&] {
+  // A 256 KiB stack: any walk whose recursion depth grows with the task
+  // depth overflows it.
+  testutil::run_on_small_stack(256 * 1024, [&] {
     analysis = trace::analyze_trace(trace);
     diag::DiagnosisInput input;
     input.registry = &registry;

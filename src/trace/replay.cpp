@@ -216,9 +216,6 @@ void Trace::replay() const {
   Ticks serial_start = 0;
   Ticks previous = 0;
   RegionHandle serial_region = kInvalidRegion;
-  // by_construct's entry for slot_region (std::map entries stay put).
-  RegionHandle slot_region = kInvalidRegion;
-  Ticks* slot = nullptr;
 
   // The construct of the one task executing, when exactly one is.
   auto lone_region = [&]() -> RegionHandle {
@@ -240,11 +237,7 @@ void Trace::replay() const {
     if (in_serial) {
       serial.time += now - previous;
       if (serial_region != kInvalidRegion) {
-        if (serial_region != slot_region) {
-          slot = &serial.by_construct[serial_region];
-          slot_region = serial_region;
-        }
-        *slot += now - previous;
+        serial.by_construct[serial_region] += now - previous;
       }
     }
     previous = now;

@@ -795,6 +795,9 @@ int cmd_run(const cli::Args& args) {
   }
   instrumentor->finalize();
   const AggregateProfile profile = instrumentor->aggregate();
+  // A final .tpsnap that could not be written fails the run, like every
+  // other output; streaming to --ingest alone stays best effort.
+  bool snapshot_failed = false;
   if (flusher != nullptr) {
     if (flusher->flush_final()) {
       if (!snapshot_out.empty()) {
@@ -805,6 +808,7 @@ int cmd_run(const cli::Args& args) {
     } else {
       std::fprintf(stderr, "snapshot write failed: %s\n",
                    flusher->last_error().c_str());
+      snapshot_failed = !snapshot_out.empty();
     }
     if (ingest_sink != nullptr) {
       std::printf("ingest: streamed %llu snapshot(s) to %s "
@@ -838,7 +842,7 @@ int cmd_run(const cli::Args& args) {
     write_output(report_json, render_report_json(profile, registry),
                  "report JSON");
   }
-  return result.ok ? 0 : 1;
+  return result.ok && !snapshot_failed ? 0 : 1;
 }
 
 }  // namespace

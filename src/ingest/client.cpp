@@ -14,10 +14,14 @@
 
 namespace taskprof::ingest {
 
+using snapshot::Errc;
 using snapshot::SnapshotData;
 using snapshot::SnapshotError;
 
 namespace {
+
+/// Poll timeout awaiting any reply frame; past it the connection is kIo.
+constexpr int kAckTimeoutMs = 5000;
 
 int connect_unix(const std::string& path) {
   sockaddr_un addr{};
@@ -65,9 +69,9 @@ void IngestClient::connect() {
     if (fd_ >= 0) break;
   }
   if (fd_ < 0) {
-    throw IngestError(Errc::kIo, options_.socket_path,
-                      "connect failed after " + std::to_string(attempts) +
-                          " attempts");
+    throw SnapshotError(Errc::kIo, options_.socket_path,
+                        "connect failed after " + std::to_string(attempts) +
+                            " attempts");
   }
   reader_ = std::make_unique<FrameReader>(options_.socket_path);
   try {
@@ -87,8 +91,8 @@ void IngestClient::connect_once() {
   const Frame reply = read_frame();
   if (reply.type == FrameType::kError) {
     const ErrorFrame error = decode_error(reply, options_.socket_path);
-    throw IngestError(error.code, options_.socket_path,
-                      "hello rejected: " + error.detail);
+    throw SnapshotError(error.code, options_.socket_path,
+                        "hello rejected: " + error.detail);
   }
   const HelloAckFrame ack = decode_hello_ack(reply, options_.socket_path);
   session_id_ = ack.session_id;
@@ -104,8 +108,8 @@ void IngestClient::send_all(std::span<const std::uint8_t> bytes) {
         ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw IngestError(Errc::kIo, options_.socket_path,
-                        std::string("write: ") + std::strerror(errno));
+      throw SnapshotError(Errc::kIo, options_.socket_path,
+                          std::string("write: ") + std::strerror(errno));
     }
     off += static_cast<std::size_t>(n);
   }
@@ -116,19 +120,20 @@ Frame IngestClient::read_frame() {
     std::optional<Frame> frame = reader_->next();
     if (frame.has_value()) return std::move(*frame);
     pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, options_.ack_timeout_ms);
+    const int ready = ::poll(&pfd, 1, kAckTimeoutMs);
     if (ready <= 0) {
-      throw IngestError(Errc::kIo, options_.socket_path,
-                        ready == 0 ? "timed out awaiting reply"
-                                   : std::string("poll: ") +
-                                         std::strerror(errno));
+      throw SnapshotError(Errc::kIo, options_.socket_path,
+                          ready == 0 ? "timed out awaiting reply"
+                                     : std::string("poll: ") +
+                                           std::strerror(errno));
     }
     std::uint8_t chunk[16 * 1024];
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n <= 0) {
-      throw IngestError(Errc::kIo, options_.socket_path,
-                        n == 0 ? "daemon closed the connection"
-                               : std::string("read: ") + std::strerror(errno));
+      throw SnapshotError(
+          Errc::kIo, options_.socket_path,
+          n == 0 ? "daemon closed the connection"
+                 : std::string("read: ") + std::strerror(errno));
     }
     reader_->feed({chunk, static_cast<std::size_t>(n)});
   }
@@ -145,13 +150,13 @@ SendResult IngestClient::send_rebase(const SnapshotData& cur,
   const Frame reply = read_frame();
   if (reply.type == FrameType::kError) {
     const ErrorFrame error = decode_error(reply, options_.socket_path);
-    throw IngestError(error.code, options_.socket_path,
-                      "rebase rejected: " + error.detail);
+    throw SnapshotError(error.code, options_.socket_path,
+                        "rebase rejected: " + error.detail);
   }
   const DeltaAckFrame ack = decode_delta_ack(reply, options_.socket_path);
   if (ack.seq != frame.seq) {
-    throw IngestError(Errc::kBadSeq, options_.socket_path,
-                      "rebase acked wrong seq");
+    throw SnapshotError(Errc::kBadSeq, options_.socket_path,
+                        "rebase acked wrong seq");
   }
   last_acked_seq_ = frame.seq;
   baseline_ = clone_snapshot(cur);
@@ -177,7 +182,7 @@ SendResult IngestClient::send_snapshot(const SnapshotData& cur) {
     // ship the full cumulative.
     try {
       return send_rebase(cur, reconnected);
-    } catch (const IngestError&) {
+    } catch (const SnapshotError&) {
       if (reconnected) throw;  // already on the recovery path
       connect();
       return send_rebase(cur, true);
@@ -213,7 +218,7 @@ SendResult IngestClient::send_snapshot(const SnapshotData& cur) {
       connect();
       return send_rebase(cur, true);
     }
-  } catch (const IngestError& error) {
+  } catch (const SnapshotError& error) {
     if (error.code() != Errc::kIo && error.code() != Errc::kMalformed) throw;
     connect();
     return send_rebase(cur, true);
@@ -283,7 +288,7 @@ std::vector<std::uint8_t> query_report(const std::string& socket_path,
                                        ReportKind kind, int timeout_ms) {
   const int fd = connect_unix(socket_path);
   if (fd < 0) {
-    throw IngestError(Errc::kIo, socket_path, "connect failed");
+    throw SnapshotError(Errc::kIo, socket_path, "connect failed");
   }
   std::vector<std::uint8_t> body;
   try {
@@ -294,8 +299,8 @@ std::vector<std::uint8_t> query_report(const std::string& socket_path,
           ::send(fd, request.data() + off, request.size() - off, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
-        throw IngestError(Errc::kIo, socket_path,
-                          std::string("write: ") + std::strerror(errno));
+        throw SnapshotError(Errc::kIo, socket_path,
+                            std::string("write: ") + std::strerror(errno));
       }
       off += static_cast<std::size_t>(n);
     }
@@ -305,8 +310,8 @@ std::vector<std::uint8_t> query_report(const std::string& socket_path,
       if (frame.has_value()) {
         if (frame->type == FrameType::kError) {
           const ErrorFrame error = decode_error(*frame, socket_path);
-          throw IngestError(error.code, socket_path,
-                            "report rejected: " + error.detail);
+          throw SnapshotError(error.code, socket_path,
+                              "report rejected: " + error.detail);
         }
         ReportReplyFrame reply = decode_report_reply(*frame, socket_path);
         body = std::move(reply.body);
@@ -315,13 +320,14 @@ std::vector<std::uint8_t> query_report(const std::string& socket_path,
       pollfd pfd{fd, POLLIN, 0};
       const int ready = ::poll(&pfd, 1, timeout_ms);
       if (ready <= 0) {
-        throw IngestError(Errc::kIo, socket_path, "timed out awaiting report");
+        throw SnapshotError(Errc::kIo, socket_path,
+                            "timed out awaiting report");
       }
       std::uint8_t chunk[64 * 1024];
       const ssize_t n = ::read(fd, chunk, sizeof(chunk));
       if (n <= 0) {
-        throw IngestError(Errc::kIo, socket_path,
-                          "daemon closed the connection");
+        throw SnapshotError(Errc::kIo, socket_path,
+                            "daemon closed the connection");
       }
       reader.feed({chunk, static_cast<std::size_t>(n)});
     }

@@ -26,7 +26,6 @@ struct ClientOptions {
   std::string producer_name;
   int connect_retries = 20;   ///< attempts before connect() throws
   int retry_delay_ms = 50;    ///< sleep between connect attempts
-  int ack_timeout_ms = 5000;  ///< poll timeout awaiting any reply frame
 };
 
 /// What one snapshot send did (for telemetry / tests).
@@ -48,7 +47,7 @@ class IngestClient {
   IngestClient& operator=(const IngestClient&) = delete;
 
   /// Connect (with retries) and complete the Hello handshake.  Throws
-  /// IngestError(kIo) when the daemon stays unreachable.
+  /// snapshot::SnapshotError(kIo) when the daemon stays unreachable.
   void connect();
   [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
 
@@ -56,7 +55,7 @@ class IngestClient {
   /// delta against the acked baseline, blocking for the ack.  Any
   /// failure — transport error, timeout, sequence dispute, or a
   /// non-monotone capture — reconnects and rebases.  Throws
-  /// IngestError(kIo) only when even the rebase path fails.
+  /// snapshot::SnapshotError only when even the rebase path fails.
   SendResult send_snapshot(const snapshot::SnapshotData& cur);
 
   /// Round-trip a Heartbeat echo; false when the transport failed (the
@@ -101,7 +100,8 @@ class IngestClient {
 };
 
 /// One-shot query: connect, ReportRequest, return the ReportReply body.
-/// Throws IngestError on transport failure or a typed daemon rejection.
+/// Throws snapshot::SnapshotError on transport failure or a typed daemon
+/// rejection.
 [[nodiscard]] std::vector<std::uint8_t> query_report(
     const std::string& socket_path, ReportKind kind, int timeout_ms = 10000);
 

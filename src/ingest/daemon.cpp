@@ -19,6 +19,7 @@
 
 namespace taskprof::ingest {
 
+using snapshot::Errc;
 using snapshot::SnapshotData;
 using snapshot::SnapshotError;
 
@@ -26,6 +27,10 @@ namespace {
 
 constexpr int kPollTimeoutMs = 200;
 constexpr std::size_t kReadChunk = 64 * 1024;
+// Frames a session may have queued before the IO loop stops reading its
+// socket; reading resumes once the worker drains half of them.
+constexpr int kSessionQueueDepth = 16;
+constexpr int kListenBacklog = 64;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -42,7 +47,6 @@ std::size_t pool_live_bytes(const AggregateProfile& profile) {
 IngestDaemon::IngestDaemon(DaemonOptions options)
     : options_(std::move(options)) {
   if (options_.shards < 1) options_.shards = 1;
-  if (options_.session_queue_depth < 1) options_.session_queue_depth = 1;
 }
 
 IngestDaemon::~IngestDaemon() { stop(); }
@@ -50,37 +54,38 @@ IngestDaemon::~IngestDaemon() { stop(); }
 void IngestDaemon::start() {
   if (running()) return;
   if (options_.socket_path.empty()) {
-    throw IngestError(Errc::kIo, "taskprofd", "empty socket path");
+    throw SnapshotError(Errc::kIo, "taskprofd", "empty socket path");
   }
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
-    throw IngestError(Errc::kIo, options_.socket_path,
-                      "socket path too long for AF_UNIX");
+    throw SnapshotError(Errc::kIo, options_.socket_path,
+                        "socket path too long for AF_UNIX");
   }
   std::memcpy(addr.sun_path, options_.socket_path.c_str(),
               options_.socket_path.size() + 1);
 
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
-    throw IngestError(Errc::kIo, options_.socket_path,
-                      std::string("socket: ") + std::strerror(errno));
+    throw SnapshotError(Errc::kIo, options_.socket_path,
+                        std::string("socket: ") + std::strerror(errno));
   }
   set_nonblocking(listen_fd_);
   ::unlink(options_.socket_path.c_str());
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, options_.listen_backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string detail = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
-    throw IngestError(Errc::kIo, options_.socket_path, "bind/listen: " + detail);
+    throw SnapshotError(Errc::kIo, options_.socket_path,
+                        "bind/listen: " + detail);
   }
   if (::pipe(wake_pipe_) != 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-    throw IngestError(Errc::kIo, options_.socket_path,
-                      std::string("pipe: ") + std::strerror(errno));
+    throw SnapshotError(Errc::kIo, options_.socket_path,
+                        std::string("pipe: ") + std::strerror(errno));
   }
   set_nonblocking(wake_pipe_[0]);
   set_nonblocking(wake_pipe_[1]);
@@ -232,7 +237,7 @@ void IngestDaemon::handle_readable(Conn& conn) {
       std::optional<Frame> frame;
       try {
         frame = conn.reader->next();
-      } catch (const IngestError& error) {
+      } catch (const SnapshotError& error) {
         // Corrupt framing cannot resynchronize: answer once, flush,
         // close.  The worker still gets a disconnect so the dirty
         // session is retired.
@@ -282,7 +287,9 @@ void IngestDaemon::route_frame(Conn& conn, Frame frame) {
           encode_report_reply({request.kind, std::move(body)});
       conn.write_buf.insert(conn.write_buf.end(), reply.begin(), reply.end());
       reports_served_.fetch_add(1, std::memory_order_relaxed);
-    } catch (const IngestError& error) {
+    } catch (const SnapshotError& error) {
+      // A bad request, or a report the codec refuses to encode (one over
+      // kMaxFramePayload, say): answer with its class.
       frames_rejected_.fetch_add(1, std::memory_order_relaxed);
       const auto reply = encode_error({error.code(), error.what()});
       conn.write_buf.insert(conn.write_buf.end(), reply.begin(), reply.end());
@@ -291,7 +298,7 @@ void IngestDaemon::route_frame(Conn& conn, Frame frame) {
   }
   conn.rec->routed = true;
   const int pending = conn.rec->pending.fetch_add(1, std::memory_order_acq_rel);
-  if (pending + 1 >= options_.session_queue_depth && !conn.stalled) {
+  if (pending + 1 >= kSessionQueueDepth && !conn.stalled) {
     conn.stalled = true;
     queue_stalls_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -331,7 +338,7 @@ void IngestDaemon::drain_outboxes() {
     }
     if (conn.stalled &&
         conn.rec->pending.load(std::memory_order_acquire) <=
-            options_.session_queue_depth / 2) {
+            kSessionQueueDepth / 2) {
       conn.stalled = false;
     }
   }
@@ -406,7 +413,7 @@ bool IngestDaemon::fold_session(Shard& shard, SessionRec& rec) {
     snapshot::merge_snapshot_into(shard.aggregate, cum);
   } catch (const SnapshotError& error) {
     // The merge refused before changing anything; so does the daemon.
-    rec.session.refuse(error);
+    rec.session.refuse(error, true);
     return false;
   }
   return true;

@@ -51,8 +51,6 @@ struct DaemonOptions {
   int shards = 4;                    ///< merge workers / aggregate shards
   std::size_t memory_budget_bytes = 0;  ///< 0 = unbounded (no eviction)
   bool keep_partial_sessions = false;   ///< fold dirty disconnects too
-  int session_queue_depth = 16;      ///< bounded per-session input queue
-  int listen_backlog = 64;
 };
 
 /// Point-in-time ingestion statistics (global + folded per-session).
@@ -89,7 +87,7 @@ class IngestDaemon {
   IngestDaemon& operator=(const IngestDaemon&) = delete;
 
   /// Bind, listen, and spawn the IO + merge threads.  Throws
-  /// IngestError(kIo) when the socket cannot be created.
+  /// snapshot::SnapshotError(kIo) when the socket cannot be created.
   void start();
 
   /// Graceful shutdown: stop accepting, drain queues, join threads,

@@ -2,37 +2,23 @@
 
 #include <cstring>
 
-#include "snapshot/format.hpp"
-
 namespace taskprof::ingest {
+
+using snapshot::Errc;
+using snapshot::SnapshotError;
 
 namespace {
 
-/// Map a snapshot-layer decode failure onto the ingest taxonomy: the
+/// Check the frame's type, then decode its whole payload with `fn`.  The
 /// payload already passed its frame CRC, so an overrun or grammar
-/// violation means the sender lied, not the wire.
-Errc map_snapshot_errc(snapshot::Errc code) noexcept {
-  return code == snapshot::Errc::kLimit ? Errc::kLimit : Errc::kMalformed;
-}
-
-/// Run a payload parser, converting snapshot::Decoder failures into
-/// typed IngestErrors.
+/// violation means the sender lied, not the wire (kMalformed).
 template <typename Fn>
 auto parse_payload(const Frame& frame, FrameType expected,
                    const std::string& origin, Fn&& fn) {
   if (frame.type != expected) {
-    throw IngestError(Errc::kBadType, origin, "unexpected frame type");
+    throw SnapshotError(Errc::kBadType, origin, "unexpected frame type");
   }
-  snapshot::Decoder in(frame.payload, origin, snapshot::Errc::kMalformed);
-  try {
-    auto result = fn(in);
-    if (in.remaining() != 0) {
-      throw IngestError(Errc::kMalformed, origin, "trailing payload bytes");
-    }
-    return result;
-  } catch (const snapshot::SnapshotError& error) {
-    throw IngestError(map_snapshot_errc(error.code()), origin, error.what());
-  }
+  return snapshot::decode_payload(frame.payload, origin, std::forward<Fn>(fn));
 }
 
 std::vector<std::uint8_t> frame_bytes(FrameType type,
@@ -40,18 +26,28 @@ std::vector<std::uint8_t> frame_bytes(FrameType type,
   return encode_frame(type, payload.buffer());
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
+ReportKind decode_report_kind(snapshot::Decoder& in,
+                              const std::string& origin) {
+  const std::uint8_t kind = in.u8();
+  if (kind < static_cast<std::uint8_t>(ReportKind::kText) ||
+      kind > static_cast<std::uint8_t>(ReportKind::kStats)) {
+    throw SnapshotError(Errc::kMalformed, origin, "report kind");
+  }
+  return static_cast<ReportKind>(kind);
 }
 
-std::uint32_t get_u32(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
+/// A varint length that must cover exactly the rest of the payload, then
+/// that many bytes (`what` names them in the error).
+std::vector<std::uint8_t> decode_tail(snapshot::Decoder& in,
+                                      const std::string& origin,
+                                      const char* what) {
+  const std::uint64_t size = in.varint();
+  if (size != in.remaining()) {
+    throw SnapshotError(Errc::kMalformed, origin,
+                        std::string(what) + " length disagrees with payload");
+  }
+  const auto bytes = in.bytes(in.remaining());
+  return {bytes.begin(), bytes.end()};
 }
 
 }  // namespace
@@ -61,43 +57,25 @@ bool frame_type_valid(std::uint8_t value) noexcept {
          value <= static_cast<std::uint8_t>(FrameType::kReportReply);
 }
 
-std::string_view errc_name(Errc code) noexcept {
-  switch (code) {
-    case Errc::kIo: return "io";
-    case Errc::kBadMagic: return "bad-magic";
-    case Errc::kBadType: return "bad-type";
-    case Errc::kTruncated: return "truncated";
-    case Errc::kBadCrc: return "bad-crc";
-    case Errc::kMalformed: return "malformed";
-    case Errc::kLimit: return "limit";
-    case Errc::kBadState: return "bad-state";
-    case Errc::kBadSeq: return "bad-seq";
-    case Errc::kBadVersion: return "bad-version";
-  }
-  return "unknown";
-}
-
 bool errc_valid(std::uint8_t value) noexcept {
   return value >= static_cast<std::uint8_t>(Errc::kIo) &&
          value <= static_cast<std::uint8_t>(Errc::kBadVersion);
 }
 
-IngestError::IngestError(Errc code, const std::string& origin,
-                         const std::string& detail)
-    : std::runtime_error(origin + ": " + std::string(errc_name(code)) + ": " +
-                         detail),
-      code_(code) {}
-
 std::vector<std::uint8_t> encode_frame(FrameType type,
                                        std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
+  if (payload.size() > kMaxFramePayload) {
+    throw SnapshotError(Errc::kLimit, "frame encoder",
+                        "payload size " + std::to_string(payload.size()));
+  }
+  snapshot::Encoder out;
   out.reserve(kFrameHeaderSize + payload.size());
-  for (const char c : kFrameMagic) out.push_back(static_cast<std::uint8_t>(c));
-  out.push_back(static_cast<std::uint8_t>(type));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, snapshot::crc32(payload));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  out.bytes(kFrameMagic, kFrameMagicSize);
+  out.u8(static_cast<std::uint8_t>(type));
+  out.u32(static_cast<std::uint32_t>(payload.size()));
+  out.u32(snapshot::crc32(payload));
+  out.bytes(payload.data(), payload.size());
+  return out.take();
 }
 
 FrameReader::FrameReader(std::string origin, std::size_t max_payload)
@@ -122,24 +100,26 @@ std::optional<Frame> FrameReader::next() {
   // header can never resynchronize, so fail as early as possible.
   const std::size_t magic_have = std::min(avail, kFrameMagicSize);
   if (std::memcmp(head, kFrameMagic, magic_have) != 0) {
-    throw IngestError(Errc::kBadMagic, origin_, "not an ingest frame");
+    throw SnapshotError(Errc::kBadMagic, origin_, "not an ingest frame");
   }
   if (avail > kFrameMagicSize && !frame_type_valid(head[kFrameMagicSize])) {
-    throw IngestError(
+    throw SnapshotError(
         Errc::kBadType, origin_,
         "frame type " + std::to_string(int(head[kFrameMagicSize])));
   }
   if (avail < kFrameHeaderSize) return std::nullopt;
-  const std::size_t size = get_u32(head + kFrameMagicSize + 1);
+  snapshot::Decoder header({head + kFrameMagicSize + 1, 8}, origin_,
+                           Errc::kTruncated);
+  const std::size_t size = header.u32();
   if (size > max_payload_) {
-    throw IngestError(Errc::kLimit, origin_,
-                      "payload size " + std::to_string(size));
+    throw SnapshotError(Errc::kLimit, origin_,
+                        "payload size " + std::to_string(size));
   }
   if (avail < kFrameHeaderSize + size) return std::nullopt;
-  const std::uint32_t stored_crc = get_u32(head + kFrameMagicSize + 5);
+  const std::uint32_t stored_crc = header.u32();
   const std::span<const std::uint8_t> payload(head + kFrameHeaderSize, size);
   if (snapshot::crc32(payload) != stored_crc) {
-    throw IngestError(Errc::kBadCrc, origin_, "payload checksum mismatch");
+    throw SnapshotError(Errc::kBadCrc, origin_, "payload checksum mismatch");
   }
   Frame frame;
   frame.type = static_cast<FrameType>(head[kFrameMagicSize]);
@@ -151,6 +131,10 @@ std::optional<Frame> FrameReader::next() {
 // --- Payload codecs ---------------------------------------------------------
 
 std::vector<std::uint8_t> encode_hello(const HelloFrame& f) {
+  if (f.producer_name.size() > kMaxProducerName) {
+    throw SnapshotError(Errc::kLimit, "hello encoder",
+                        "producer name length exceeds limit");
+  }
   snapshot::Encoder out;
   out.varint(f.protocol_version);
   out.varint(f.process_id);
@@ -164,7 +148,7 @@ HelloFrame decode_hello(const Frame& frame, const std::string& origin) {
     HelloFrame f;
     const std::uint64_t version = in.varint();
     if (version == 0 || version > UINT32_MAX) {
-      throw IngestError(Errc::kBadVersion, origin, "protocol version");
+      throw SnapshotError(Errc::kBadVersion, origin, "protocol version");
     }
     f.protocol_version = static_cast<std::uint32_t>(version);
     f.process_id = in.varint();
@@ -208,20 +192,14 @@ DeltaFrame decode_delta(const Frame& frame, const std::string& origin) {
     f.base_seq = in.varint();
     const std::uint8_t rebase = in.u8();
     if (rebase > 1) {
-      throw IngestError(Errc::kMalformed, origin, "rebase flag");
+      throw SnapshotError(Errc::kMalformed, origin, "rebase flag");
     }
     f.rebase = rebase == 1;
-    if (f.seq == 0) throw IngestError(Errc::kBadSeq, origin, "delta seq 0");
+    if (f.seq == 0) throw SnapshotError(Errc::kBadSeq, origin, "delta seq 0");
     if (f.rebase && f.base_seq != 0) {
-      throw IngestError(Errc::kBadSeq, origin, "rebase with nonzero base");
+      throw SnapshotError(Errc::kBadSeq, origin, "rebase with nonzero base");
     }
-    const std::uint64_t size = in.varint();
-    if (size != in.remaining()) {
-      throw IngestError(Errc::kMalformed, origin,
-                        "snapshot length disagrees with payload");
-    }
-    const auto bytes = in.bytes(static_cast<std::size_t>(size));
-    f.snapshot.assign(bytes.begin(), bytes.end());
+    f.snapshot = decode_tail(in, origin, "snapshot");
     return f;
   });
 }
@@ -300,7 +278,7 @@ ErrorFrame decode_error(const Frame& frame, const std::string& origin) {
     ErrorFrame f;
     const std::uint8_t code = in.u8();
     if (!errc_valid(code)) {
-      throw IngestError(Errc::kMalformed, origin, "error code byte");
+      throw SnapshotError(Errc::kMalformed, origin, "error code byte");
     }
     f.code = static_cast<Errc>(code);
     f.detail = in.str(kMaxErrorDetail);
@@ -318,14 +296,7 @@ ReportRequestFrame decode_report_request(const Frame& frame,
                                          const std::string& origin) {
   return parse_payload(frame, FrameType::kReportRequest, origin,
                        [&](snapshot::Decoder& in) {
-    const std::uint8_t kind = in.u8();
-    if (kind < static_cast<std::uint8_t>(ReportKind::kText) ||
-        kind > static_cast<std::uint8_t>(ReportKind::kStats)) {
-      throw IngestError(Errc::kMalformed, origin, "report kind");
-    }
-    ReportRequestFrame f;
-    f.kind = static_cast<ReportKind>(kind);
-    return f;
+    return ReportRequestFrame{decode_report_kind(in, origin)};
   });
 }
 
@@ -341,20 +312,9 @@ ReportReplyFrame decode_report_reply(const Frame& frame,
                                      const std::string& origin) {
   return parse_payload(frame, FrameType::kReportReply, origin,
                        [&](snapshot::Decoder& in) {
-    const std::uint8_t kind = in.u8();
-    if (kind < static_cast<std::uint8_t>(ReportKind::kText) ||
-        kind > static_cast<std::uint8_t>(ReportKind::kStats)) {
-      throw IngestError(Errc::kMalformed, origin, "report kind");
-    }
     ReportReplyFrame f;
-    f.kind = static_cast<ReportKind>(kind);
-    const std::uint64_t size = in.varint();
-    if (size != in.remaining()) {
-      throw IngestError(Errc::kMalformed, origin,
-                        "body length disagrees with payload");
-    }
-    const auto bytes = in.bytes(static_cast<std::size_t>(size));
-    f.body.assign(bytes.begin(), bytes.end());
+    f.kind = decode_report_kind(in, origin);
+    f.body = decode_tail(in, origin, "body");
     return f;
   });
 }

@@ -21,19 +21,20 @@
 // cumulative profile.  Report/export queries reuse the same transport:
 // ReportRequest -> ReportReply on a connection that never said Hello.
 //
-// All failures are typed (IngestError carrying an Errc), mirroring
-// src/snapshot's discipline: the daemon never crashes on hostile bytes,
-// it answers with an Error frame — the ingest fuzzer drives exactly
-// this contract.
+// All failures are typed with the container codec's error
+// (snapshot::SnapshotError carrying a snapshot::Errc, snapshot/format.hpp):
+// the daemon never crashes on hostile bytes, it answers with an Error
+// frame whose code byte is the Errc value — the ingest fuzzer drives
+// exactly this contract.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "snapshot/format.hpp"
 
 namespace taskprof::ingest {
 
@@ -65,36 +66,9 @@ enum class FrameType : std::uint8_t {
 /// True when `value` names a known frame type.
 [[nodiscard]] bool frame_type_valid(std::uint8_t value) noexcept;
 
-/// Why a frame or session was rejected.
-enum class Errc : std::uint8_t {
-  kIo = 1,          ///< socket read/write/connect failed
-  kBadMagic = 2,    ///< frame header does not start with "TPIF"
-  kBadType = 3,     ///< unknown frame type byte
-  kTruncated = 4,   ///< stream ended inside a frame
-  kBadCrc = 5,      ///< payload does not match its checksum
-  kMalformed = 6,   ///< CRC-valid payload violates the grammar
-  kLimit = 7,       ///< a declared size exceeds the sanity limits
-  kBadState = 8,    ///< frame is illegal in the session's current state
-  kBadSeq = 9,      ///< delta sequence gap or base mismatch
-  kBadVersion = 10, ///< unsupported protocol version in Hello
-};
-
-/// Stable lowercase name of an error class, e.g. "bad-seq".
-[[nodiscard]] std::string_view errc_name(Errc code) noexcept;
-
-/// True when `value` is a valid on-wire Errc byte.
+/// True when `value` is an Errc an Error frame can carry (kIo through
+/// kBadVersion); the container-only classes have no wire byte.
 [[nodiscard]] bool errc_valid(std::uint8_t value) noexcept;
-
-/// Typed rejection.  what() is "<origin>: <errc-name>: <detail>".
-class IngestError : public std::runtime_error {
- public:
-  IngestError(Errc code, const std::string& origin, const std::string& detail);
-
-  [[nodiscard]] Errc code() const noexcept { return code_; }
-
- private:
-  Errc code_;
-};
 
 /// One parsed frame: type plus its CRC-verified payload bytes.
 struct Frame {
@@ -102,15 +76,18 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Wrap a payload in a frame header (magic, type, size, CRC).
+/// Wrap a payload in a frame header (magic, type, size, CRC).  Throws
+/// snapshot::SnapshotError (kLimit) for a payload over kMaxFramePayload,
+/// which every FrameReader would reject.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     FrameType type, std::span<const std::uint8_t> payload);
 
 /// Incremental frame parser over a byte stream (nonblocking reads feed
 /// it arbitrary chunks).  next() yields complete frames; it throws
-/// IngestError the moment the buffered prefix cannot be a valid frame
-/// (bad magic, unknown type, oversized payload, CRC mismatch), because
-/// a byte stream with a corrupt header can never resynchronize.
+/// snapshot::SnapshotError the moment the buffered prefix cannot be a
+/// valid frame (bad magic, unknown type, oversized payload, CRC
+/// mismatch), because a byte stream with a corrupt header can never
+/// resynchronize.
 class FrameReader {
  public:
   explicit FrameReader(std::string origin,
@@ -139,6 +116,7 @@ struct HelloFrame {
   std::uint32_t protocol_version = kProtocolVersion;
   std::uint64_t process_id = 0;
   std::string producer_name;  ///< free-form label, <= kMaxProducerName
+                              ///< (encode_hello refuses longer: kLimit)
 };
 
 struct HelloAckFrame {
@@ -170,7 +148,7 @@ struct ByeAckFrame {
 };
 
 struct ErrorFrame {
-  Errc code = Errc::kMalformed;
+  snapshot::Errc code = snapshot::Errc::kMalformed;  ///< a wire class
   std::string detail;  ///< <= kMaxErrorDetail
 };
 
@@ -204,7 +182,8 @@ struct ReportReplyFrame {
     const ReportReplyFrame& f);
 
 // Decoders validate the frame's type tag and parse its payload; any
-// grammar violation throws IngestError (kMalformed / kLimit).
+// grammar violation throws snapshot::SnapshotError (kBadType for another
+// frame's type, kMalformed, kLimit, or the frame's own protocol class).
 [[nodiscard]] HelloFrame decode_hello(const Frame& frame,
                                       const std::string& origin);
 [[nodiscard]] HelloAckFrame decode_hello_ack(const Frame& frame,

@@ -4,6 +4,7 @@
 
 namespace taskprof::ingest {
 
+using snapshot::Errc;
 using snapshot::SnapshotData;
 using snapshot::SnapshotError;
 
@@ -23,7 +24,7 @@ void Session::consume(std::span<const std::uint8_t> bytes) noexcept {
     std::optional<Frame> frame;
     try {
       frame = reader_.next();
-    } catch (const IngestError& error) {
+    } catch (const SnapshotError& error) {
       // A corrupt frame header can never resynchronize: answer once,
       // then stop listening.
       send_error(error.code(), error.what(), true);
@@ -62,10 +63,8 @@ void Session::handle_frame(const Frame& frame) noexcept {
         return;
     }
     send_error(Errc::kBadType, "unhandled frame type", false);
-  } catch (const IngestError& error) {
-    send_error(error.code(), error.what(), false);
   } catch (const SnapshotError& error) {
-    send_error(Errc::kMalformed, error.what(), false);
+    send_error(error.code(), error.what(), false);
   } catch (const std::exception& error) {
     send_error(Errc::kMalformed, error.what(), false);
   }
@@ -129,22 +128,16 @@ void Session::on_delta(const Frame& frame) {
     return;
   }
 
-  SnapshotData decoded;
   try {
-    decoded = snapshot::decode_snapshot(delta.snapshot, origin_ + " [delta]");
-  } catch (const SnapshotError& error) {
-    ++counters_.deltas_rejected;
-    send_error(Errc::kMalformed, error.what(), false);
-    return;
-  }
-  try {
+    const SnapshotData decoded =
+        snapshot::decode_snapshot(delta.snapshot, origin_ + " [delta]");
     const ApplyStats applied =
         apply_delta(cumulative_, decoded, apply_epoch_, &heat_);
     counters_.visits_ingested += applied.visits_added;
     counters_.nodes_created += applied.nodes_created;
   } catch (const SnapshotError& error) {
     ++counters_.deltas_rejected;
-    send_error(Errc::kMalformed, error.what(), false);
+    refuse(error, false);
     return;
   }
   has_data_ = true;
@@ -185,10 +178,9 @@ void Session::send_error(Errc code, const std::string& detail, bool fatal) {
   if (fatal) state_ = SessionState::kClosed;
 }
 
-void Session::refuse(const SnapshotError& error) {
-  send_error(error.code() == snapshot::Errc::kLimit ? Errc::kLimit
-                                                    : Errc::kMalformed,
-             error.what(), true);
+void Session::refuse(const SnapshotError& error, bool fatal) {
+  send_error(error.code() == Errc::kLimit ? Errc::kLimit : Errc::kMalformed,
+             error.what(), fatal);
 }
 
 std::vector<std::uint8_t> Session::take_output() {

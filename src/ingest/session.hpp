@@ -13,8 +13,12 @@
 // the session answers with one typed Error frame and closes; a
 // *semantic* violation (sequence gap, stale base, malformed snapshot
 // payload) answers with a typed Error frame but keeps the session open
-// — the producer recovers by rebasing.  Duplicate deltas (reconnect
-// replay) are re-acked idempotently, never merged twice.
+// — the producer recovers by rebasing.  Errors of the framing and of the
+// frame payloads go on the wire with their own class; an error in a
+// delta's embedded .tpsnap, in applying it, or in folding the session
+// goes as kLimit when it is a limit and as kMalformed otherwise (see
+// refuse()).  Duplicate deltas (reconnect replay) are re-acked
+// idempotently, never merged twice.
 #pragma once
 
 #include <cstdint>
@@ -92,10 +96,12 @@ class Session {
   /// shard aggregate).  The session keeps running but starts empty.
   [[nodiscard]] snapshot::SnapshotData release_cumulative();
 
-  /// The daemon could not fold the released cumulative (`error` from
-  /// snapshot::merge_snapshot_into): answer with an Error frame and
-  /// close the session.
-  void refuse(const snapshot::SnapshotError& error);
+  /// A delta's snapshot could not be decoded or applied, or the daemon
+  /// could not fold the released cumulative (`error` from
+  /// snapshot::merge_snapshot_into; `fatal`: close the session).  The
+  /// Error frame says kLimit for a limit and kMalformed for anything else:
+  /// the container-only classes have no wire byte.
+  void refuse(const snapshot::SnapshotError& error, bool fatal);
 
   /// Shard epoch stamped onto every node the next delta touches (the
   /// merge scheduler bumps it per applied delta).
@@ -127,7 +133,8 @@ class Session {
   void on_heartbeat(const Frame& frame);
   void on_bye(const Frame& frame);
   void send(std::vector<std::uint8_t> frame_bytes);
-  void send_error(Errc code, const std::string& detail, bool fatal);
+  void send_error(snapshot::Errc code, const std::string& detail,
+                  bool fatal);
   EvictResult evict_cold_tree(CallNode* root, std::uint64_t cutoff_epoch);
 
   std::uint64_t id_;

@@ -11,7 +11,8 @@
 namespace taskprof::snapshot {
 
 FlushSchedule::FlushSchedule(FlushScheduleOptions options)
-    : options_(options), rng_(options.seed) {
+    : options_(options),
+      rng_(options.seed ^ static_cast<std::uint64_t>(::getpid())) {
   if (options_.backoff_multiplier < 1.0) options_.backoff_multiplier = 1.0;
   if (options_.max_backoff_exponent < 0) options_.max_backoff_exponent = 0;
   options_.jitter_fraction = std::clamp(options_.jitter_fraction, 0.0, 1.0);
@@ -76,11 +77,7 @@ SnapshotFlusher::SnapshotFlusher(const Instrumentor& instrumentor,
                                  FlusherOptions options)
     : instrumentor_(&instrumentor),
       registry_(&registry),
-      options_(std::move(options)) {
-  if (options_.process_id == 0) {
-    options_.process_id = static_cast<std::uint64_t>(::getpid());
-  }
-}
+      options_(std::move(options)) {}
 
 SnapshotFlusher::~SnapshotFlusher() {
   stop();
@@ -109,10 +106,8 @@ void SnapshotFlusher::stop() noexcept {
 }
 
 void SnapshotFlusher::run() {
-  FlushSchedule schedule({options_.interval, options_.jitter_fraction,
-                          options_.backoff_multiplier,
-                          options_.max_backoff_exponent,
-                          options_.schedule_seed});
+  FlushSchedule schedule({.interval = options_.interval,
+                          .jitter_fraction = options_.jitter_fraction});
   // A run that dies inside its first interval still leaves a file.
   schedule.record(flush_tick());
   std::unique_lock lock(cv_mutex_);
@@ -158,7 +153,7 @@ FlushOutcome SnapshotFlusher::flush_tick() noexcept {
       skip = true;
     }
     if (skip) {
-      if (options_.sink != nullptr && options_.heartbeat_on_empty) {
+      if (options_.sink != nullptr) {
         options_.sink->heartbeat();
       }
       return FlushOutcome::kSkipped;
@@ -188,7 +183,7 @@ bool SnapshotFlusher::write_locked(const AggregateProfile& profile,
                                    bool final) {
   SnapshotMeta meta;
   meta.flush_seq = flushes_.load(std::memory_order_relaxed) + 1;
-  meta.process_id = options_.process_id;
+  meta.process_id = static_cast<std::uint64_t>(::getpid());
   telemetry::Snapshot telemetry_snapshot;
   const telemetry::Snapshot* telemetry_ptr = nullptr;
   if (options_.telemetry != nullptr) {

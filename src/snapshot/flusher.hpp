@@ -53,13 +53,15 @@ struct FlushScheduleOptions {
                                  ///< de-synchronizing fleet producers
   double backoff_multiplier = 2.0;  ///< per consecutive failure
   int max_backoff_exponent = 6;     ///< cap: interval * mult^max
-  std::uint64_t seed = 0x5eedf1a5;  ///< jitter RNG (deterministic tests)
+  std::uint64_t seed = 0x5eedf1a5;  ///< jitter RNG, mixed with the pid
 };
 
 /// Pure flush-cadence policy: base interval, seeded jitter, exponential
 /// backoff on consecutive failures.  Time-free by construction (it
 /// returns delays, it never sleeps), so the unit test drives it against
-/// a fake clock.
+/// a fake clock.  The jitter RNG is seeded with `seed` mixed with the
+/// process id: within one process a seed replays one sequence, and
+/// producers built alike in different processes draw different delays.
 class FlushSchedule {
  public:
   explicit FlushSchedule(FlushScheduleOptions options);
@@ -98,19 +100,16 @@ class FlushSink {
   virtual bool heartbeat() noexcept { return true; }
 };
 
+/// Flushes stamp getpid() into the snapshot, heartbeat the sink on ticks
+/// with nothing to ship, and back off as FlushScheduleOptions' defaults say.
 struct FlusherOptions {
   std::string path;          ///< target .tpsnap file ("" with a sink:
                              ///< stream-only, no file writes)
   Ticks interval = 0;        ///< ns between periodic flushes (0: only
                              ///< explicit flush_now/flush_final calls)
   const telemetry::Registry* telemetry = nullptr;  ///< optional section
-  std::uint64_t process_id = 0;                    ///< 0: use getpid()
   FlushSink* sink = nullptr;   ///< optional streaming destination
-  bool heartbeat_on_empty = true;  ///< sink heartbeat on skipped ticks
   double jitter_fraction = 0.0;    ///< see FlushScheduleOptions
-  double backoff_multiplier = 2.0;
-  int max_backoff_exponent = 6;
-  std::uint64_t schedule_seed = 0x5eedf1a5;
 };
 
 class SnapshotFlusher {

@@ -1,14 +1,12 @@
 #include "snapshot/format.hpp"
 
 #include <array>
+#include <cstdio>
+#include <memory>
 
 namespace taskprof::snapshot {
 
 namespace {
-
-// Container-level sanity limit: far above any format's section count,
-// tight enough that a corrupt count cannot drive the section scan.
-constexpr std::size_t kMaxSections = 64;
 
 using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
@@ -48,14 +46,18 @@ std::string_view errc_name(Errc code) noexcept {
   switch (code) {
     case Errc::kIo: return "io";
     case Errc::kBadMagic: return "bad-magic";
-    case Errc::kFutureVersion: return "future-version";
+    case Errc::kBadType: return "bad-type";
     case Errc::kTruncated: return "truncated";
     case Errc::kBadCrc: return "bad-crc";
     case Errc::kMalformed: return "malformed";
+    case Errc::kLimit: return "limit";
+    case Errc::kBadState: return "bad-state";
+    case Errc::kBadSeq: return "bad-seq";
+    case Errc::kBadVersion: return "bad-version";
+    case Errc::kFutureVersion: return "future-version";
     case Errc::kDuplicateSection: return "duplicate-section";
     case Errc::kMissingSection: return "missing-section";
     case Errc::kTrailingData: return "trailing-data";
-    case Errc::kLimit: return "limit";
   }
   return "unknown";
 }
@@ -284,6 +286,25 @@ Container parse_container(std::span<const std::uint8_t> bytes,
     top.fail(Errc::kTrailingData, "bytes after the last section");
   }
   return out;
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  const auto close = [](std::FILE* f) { std::fclose(f); };
+  const std::unique_ptr<std::FILE, decltype(close)> file(
+      std::fopen(path.c_str(), "rb"), close);
+  if (file == nullptr) {
+    throw SnapshotError(Errc::kIo, path, "cannot open for reading");
+  }
+  long size = -1;
+  if (std::fseek(file.get(), 0, SEEK_END) == 0) size = std::ftell(file.get());
+  if (size < 0 || std::fseek(file.get(), 0, SEEK_SET) != 0) {
+    throw SnapshotError(Errc::kIo, path, "cannot size the file");
+  }
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  if (std::fread(bytes.data(), 1, bytes.size(), file.get()) != bytes.size()) {
+    throw SnapshotError(Errc::kIo, path, "read failed");
+  }
+  return bytes;
 }
 
 }  // namespace taskprof::snapshot

@@ -1,6 +1,7 @@
 // The binary container codec shared by taskprof's file formats: .tpsnap
 // profile snapshots (snapshot/snapshot.hpp) and .tptrc event traces
-// (trace/file.hpp).
+// (trace/file.hpp).  TPIF frames (ingest/protocol.hpp) use its encoder,
+// decoder and error type for their payloads.
 //
 // A container is
 //
@@ -19,7 +20,7 @@
 // All failures are typed: the reader never asserts, never reads out of
 // bounds, and never returns a half-built object — it throws
 // SnapshotError carrying an Errc that tests (and the fuzz corpora) match
-// on.
+// on.  SnapshotError is the one error type of all three formats.
 #pragma once
 
 #include <array>
@@ -29,6 +30,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,18 +38,24 @@ namespace taskprof::snapshot {
 
 inline constexpr std::size_t kMagicSize = 8;
 
-/// Why a file was rejected.
-enum class Errc {
-  kIo,               ///< open/read/write/rename failed
-  kBadMagic,         ///< first 8 bytes are not this format's header
-  kFutureVersion,    ///< written by a newer format revision
-  kTruncated,        ///< file ends inside the header or a section
-  kBadCrc,           ///< section payload does not match its checksum
-  kMalformed,        ///< CRC-valid payload violates the format grammar
-  kDuplicateSection, ///< the same section id appears twice
-  kMissingSection,   ///< a mandatory section is absent
-  kTrailingData,     ///< bytes remain after the last declared section
-  kLimit,            ///< a declared count exceeds the sanity limits
+/// Why a .tpsnap, a .tptrc or a TPIF frame was rejected.  A TPIF Error
+/// frame carries the first ten, each as its value; 11-14 are
+/// container-only and never go on the wire.
+enum class Errc : std::uint8_t {
+  kIo = 1,                 ///< open/read/write/rename or socket I/O failed
+  kBadMagic = 2,           ///< the input does not start with its magic
+  kBadType = 3,            ///< unknown or unexpected TPIF frame type
+  kTruncated = 4,          ///< the input ends inside a header or a section
+  kBadCrc = 5,             ///< a payload does not match its checksum
+  kMalformed = 6,          ///< CRC-valid payload violates the grammar
+  kLimit = 7,              ///< a declared count exceeds the sanity limits
+  kBadState = 8,           ///< frame is illegal in the session's state
+  kBadSeq = 9,             ///< delta sequence gap or base mismatch
+  kBadVersion = 10,        ///< unsupported protocol version in Hello
+  kFutureVersion = 11,     ///< written by a newer format revision
+  kDuplicateSection = 12,  ///< the same section id appears twice
+  kMissingSection = 13,    ///< a mandatory section is absent
+  kTrailingData = 14,      ///< bytes remain after the last declared section
 };
 
 /// Stable lowercase name of an error class, e.g. "bad-crc".
@@ -68,10 +76,19 @@ class SnapshotError : public std::runtime_error {
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
 
-/// Most threads a container may describe: the decoders reject larger
-/// counts with kLimit, and whatever sums counts (merge) refuses a total
-/// above it, so no writer produces a file its reader rejects.
+// The container limits, one table: a decoder rejects a larger value with
+// kLimit and every writer (merge's sums included) refuses to produce one.
+// Generous for real profiles, tight enough that a corrupt count cannot
+// drive allocation.
 inline constexpr std::size_t kMaxThreads = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxSections = 64;
+/// Region names and files, telemetry entry names.
+inline constexpr std::size_t kMaxStringSize = std::size_t{1} << 20;
+/// Counters or gauges in a .tpsnap telemetry section.
+inline constexpr std::size_t kMaxTelemetryEntries = 4096;
+/// .tptrc region ids stay below it, so the trace-only CLI paths, which
+/// name every region id up to the largest, stay quick.
+inline constexpr std::uint64_t kMaxRegion = std::uint64_t{1} << 20;
 
 /// What tells one file kind apart inside the shared container.
 struct ContainerFormat {
@@ -183,5 +200,29 @@ struct Container {
 [[nodiscard]] Container parse_container(std::span<const std::uint8_t> bytes,
                                         const ContainerFormat& format,
                                         const std::string& origin);
+
+/// Decode the whole of a CRC-checked `payload` with `decode(Decoder&)`
+/// and return what it returns.  An overrun means a length lied, so it is
+/// kMalformed, and so are bytes `decode` leaves unread.
+template <typename Decode>
+auto decode_payload(std::span<const std::uint8_t> payload, std::string origin,
+                    Decode&& decode) {
+  Decoder in(payload, std::move(origin), Errc::kMalformed);
+  const auto finish = [&in] {
+    if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");
+  };
+  if constexpr (std::is_void_v<decltype(decode(in))>) {
+    decode(in);
+    finish();
+  } else {
+    auto result = decode(in);
+    finish();
+    return result;
+  }
+}
+
+/// The whole of the file at `path`, sized first and read with one read.
+/// Throws SnapshotError(kIo) when it cannot be opened, sized or read.
+[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
 
 }  // namespace taskprof::snapshot

@@ -1,5 +1,6 @@
 #include "snapshot/snapshot.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -12,11 +13,6 @@ namespace taskprof::snapshot {
 
 namespace {
 
-// Sanity limits: generous for real profiles, tight enough that a
-// malformed count cannot drive allocation before its payload runs out.
-constexpr std::size_t kMaxStringSize = 1u << 20;
-constexpr std::size_t kMaxTelemetryEntries = 4096;
-
 constexpr std::uint64_t kMetaFlagPartial = 1;
 
 constexpr std::uint8_t kNodeFlagStub = 1;
@@ -28,8 +24,22 @@ constexpr std::uint8_t kNodeFlagMask =
 constexpr std::uint8_t kMaxRegionType =
     static_cast<std::uint8_t>(RegionType::kParameter);
 
+static_assert(telemetry::kCounterCount <= kMaxTelemetryEntries &&
+              telemetry::kGaugeCount <= kMaxTelemetryEntries);
+
+constexpr char kEncoderOrigin[] = ".tpsnap encoder";
+
+/// Refuse to write what decode_snapshot would reject, with its class.
+void refuse_unless(bool ok, Errc code, const char* detail) {
+  if (!ok) throw SnapshotError(code, kEncoderOrigin, detail);
+}
+
 void encode_meta(Encoder& out, const AggregateProfile& profile,
                  const SnapshotMeta& meta) {
+  refuse_unless(profile.thread_count <= kMaxThreads, Errc::kLimit,
+                "thread count");
+  refuse_unless(profile.max_concurrent_per_thread.size() <= kMaxThreads,
+                Errc::kLimit, "per-thread mark count");
   std::uint64_t flags = 0;
   if (profile.partial_capture) flags |= kMetaFlagPartial;
   out.varint(flags);
@@ -75,6 +85,10 @@ void encode_regions(Encoder& out, const RegionRegistry& registry) {
   out.varint(count);
   for (RegionHandle h = 0; h < count; ++h) {
     const RegionInfo& info = registry.info(h);
+    refuse_unless(info.name.size() <= kMaxStringSize &&
+                      info.file.size() <= kMaxStringSize,
+                  Errc::kLimit, "string length exceeds limit");
+    refuse_unless(info.line >= 0, Errc::kMalformed, "region line");
     out.str(info.name);
     out.u8(static_cast<std::uint8_t>(info.type));
     out.str(info.file);
@@ -107,8 +121,11 @@ void decode_regions(Decoder& in, SnapshotData& data) {
   }
 }
 
-void encode_tree(Encoder& out, const CallNode* root) {
+void encode_tree(Encoder& out, const CallNode* root,
+                 std::size_t region_count) {
   for_each_node(root, [&](const CallNode& node, int) {
+    refuse_unless(node.region < region_count, Errc::kMalformed,
+                  "region handle");
     out.varint(node.region);
     std::uint8_t flags = 0;
     if (node.is_stub) flags |= kNodeFlagStub;
@@ -181,14 +198,15 @@ CallNode* decode_tree(Decoder& in, NodePool& pool, std::size_t region_count) {
   return root;
 }
 
-void encode_trees(Encoder& out, const AggregateProfile& profile) {
+void encode_trees(Encoder& out, const AggregateProfile& profile,
+                  std::size_t region_count) {
   out.u8(profile.implicit_root != nullptr ? 1 : 0);
   if (profile.implicit_root != nullptr) {
-    encode_tree(out, profile.implicit_root);
+    encode_tree(out, profile.implicit_root, region_count);
   }
   out.varint(profile.task_roots.size());
   for (const CallNode* root : profile.task_roots) {
-    encode_tree(out, root);
+    encode_tree(out, root, region_count);
   }
 }
 
@@ -210,6 +228,11 @@ void decode_trees(Decoder& in, SnapshotData& data) {
 }
 
 void encode_telemetry(Encoder& out, const telemetry::Snapshot& snapshot) {
+  refuse_unless(snapshot.threads >= 0 &&
+                    static_cast<std::size_t>(snapshot.threads) <= kMaxThreads,
+                Errc::kLimit, "telemetry thread count");
+  refuse_unless(snapshot.per_thread.size() <= kMaxThreads, Errc::kLimit,
+                "per-thread row count");
   out.varint(static_cast<std::uint64_t>(snapshot.threads));
   out.varint(telemetry::kCounterCount);
   for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
@@ -295,7 +318,8 @@ std::vector<std::uint8_t> encode_snapshot(const AggregateProfile& profile,
   };
   section(SectionId::kMeta, [&] { encode_meta(out, profile, meta); });
   section(SectionId::kRegions, [&] { encode_regions(out, registry); });
-  section(SectionId::kTrees, [&] { encode_trees(out, profile); });
+  section(SectionId::kTrees,
+          [&] { encode_trees(out, profile, registry.size()); });
   if (telemetry != nullptr) {
     section(SectionId::kTelemetry, [&] { encode_telemetry(out, *telemetry); });
   }
@@ -311,34 +335,21 @@ std::vector<std::uint8_t> encode_snapshot(const SnapshotData& data) {
 SnapshotData decode_snapshot(std::span<const std::uint8_t> bytes,
                              const std::string& origin) {
   const Container container = parse_container(bytes, kSnapshotFormat, origin);
-  const auto payload = [&](SectionId id) {
+  SnapshotData data;
+  const auto section = [&](std::span<const std::uint8_t> payload,
+                           const char* name, auto decode) {
+    decode_payload(payload, origin + " [" + name + "]",
+                   [&](Decoder& in) { decode(in, data); });
+  };
+  const auto require = [&](SectionId id) {
     return container.require(static_cast<std::uint32_t>(id));
   };
-
-  SnapshotData data;
-  {
-    Decoder in(payload(SectionId::kMeta), origin + " [meta]",
-               Errc::kMalformed);
-    decode_meta(in, data);
-    if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");
-  }
-  {
-    Decoder in(payload(SectionId::kRegions), origin + " [regions]",
-               Errc::kMalformed);
-    decode_regions(in, data);
-    if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");
-  }
-  {
-    Decoder in(payload(SectionId::kTrees), origin + " [trees]",
-               Errc::kMalformed);
-    decode_trees(in, data);
-    if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");
-  }
+  section(require(SectionId::kMeta), "meta", decode_meta);
+  section(require(SectionId::kRegions), "regions", decode_regions);
+  section(require(SectionId::kTrees), "trees", decode_trees);
   if (const Section* s = container.find(
           static_cast<std::uint32_t>(SectionId::kTelemetry))) {
-    Decoder in(s->payload, origin + " [telemetry]", Errc::kMalformed);
-    decode_telemetry(in, data);
-    if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");
+    section(s->payload, "telemetry", decode_telemetry);
   }
   return data;
 }
@@ -348,6 +359,12 @@ void atomic_write_file(const std::string& path,
   // Same directory as the target so the rename cannot cross filesystems;
   // pid-suffixed so concurrent writers of one path cannot clobber each
   // other's temp file.
+  // rename(2) replaces whatever the path names: refuse a FIFO, a device
+  // or a symlink rather than turn it into a regular file.
+  struct stat target{};
+  if (::lstat(path.c_str(), &target) == 0 && !S_ISREG(target.st_mode)) {
+    throw SnapshotError(Errc::kIo, path, "not a regular file");
+  }
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
@@ -381,22 +398,7 @@ void write_snapshot_file(const std::string& path, const SnapshotData& data) {
 }
 
 SnapshotData read_snapshot_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw SnapshotError(Errc::kIo, path, "cannot open file");
-  }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    throw SnapshotError(Errc::kIo, path, "read failed");
-  }
-  return decode_snapshot(bytes, path);
+  return decode_snapshot(read_file(path), path);
 }
 
 }  // namespace taskprof::snapshot

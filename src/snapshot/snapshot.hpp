@@ -13,7 +13,9 @@
 // write_snapshot_file() is atomic: the bytes go to a same-directory temp
 // file which is fsync'ed and then rename(2)'d over the target, so a
 // reader (or a crash) can only ever observe the previous complete
-// snapshot or the new complete snapshot, never a torn mix.
+// snapshot or the new complete snapshot, never a torn mix.  A target
+// that exists and is not a regular file (a FIFO, a device, a symlink)
+// is refused rather than replaced.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +70,10 @@ struct SnapshotData {
 };
 
 /// Serialize a profile to .tpsnap bytes.  `telemetry` may be nullptr.
+/// A value decode_snapshot would reject (a count or string past the
+/// limits in format.hpp, a negative region line, a node whose region is
+/// not in `registry`) throws SnapshotError with the class the reader
+/// would give, kLimit or kMalformed.
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
     const AggregateProfile& profile, const RegionRegistry& registry,
     const SnapshotMeta& meta,
@@ -85,7 +91,8 @@ struct SnapshotData {
     const std::string& origin = "<memory>");
 
 /// Atomically write `bytes` to `path` (same-directory temp file + fsync
-/// + rename).  Throws SnapshotError(Errc::kIo) on failure.
+/// + rename).  Throws SnapshotError(Errc::kIo) on failure, and before
+/// writing anything when `path` exists and is not a regular file.
 void atomic_write_file(const std::string& path,
                        std::span<const std::uint8_t> bytes);
 

@@ -1,10 +1,10 @@
 #include "trace/file.hpp"
 
-#include <cstdio>
 #include <limits>
-#include <memory>
+#include <string_view>
 
 #include "common/assert.hpp"
+#include "common/write_file.hpp"
 
 namespace taskprof::trace {
 
@@ -13,6 +13,7 @@ namespace {
 using snapshot::Decoder;
 using snapshot::Encoder;
 using snapshot::Errc;
+using snapshot::kMaxRegion;
 using snapshot::kMaxThreads;
 using snapshot::SnapshotError;
 
@@ -22,12 +23,6 @@ constexpr std::uint8_t kHasParameter = 0x40;
 constexpr std::uint8_t kHasPeer = 0x80;
 static_assert(static_cast<std::uint8_t>(EventKind::kWork) <= kKindMask);
 
-// Region-id sanity limit, as high as the container's thread limit: far
-// above real traces, low enough that the trace-only CLI paths, which
-// register a generated name for every region id up to the largest, stay
-// quick.
-constexpr std::uint64_t kMaxRegion = 1u << 20;
-
 // The container header and the events section's header.
 constexpr std::size_t kHeaderBytes = 16 + 16;
 // Flags, time and task take at least one byte each.
@@ -35,13 +30,6 @@ constexpr std::size_t kMinEventBytes = 3;
 // Flags 1, time and task 10 each, region 3 (below kMaxRegion), parameter
 // 10, peer 3 (below kMaxThreads).
 constexpr std::size_t kMaxEventBytes = 37;
-
-struct FileCloser {
-  void operator()(std::FILE* file) const noexcept {
-    if (file != nullptr) std::fclose(file);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 void encode_stream(Encoder& out, const std::vector<TraceEvent>& events,
                    ThreadId thread, std::size_t thread_count) {
@@ -139,6 +127,9 @@ void decode_stream(Decoder& in, std::vector<TraceEvent>& events,
 
 std::vector<std::uint8_t> encode_trace(const Trace& trace) {
   const std::size_t threads = trace.thread_count();
+  if (threads > kMaxThreads) {
+    throw SnapshotError(Errc::kLimit, "trace encoder", "thread count");
+  }
   Encoder out;
   // Reserve the worst case: the bytes are written once, in place, and
   // pages the encoding never reaches are never touched.
@@ -158,50 +149,31 @@ Trace decode_trace(std::span<const std::uint8_t> bytes,
                    const std::string& origin) {
   const snapshot::Container container =
       snapshot::parse_container(bytes, kTraceFormat, origin);
-  Decoder in(container.require(kEventsSection), origin + " [events]",
-             Errc::kMalformed);
-  const std::uint64_t threads = in.varint();
-  // Each thread takes at least its event count's byte.
-  if (threads > kMaxThreads || threads > in.remaining()) {
-    in.fail(Errc::kLimit, "thread count");
-  }
-  std::vector<std::vector<TraceEvent>> per_thread(
-      static_cast<std::size_t>(threads));
-  for (ThreadId thread = 0; thread < threads; ++thread) {
-    decode_stream(in, per_thread[thread], thread, threads);
-  }
-  if (in.remaining() != 0) in.fail(Errc::kMalformed, "trailing bytes");
-  return Trace(std::move(per_thread));
+  return snapshot::decode_payload(
+      container.require(kEventsSection), origin + " [events]",
+      [](Decoder& in) {
+        const std::uint64_t threads = in.varint();
+        // Each thread takes at least its event count's byte.
+        if (threads > kMaxThreads || threads > in.remaining()) {
+          in.fail(Errc::kLimit, "thread count");
+        }
+        std::vector<std::vector<TraceEvent>> per_thread(
+            static_cast<std::size_t>(threads));
+        for (ThreadId thread = 0; thread < threads; ++thread) {
+          decode_stream(in, per_thread[thread], thread, threads);
+        }
+        return Trace(std::move(per_thread));
+      });
 }
 
 void write_trace_file(const std::string& path, const Trace& trace) {
   const std::vector<std::uint8_t> bytes = encode_trace(trace);
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
-    throw SnapshotError(Errc::kIo, path, "cannot open for writing");
-  }
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file.get()) !=
-          bytes.size() ||
-      std::fflush(file.get()) != 0) {
-    throw SnapshotError(Errc::kIo, path, "write failed");
-  }
+  write_file(path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                                    bytes.size()));
 }
 
 Trace read_trace_file(const std::string& path) {
-  FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
-    throw SnapshotError(Errc::kIo, path, "cannot open for reading");
-  }
-  long size = -1;
-  if (std::fseek(file.get(), 0, SEEK_END) == 0) size = std::ftell(file.get());
-  if (size < 0 || std::fseek(file.get(), 0, SEEK_SET) != 0) {
-    throw SnapshotError(Errc::kIo, path, "cannot size the file");
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (std::fread(bytes.data(), 1, bytes.size(), file.get()) != bytes.size()) {
-    throw SnapshotError(Errc::kIo, path, "read failed");
-  }
-  return decode_trace(bytes, path);
+  return decode_trace(snapshot::read_file(path), path);
 }
 
 }  // namespace taskprof::trace

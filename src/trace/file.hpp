@@ -13,7 +13,7 @@
 //     time     first event of the stream: svarint; later: varint delta
 //              from the previous event (a stream only goes forward)
 //     varint   task
-//     varint   region     (bit 5; never kInvalidRegion, below 1 << 20)
+//     varint   region     (bit 5; never kInvalidRegion, below kMaxRegion)
 //     svarint  parameter  (bit 6; never kNoParameter)
 //     varint   peer       (bit 7; never 0, below thread_count)
 //
@@ -44,7 +44,7 @@ inline constexpr snapshot::ContainerFormat kTraceFormat{
 inline constexpr std::uint32_t kEventsSection = 1;
 
 /// Serialize `trace` to .tptrc bytes.  Throws snapshot::SnapshotError
-/// (kLimit) for a region id the reader would reject.
+/// (kLimit) for a thread count or region id the reader would reject.
 [[nodiscard]] std::vector<std::uint8_t> encode_trace(const Trace& trace);
 
 /// Parse .tptrc bytes.  Throws snapshot::SnapshotError on any structural
@@ -52,13 +52,15 @@ inline constexpr std::uint32_t kEventsSection = 1;
 [[nodiscard]] Trace decode_trace(std::span<const std::uint8_t> bytes,
                                  const std::string& origin = "<memory>");
 
-/// Write `trace` to `path` with one write.  Throws snapshot::SnapshotError
-/// (kIo on I/O failure).
+/// Write `trace` to `path` with one write (taskprof::write_file: not
+/// synced, not atomic).  Throws snapshot::SnapshotError (kLimit) before
+/// writing anything for a trace the reader would reject, and
+/// std::system_error on I/O failure.
 void write_trace_file(const std::string& path, const Trace& trace);
 
-/// Read a trace written by write_trace_file with one read.  Throws
-/// snapshot::SnapshotError: kIo on I/O failure, a typed code for a
-/// corrupt or foreign file.
+/// Read a trace written by write_trace_file with one read
+/// (snapshot::read_file).  Throws snapshot::SnapshotError: kIo on I/O
+/// failure, a typed code for a corrupt or foreign file.
 [[nodiscard]] Trace read_trace_file(const std::string& path);
 
 }  // namespace taskprof::trace

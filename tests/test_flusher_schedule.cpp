@@ -2,11 +2,14 @@
 // outcomes (time-free, seeded), so every property is tested against a
 // simulated clock — exact interval without jitter, exponential backoff
 // capped at the configured exponent, reset on success, jitter bounds,
-// and determinism per seed.  Plus the FlushSink plumbing: a counting
+// determinism per seed within a process and different draws in a forked
+// child.  Plus the FlushSink plumbing: a counting
 // fake sink driven through a real SnapshotFlusher observes ship() for
 // data-bearing captures, heartbeat() for empty ones, and final=true
 // exactly once from flush_final().
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -122,6 +125,31 @@ TEST(FlushSchedule, DeterministicPerSeed) {
     if (c.next_delay() != fresh.next_delay()) diverged = true;
   }
   EXPECT_TRUE(diverged);
+}
+
+TEST(FlushSchedule, ProcessesBuiltAlikeDrawDifferentDelays) {
+  // Fleet producers share one seed; the process id is mixed into it, so
+  // a forked child and its parent must not flush in lockstep.
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    FlushSchedule schedule(schedule_options(0.25));
+    const Ticks delay = schedule.next_delay();
+    const bool sent =
+        ::write(pipe_fds[1], &delay, sizeof(delay)) == sizeof(delay);
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(pipe_fds[1]);
+  Ticks child_delay = 0;
+  const ssize_t got = ::read(pipe_fds[0], &child_delay, sizeof(child_delay));
+  ::close(pipe_fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof(child_delay)));
+  FlushSchedule schedule(schedule_options(0.25));
+  EXPECT_NE(schedule.next_delay(), child_delay);
 }
 
 TEST(FlushSchedule, DegenerateOptionsAreClamped) {

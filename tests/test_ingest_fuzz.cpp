@@ -18,6 +18,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "ingest/daemon.hpp"
 #include "ingest/protocol.hpp"
 #include "ingest/session.hpp"
+#include "snapshot/format.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace taskprof::ingest {
@@ -76,6 +78,33 @@ Bytes rebase_bytes(std::uint64_t seq, int stage) {
   frame.rebase = true;
   frame.snapshot = snapshot::encode_snapshot(fuzz_snapshot(stage));
   return encode_delta(frame);
+}
+
+/// fuzz_snapshot(0) declaring one thread past snapshot::kMaxThreads.  The
+/// encoder refuses that count, so this patches the thread-count varint of
+/// a kMaxThreads encode (2^20 and 2^20 + 1 are both three bytes) and
+/// recomputes the meta section's CRC.
+Bytes over_thread_limit_snapshot() {
+  snapshot::SnapshotData data = fuzz_snapshot(0);
+  data.profile.thread_count = snapshot::kMaxThreads;
+  Bytes bytes = snapshot::encode_snapshot(data);
+  const snapshot::Container container = snapshot::parse_container(
+      bytes, snapshot::kSnapshotFormat, "<patch>");
+  const std::span<const std::uint8_t> meta = container.require(
+      static_cast<std::uint32_t>(snapshot::SectionId::kMeta));
+  const auto start = static_cast<std::size_t>(meta.data() - bytes.data());
+  snapshot::Decoder in(meta, "<patch>", snapshot::Errc::kMalformed);
+  for (int field = 0; field < 3; ++field) (void)in.varint();  // flags..pid
+  const std::size_t threads_at = start + meta.size() - in.remaining();
+  EXPECT_EQ(in.varint(), snapshot::kMaxThreads);
+  ++bytes[threads_at];  // low 7 bits of 2^20 are zero: now 2^20 + 1
+  const std::uint32_t crc =
+      snapshot::crc32({bytes.data() + start, meta.size()});
+  for (int i = 0; i < 4; ++i) {  // the CRC is the section header's last u32
+    bytes[start - 4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  return bytes;
 }
 
 /// The committed seed corpus: name -> byte stream.  "ok_" streams must
@@ -151,6 +180,15 @@ std::map<std::string, Bytes> seed_corpus() {
     garbage.snapshot = {0xDE, 0xAD, 0xBE, 0xEF};  // not a .tpsnap
     corpus["bad_malformed_not_a_snapshot.tpif"] =
         concat({hello_bytes(), encode_delta(garbage)});
+  }
+  {
+    // A limit inside a delta's .tpsnap is answered as a limit.
+    DeltaFrame over;
+    over.seq = 1;
+    over.rebase = true;
+    over.snapshot = over_thread_limit_snapshot();
+    corpus["bad_limit_delta_threads.tpif"] =
+        concat({hello_bytes(), encode_delta(over)});
   }
   return corpus;
 }
@@ -334,7 +372,7 @@ TEST(IngestFuzz, RawGarbageCannotKillTheDaemon) {
     // A fresh Hello went through, so the garbage lands mid-session.
     try {
       (void)probe.send_snapshot(fuzz_snapshot(0));
-    } catch (const IngestError&) {
+    } catch (const snapshot::SnapshotError&) {
     }
     probe.close();
     // (The raw bytes path: a separate unframed connection.)

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ingest/delta.hpp"
@@ -17,6 +18,8 @@
 namespace taskprof::ingest {
 namespace {
 
+using snapshot::Errc;
+using snapshot::SnapshotError;
 using Bytes = std::vector<std::uint8_t>;
 
 Bytes concat(std::initializer_list<Bytes> parts) {
@@ -116,6 +119,48 @@ TEST(IngestProtocol, AllPayloadsRoundTrip) {
   }
 }
 
+TEST(IngestProtocol, HelloEncoderRefusesAProducerNameOverTheLimit) {
+  HelloFrame at_limit{kProtocolVersion, 1, std::string(kMaxProducerName, 'p')};
+  EXPECT_EQ(decode_hello(parse_all(encode_hello(at_limit))[0], "t")
+                .producer_name.size(),
+            kMaxProducerName);
+  HelloFrame over{kProtocolVersion, 1, std::string(300, 'p')};
+  try {
+    (void)encode_hello(over);
+    FAIL() << "wrote a hello its reader rejects";
+  } catch (const SnapshotError& error) {
+    EXPECT_EQ(error.code(), Errc::kLimit);
+  }
+}
+
+TEST(IngestProtocol, FrameEncoderRefusesAPayloadOverTheLimit) {
+  const Bytes payload(kMaxFramePayload + 1, 0);
+  try {
+    (void)encode_frame(FrameType::kReportReply, payload);
+    FAIL() << "wrote a frame every FrameReader rejects";
+  } catch (const SnapshotError& error) {
+    EXPECT_EQ(error.code(), Errc::kLimit);
+  }
+}
+
+TEST(IngestProtocol, PayloadErrorsNameTheirOriginOnce) {
+  // A hello whose name is over the limit, built past the encoder.
+  snapshot::Encoder payload;
+  payload.varint(kProtocolVersion);
+  payload.varint(1);
+  payload.str(std::string(300, 'p'));
+  const Frame frame = parse_all(encode_frame(FrameType::kHello,
+                                             payload.buffer()))[0];
+  try {
+    (void)decode_hello(frame, "probe");
+    FAIL() << "over-long producer name accepted";
+  } catch (const SnapshotError& error) {
+    EXPECT_EQ(error.code(), Errc::kLimit);
+    EXPECT_STREQ(error.what(),
+                 "probe: limit: string length exceeds limit (at byte 4)");
+  }
+}
+
 TEST(IngestProtocol, ReaderHandlesArbitraryChunking) {
   const Bytes stream = concat({encode_heartbeat({1}), encode_heartbeat({2}),
                                encode_bye({3})});
@@ -151,7 +196,7 @@ TEST(IngestProtocol, CorruptHeadersThrowTyped) {
     try {
       (void)reader.next();
       FAIL() << "bad magic accepted";
-    } catch (const IngestError& error) {
+    } catch (const SnapshotError& error) {
       EXPECT_EQ(error.code(), Errc::kBadMagic);
     }
   }
@@ -163,7 +208,7 @@ TEST(IngestProtocol, CorruptHeadersThrowTyped) {
     try {
       (void)reader.next();
       FAIL() << "bad type accepted";
-    } catch (const IngestError& error) {
+    } catch (const SnapshotError& error) {
       EXPECT_EQ(error.code(), Errc::kBadType);
     }
   }
@@ -178,7 +223,7 @@ TEST(IngestProtocol, CorruptHeadersThrowTyped) {
     try {
       (void)reader.next();
       FAIL() << "oversized payload accepted";
-    } catch (const IngestError& error) {
+    } catch (const SnapshotError& error) {
       EXPECT_EQ(error.code(), Errc::kLimit);
     }
   }
@@ -190,7 +235,7 @@ TEST(IngestProtocol, CorruptHeadersThrowTyped) {
     try {
       (void)reader.next();
       FAIL() << "bad CRC accepted";
-    } catch (const IngestError& error) {
+    } catch (const SnapshotError& error) {
       EXPECT_EQ(error.code(), Errc::kBadCrc);
     }
   }
@@ -203,7 +248,7 @@ TEST(IngestProtocol, DeltaGrammarIsValidated) {
   try {
     (void)decode_delta(parse_all(encode_delta(zero_seq))[0], "t");
     FAIL() << "seq 0 accepted";
-  } catch (const IngestError& error) {
+  } catch (const SnapshotError& error) {
     EXPECT_EQ(error.code(), Errc::kBadSeq);
   }
   DeltaFrame bad_rebase;
@@ -214,7 +259,7 @@ TEST(IngestProtocol, DeltaGrammarIsValidated) {
   try {
     (void)decode_delta(parse_all(encode_delta(bad_rebase))[0], "t");
     FAIL() << "rebase with base accepted";
-  } catch (const IngestError& error) {
+  } catch (const SnapshotError& error) {
     EXPECT_EQ(error.code(), Errc::kBadSeq);
   }
 }

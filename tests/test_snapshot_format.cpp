@@ -1,13 +1,17 @@
 // Wire-format primitives (src/snapshot/format): varint/zigzag canonical
 // round trips, the CRC-32 check vector, the typed error taxonomy at the
-// file level, and the atomicity of the file writer.
+// file level, the encoder's refusal of what the reader rejects, and the
+// atomicity of the file writer.
 #include "snapshot/format.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -151,6 +155,73 @@ TEST(SnapshotFormat, ErrorMessageCarriesOriginAndClass) {
   EXPECT_NE(what.find("ends early"), std::string::npos);
 }
 
+TEST(SnapshotFormat, ErrcValuesAreTheWireBytes) {
+  // The ten classes a TPIF Error frame carries are their on-wire byte.
+  EXPECT_EQ(static_cast<int>(Errc::kIo), 1);
+  EXPECT_EQ(static_cast<int>(Errc::kMalformed), 6);
+  EXPECT_EQ(static_cast<int>(Errc::kLimit), 7);
+  EXPECT_EQ(static_cast<int>(Errc::kBadVersion), 10);
+  EXPECT_EQ(errc_name(Errc::kBadSeq), "bad-seq");
+  EXPECT_EQ(errc_name(Errc::kTrailingData), "trailing-data");
+}
+
+/// A one-region, one-node snapshot the reader accepts.
+SnapshotData one_region_snapshot() {
+  SnapshotData data;
+  data.registry = std::make_unique<RegionRegistry>();
+  const RegionHandle root = data.registry->register_region(
+      "implicit task", RegionType::kImplicitTask);
+  data.profile.thread_count = 1;
+  data.profile.max_concurrent_per_thread = {1};
+  data.profile.implicit_root =
+      data.profile.pool.allocate(root, kNoParameter, false, nullptr);
+  data.profile.implicit_root->visits = 1;
+  return data;
+}
+
+/// The class encode_snapshot refuses `data` with; a failure when it
+/// writes the bytes instead.
+Errc encode_refusal(const SnapshotData& data) {
+  try {
+    const std::vector<std::uint8_t> bytes = encode_snapshot(data);
+    try {
+      (void)decode_snapshot(bytes);
+      ADD_FAILURE() << "encoded and decoded: nothing to refuse";
+    } catch (const SnapshotError& error) {
+      ADD_FAILURE() << "wrote bytes its reader rejects: " << error.what();
+    }
+  } catch (const SnapshotError& error) {
+    return error.code();
+  }
+  return Errc::kIo;
+}
+
+TEST(SnapshotFormat, EncoderRefusesANegativeRegionLine) {
+  SnapshotData data = one_region_snapshot();
+  (void)decode_snapshot(encode_snapshot(data));
+  data.registry->register_region(
+      RegionInfo{"work", RegionType::kFunction, "work.cpp", -1});
+  EXPECT_EQ(encode_refusal(data), Errc::kMalformed);
+}
+
+TEST(SnapshotFormat, EncoderRefusesARegionNameOverTheStringLimit) {
+  SnapshotData data = one_region_snapshot();
+  data.registry->register_region(std::string(kMaxStringSize, 'n'),
+                                 RegionType::kFunction);
+  (void)decode_snapshot(encode_snapshot(data));
+  data.registry->register_region(std::string(kMaxStringSize + 1, 'n'),
+                                 RegionType::kFunction);
+  EXPECT_EQ(encode_refusal(data), Errc::kLimit);
+}
+
+TEST(SnapshotFormat, EncoderRefusesAThreadCountOverTheLimit) {
+  SnapshotData data = one_region_snapshot();
+  data.profile.thread_count = kMaxThreads;
+  (void)decode_snapshot(encode_snapshot(data));
+  data.profile.thread_count = kMaxThreads + 1;
+  EXPECT_EQ(encode_refusal(data), Errc::kLimit);
+}
+
 TEST(SnapshotFormat, AtomicWriteLeavesNoTempFile) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "taskprof_format_test";
@@ -179,6 +250,27 @@ TEST(SnapshotFormat, AtomicWriteFailureIsTypedIo) {
   } catch (const SnapshotError& error) {
     EXPECT_EQ(error.code(), Errc::kIo);
   }
+}
+
+TEST(SnapshotFormat, AtomicWriteRefusesANonRegularTarget) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "taskprof_format_fifo";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string fifo = (dir / "out.tpsnap").string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  try {
+    atomic_write_file(fifo, {{1, 2, 3}});
+    ADD_FAILURE() << "renamed a regular file over a FIFO";
+  } catch (const SnapshotError& error) {
+    EXPECT_EQ(error.code(), Errc::kIo);
+  }
+  EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+  // Nothing was written beside it either.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotFormat, ReadMissingFileIsTypedIo) {

@@ -6,9 +6,11 @@
 // so a format change that breaks old files fails loudly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,33 @@ std::vector<std::uint8_t> valid_snapshot_bytes(int telemetry_threads = 2) {
   meta.flush_seq = 1;
   meta.process_id = 1234;
   return snapshot::encode_snapshot(profile, registry, meta, &snap);
+}
+
+/// `bytes` with the telemetry section's thread count rewritten to `wire`
+/// and the section's size and CRC recomputed: the encoder refuses to
+/// write an out-of-limit count, so the reader's check is reached through
+/// the bytes.
+std::vector<std::uint8_t> with_telemetry_threads(
+    const std::vector<std::uint8_t>& bytes, std::uint64_t wire) {
+  const snapshot::Container container =
+      snapshot::parse_container(bytes, snapshot::kSnapshotFormat, "<patch>");
+  snapshot::Encoder out;
+  out.header(snapshot::kSnapshotFormat,
+             static_cast<std::uint32_t>(container.sections.size()));
+  for (const snapshot::Section& section : container.sections) {
+    std::span<const std::uint8_t> payload = section.payload;
+    const std::size_t mark = out.begin_section(section.id);
+    if (section.id ==
+        static_cast<std::uint32_t>(snapshot::SectionId::kTelemetry)) {
+      snapshot::Decoder in(payload, "<patch>", snapshot::Errc::kMalformed);
+      (void)in.varint();
+      out.varint(wire);
+      payload = payload.last(in.remaining());
+    }
+    out.bytes(payload.data(), payload.size());
+    out.end_section(mark);
+  }
+  return out.take();
 }
 
 /// Decode that may legally succeed (a flip can land in a skippable
@@ -166,10 +195,22 @@ TEST(SnapshotFuzz, TelemetryThreadCountOverTheLimitIsLimit) {
   // A count past the meta section's thread limit would narrow into the
   // telemetry's int (-7 rides the wire as 2^64 - 7) and overflow the sum
   // that merging snapshots takes.
-  EXPECT_EQ(reject_code(valid_snapshot_bytes(-7)), snapshot::Errc::kLimit);
-  EXPECT_EQ(reject_code(valid_snapshot_bytes((1 << 20) + 1)),
+  const std::vector<std::uint8_t> at_limit = valid_snapshot_bytes(1 << 20);
+  EXPECT_TRUE(decodes(at_limit));
+  EXPECT_EQ(reject_code(with_telemetry_threads(
+                at_limit, static_cast<std::uint64_t>(std::int64_t{-7}))),
             snapshot::Errc::kLimit);
-  EXPECT_TRUE(decodes(valid_snapshot_bytes(1 << 20)));
+  EXPECT_EQ(reject_code(with_telemetry_threads(at_limit, (1 << 20) + 1)),
+            snapshot::Errc::kLimit);
+  // The encoder refuses both counts with the reader's class.
+  for (const int threads : {-7, (1 << 20) + 1}) {
+    try {
+      (void)valid_snapshot_bytes(threads);
+      ADD_FAILURE() << threads << " telemetry threads encoded";
+    } catch (const snapshot::SnapshotError& error) {
+      EXPECT_EQ(error.code(), snapshot::Errc::kLimit) << threads;
+    }
+  }
   std::ifstream in(std::filesystem::path(TASKPROF_SNAPSHOT_CORPUS_DIR) /
                        "bad_limit_telemetry_threads.tpsnap",
                    std::ios::binary);
